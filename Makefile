@@ -1,6 +1,6 @@
 # Convenience targets for the AN2 reproduction.
 
-.PHONY: install test check check-full bench bench-fastpath cbr-bench stat-bench network-bench sched-bench scenario-bench sched-study scenario-smoke fleet-smoke bench-full perf-report perf-gate trace-demo examples lint clean
+.PHONY: install test check check-full bench bench-fastpath cbr-bench stat-bench network-bench sched-bench scenario-bench bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke bench-full perf-report perf-gate trace-demo examples lint clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -48,10 +48,19 @@ network-bench:
 sched-bench:
 	PYTHONPATH=src python benchmarks/perf/bench_sched_zoo.py --quick --out BENCH_sched_zoo.json
 
-# Named-scenario throughput on both backends (slots/s; no hard floor:
-# per-cell Python arrival generation dominates both sides).
+# Named-scenario throughput on both backends (slots/s; no hard floor).
 scenario-bench:
 	PYTHONPATH=src python benchmarks/perf/bench_scenarios.py --quick --out BENCH_scenarios.json
+
+# The repo's benchmark (BENCHMARK.json): eight workloads in absolute
+# units, verified, untraced then traced; results.json + trace.json land
+# in OUT (`make bench-suite OUT=dir`).  Compare two such directories
+# taken at the same seed with `make bench-suite-compare A=dir B=dir`.
+bench-suite:
+	PYTHONPATH=src python benchmarks/suite/run.py --seed 0 $(if $(OUT),--out $(OUT))
+
+bench-suite-compare:
+	python benchmarks/suite/compare.py $(A) $(B)
 
 # Cross-scheduler delay-vs-load study with the maximal-matching
 # (Cogill-Lall style) delay bound checked where it applies.

@@ -47,6 +47,7 @@ everywhere.
 from __future__ import annotations
 
 import copy
+from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "as_request_batch",
     "build_batch_scheduler",
     "build_object_scheduler",
+    "pointer_offsets",
     "replay_generator",
     "resolve_generator",
 ]
@@ -73,6 +75,24 @@ def as_request_batch(requests: np.ndarray) -> np.ndarray:
     if batch.ndim != 3 or batch.shape[1] != batch.shape[2]:
         raise ValueError(f"expected (B, N, N) requests, got shape {batch.shape}")
     return batch
+
+
+@lru_cache(maxsize=None)
+def pointer_offsets(ports: int) -> np.ndarray:
+    """The rotating-priority table ``table[p, x] = (x - p) % ports``.
+
+    Round-robin arbiters pick the candidate with the smallest offset
+    past their pointer.  The offsets depend on the pointer value alone,
+    so ``pointer_offsets(n)[pointers]`` gathers, for a ``(B, N)``
+    pointer array, the ``(B, N, N)`` cube ``(x - pointers[b, k]) % n``
+    (x along the last axis) without redoing the modulo every
+    iteration.  The (N, N) int64 table is cached per ``ports`` and
+    read-only, since every kernel shares it.
+    """
+    ports_range = np.arange(ports)
+    table = (ports_range[None, :] - ports_range[:, None]) % ports
+    table.flags.writeable = False
+    return table
 
 
 def resolve_generator(

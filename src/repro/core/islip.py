@@ -19,7 +19,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler
+from repro.core.batch import BatchScheduler, pointer_offsets
 from repro.core.matching import Matching, as_request_matrix
 
 __all__ = [
@@ -244,7 +244,7 @@ class BatchISLIPScheduler(BatchScheduler):
         b, n, _ = batch.shape
         match = np.full((b, n), -1, dtype=np.int64)
         output_slots = np.full((b, n), self.output_capacity, dtype=np.int64)
-        arange_n = np.arange(n)
+        offsets = pointer_offsets(n)
         executed = 0
         while self.iterations is None or executed < self.iterations:
             active = (
@@ -256,7 +256,7 @@ class BatchISLIPScheduler(BatchScheduler):
             # Grant: offsets[b, i, j] = (i - grant_ptr[b, j]) % n, with
             # the sentinel n on inactive entries so argmin always lands
             # on a genuine request when one exists.
-            g_off = (arange_n[None, :, None] - self._grant_pointers[:, None, :]) % n
+            g_off = offsets[self._grant_pointers].transpose(0, 2, 1)
             g_off = np.where(active, g_off, n)
             grant_input = g_off.argmin(axis=1)          # (B, N) per output
             has_request = active.any(axis=1)            # (B, N)
@@ -264,8 +264,7 @@ class BatchISLIPScheduler(BatchScheduler):
             bb, jj = np.nonzero(has_request)
             grants[bb, grant_input[bb, jj], jj] = True
             # Accept: symmetric argmin over (j - accept_ptr[b, i]) % n.
-            a_off = (arange_n[None, None, :] - self._accept_pointers[:, :, None]) % n
-            a_off = np.where(grants, a_off, n)
+            a_off = np.where(grants, offsets[self._accept_pointers], n)
             accept_output = a_off.argmin(axis=2)        # (B, N) per input
             has_grant = grants.any(axis=2)              # (B, N)
             bb, ii = np.nonzero(has_grant)

@@ -43,6 +43,7 @@ import numpy as np
 from repro.core.batch import (
     BatchScheduler,
     as_request_batch,
+    pointer_offsets,
     replay_generator,
     resolve_generator,
 )
@@ -451,7 +452,6 @@ class BatchPIMScheduler(BatchScheduler):
         output_slots = np.full((b, n), self.output_capacity, dtype=np.int64)
         cumulative: List[np.ndarray] = []
         executed = 0
-        arange_n = np.arange(n)
 
         while self.iterations is None or executed < self.iterations:
             active = (
@@ -480,7 +480,7 @@ class BatchPIMScheduler(BatchScheduler):
                 accept_output = keys2.argmax(axis=2)   # (B, N) per input
             else:
                 # Round-robin: first granted output at/after the pointer.
-                offsets = (arange_n[None, None, :] - self._pointers[:, :, None]) % n
+                offsets = pointer_offsets(n)[self._pointers]
                 offsets = np.where(grants, offsets, n)  # n = "no grant" sentinel
                 accept_output = offsets.argmin(axis=2)
             has_grant = grants.any(axis=2)             # (B, N)

@@ -39,7 +39,12 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler, replay_generator, resolve_generator
+from repro.core.batch import (
+    BatchScheduler,
+    pointer_offsets,
+    replay_generator,
+    resolve_generator,
+)
 from repro.core.matching import Matching, as_request_matrix
 
 __all__ = ["BatchQPSScheduler", "QPSScheduler", "qps_match"]
@@ -66,7 +71,7 @@ def _qps_rounds(
     b, n, _ = requests.shape
     match = np.full((b, n), -1, dtype=np.int64)
     output_slots = np.full((b, n), output_capacity, dtype=np.int64)
-    arange_n = np.arange(n)
+    pointer_table = pointer_offsets(n)
     proposal_rounds = 0
     for _ in range(rounds):
         u = rng.random((b, n))
@@ -94,7 +99,7 @@ def _qps_rounds(
         proposals[bb, ii, choice[bb, ii]] = True
         # Accept: first proposer at/after the output's pointer (offset
         # argmin with the sentinel n on non-proposing entries).
-        offsets = (arange_n[None, :, None] - accept_pointers[:, None, :]) % n
+        offsets = pointer_table[accept_pointers].transpose(0, 2, 1)
         offsets = np.where(proposals, offsets, n)
         winner = offsets.argmin(axis=1)                 # (B, N) per output
         has_proposal = proposals.any(axis=1)            # (B, N)

@@ -17,10 +17,11 @@ but slow.  This module trades cell identity for speed:
 What the count model cannot carry: per-cell flow ids, per-flow FIFO
 order checking, per-cell delay histograms/percentiles -- anything that
 needs cell identity inside the hot loop.  Scenario mode (``sources=``)
-recovers flow identity *outside* the loop: arbitrary TrafficSource
-objects drive each replica and a shadow FIFO of flow ids per VOQ
-(exact, because both backends preserve per-VOQ FIFO order) yields
-slot-exact flow completion times.  Mean delay is instead recovered
+recovers flow identity beside the loop: arbitrary TrafficSource
+objects drive each replica, their cells compiled a chunk of slots at a
+time into flat arrays, and an array replica of the object switch's
+round-robin flow service per VOQ yields slot-exact flow completion
+times.  Mean delay is instead recovered
 exactly via Little's law: with arrivals at slot start and departures
 at slot end, a cell with delay d is present in exactly d end-of-slot
 backlog samples, so over a run that starts empty and is drained to
@@ -40,7 +41,6 @@ randomness -- and hence the delay sample -- differs.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -51,11 +51,19 @@ from repro.core.pim import AN2_ITERATIONS, AcceptPolicy
 from repro.obs.perf import NULL_PHASE_TIMER
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import FlowStats
+from repro.traffic.flows import arrivals_batch
 
 __all__ = ["FastpathCrossbar", "FastpathResult", "run_fastpath"]
 
 #: Slots of arrivals pre-drawn per RNG call in the batched arrival mode.
 _ARRIVAL_CHUNK_CELLS = 1 << 16
+#: (slot, replica, input) triples compiled per refill in scenario mode.
+#: Sorting and indexing a chunk takes about ten int64 temporaries of
+#: its cell count, so the chunk bounds the run's peak memory: on 16
+#: incast sources at N=8 (256 slots per refill) the high-water mark
+#: sits 3.6% over the per-cell path's, against 6.2% at twice the
+#: chunk, and refills are too rare at either size to show in the wall.
+_SCENARIO_CHUNK_CELLS = 1 << 15
 
 
 @dataclass
@@ -328,23 +336,32 @@ class _ObjectCompatArrivals:
 
 
 class _ScenarioArrivals:
-    """Arrival counts from B arbitrary TrafficSource objects.
+    """Arrival counts from B arbitrary TrafficSource objects, compiled.
 
-    Scenario mode trades the vectorized arrival draw for generality:
-    replica b is driven by ``sources[b].arrivals(slot)`` (any object
-    implementing the protocol -- notably
-    :class:`repro.traffic.flows.FlowTraffic`).  Because the fast path
-    is count-based it forgets cell identity at arrival, so for
-    flow-aware sources this adapter shadows each VOQ with the object
-    backend's exact service discipline (a
+    Replica b is driven by ``sources[b]`` (any object implementing the
+    protocol -- notably :class:`repro.traffic.flows.FlowTraffic`).
+    Arrivals are open-loop, so they are generated ahead of the slot
+    loop, a chunk of slots at a time, as flat ``(slot, VOQ, flow)``
+    arrays through :func:`repro.traffic.flows.arrivals_batch`; a slot's
+    counts are then one ``bincount`` of its slice.
+
+    Because the fast path is count-based it forgets cell identity at
+    arrival, so for flow-aware sources this adapter shadows each VOQ
+    with the object backend's exact service discipline (a
     :class:`repro.switch.buffers.VOQBuffer` serves the flows of one
-    (input, output) pair round-robin, each flow internally FIFO).
-    Replaying that discipline on the matched pairs makes per-flow
-    departure attribution -- hence completion slots and FCT --
-    slot-exact rather than estimated.
+    (input, output) pair round-robin, each flow internally FIFO), held
+    in arrays: per flow the cells queued and the cells yet to depart,
+    per VOQ a ring of eligible flows between monotone ``head`` and
+    ``tail`` counters.  Replaying that discipline on the matched pairs
+    makes per-flow departure attribution -- hence completion slots and
+    FCT -- slot-exact rather than estimated.
+
+    ``slots`` is the number of arrival-carrying slots: nothing is ever
+    compiled past it, so the sources' flow records cover exactly the
+    slots the run offered.
     """
 
-    def __init__(self, ports: int, sources: Sequence):
+    def __init__(self, ports: int, sources: Sequence, slots: int):
         for b, src in enumerate(sources):
             if src.ports != ports:
                 raise ValueError(
@@ -356,72 +373,220 @@ class _ScenarioArrivals:
         self.track_flows = all(
             callable(getattr(src, "flow_records", None)) for src in sources
         )
+        self._slots = slots
+        self._chunk = max(1, _SCENARIO_CHUNK_CELLS // (self.replicas * ports))
         self._slot = 0
-        # Round-robin eligible-flow list per (replica, input, output),
-        # mirroring VOQBuffer._eligible, plus queued-cell counts per
-        # (replica, flow) standing in for the per-flow cell queues.
-        self._eligible: Dict[Tuple[int, int, int], deque] = {}
-        self._queued: List[Dict[int, int]] = [{} for _ in sources]
-        self._departed: List[Dict[int, int]] = [{} for _ in sources]
-        self._completion: List[Dict[int, int]] = [{} for _ in sources]
+        # The compiled chunk: cells of slots [_chunk_start, _chunk_end)
+        # sorted by (slot, VOQ), slot k's cells at _offsets[k]:_offsets[k+1].
+        self._chunk_start = 0
+        self._chunk_end = 0
+        self._offsets: List[int] = [0]
+        self._voq = self._flow = np.zeros(0, dtype=np.int64)
+        # Occurrence number of each cell among its slot's cells for the
+        # same VOQ; None while no (slot, VOQ) pair repeats in the chunk.
+        self._rank: Optional[np.ndarray] = None
+        # Per flow, indexed by a run-wide flow number (sources name
+        # flows by arbitrary ints; _flow_index[b] maps replica b's).
+        self._flow_index: List[Dict[int, int]] = [{} for _ in sources]
+        self._flows = 0
+        self._flow_voq = np.full(1024, -1, dtype=np.int64)
+        self._queued = np.zeros(1024, dtype=np.int64)
+        self._left = np.zeros(1024, dtype=np.int64)
+        self._completion = np.full(1024, -1, dtype=np.int64)
+        # Per VOQ, the round-robin list of eligible flows (mirroring
+        # VOQBuffer._eligible): entries head..tail-1, modulo the width.
+        voqs = self.replicas * ports * ports
+        self._ring = np.zeros((voqs, 4), dtype=np.int64)
+        self._head = np.zeros(voqs, dtype=np.int64)
+        self._tail = np.zeros(voqs, dtype=np.int64)
+
+    # -- compile ---------------------------------------------------------
+
+    def _compile(self, slot0: int) -> None:
+        """Generate and index the cells of the next chunk of slots."""
+        n = self.ports
+        voqs = self.replicas * n * n
+        count = min(self._chunk, self._slots - slot0)
+        keys, flows = [], []
+        for b, src in enumerate(self.sources):
+            slot, inputs, outputs, flow_ids = arrivals_batch(src, slot0, count)
+            if slot.size == 0:
+                continue
+            for name, port in (("input", inputs), ("output", outputs)):
+                if ((port < 0) | (port >= n)).any():
+                    raise ValueError(
+                        f"sources[{b}] emitted a cell with {name} port "
+                        f"outside [0, {n})"
+                    )
+            voq = (b * n + inputs) * n + outputs
+            keys.append((slot - slot0) * voqs + voq)
+            if self.track_flows:
+                flows.append(self._flow_numbers(b, src, flow_ids, voq))
+        empty = np.zeros(0, dtype=np.int64)
+        key = np.concatenate(keys) if keys else empty
+        # Stable, so cells of one VOQ keep their emission order.
+        order = np.argsort(key, kind="stable")
+        key = key[order]
+        self._flow = np.concatenate(flows)[order] if flows else empty
+        self._offsets = np.searchsorted(
+            key, np.arange(count + 1) * voqs
+        ).tolist()
+        repeat = key[1:] == key[:-1]
+        if repeat.any():
+            # Position within each run of equal keys.
+            index = np.arange(key.size)
+            run_start = np.maximum.accumulate(
+                np.where(np.concatenate(([False], repeat)), 0, index)
+            )
+            self._rank = index - run_start
+        else:
+            self._rank = None
+        key %= voqs
+        self._voq = key
+        self._chunk_start = slot0
+        self._chunk_end = slot0 + count
+
+    def _flow_numbers(
+        self, b: int, src, flow_ids: np.ndarray, voq: np.ndarray
+    ) -> np.ndarray:
+        """Run-wide flow numbers of replica b's cells, registering new flows."""
+        index = self._flow_index[b]
+        unique, inverse = np.unique(flow_ids, return_inverse=True)
+        unique = unique.tolist()
+        fresh = [flow_id for flow_id in unique if flow_id not in index]
+        if fresh:
+            records = src.flow_records()
+            # KeyError here names a cell of a flow the source never recorded.
+            sizes = [records[flow_id].size for flow_id in fresh]
+            first = self._flows
+            self._flows += len(fresh)
+            while self._flows > self._left.size:
+                self._flow_voq = _doubled(self._flow_voq, -1)
+                self._queued = _doubled(self._queued, 0)
+                self._left = _doubled(self._left, 0)
+                self._completion = _doubled(self._completion, -1)
+            self._left[first : self._flows] = sizes
+            index.update(zip(fresh, range(first, self._flows)))
+        numbers = np.array([index[flow_id] for flow_id in unique])[inverse]
+        unfiled = self._flow_voq[numbers] < 0
+        self._flow_voq[numbers[unfiled]] = voq[unfiled]
+        if (self._flow_voq[numbers] != voq).any():
+            # As VOQBuffer.enqueue: a flow's cells share one queue.
+            raise ValueError(
+                f"sources[{b}] moved a flow to another (input, output) pair; "
+                f"all cells of a flow must be routed alike"
+            )
+        return numbers
+
+    # -- the slot loop ---------------------------------------------------
 
     def slot_counts(self) -> np.ndarray:
         """(B, N, N) arrival counts for the next slot."""
-        counts = np.zeros((self.replicas, self.ports, self.ports), dtype=np.int64)
         slot = self._slot
         self._slot += 1
-        for b, src in enumerate(self.sources):
-            for input_port, cell in src.arrivals(slot):
-                counts[b, input_port, cell.output] += 1
-                if self.track_flows:
-                    queued = self._queued[b]
-                    before = queued.get(cell.flow_id, 0)
-                    if before == 0:
-                        # Empty -> non-empty: the flow joins the back of
-                        # its VOQ's round-robin list (VOQBuffer.enqueue).
-                        key = (b, input_port, cell.output)
-                        eligible = self._eligible.get(key)
-                        if eligible is None:
-                            eligible = self._eligible[key] = deque()
-                        eligible.append(cell.flow_id)
-                    queued[cell.flow_id] = before + 1
-        return counts
+        if slot >= self._chunk_end:
+            self._compile(slot)
+        lo = self._offsets[slot - self._chunk_start]
+        hi = self._offsets[slot - self._chunk_start + 1]
+        voq = self._voq[lo:hi]
+        n = self.ports
+        counts = np.bincount(voq, minlength=self.replicas * n * n)
+        if self.track_flows and hi > lo:
+            flow = self._flow[lo:hi]
+            if self._rank is None:
+                self._enqueue(voq, flow)
+            else:
+                # A source put several cells into one VOQ this slot:
+                # take them one per VOQ at a time, in emission order.
+                rank = self._rank[lo:hi]
+                for r in range(int(rank.max()) + 1):
+                    turn = rank == r
+                    self._enqueue(voq[turn], flow[turn])
+        return counts.reshape(self.replicas, n, n)
+
+    def _enqueue(self, voq: np.ndarray, flow: np.ndarray) -> None:
+        """One cell per listed flow arrives (VOQBuffer.enqueue).
+
+        ``voq`` (hence ``flow``) must not repeat, so plain fancy-indexed
+        updates are safe.
+        """
+        queued = self._queued[flow]
+        self._queued[flow] = queued + 1
+        # Empty -> non-empty: the flow joins the back of its VOQ's list.
+        joins = queued == 0
+        voq = voq[joins]
+        tail = self._tail[voq]
+        if (tail - self._head[voq] >= self._ring.shape[1]).any():
+            self._widen_rings()
+        self._append(voq, flow[joins], tail)
+
+    def _append(self, voq: np.ndarray, flow: np.ndarray, tail: np.ndarray) -> None:
+        """Put each flow at ``tail``, the back of its VOQ's eligible ring."""
+        self._ring[voq, tail % self._ring.shape[1]] = flow
+        self._tail[voq] = tail + 1
+
+    def _widen_rings(self) -> None:
+        """Re-lay every ring out at twice the width.
+
+        Positions are counters modulo the width, so entries move;
+        the unused ones carry their garbage across.
+        """
+        voqs, width = self._ring.shape
+        rows = np.arange(voqs)[:, None]
+        position = self._head[:, None] + np.arange(width)
+        wider = np.zeros((voqs, 2 * width), dtype=np.int64)
+        wider[rows, position % (2 * width)] = self._ring[rows, position % width]
+        self._ring = wider
 
     def on_departures(
         self, bb: np.ndarray, ii: np.ndarray, jj: np.ndarray, slot: int
     ) -> None:
-        """Serve each matched VOQ's next round-robin flow (VOQBuffer.dequeue)."""
+        """Serve each matched VOQ's next round-robin flow (VOQBuffer.dequeue).
+
+        A crossbar match takes at most one cell per (replica, input), so
+        the VOQs -- and the flows at their heads -- never repeat.
+        """
         if not self.track_flows:
             return
-        for b, i, j in zip(bb.tolist(), ii.tolist(), jj.tolist()):
-            eligible = self._eligible[(b, i, j)]
-            flow_id = eligible.popleft()
-            queued = self._queued[b]
-            remaining = queued[flow_id] - 1
-            if remaining:
-                queued[flow_id] = remaining
-                eligible.append(flow_id)
-            else:
-                del queued[flow_id]
-            departed = self._departed[b]
-            count = departed.get(flow_id, 0) + 1
-            departed[flow_id] = count
-            if count == self.sources[b].flow_records()[flow_id].size:
-                self._completion[b][flow_id] = slot
+        voq = (bb * self.ports + ii) * self.ports + jj
+        head = self._head[voq]
+        tail = self._tail[voq]
+        if (head >= tail).any():
+            raise IndexError(
+                f"slot {slot}: a cell departed from a VOQ with no eligible flow"
+            )
+        flow = self._ring[voq, head % self._ring.shape[1]]
+        self._head[voq] = head + 1
+        queued = self._queued[flow] - 1
+        self._queued[flow] = queued
+        # Still has cells: rotate to the back (round-robin service).  The
+        # slot just vacated at the head guarantees room.
+        stays = queued > 0
+        self._append(voq[stays], flow[stays], tail[stays])
+        left = self._left[flow] - 1
+        self._left[flow] = left
+        self._completion[flow[left == 0]] = slot
 
     def fct_stats(self, warmup: int) -> Optional[FlowStats]:
         """Pooled per-flow completion stats (None for cell-level sources)."""
         if not self.track_flows:
             return None
         fct = FlowStats(warmup=warmup)
+        completion = self._completion.tolist()
         for b, src in enumerate(self.sources):
-            completion = self._completion[b]
+            index = self._flow_index[b]
             for flow_id, record in src.flow_records().items():
-                if flow_id in completion:
-                    fct.record(record.size, record.start_slot, completion[flow_id])
+                number = index.get(flow_id)
+                if number is not None and completion[number] >= 0:
+                    fct.record(record.size, record.start_slot, completion[number])
                 else:
                     fct.incomplete += 1
         return fct
+
+
+def _doubled(array: np.ndarray, fill: int) -> np.ndarray:
+    """``array`` at twice the length, the new half set to ``fill``."""
+    return np.concatenate((array, np.full(array.size, fill, dtype=array.dtype)))
 
 
 def run_fastpath(
@@ -478,7 +643,9 @@ def run_fastpath(
     sources:
         Scenario mode (mutually exclusive with ``arrival_seeds``): a
         length-B sequence of TrafficSource objects; replica b's
-        arrivals come from ``sources[b].arrivals(slot)``.  Each source
+        arrivals are ``sources[b]``'s, generated ahead of the slot loop
+        in chunks through ``arrivals_batch`` (sources without one have
+        ``arrivals(slot)`` called once per slot).  Each source
         is ``reset()`` first (rerun contract), so an identically-seeded
         source drives the object backend to the same trace.  ``load``
         is not used for generation (pass the nominal load for the
@@ -576,7 +743,7 @@ def run_fastpath(
                     reset = getattr(src, "reset", None)
                     if callable(reset):
                         reset()
-                source = _ScenarioArrivals(ports, sources)
+                source = _ScenarioArrivals(ports, sources, slots)
             elif arrival_seeds is not None:
                 if len(arrival_seeds) != replicas:
                     raise ValueError(

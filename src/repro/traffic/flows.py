@@ -27,13 +27,16 @@ always admissible at the inputs and composes with every backend
 (:meth:`FlowTraffic.flow_records`) lets the switches report flow
 completion times (:class:`repro.sim.stats.FlowStats`).
 
-Sources must be driven with consecutive ``arrivals(0), arrivals(1),
-...`` calls (all run loops do); :meth:`FlowTraffic.reset` rewinds to
-slot 0 under the rerun contract.
+Sources must be driven through consecutive slots from 0 (all run loops
+do), by ``arrivals(slot)`` calls -- ``Cell`` objects, what the object
+switch consumes -- or by ``arrivals_batch(slot0, slots)`` -- the same
+cells as flat int arrays, what the fast path compiles -- in any mix;
+:meth:`FlowTraffic.reset` rewinds to slot 0 under the rerun contract.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, List, Optional, Sequence, Tuple
@@ -42,10 +45,53 @@ import numpy as np
 
 from repro.switch.cell import Cell, ServiceClass
 
-__all__ = ["SizeDist", "FlowRecord", "FlowTraffic", "WindowedSource"]
+__all__ = [
+    "SizeDist",
+    "FlowRecord",
+    "FlowTraffic",
+    "WindowedSource",
+    "arrivals_batch",
+]
 
 _PROCESSES = ("poisson", "onoff")
 _MATRICES = ("uniform", "permutation", "hotspot", "incast", "skewed")
+
+#: ``FlowTraffic.arrivals_batch`` draws the Poisson group counts of up
+#: to ``_LOOKAHEAD_SLOTS`` coming slots in one call when flow starts
+#: are sparse enough to pay for the replay: below one group per 16
+#: slots a quiet run outlasts the two sized draws and the bit-generator
+#: save/restore that replace its scalar draws.
+_LOOKAHEAD_SLOTS = 64
+_LOOKAHEAD_MAX_RATE = 1.0 / 16.0
+
+BatchArrivals = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def _flat_arrivals(rows: List[int]) -> BatchArrivals:
+    """Split ``[slot, input, output, flow_id, slot, ...]`` into columns."""
+    table = np.array(rows, dtype=np.int64).reshape(-1, 4)
+    return table[:, 0], table[:, 1], table[:, 2], table[:, 3]
+
+
+def arrivals_batch(source, slot0: int, slots: int) -> BatchArrivals:
+    """Cells of ``slots`` consecutive slots of any TrafficSource, flat.
+
+    Returns ``(slot, input, output, flow_id)`` int64 arrays, one entry
+    per cell, in the order ``slots`` consecutive ``arrivals`` calls
+    would have produced them.  A source with its own ``arrivals_batch``
+    (:class:`FlowTraffic`, :class:`WindowedSource`) is asked directly;
+    any other source is called once per slot and flattened -- arrivals
+    are open-loop, so generating them ahead of the slot loop changes
+    nothing a switch can observe.
+    """
+    batch = getattr(source, "arrivals_batch", None)
+    if batch is not None:
+        return batch(slot0, slots)
+    rows: List[int] = []
+    for slot in range(slot0, slot0 + slots):
+        for input_port, cell in source.arrivals(slot):
+            rows += (slot, input_port, cell.output, cell.flow_id)
+    return _flat_arrivals(rows)
 
 
 class SizeDist:
@@ -89,9 +135,16 @@ class SizeDist:
             if any(w < 0 for w in weights) or sum(weights) <= 0:
                 raise ValueError(f"weights must be non-negative with positive sum")
             total = sum(weights)
-            self._probs = np.array([w / total for w in weights])
-            self._sizes = np.array(sizes, dtype=np.int64)
-            self._mean = float((self._sizes * self._probs).sum())
+            probs = np.array([w / total for w in weights])
+            self._sizes = sizes
+            self._mean = float((np.array(sizes) * probs).sum())
+            # ``Generator.choice(p=)`` is one ``random()`` searched
+            # (side="right") in the normalised cumulative sum; sampling
+            # that way by hand consumes the identical stream without
+            # the per-call validation of ``p``.
+            cdf = probs.cumsum()
+            cdf /= cdf[-1]
+            self._cdf = cdf.tolist()
         else:
             raise ValueError(f"unknown size distribution {kind!r}")
 
@@ -136,8 +189,7 @@ class SizeDist:
             u = rng.random()
             x = lo / (1.0 - u * ratio) ** (1.0 / alpha)
             return min(int(x), hi)
-        index = rng.choice(len(self._sizes), p=self._probs)
-        return int(self._sizes[index])
+        return self._sizes[bisect_right(self._cdf, rng.random())]
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{k}={v}" for k, v in self.params.items())
@@ -331,6 +383,11 @@ class FlowTraffic:
         self._records[flow_id] = FlowRecord(flow_id, src, dst, size, slot)
         self._queues[src].append(_ActiveFlow(flow_id, dst, size))
 
+    def _start_groups(self, groups: int, slot: int) -> None:
+        for _ in range(groups):
+            for src, dst in self._sample_group():
+                self._start_flow(src, dst, slot)
+
     def _groups_this_slot(self) -> int:
         if self._group_rate == 0.0:
             return 0
@@ -346,6 +403,30 @@ class FlowTraffic:
             return 0
         return int(self._rng.poisson(self._group_rate / self.duty))
 
+    def _groups_ahead(self, horizon: int) -> Tuple[int, int]:
+        """Poisson group counts of the next ``horizon`` slots in one draw.
+
+        Returns ``(quiet, groups)``: the next ``quiet`` slots start
+        nothing and the slot after them starts ``groups`` > 0 groups
+        (``quiet == horizon`` and ``groups == 0`` when the whole
+        horizon is quiet).  A sized ``poisson`` call consumes the
+        stream exactly as that many scalar calls do, so restoring the
+        bit-generator state and re-drawing ``quiet + 1`` counts leaves
+        the RNG where the scalar path stands when it starts sampling
+        the busy slot's groups.
+        """
+        rng = self._rng
+        state = rng.bit_generator.state
+        counts = rng.poisson(self._group_rate, size=horizon)
+        busy = np.flatnonzero(counts)
+        if busy.size == 0:
+            return horizon, 0
+        quiet = int(busy[0])
+        if quiet + 1 < horizon:
+            rng.bit_generator.state = state
+            rng.poisson(self._group_rate, size=quiet + 1)
+        return quiet, int(counts[quiet])
+
     def arrivals(self, slot: int) -> List[Tuple[int, Cell]]:
         """Cells arriving in ``slot`` as (input, cell) pairs.
 
@@ -360,9 +441,7 @@ class FlowTraffic:
             and slot % self.churn_every == 0
         ):
             self._perm = self._rng.permutation(self.ports)
-        for _ in range(self._groups_this_slot()):
-            for src, dst in self._sample_group():
-                self._start_flow(src, dst, slot)
+        self._start_groups(self._groups_this_slot(), slot)
         cells: List[Tuple[int, Cell]] = []
         for i, queue in enumerate(self._queues):
             if not queue:
@@ -385,6 +464,63 @@ class FlowTraffic:
             if flow.remaining > 0:
                 queue.append(flow)
         return cells
+
+    def arrivals_batch(self, slot0: int, slots: int) -> BatchArrivals:
+        """``slots`` consecutive slots of :meth:`arrivals` as flat arrays.
+
+        Returns ``(slot, input, output, flow_id)`` int64 arrays with
+        one entry per cell and builds no ``Cell`` objects.  The draws,
+        the flow records and the injection state afterwards are those
+        of ``arrivals(slot0) ... arrivals(slot0 + slots - 1)``, so
+        scalar and batch calls may be interleaved and where a caller
+        cuts its batches is invisible.
+        """
+        rows: List[int] = []
+        queues = self._queues
+        churn = self.churn_every if self.matrix == "permutation" else 0
+        lookahead = (
+            self.process == "poisson"
+            and 0.0 < self._group_rate <= _LOOKAHEAD_MAX_RATE
+        )
+        end = slot0 + slots
+        # Slots before ``quiet_until`` are known to start nothing and
+        # ``pending`` groups start at ``quiet_until``; the RNG already
+        # stands past all of their count draws.
+        quiet_until = slot0
+        pending = 0
+        for slot in range(slot0, end):
+            if churn and slot > 0 and slot % churn == 0:
+                self._perm = self._rng.permutation(self.ports)
+            if slot < quiet_until:
+                groups = 0
+            elif pending:
+                groups, pending = pending, 0
+            elif lookahead:
+                # Never draw past this batch (the state left behind must
+                # be the scalar one) or past a permutation re-draw.
+                horizon = min(_LOOKAHEAD_SLOTS, end - slot)
+                if churn:
+                    horizon = min(horizon, churn - slot % churn)
+                quiet, groups = self._groups_ahead(horizon)
+                if quiet:
+                    quiet_until = slot + quiet
+                    pending, groups = groups, 0
+            else:
+                groups = self._groups_this_slot()
+            if groups:
+                self._start_groups(groups, slot)
+            for i, queue in enumerate(queues):
+                if not queue:
+                    continue
+                flow = queue[0]
+                rows += (slot, i, flow.dst, flow.flow_id)
+                flow.seqno += 1
+                flow.remaining -= 1
+                if flow.remaining == 0:
+                    queue.popleft()
+                else:
+                    queue.rotate(-1)
+        return _flat_arrivals(rows)
 
     # -- flow bookkeeping ----------------------------------------------
 
@@ -414,9 +550,10 @@ class WindowedSource:
     """Stop a source's arrivals after ``limit`` slots (drain window).
 
     Slots at or past ``limit`` return no cells and do not consult the
-    wrapped source, so both backends can append drain slots without
-    perturbing the wrapped RNG stream.  Every other attribute
-    (``reset``, ``flow_records``, ...) is forwarded.
+    wrapped source (a batch reaching past it is cut there), so both
+    backends can append drain slots without perturbing the wrapped RNG
+    stream.  Every other attribute (``reset``, ``flow_records``, ...)
+    is forwarded.
     """
 
     def __init__(self, source, limit: int):
@@ -429,5 +566,15 @@ class WindowedSource:
             return []
         return self.source.arrivals(slot)
 
+    def arrivals_batch(self, slot0: int, slots: int) -> BatchArrivals:
+        """The wrapped source's batch, cut off at ``limit``."""
+        return arrivals_batch(
+            self.source, slot0, max(0, min(slots, self.limit - slot0))
+        )
+
     def __getattr__(self, name):
+        # pickle and copy probe a bare instance, before ``source`` is
+        # set: looking it up here again would recurse without end.
+        if name == "source" or (name.startswith("__") and name.endswith("__")):
+            raise AttributeError(name)
         return getattr(self.source, name)

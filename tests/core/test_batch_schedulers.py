@@ -19,6 +19,7 @@ from repro.core.batch import (
     as_request_batch,
     build_batch_scheduler,
     build_object_scheduler,
+    pointer_offsets,
 )
 
 # Kernels whose object twin is draw-for-draw identical at B=1.
@@ -136,6 +137,31 @@ class TestBatchValidity:
         second = run()
         for slot, (a, b) in enumerate(zip(first, second)):
             assert (a == b).all(), f"{name} rerun diverged at slot {slot}"
+
+
+class TestPointerOffsets:
+    def test_gathers_the_offset_cube_the_kernels_used_to_compute(self):
+        rng = np.random.default_rng(0)
+        for ports in (1, 5, 16):
+            pointers = rng.integers(0, ports, size=(7, ports))
+            ports_range = np.arange(ports)
+            table = pointer_offsets(ports)
+            # Accept form: x runs over outputs, one pointer per input.
+            assert (
+                table[pointers]
+                == (ports_range[None, None, :] - pointers[:, :, None]) % ports
+            ).all()
+            # Grant form: x runs over inputs, one pointer per output.
+            assert (
+                table[pointers].transpose(0, 2, 1)
+                == (ports_range[None, :, None] - pointers[:, None, :]) % ports
+            ).all()
+
+    def test_shared_table_is_read_only(self):
+        table = pointer_offsets(4)
+        assert table is pointer_offsets(4)
+        with pytest.raises(ValueError):
+            table[0, 0] = 1
 
 
 class TestProtocolValidation:

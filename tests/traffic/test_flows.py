@@ -1,11 +1,24 @@
 """Tests for the flow-level traffic generator (repro.traffic.flows)."""
 
+import copy
 import math
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.traffic.flows import FlowRecord, FlowTraffic, SizeDist, WindowedSource
+from repro.traffic.flows import (
+    FlowRecord,
+    FlowTraffic,
+    SizeDist,
+    WindowedSource,
+    arrivals_batch,
+)
+from repro.traffic.scenarios import SCENARIOS
+from repro.traffic.trace import TraceTraffic
+from repro.traffic.uniform import UniformTraffic
 
 
 class TestSizeDist:
@@ -28,6 +41,18 @@ class TestSizeDist:
         # 10% weight on 10: expect roughly 50 of 500 (binomial, wide net).
         big = sum(1 for s in samples if s == 10)
         assert 20 <= big <= 100
+
+    def test_empirical_consumes_the_stream_of_generator_choice(self):
+        """sample() searches one random() in the cdf by hand; it must
+        stay draw-for-draw what ``rng.choice(p=)`` does (pins NumPy)."""
+        sizes = [1, 2, 4, 16, 64, 256]
+        weights = [0.30, 0.20, 0.20, 0.15, 0.10, 0.05]
+        dist = SizeDist.empirical(sizes, weights)
+        ours, numpy_rng = np.random.default_rng(11), np.random.default_rng(11)
+        probs = np.array(weights) / sum(weights)
+        for _ in range(5000):
+            assert dist.sample(ours) == sizes[numpy_rng.choice(len(sizes), p=probs)]
+        assert ours.random() == numpy_rng.random()
 
     def test_empirical_validation(self):
         with pytest.raises(ValueError):
@@ -243,6 +268,19 @@ class TestOnOff:
         assert dispersion("onoff") > 2.0 * dispersion("poisson")
 
 
+def _rows(batch):
+    """A batch's cells as (slot, input, output, flow_id) tuples."""
+    return list(zip(*(column.tolist() for column in batch)))
+
+
+def _scalar_cells(source, slots):
+    return [
+        (slot, input_port, cell.output, cell.flow_id)
+        for slot in range(slots)
+        for input_port, cell in source.arrivals(slot)
+    ]
+
+
 class TestWindowedSource:
     def test_cuts_off_arrivals(self):
         inner = FlowTraffic(4, 0.4, sizes=SizeDist.fixed(2), seed=9)
@@ -265,3 +303,113 @@ class TestWindowedSource:
         ]
         assert first == second
         assert window.ports == 4
+
+    def test_batch_honours_limit(self):
+        """A batch reaching past ``limit`` is cut there and leaves the
+        wrapped source where ``limit`` scalar calls leave it."""
+        scalar = FlowTraffic(4, 0.4, sizes=SizeDist.fixed(2), seed=9)
+        cells = _scalar_cells(scalar, 50)
+        inner = FlowTraffic(4, 0.4, sizes=SizeDist.fixed(2), seed=9)
+        window = WindowedSource(inner, 50)
+        got = _rows(window.arrivals_batch(0, 30)) + _rows(window.arrivals_batch(30, 70))
+        assert got == cells
+        assert _rows(window.arrivals_batch(100, 20)) == []
+        assert inner.flow_records() == scalar.flow_records()
+        assert inner._rng.random() == scalar._rng.random()
+
+    @pytest.mark.parametrize("clone", [
+        lambda w: pickle.loads(pickle.dumps(w)), copy.copy, copy.deepcopy,
+    ])
+    def test_survives_pickle_and_copy(self, clone):
+        """__getattr__ used to look ``source`` up on the bare instance
+        pickle/copy create, recursing until RecursionError."""
+        window = WindowedSource(FlowTraffic(4, 0.4, seed=9), 30)
+        twin = clone(window)
+        assert (twin.ports, twin.limit) == (4, 30)
+        cells = _scalar_cells(twin, 40)
+        window.reset()  # a shallow copy shares the wrapped source
+        assert cells == _scalar_cells(window, 40)
+        with pytest.raises(AttributeError):
+            twin.no_such_attribute
+
+
+_BATCH_SOURCES = {name: spec.build_source for name, spec in SCENARIOS.items()}
+_BATCH_SOURCES["onoff"] = lambda seed: FlowTraffic(
+    8, 0.5, process="onoff", sizes=SizeDist.fixed(4), burst_slots=20.0, seed=seed
+)
+# Sparse enough for the Poisson look-ahead, which must stop at every
+# permutation re-draw.
+_BATCH_SOURCES["churn"] = lambda seed: FlowTraffic(
+    8, 0.05, sizes=SizeDist.fixed(8), matrix="permutation", churn_every=37,
+    seed=seed,
+)
+
+
+class TestArrivalsBatch:
+    """arrivals_batch is arrivals, however the slots are cut up."""
+
+    @pytest.mark.parametrize("name", sorted(_BATCH_SOURCES))
+    @given(
+        seed=st.integers(0, 2**16),
+        cuts=st.lists(
+            st.tuples(st.sampled_from([1, 2, 5, 63, 64, 65, 130, 400]), st.booleans()),
+            min_size=1, max_size=12,
+        ),
+    )
+    def test_equals_scalar_under_any_split(self, name, seed, cuts):
+        build = _BATCH_SOURCES[name]
+        batched = build(seed)
+        got, slot = [], 0
+        for length, as_batch in cuts:
+            if as_batch:
+                got += _rows(batched.arrivals_batch(slot, length))
+            else:
+                got += [
+                    (s, i, cell.output, cell.flow_id)
+                    for s in range(slot, slot + length)
+                    for i, cell in batched.arrivals(s)
+                ]
+            slot += length
+        scalar = build(seed)
+        assert got == _scalar_cells(scalar, slot)
+        assert batched.flow_records() == scalar.flow_records()
+        assert batched.pending_cells() == scalar.pending_cells()
+        # Same position in the stream, same injection state: the next
+        # slot, and the draw after it, agree.
+        assert _rows(batched.arrivals_batch(slot, 1)) == [
+            (slot, i, cell.output, cell.flow_id)
+            for i, cell in scalar.arrivals(slot)
+        ]
+        assert batched._rng.random() == scalar._rng.random()
+
+    def test_scalar_cells_carry_on_after_a_batch(self):
+        """seqno state is shared: scalar cells after a batch continue
+        each flow's numbering."""
+        batched = SCENARIOS["websearch-incast"].build_source(3)
+        scalar = SCENARIOS["websearch-incast"].build_source(3)
+        batched.arrivals_batch(0, 200)
+        for slot in range(200):
+            scalar.arrivals(slot)
+        for slot in range(200, 260):
+            assert [
+                (i, c.flow_id, c.seqno) for i, c in batched.arrivals(slot)
+            ] == [(i, c.flow_id, c.seqno) for i, c in scalar.arrivals(slot)]
+
+    def test_protocol_only_sources_are_flattened(self):
+        source = UniformTraffic(4, load=0.7, seed=2)
+        twin = UniformTraffic(4, load=0.7, seed=2)
+        assert _rows(arrivals_batch(source, 0, 50)) == _scalar_cells(twin, 50)
+
+    def test_flattening_keeps_several_cells_per_input(self):
+        from repro.switch.cell import Cell
+
+        trace = TraceTraffic.from_script(2, [
+            (1, 0, Cell(flow_id=7, output=1)),
+            (1, 0, Cell(flow_id=8, output=1)),
+            (3, 1, Cell(flow_id=9, output=0)),
+        ])
+        assert _rows(arrivals_batch(trace, 0, 5)) == [
+            (1, 0, 1, 7), (1, 0, 1, 8), (3, 1, 0, 9),
+        ]
+        assert _rows(arrivals_batch(trace, 5, 5)) == []
+
