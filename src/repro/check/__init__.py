@@ -20,6 +20,7 @@ from repro.check.differential import (
     DifferentialReport,
     ScenarioParityReport,
     backend_parity,
+    fabric_parity,
     integrated_parity,
     metamorphic_pim_iterations,
     metamorphic_statistical_fill,
@@ -65,6 +66,7 @@ __all__ = [
     "InvariantSink",
     "InvariantViolation",
     "backend_parity",
+    "fabric_parity",
     "CbrCase",
     "check_conservation",
     "ChurnCase",

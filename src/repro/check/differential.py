@@ -39,6 +39,7 @@ from repro.traffic.flows import WindowedSource
 __all__ = [
     "DifferentialReport",
     "backend_parity",
+    "fabric_parity",
     "integrated_parity",
     "metamorphic_pim_iterations",
     "metamorphic_statistical_fill",
@@ -877,13 +878,54 @@ def network_parity(
     buffer_limit: Optional[int] = None,
     latency: int = 1,
 ) -> DifferentialReport:
+    """:func:`fabric_parity` on a bundled topology with random flows.
+
+    Builds the named topology (:func:`repro.network.topologies.build`)
+    and draws ``n_flows`` random host-to-host flows from a seed-derived
+    stream.  Raises :class:`InvariantViolation` on any mismatch.
+    """
+    from repro.network.netsim import FlowSpec
+    from repro.network.topologies import build
+    from repro.sim.rng import derive_seed
+
+    topo, hosts = build(topology, size, latency=latency)
+    if len(hosts) < 2:
+        raise ValueError(f"topology {topology}(size={size}) has {len(hosts)} hosts")
+    flow_rng = np.random.default_rng(derive_seed(seed, "check/network-flows"))
+    rates = (1.0, 0.8, 0.5, 0.25)
+    flows = []
+    for flow_id in range(1, n_flows + 1):
+        src, dst = flow_rng.choice(len(hosts), size=2, replace=False)
+        flows.append(
+            FlowSpec(flow_id, hosts[src], hosts[dst], float(flow_rng.choice(rates)))
+        )
+    return fabric_parity(
+        topo,
+        flows,
+        slots=slots,
+        seed=seed,
+        warmup=warmup,
+        buffer_limit=buffer_limit,
+        label=f"{topology}, size={size}, latency={latency}",
+    )
+
+
+def fabric_parity(
+    topo,
+    flows,
+    slots: int = 300,
+    seed: int = 0,
+    warmup: int = 0,
+    buffer_limit: Optional[int] = None,
+    label: str = "custom topology",
+) -> DifferentialReport:
     """Object network simulator vs the vectorized network fast path.
 
-    Builds the named topology (:func:`repro.network.topologies.build`),
-    draws ``n_flows`` random host-to-host flows from a seed-derived
-    stream, runs :class:`repro.network.netsim.NetworkSimulator` with a
-    per-slot observer and :class:`repro.sim.fastpath_network.NetworkFastpath`
-    at B=1 with the same root seed, and compares slot for slot:
+    Runs :class:`repro.network.netsim.NetworkSimulator` with a per-slot
+    observer and :class:`repro.sim.fastpath_network.NetworkFastpath` at
+    B=1 with the same root seed over ``flows`` on ``topo`` (any
+    :class:`~repro.network.topology.Topology`), and compares slot for
+    slot:
 
     - per-flow injections and deliveries,
     - per-switch fabric transfer counts,
@@ -897,27 +939,13 @@ def network_parity(
 
     Raises :class:`InvariantViolation` on any mismatch.
     """
-    from repro.network.netsim import FlowSpec, NetworkSimulator
-    from repro.network.topologies import build
+    from repro.network.netsim import NetworkSimulator
     from repro.sim.fastpath_network import run_fastpath_network
-    from repro.sim.rng import derive_seed
 
     name = (
-        f"network-parity({topology}, size={size}, flows={n_flows}, "
-        f"slots={slots}, warmup={warmup}, limit={buffer_limit}, "
-        f"latency={latency}, seed={seed})"
+        f"network-parity({label}, flows={len(flows)}, "
+        f"slots={slots}, warmup={warmup}, limit={buffer_limit}, seed={seed})"
     )
-    topo, hosts = build(topology, size, latency=latency)
-    if len(hosts) < 2:
-        raise ValueError(f"topology {topology}(size={size}) has {len(hosts)} hosts")
-    flow_rng = np.random.default_rng(derive_seed(seed, "check/network-flows"))
-    rates = (1.0, 0.8, 0.5, 0.25)
-    flows = []
-    for flow_id in range(1, n_flows + 1):
-        src, dst = flow_rng.choice(len(hosts), size=2, replace=False)
-        flows.append(
-            FlowSpec(flow_id, hosts[src], hosts[dst], float(flow_rng.choice(rates)))
-        )
 
     records = []
     object_sim = NetworkSimulator(topo, seed=seed, buffer_limit=buffer_limit)

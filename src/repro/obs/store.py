@@ -361,6 +361,21 @@ class GateReport:
     skipped: List[str] = field(default_factory=list)  # configs with no baseline
     ok: bool = True
 
+    @property
+    def ungated(self) -> bool:
+        """Nothing was compared: no baseline run shares a config with the
+        candidate (a first recorded run, or an all-new grid).  ``ok``
+        stays true -- there is no regression to report -- but the
+        verdict is not a pass of anything."""
+        return not self.checks
+
+    @property
+    def verdict(self) -> str:
+        """``UNGATED``, ``PASS`` or ``FAIL``."""
+        if self.ungated:
+            return "UNGATED"
+        return "PASS" if self.ok else "FAIL"
+
     def describe(self) -> str:
         """One line per check, then the verdict."""
         lines = []
@@ -373,12 +388,16 @@ class GateReport:
             )
         for config in self.skipped:
             lines.append(f"  [new ] no baseline yet  {config}")
-        verdict = "PASS" if self.ok else "FAIL"
         lines.append(
-            f"gate {verdict}: bench={self.bench} candidate={self.candidate_run} "
+            f"gate {self.verdict}: bench={self.bench} candidate={self.candidate_run} "
             f"tolerance={self.tolerance:.0%} ({len(self.checks)} checks, "
             f"{len(self.skipped)} new configs)"
         )
+        if self.ungated:
+            lines.append(
+                f"  no recorded baseline for {self.metric} on any of the "
+                f"candidate's configs: nothing was checked"
+            )
         return "\n".join(lines)
 
 
@@ -411,8 +430,9 @@ def gate(
     For each config the candidate shares with the baseline, the
     candidate's ``metric`` must be at least ``median(baseline) *
     (1 - tolerance)``.  Configs the history has never seen are noted
-    but do not fail the gate (grids may grow); with no baseline at all
-    the gate passes trivially (first recorded run).
+    but do not fail the gate (grids may grow); with no baseline for any
+    of them (first recorded run) nothing can fail either, and the report
+    says so as its own outcome, ``ungated``, rather than as a pass.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")

@@ -49,6 +49,7 @@ import numpy as np
 from repro.core.batch import BatchScheduler, build_batch_scheduler
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy
 from repro.obs.perf import NULL_PHASE_TIMER
+from repro.sim.flowring import EmptyRing, FlowRing
 from repro.sim.rng import RandomStreams
 from repro.sim.stats import FlowStats
 from repro.traffic.flows import arrivals_batch
@@ -351,8 +352,8 @@ class _ScenarioArrivals:
     :class:`repro.switch.buffers.VOQBuffer` serves the flows of one
     (input, output) pair round-robin, each flow internally FIFO), held
     in arrays: per flow the cells queued and the cells yet to depart,
-    per VOQ a ring of eligible flows between monotone ``head`` and
-    ``tail`` counters.  Replaying that discipline on the matched pairs
+    per VOQ a :class:`repro.sim.flowring.FlowRing` row of eligible
+    flows.  Replaying that discipline on the matched pairs
     makes per-flow departure attribution -- hence completion slots and
     FCT -- slot-exact rather than estimated.
 
@@ -394,11 +395,8 @@ class _ScenarioArrivals:
         self._left = np.zeros(1024, dtype=np.int64)
         self._completion = np.full(1024, -1, dtype=np.int64)
         # Per VOQ, the round-robin list of eligible flows (mirroring
-        # VOQBuffer._eligible): entries head..tail-1, modulo the width.
-        voqs = self.replicas * ports * ports
-        self._ring = np.zeros((voqs, 4), dtype=np.int64)
-        self._head = np.zeros(voqs, dtype=np.int64)
-        self._tail = np.zeros(voqs, dtype=np.int64)
+        # VOQBuffer._eligible); crowded VOQs widen the rings on demand.
+        self._eligible = FlowRing(self.replicas * ports * ports, 4)
 
     # -- compile ---------------------------------------------------------
 
@@ -514,29 +512,7 @@ class _ScenarioArrivals:
         self._queued[flow] = queued + 1
         # Empty -> non-empty: the flow joins the back of its VOQ's list.
         joins = queued == 0
-        voq = voq[joins]
-        tail = self._tail[voq]
-        if (tail - self._head[voq] >= self._ring.shape[1]).any():
-            self._widen_rings()
-        self._append(voq, flow[joins], tail)
-
-    def _append(self, voq: np.ndarray, flow: np.ndarray, tail: np.ndarray) -> None:
-        """Put each flow at ``tail``, the back of its VOQ's eligible ring."""
-        self._ring[voq, tail % self._ring.shape[1]] = flow
-        self._tail[voq] = tail + 1
-
-    def _widen_rings(self) -> None:
-        """Re-lay every ring out at twice the width.
-
-        Positions are counters modulo the width, so entries move;
-        the unused ones carry their garbage across.
-        """
-        voqs, width = self._ring.shape
-        rows = np.arange(voqs)[:, None]
-        position = self._head[:, None] + np.arange(width)
-        wider = np.zeros((voqs, 2 * width), dtype=np.int64)
-        wider[rows, position % (2 * width)] = self._ring[rows, position % width]
-        self._ring = wider
+        self._eligible.append(voq[joins], flow[joins])
 
     def on_departures(
         self, bb: np.ndarray, ii: np.ndarray, jj: np.ndarray, slot: int
@@ -549,20 +525,17 @@ class _ScenarioArrivals:
         if not self.track_flows:
             return
         voq = (bb * self.ports + ii) * self.ports + jj
-        head = self._head[voq]
-        tail = self._tail[voq]
-        if (head >= tail).any():
+        try:
+            flow = self._eligible.pop(voq)
+        except EmptyRing:
             raise IndexError(
                 f"slot {slot}: a cell departed from a VOQ with no eligible flow"
-            )
-        flow = self._ring[voq, head % self._ring.shape[1]]
-        self._head[voq] = head + 1
+            ) from None
         queued = self._queued[flow] - 1
         self._queued[flow] = queued
-        # Still has cells: rotate to the back (round-robin service).  The
-        # slot just vacated at the head guarantees room.
+        # Still has cells: rotate to the back (round-robin service).
         stays = queued > 0
-        self._append(voq[stays], flow[stays], tail[stays])
+        self._eligible.rejoin(voq[stays], flow[stays])
         left = self._left[flow] - 1
         self._left[flow] = left
         self._completion[flow[left == 0]] = slot

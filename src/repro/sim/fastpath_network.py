@@ -7,17 +7,47 @@ slow: every Monte-Carlo point of a network experiment (the Figure 9
 parking-lot sweep, fabric-sizing scans over mesh/fat-tree shapes) pays
 per-cell deque traffic at every hop.  This module is its batched
 counterpart, in the same spirit as :mod:`repro.sim.fastpath` for the
-single switch:
+single switch.  The state of **B independent network replicas** at
+**all S switches** is a few switch-stacked arrays -- no Cell objects,
+no per-switch containers:
 
-- the VOQ state of **B independent network replicas** is one
-  ``(B, N, N)`` count array *per switch* -- no Cell objects;
-- every switch advances all B replicas with a single
-  :class:`repro.core.batch.BatchScheduler` kernel call per slot (any
-  registry scheduler -- PIM by default);
-- links are latency-indexed ring buffers of in-flight per-flow cell
-  counts, so propagation costs one slice per switch per slot;
-- host injection (Bernoulli arrivals + round-robin flow service) and
-  credit-based link flow control are evaluated as whole-array masks.
+- ``occ (S, B, P, P)``: VOQ depths, P the widest switch's port count
+  (a narrower switch uses the leading ``[:p, :p]`` corner);
+- ``queued (S, B, F)``: cells of each of the F flows buffered at each
+  switch;
+- ``ring (R, S + 1, B, F)``: cells in flight, by landing slot modulo
+  R = longest link latency + 1 and by the switch they land at (index S:
+  the flow's destination host);
+- ``pending (H, B, M)``: cells waiting at each of the H source hosts
+  for each of its (up to M) flows; a greedy flow's entry is a count
+  that never runs out;
+- one :class:`repro.sim.flowring.FlowRing` row per (VOQ that several
+  flows share, replica): the flows with cells queued there, in the
+  round-robin order :class:`repro.switch.buffers.VOQBuffer` serves
+  them.  A VOQ with a single flow (the common case) needs none.
+
+A slot is one kernel call per busy switch between three whole-fabric
+passes:
+
+1. *delivery*: one ``nonzero`` over the landing ring slice completes
+   the cells that reached their host, one more buffers every arriving
+   cell at every switch;
+2. *injection*: all hosts at once -- credit check, Bernoulli arrivals
+   from per-(host, replica) uniform pools, round-robin flow pick;
+3. *kernel*: every switch with a request advances all B replicas with
+   a single :class:`repro.core.batch.BatchScheduler` call (any registry
+   scheduler -- PIM by default), in ``topology.switches()`` order, and
+   takes its matched cells out of ``occ`` at its turn, because the
+   credit mask of a later switch must see them gone;
+4. *transfer*: the matched cells of all switches, attributed to their
+   flows (sole flow of the VOQ, or the front of its ring) and put on
+   their next link in one pass.
+
+A link carries one cell per slot and a VOQ is matched at most once per
+replica per slot, so every index array these passes build is free of
+duplicates and plain fancy-indexed updates are safe.  Work per slot
+therefore grows with the number of *switches* that have work, not with
+the number of cells, hosts or flows.
 
 Slot-exact parity with the object model
 ---------------------------------------
@@ -47,19 +77,12 @@ the object backend's :class:`~repro.sim.stats.DelayStats` mean
 exactly; cells still in flight at the end contribute their partial
 delay to the integral but no delivery, the usual truncation bias of
 the estimator.
-
-The one per-cell structure retained is a deque of flow ids per
-(input, output) VOQ *that more than one flow shares*, per replica --
-needed to replicate :class:`repro.switch.buffers.VOQBuffer`'s
-round-robin flow service bit for bit.  Single-flow VOQs (the common
-case) resolve departures purely from arrays.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -69,6 +92,7 @@ from repro.network.netsim import FlowSpec
 from repro.obs.perf import NULL_PHASE_TIMER
 from repro.network.routing import Router
 from repro.network.topology import Topology
+from repro.sim.flowring import EmptyRing, FlowRing
 from repro.sim.rng import RandomStreams
 
 __all__ = [
@@ -82,37 +106,71 @@ __all__ = [
 #: generator overhead without breaking draw-for-draw stream order).
 _HOST_CHUNK_SLOTS = 1024
 
+#: ``pending`` of a greedy flow: it always has a cell ready, and taking
+#: one per slot never gets near zero.
+_ALWAYS_PENDING = 1 << 62
+
+_NO_PORTS = np.zeros((0, 3), dtype=np.int64)
+
+
+class _Turn(NamedTuple):
+    """What one switch's turn in the slot loop reads, replicas included."""
+
+    sched: object
+    weighted: bool  # the kernel takes VOQ depths besides requests
+    depth: np.ndarray  # (B, ports, ports) view: the switch's corner of occ
+    wants: np.ndarray  # (B, ports, ports) view: its corner of the request cube
+    rows: np.ndarray  # (B * ports,) flat occ index of each raveled match row
+    credit_ports: np.ndarray  # (n,) switch-facing output ports, if limited
+    credit_rows: np.ndarray  # (B, n) occ_rows index of the peer input each feeds
+
 
 @dataclass(frozen=True)
 class _HostPlan:
-    """Compiled injection state for one source host."""
+    """Injection tables of the H source hosts, stacked.
 
-    name: str
-    fids: np.ndarray  # (m,) global flow indices, in add_flow order
-    greedy: np.ndarray  # (m,) bool: rate >= 1.0
-    stoch_local: np.ndarray  # (k,) local indices of stochastic flows
-    stoch_col: np.ndarray  # (m,) local index -> column in pending (-1 greedy)
-    rates: np.ndarray  # (k,) stochastic rates, in flow order
-    first_switch: int  # peer switch index, or -1 for a direct host link
-    peer_port: int  # input port on the peer (credit check target)
-    latency: int  # first-hop link latency
+    Hosts with a stochastic flow come first (``stochastic`` of them), so
+    the uniform pools and their cursors cover a leading slice.  M is the
+    largest number of flows on one host; a host with fewer pads its row
+    with columns that never have a cell (rate 0, not greedy).
+    """
+
+    names: Tuple[str, ...]
+    stochastic: int
+    flows: np.ndarray  # (H, M) global flow index, in add_flow order
+    greedy: np.ndarray  # (H, M) bool: rate >= 1.0
+    rates: np.ndarray  # (H, M) stochastic rate; 0 for greedy and padding
+    draw_col: np.ndarray  # (H, M) position among the host's per-slot draws
+    draws: np.ndarray  # (H,) uniforms drawn per unblocked slot
+    rr_offsets: np.ndarray  # (H, M, M) [h, cursor, m] = (m - cursor) % flows of h
+    rr_next: np.ndarray  # (H, M) cursor after serving column m
+    dest: np.ndarray  # (H,) peer switch index; S for a direct host link
+    port: np.ndarray  # (H,) input port on the peer (credit check target)
+    latency: np.ndarray  # (H,) first-hop link latency
 
 
 @dataclass(frozen=True)
-class _SwitchPlan:
-    """Compiled routing/link state for one switch."""
+class _FabricPlan:
+    """Topology and routes as switch-stacked tables, replica-free.
 
-    name: str
-    ports: int
-    in_port: np.ndarray  # (F,) arrival port per flow (-1: not routed here)
-    out_port: np.ndarray  # (F,) departure port per flow (-1: not routed here)
-    is_multi: np.ndarray  # (F,) flow's VOQ here is shared by >1 flow
-    voq_single: np.ndarray  # (N, N) sole flow index, -1 shared, -2 empty
-    multi_voqs: Tuple[Tuple[int, int], ...]  # shared (input, output) pairs
-    next_switch: np.ndarray  # (F,) downstream switch index (-1: host)
-    next_lat: np.ndarray  # (F,) latency of the flow's outgoing link
-    switch_ports: Tuple[Tuple[int, int, int], ...]  # (port, peer idx, peer port)
-    ring_slots: int  # max incoming link latency + 1
+    ``voq`` is ``input * P + output`` with P = ``width``; tables indexed
+    by (switch, flow) or (switch, voq) are stored flat.
+    """
+
+    ports: Tuple[int, ...]  # per switch
+    width: int  # P: the widest switch
+    flow_voq: np.ndarray  # (S * F,) the flow's VOQ at the switch
+    flow_ring: np.ndarray  # (S * F,) shared-VOQ number of that VOQ, else -1
+    voq_flow: np.ndarray  # (S * P * P,) the VOQ's sole flow, else -1
+    voq_ring: np.ndarray  # (S * P * P,) shared-VOQ number, else -1
+    ring_switch: np.ndarray  # (V,) switch of each shared VOQ
+    ring_width: int  # most flows sharing one VOQ
+    next_hop: np.ndarray  # (S * F,) downstream switch; S for the host
+    next_lat: np.ndarray  # (S * F,) latency of the flow's outgoing link
+    switch_ports: Tuple[np.ndarray, ...]
+    # per switch: (port, peer switch, peer port) rows, one per switch-facing port
+    ring_slots: int  # R: longest link latency + 1
+    hosts: _HostPlan
 
 
 @dataclass
@@ -268,7 +326,7 @@ class NetworkFastpath:
         self._host_flows: Dict[str, List[FlowSpec]] = {}
         self._switch_names = [node.name for node in topology.switches()]
         self._switch_index = {name: k for k, name in enumerate(self._switch_names)}
-        self._plans: Optional[Tuple[List[_SwitchPlan], List[_HostPlan], int]] = None
+        self._plan: Optional[_FabricPlan] = None
 
     def add_flow(self, flow: FlowSpec, path: Optional[List[str]] = None) -> None:
         """Register a flow: install its route and its host source."""
@@ -280,31 +338,30 @@ class NetworkFastpath:
             self._host_order.append(flow.src)
             self._host_flows[flow.src] = []
         self._host_flows[flow.src].append(flow)
-        self._plans = None
+        self._plan = None
 
     # ------------------------------------------------------------------
-    # Compilation: topology + routes -> dense per-switch/per-host arrays
+    # Compilation: topology + routes -> dense switch-stacked tables
     # ------------------------------------------------------------------
 
-    def _compile(self) -> Tuple[List[_SwitchPlan], List[_HostPlan], int]:
-        if self._plans is not None:
-            return self._plans
+    def _compile(self) -> _FabricPlan:
+        if self._plan is not None:
+            return self._plan
         flow_ids = list(self._flows)
         fcount = len(flow_ids)
         fidx = {fid: k for k, fid in enumerate(flow_ids)}
         n_sw = len(self._switch_names)
+        ports = tuple(self.topology.node(name).ports for name in self._switch_names)
+        width = max(ports, default=0)
 
-        in_port = [np.full(fcount, -1, dtype=np.int64) for _ in range(n_sw)]
-        out_port = [np.full(fcount, -1, dtype=np.int64) for _ in range(n_sw)]
-        next_switch = [np.full(fcount, -1, dtype=np.int64) for _ in range(n_sw)]
-        next_lat = [np.zeros(fcount, dtype=np.int64) for _ in range(n_sw)]
-        max_in_lat = [0] * n_sw
-        delivery_lat = 1
+        flow_voq = np.full((n_sw, fcount), -1, dtype=np.int64)
+        next_hop = np.full((n_sw, fcount), n_sw, dtype=np.int64)
+        next_lat = np.zeros((n_sw, fcount), dtype=np.int64)
+        max_lat = 1
 
         for fid in flow_ids:
             f = fidx[fid]
-            route = self.router.route(fid)
-            path = route.path
+            path = self.router.route(fid).path
             # Walk the actual links hop by hop, starting from the host's
             # single port, so parallel links resolve to the right ports.
             node, port = path[0], 0
@@ -318,99 +375,113 @@ class NetworkFastpath:
                         f"flow {fid}: link from {node} reaches {peer}, "
                         f"path expects {path[hop]}"
                     )
-                if hop == len(path) - 1:
-                    delivery_lat = max(delivery_lat, link.latency)
-                else:
-                    s2 = self._switch_index[peer]
-                    in_port[s2][f] = peer_port
-                    out_port[s2][f] = self.router.output_port(peer, fid)
-                    max_in_lat[s2] = max(max_in_lat[s2], link.latency)
+                max_lat = max(max_lat, link.latency)
+                last = hop == len(path) - 1
                 if node != path[0]:
                     s1 = self._switch_index[node]
-                    if hop == len(path) - 1:
-                        next_switch[s1][f] = -1
-                    else:
-                        next_switch[s1][f] = self._switch_index[peer]
-                    next_lat[s1][f] = link.latency
+                    if not last:
+                        next_hop[s1, f] = self._switch_index[peer]
+                    next_lat[s1, f] = link.latency
                 node = peer
-                if hop < len(path) - 1:
+                if not last:
                     port = self.router.output_port(node, fid)
+                    flow_voq[self._switch_index[node], f] = peer_port * width + port
 
-        switch_plans: List[_SwitchPlan] = []
-        for s, name in enumerate(self._switch_names):
-            ports = self.topology.node(name).ports
-            voq_single = np.full((ports, ports), -2, dtype=np.int64)
-            members: Dict[Tuple[int, int], List[int]] = {}
-            for f in range(fcount):
-                if in_port[s][f] < 0:
-                    continue
-                key = (int(in_port[s][f]), int(out_port[s][f]))
-                members.setdefault(key, []).append(f)
-            is_multi = np.zeros(fcount, dtype=bool)
-            multi_voqs = []
-            for (i, j), flows_here in members.items():
-                if len(flows_here) == 1:
-                    voq_single[i, j] = flows_here[0]
-                else:
-                    voq_single[i, j] = -1
-                    multi_voqs.append((i, j))
-                    for f in flows_here:
-                        is_multi[f] = True
-            sw_ports = []
-            for j in range(ports):
+        # A VOQ's flows: one resolves departures from a table, several
+        # take a FlowRing row per replica.
+        members: Dict[Tuple[int, int], List[int]] = {}
+        for s, f in zip(*np.nonzero(flow_voq >= 0)):
+            members.setdefault((int(s), int(flow_voq[s, f])), []).append(int(f))
+        voq_flow = np.full((n_sw, width * width), -1, dtype=np.int64)
+        voq_ring = np.full((n_sw, width * width), -1, dtype=np.int64)
+        flow_ring = np.full((n_sw, fcount), -1, dtype=np.int64)
+        ring_switch: List[int] = []
+        ring_width = 0
+        for (s, voq), flows_here in members.items():
+            if len(flows_here) == 1:
+                voq_flow[s, voq] = flows_here[0]
+            else:
+                voq_ring[s, voq] = flow_ring[s, flows_here] = len(ring_switch)
+                ring_switch.append(s)
+                ring_width = max(ring_width, len(flows_here))
+
+        switch_ports = []
+        for name, count in zip(self._switch_names, ports):
+            facing = []
+            for j in range(count):
                 peer = self.topology.peer(name, j)
                 if peer is not None and self.topology.node(peer[0]).is_switch:
-                    sw_ports.append((j, self._switch_index[peer[0]], peer[1]))
-            switch_plans.append(
-                _SwitchPlan(
-                    name=name,
-                    ports=ports,
-                    in_port=in_port[s],
-                    out_port=out_port[s],
-                    is_multi=is_multi,
-                    voq_single=voq_single,
-                    multi_voqs=tuple(multi_voqs),
-                    next_switch=next_switch[s],
-                    next_lat=next_lat[s],
-                    switch_ports=tuple(sw_ports),
-                    ring_slots=max_in_lat[s] + 1,
-                )
-            )
+                    facing.append((j, self._switch_index[peer[0]], peer[1]))
+            switch_ports.append(np.array(facing, dtype=np.int64).reshape(-1, 3))
 
-        host_plans: List[_HostPlan] = []
-        for host in self._host_order:
-            flows = self._host_flows[host]
-            fids = np.array([fidx[f.flow_id] for f in flows], dtype=np.int64)
-            greedy = np.array([f.rate >= 1.0 for f in flows], dtype=bool)
-            stoch_local = np.nonzero(~greedy)[0].astype(np.int64)
-            stoch_col = np.full(len(flows), -1, dtype=np.int64)
-            stoch_col[stoch_local] = np.arange(stoch_local.size)
-            rates = np.array([flows[k].rate for k in stoch_local], dtype=np.float64)
+        self._plan = _FabricPlan(
+            ports=ports,
+            width=width,
+            flow_voq=flow_voq.ravel(),
+            flow_ring=flow_ring.ravel(),
+            voq_flow=voq_flow.ravel(),
+            voq_ring=voq_ring.ravel(),
+            ring_switch=np.array(ring_switch, dtype=np.int64),
+            ring_width=ring_width,
+            next_hop=next_hop.ravel(),
+            next_lat=next_lat.ravel(),
+            switch_ports=tuple(switch_ports),
+            ring_slots=max_lat + 1,
+            hosts=self._compile_hosts(fidx),
+        )
+        return self._plan
+
+    def _compile_hosts(self, fidx: Dict[int, int]) -> _HostPlan:
+        # Hosts are independent within a slot, so their order is free.
+        names = sorted(
+            self._host_order,
+            key=lambda host: all(f.rate >= 1.0 for f in self._host_flows[host]),
+        )
+        count = len(names)
+        most = max((len(self._host_flows[host]) for host in names), default=1)
+        flows = np.zeros((count, most), dtype=np.int64)
+        greedy = np.zeros((count, most), dtype=bool)
+        rates = np.zeros((count, most), dtype=np.float64)
+        draw_col = np.zeros((count, most), dtype=np.int64)
+        draws = np.zeros(count, dtype=np.int64)
+        rr_offsets = np.zeros((count, most, most), dtype=np.int64)
+        rr_next = np.zeros((count, most), dtype=np.int64)
+        dest = np.full(count, len(self._switch_names), dtype=np.int64)
+        port = np.zeros(count, dtype=np.int64)
+        latency = np.zeros(count, dtype=np.int64)
+        for h, host in enumerate(names):
+            specs = self._host_flows[host]
+            m = len(specs)
+            column = np.arange(m)
+            flows[h, :m] = [fidx[f.flow_id] for f in specs]
+            greedy[h, :m] = [f.rate >= 1.0 for f in specs]
+            stochastic = np.nonzero(~greedy[h, :m])[0]
+            rates[h, stochastic] = [specs[k].rate for k in stochastic]
+            draw_col[h, stochastic] = np.arange(stochastic.size)
+            draws[h] = stochastic.size
+            rr_offsets[h, :m, :m] = (column[None, :] - column[:, None]) % m
+            rr_next[h, :m] = (column + 1) % m
             link = self.topology.link_at(host, 0)
             if link is None:
                 raise ValueError(f"source host {host} is not connected")
-            peer, peer_port = link.endpoint(host)
+            peer, port[h] = link.endpoint(host)
             if self.topology.node(peer).is_switch:
-                first_switch = self._switch_index[peer]
-            else:
-                first_switch = -1
-                delivery_lat = max(delivery_lat, link.latency)
-            host_plans.append(
-                _HostPlan(
-                    name=host,
-                    fids=fids,
-                    greedy=greedy,
-                    stoch_local=stoch_local,
-                    stoch_col=stoch_col,
-                    rates=rates,
-                    first_switch=first_switch,
-                    peer_port=peer_port,
-                    latency=link.latency,
-                )
-            )
-
-        self._plans = (switch_plans, host_plans, delivery_lat + 1)
-        return self._plans
+                dest[h] = self._switch_index[peer]
+            latency[h] = link.latency
+        return _HostPlan(
+            names=tuple(names),
+            stochastic=int(np.count_nonzero(draws)),
+            flows=flows,
+            greedy=greedy,
+            rates=rates,
+            draw_col=draw_col,
+            draws=draws,
+            rr_offsets=rr_offsets,
+            rr_next=rr_next,
+            dest=dest,
+            port=port,
+            latency=latency,
+        )
 
     # ------------------------------------------------------------------
     # Simulation
@@ -469,86 +540,117 @@ class NetworkFastpath:
         if not 0 <= warmup <= slots:
             raise ValueError(f"warmup must be in [0, {slots}], got {warmup}")
         with timer.phase("compile"):
-            switch_plans, host_plans, dring_slots = self._compile()
+            plan = self._compile()
+            hosts = plan.hosts
             flow_ids = list(self._flows)
-            fcount = len(flow_ids)
-            n_sw = len(switch_plans)
+            F = len(flow_ids)
+            S = len(plan.ports)
+            P = plan.width
             B = self.replicas
+            R = plan.ring_slots
+            PP, BF = P * P, B * F
             limit = self.buffer_limit
+            replica = np.arange(B)
 
+            occ = np.zeros((S, B, P, P), dtype=np.int64)
+            occ_flat = occ.reshape(-1)
+            occ_rows = occ.reshape(S * B * P, P)
+            requests = np.zeros((S, B, P, P), dtype=bool)
+            queued = np.zeros((S, B, F), dtype=np.int64)
+            queued_flat = queued.reshape(-1)
+            ring = np.zeros((R, S + 1, B, F), dtype=bool)
+            ring_flat = ring.reshape(-1)
+            eligible = FlowRing(plan.ring_switch.size * B, plan.ring_width)
+
+            # Credit flow control is tables that are empty without a
+            # limit: the switch-facing ports of each switch and the
+            # hosts that feed a switch.
             streams = RandomStreams(self.seed)
-            scheds = []
-            for sw in switch_plans:
-                sched_seed = int(streams.get(f"sched:{sw.name}").integers(2**31))
-                scheds.append(
-                    build_batch_scheduler(
-                        self.scheduler,
-                        replicas=B,
-                        ports=sw.ports,
-                        iterations=self.iterations,
-                        accept=self.accept,
-                        rng=np.random.default_rng(sched_seed),
-                        track_sizes=False,
+            switches = []
+            for s, (name, ports) in enumerate(zip(self._switch_names, plan.ports)):
+                sched_seed = int(streams.get(f"sched:{name}").integers(2**31))
+                sched = build_batch_scheduler(
+                    self.scheduler,
+                    replicas=B,
+                    ports=ports,
+                    iterations=self.iterations,
+                    accept=self.accept,
+                    rng=np.random.default_rng(sched_seed),
+                    track_sizes=False,
+                )
+                rows = ((s * B + replica)[:, None] * P + np.arange(ports)) * P
+                facing = plan.switch_ports[s] if limit is not None else _NO_PORTS
+                out, peer, peer_port = facing.T
+                switches.append(
+                    _Turn(
+                        sched=sched,
+                        weighted=getattr(sched, "needs_occupancy", False),
+                        depth=occ[s, :, :ports, :ports],
+                        wants=requests[s, :, :ports, :ports],
+                        rows=rows.ravel(),
+                        credit_ports=out,
+                        credit_rows=(peer * B + replica[:, None]) * P + peer_port,
                     )
                 )
-
-        occ = [np.zeros((B, sw.ports, sw.ports), dtype=np.int64) for sw in switch_plans]
-        queued = [np.zeros((B, fcount), dtype=np.int64) for _ in switch_plans]
-        rings = [
-            np.zeros((sw.ring_slots, B, fcount), dtype=np.int64)
-            for sw in switch_plans
-        ]
-        dring = np.zeros((dring_slots, B, fcount), dtype=np.int64)
-        deques: List[Dict[Tuple[int, int], List[deque]]] = [
-            {key: [deque() for _ in range(B)] for key in sw.multi_voqs}
-            for sw in switch_plans
-        ]
-
-        # Replica 0 consumes the object simulator's host:{h} stream;
-        # extra replicas get independent derived streams.
-        host_gens = [
-            [
-                streams.get(f"host:{hp.name}" if b == 0 else f"host:{hp.name}/replica{b}")
-                for b in range(B)
+            gated = np.flatnonzero((hosts.dest < S) & (limit is not None))
+            gate_rows = (hosts.dest[gated, None] * B + replica) * P + hosts.port[
+                gated, None
             ]
-            for hp in host_plans
-        ]
-        pool_len = [hp.stoch_local.size * _HOST_CHUNK_SLOTS for hp in host_plans]
-        pools = [
-            np.zeros((B, L), dtype=np.float64) if L else None
-            for L in pool_len
-        ]
-        pool_cursor = [np.full(B, L, dtype=np.int64) for L in pool_len]
-        pending = [
-            np.zeros((B, hp.stoch_local.size), dtype=np.int64) for hp in host_plans
-        ]
-        cursor_rr = [np.zeros(B, dtype=np.int64) for _ in host_plans]
 
-        injected = np.zeros((B, fcount), dtype=np.int64)
-        delivered_total = np.zeros((B, fcount), dtype=np.int64)
-        delivered_window = np.zeros((B, fcount), dtype=np.int64)
-        delay_cells = np.zeros((B, fcount), dtype=np.int64)
-        delay_integral = np.zeros((B, fcount), dtype=np.int64)
-        in_system_warm = np.zeros((B, fcount), dtype=np.int64)
-        cold_outstanding = np.zeros((B, fcount), dtype=np.int64)
+            # Hosts: replica 0 consumes the object simulator's host:{h}
+            # stream; extra replicas get independent derived streams.
+            H, M = hosts.flows.shape
+            stochastic = hosts.stochastic
+            host_gens = [
+                [
+                    streams.get(f"host:{name}" if b == 0 else f"host:{name}/replica{b}")
+                    for b in range(B)
+                ]
+                for name in hosts.names[:stochastic]
+            ]
+            pool_len = hosts.draws[:stochastic, None] * _HOST_CHUNK_SLOTS
+            pools = np.zeros((stochastic, B, int(pool_len.max(initial=0))))
+            pools_flat = pools.reshape(-1)
+            # Where in pools_flat each (host, replica, flow) reads once
+            # the (host, replica) cursor is added.
+            pool_at = (
+                (np.arange(stochastic)[:, None] * B + replica)[:, :, None]
+                * pools.shape[2]
+                + hosts.draw_col[:stochastic, None, :]
+            )
+            pool_cursor = np.broadcast_to(pool_len, (stochastic, B)).copy()
+            draws_per_slot = hosts.draws[:stochastic, None]
+            arrival_rates = hosts.rates[:stochastic, None, :]
+            pending = np.where(hosts.greedy, _ALWAYS_PENDING, 0)[:, None, :].repeat(
+                B, axis=1
+            )
+            rr_cursor = np.zeros((H, B), dtype=np.int64)
+            host_col = np.arange(H)[:, None]
+            free = np.ones((H, B), dtype=bool)
+
+        injected = np.zeros((B, F), dtype=np.int64)
+        delivered_total = np.zeros((B, F), dtype=np.int64)
+        delivered_window = np.zeros((B, F), dtype=np.int64)
+        delay_cells = np.zeros((B, F), dtype=np.int64)
+        delay_integral = np.zeros((B, F), dtype=np.int64)
+        in_system_warm = np.zeros((B, F), dtype=np.int64)
+        cold_outstanding = np.zeros((B, F), dtype=np.int64)
 
         if record_series:
-            series_inj = np.zeros((slots, fcount), dtype=np.int64)
-            series_del = np.zeros((slots, fcount), dtype=np.int64)
-            series_xfer = np.zeros((slots, n_sw), dtype=np.int64)
-            series_backlog = np.zeros((slots, n_sw), dtype=np.int64)
-
-        all_replicas = np.arange(B)
+            series_inj = np.zeros((slots, F), dtype=np.int64)
+            series_del = np.zeros((slots, F), dtype=np.int64)
+            series_xfer = np.zeros((slots, S), dtype=np.int64)
+            series_backlog = np.zeros((slots, S), dtype=np.int64)
 
         for t in range(slots):
-            # -- 1. Link deliveries land: switch arrivals buffer, host
-            #       arrivals complete end to end.
+            # -- 1. Link deliveries land: host arrivals complete end to
+            #       end, switch arrivals buffer.
             with timer.phase("delivery"):
-                dslice = dring[t % dring_slots]
-                if dslice.any():
-                    if record_series:
-                        series_del[t] = dslice[0]
-                    bb, ff = np.nonzero(dslice)
+                landing = ring[t % R]
+                if record_series:
+                    series_del[t] = landing[S, 0]
+                bb, ff = landing[S].nonzero()
+                if bb.size:
                     delivered_total[bb, ff] += 1
                     if t >= warmup:
                         delivered_window[bb, ff] += 1
@@ -557,166 +659,143 @@ class NetworkFastpath:
                     warm_b, warm_f = bb[~cold], ff[~cold]
                     delay_cells[warm_b, warm_f] += 1
                     in_system_warm[warm_b, warm_f] -= 1
-                    dslice[:] = 0
-                for s, sw in enumerate(switch_plans):
-                    aslice = rings[s][t % sw.ring_slots]
-                    if not aslice.any():
-                        continue
-                    bb, ff = np.nonzero(aslice)
-                    ii = sw.in_port[ff]
-                    jj = sw.out_port[ff]
-                    # One cell per link direction per slot means at most
-                    # one arrival per (replica, input): the triples are
-                    # unique and plain fancy increments are safe.
-                    occ[s][bb, ii, jj] += 1
-                    pre = queued[s][bb, ff]
-                    queued[s][bb, ff] = pre + 1
-                    shared = sw.is_multi[ff]
-                    if shared.any():
-                        dq = deques[s]
-                        for b, f, i, j, p in zip(
-                            bb[shared], ff[shared], ii[shared], jj[shared],
-                            pre[shared],
-                        ):
-                            if p == 0:  # empty -> non-empty: becomes eligible
-                                dq[(int(i), int(j))][b].append(int(f))
-                    aslice[:] = 0
+                # One cell per link direction per slot means at most one
+                # arrival per (switch, replica, input): every index below
+                # is unique and plain fancy updates are safe.
+                at = landing[:S].ravel().nonzero()[0]  # flat (switch, replica, flow)
+                if at.size:
+                    sb, ff = np.divmod(at, F)
+                    sf = sb // B * F + ff
+                    occ_flat[sb * PP + plan.flow_voq[sf]] += 1
+                    before = queued_flat[at]
+                    queued_flat[at] = before + 1
+                    # Empty -> non-empty in a shared VOQ: becomes eligible.
+                    shared_voq = plan.flow_ring[sf]
+                    joins = ((shared_voq >= 0) & (before == 0)).nonzero()[0]
+                    eligible.append(
+                        shared_voq[joins] * B + sb[joins] % B, ff[joins]
+                    )
+                landing[:] = False
 
             # -- 2. Hosts inject one cell each (credit-checked first;
             #       a blocked host consumes no draws, like the object).
             arrivals_span = timer.phase("arrivals")
             arrivals_span.__enter__()
-            for h, hp in enumerate(host_plans):
-                if limit is not None and hp.first_switch >= 0:
-                    free = occ[hp.first_switch][:, hp.peer_port, :].sum(axis=1) < limit
-                    u = np.nonzero(free)[0]
-                    if u.size == 0:
-                        continue
-                else:
-                    u = all_replicas
-                m = hp.fids.size
-                k = hp.stoch_local.size
-                if k:
-                    L = pool_len[h]
-                    refill = np.nonzero(pool_cursor[h] >= L)[0]
-                    for b in refill:
-                        pools[h][b] = host_gens[h][b].random(L)
-                    pool_cursor[h][refill] = 0
-                    take = pool_cursor[h][u, None] + np.arange(k)[None, :]
-                    draws = pools[h][u[:, None], take]
-                    pool_cursor[h][u] += k
-                    pending[h][u] += draws < hp.rates[None, :]
-                    elig = np.broadcast_to(hp.greedy, (u.size, m)).copy()
-                    elig[:, hp.stoch_local] = pending[h][u] > 0
-                else:
-                    if not hp.greedy.any():
-                        continue
-                    elig = np.broadcast_to(hp.greedy, (u.size, m))
-                offs = (np.arange(m)[None, :] - cursor_rr[h][u, None]) % m
-                score = np.where(elig, offs, m)
-                pick = score.argmin(axis=1)
-                emitted = score[np.arange(u.size), pick] < m
-                if not emitted.any():
-                    continue
-                eu = u[emitted]
-                pk = pick[emitted]
-                cursor_rr[h][eu] = (pk + 1) % m
-                stoch_pick = ~hp.greedy[pk]
-                if stoch_pick.any():
-                    pending[h][eu[stoch_pick], hp.stoch_col[pk[stoch_pick]]] -= 1
-                fsel = hp.fids[pk]
-                injected[eu, fsel] += 1
+            if gated.size:
+                free[gated] = occ_rows[gate_rows].sum(axis=2) < limit
+            spent = pool_cursor >= pool_len
+            if spent.any():
+                for h, b in np.argwhere(spent).tolist():
+                    length = int(pool_len[h, 0])
+                    pools[h, b, :length] = host_gens[h][b].random(length)
+                    pool_cursor[h, b] = 0
+            arrived = pools_flat[pool_at + pool_cursor[:, :, None]] < arrival_rates
+            arrived &= free[:stochastic, :, None]
+            pending[:stochastic] += arrived
+            pool_cursor += free[:stochastic] * draws_per_slot
+            ready = pending > 0
+            ready &= free[:, :, None]
+            # Round-robin over the host's stable flow list: the first
+            # ready flow at or after the cursor.
+            score = np.where(ready, hosts.rr_offsets[host_col, rr_cursor], M)
+            pick = score.argmin(axis=2)
+            hh, bb = ready.any(axis=2).nonzero()
+            if hh.size:
+                pick = pick[hh, bb]
+                rr_cursor[hh, bb] = hosts.rr_next[hh, pick]
+                pending[hh, bb, pick] -= 1
+                fsel = hosts.flows[hh, pick]
+                injected[bb, fsel] += 1
                 if t >= warmup:
-                    in_system_warm[eu, fsel] += 1
+                    in_system_warm[bb, fsel] += 1
                 else:
-                    cold_outstanding[eu, fsel] += 1
-                if hp.first_switch >= 0:
-                    ring = rings[hp.first_switch]
-                    ring[(t + hp.latency) % ring.shape[0], eu, fsel] += 1
-                else:
-                    dring[(t + hp.latency) % dring_slots, eu, fsel] += 1
-                if record_series and eu[0] == 0:
-                    series_inj[t, fsel[0]] += 1
+                    cold_outstanding[bb, fsel] += 1
+                landing_slot = (t + hosts.latency[hh]) % R
+                ring_flat[
+                    (landing_slot * (S + 1) + hosts.dest[hh]) * BF + bb * F + fsel
+                ] = True
+                if record_series:
+                    series_inj[t, fsel[bb == 0]] = 1
             arrivals_span.__exit__(None, None, None)
 
-            # -- 3. Switches schedule and transfer, sequentially in
-            #       topology order (credit masks see earlier switches'
-            #       departures, exactly like the object loop).
+            # -- 3. Switches schedule, sequentially in topology order,
+            #       each taking its matched cells out of occ at its turn
+            #       (credit masks see earlier switches' departures,
+            #       exactly like the object loop); the cells move on in
+            #       one pass afterwards.
             kernel_span = timer.phase("kernel")
             kernel_span.__enter__()
-            for s, sw in enumerate(switch_plans):
-                requests = occ[s] > 0
-                if limit is not None:
-                    for j, ps, pp in sw.switch_ports:
-                        blocked = occ[ps][:, pp, :].sum(axis=1) >= limit
-                        if blocked.any():
-                            requests[blocked, :, j] = False
-                if not requests.any():
-                    continue  # zero scheduling rounds run either way: no draws
-                if getattr(scheds[s], "needs_occupancy", False):
-                    match = scheds[s].schedule(
-                        requests, np.where(requests, occ[s], 0)
-                    )
+            np.greater(occ, 0, out=requests)
+            departed = []
+            for s in requests.any(axis=(1, 2, 3)).nonzero()[0].tolist():
+                sched, weighted, depth, wants, rows, credit_ports, credit_rows = (
+                    switches[s]
+                )
+                if credit_ports.size:
+                    blocked = occ_rows[credit_rows].sum(axis=2) >= limit
+                    if blocked.any():
+                        wants[:, :, credit_ports] &= ~blocked[:, None, :]
+                        if not wants.any():
+                            continue  # no scheduling rounds run: no draws
+                if weighted:
+                    match = sched.schedule(wants, np.where(wants, depth, 0))
                 else:
-                    match = scheds[s].schedule(requests)
-                bb, ii = np.nonzero(match >= 0)
-                if bb.size == 0:
+                    match = sched.schedule(wants)
+                match = match.ravel()
+                matched = (match >= 0).nonzero()[0]
+                if matched.size == 0:
                     continue
-                jj = match[bb, ii]
-                occ[s][bb, ii, jj] -= 1
-                if check and (occ[s] < 0).any():
-                    raise AssertionError(f"negative VOQ occupancy at {sw.name}")
-                fsel = sw.voq_single[ii, jj].copy()
-                shared = np.nonzero(fsel < 0)[0]
-                for x in shared:
-                    fsel[x] = deques[s][(int(ii[x]), int(jj[x]))][bb[x]].popleft()
-                queued[s][bb, fsel] -= 1
-                for x in shared:
-                    if queued[s][bb[x], fsel[x]] > 0:
-                        # Flow still has cells: rotate to the back.
-                        deques[s][(int(ii[x]), int(jj[x]))][bb[x]].append(int(fsel[x]))
-                tgt = sw.next_switch[fsel]
-                lat = sw.next_lat[fsel]
-                to_host = tgt < 0
-                if to_host.any():
-                    dring[
-                        (t + lat[to_host]) % dring_slots, bb[to_host], fsel[to_host]
-                    ] += 1
-                onward = np.nonzero(~to_host)[0]
-                if onward.size:
-                    for s2 in np.unique(tgt[onward]):
-                        sel = onward[tgt[onward] == s2]
-                        ring = rings[s2]
-                        ring[(t + lat[sel]) % ring.shape[0], bb[sel], fsel[sel]] += 1
+                cells = rows[matched] + match[matched]  # flat occ index
+                left = occ_flat[cells] - 1
+                occ_flat[cells] = left
+                if check and (left < 0).any():
+                    raise AssertionError(
+                        f"negative VOQ occupancy at {self._switch_names[s]}"
+                    )
+                departed.append(cells)
+            if departed:
+                cells = np.concatenate(departed)
+                sb, voq = np.divmod(cells, PP)
+                ss = sb // B
+                sv = ss * PP + voq
+                # The departing flow: the VOQ's only one, or the front of
+                # its round-robin ring.
+                flow = plan.voq_flow[sv]
+                shared = (flow < 0).nonzero()[0]
+                ring_rows = plan.voq_ring[sv[shared]] * B + sb[shared] % B
+                try:
+                    flow[shared] = served = eligible.pop(ring_rows)
+                except EmptyRing as empty:
+                    name = self._switch_names[plan.ring_switch[empty.row // B]]
+                    raise IndexError(
+                        f"slot {t}: a cell departed from a shared VOQ of "
+                        f"{name} with no eligible flow"
+                    ) from None
+                at = sb * F + flow
+                left = queued_flat[at] - 1
+                queued_flat[at] = left
+                # Flow still has cells here: rotate to the back.
+                stays = left[shared] > 0
+                eligible.rejoin(ring_rows[stays], served[stays])
+                sf = ss * F + flow
+                landing_slot = (t + plan.next_lat[sf]) % R
+                # ``at`` is ss * BF + (replica, flow): swap the switch.
+                ring_flat[
+                    (landing_slot * (S + 1) + plan.next_hop[sf] - ss) * BF + at
+                ] = True
                 if record_series:
-                    series_xfer[t, s] = int((bb == 0).sum())
+                    series_xfer[t] = np.bincount(ss[sb % B == 0], minlength=S)
             kernel_span.__exit__(None, None, None)
 
             with timer.phase("update"):
                 delay_integral += in_system_warm
                 if record_series:
-                    for s in range(n_sw):
-                        series_backlog[t, s] = int(occ[s][0].sum())
+                    series_backlog[t] = occ[:, 0].sum(axis=(1, 2))
                 if check:
-                    buffered = sum(o.sum(axis=(1, 2)) for o in occ)
-                    in_flight = sum(r.sum(axis=(0, 2)) for r in rings) + dring.sum(
-                        axis=(0, 2)
+                    self._check_slot(
+                        t, plan, occ, queued, ring, eligible, pending,
+                        injected, delivered_total,
                     )
-                    if not np.array_equal(
-                        injected.sum(axis=1),
-                        delivered_total.sum(axis=1) + buffered + in_flight,
-                    ):
-                        raise AssertionError(
-                            f"cell conservation violated at slot {t}"
-                        )
-                    for s in range(n_sw):
-                        if not np.array_equal(
-                            occ[s].sum(axis=(1, 2)), queued[s].sum(axis=1)
-                        ):
-                            raise AssertionError(
-                                f"VOQ/per-flow count mismatch at "
-                                f"{switch_plans[s].name}"
-                            )
 
         series = None
         if record_series:
@@ -728,9 +807,7 @@ class NetworkFastpath:
                 transfers=series_xfer,
                 backlog=series_backlog,
             )
-        final_backlog = sum(o.sum(axis=(1, 2)) for o in occ) if n_sw else np.zeros(
-            B, dtype=np.int64
-        )
+        final_backlog = occ.sum(axis=(0, 2, 3))
         return NetworkFastpathResult(
             flow_ids=flow_ids,
             replicas=B,
@@ -743,6 +820,35 @@ class NetworkFastpath:
             final_backlog=final_backlog,
             series=series,
         )
+
+    def _check_slot(
+        self, t, plan, occ, queued, ring, eligible, pending, injected, delivered
+    ) -> None:
+        """The ``check=True`` invariants at the end of slot ``t``."""
+        buffered = occ.sum(axis=(0, 2, 3))
+        in_flight = ring.sum(axis=(0, 1, 3))
+        if not np.array_equal(
+            injected.sum(axis=1), delivered.sum(axis=1) + buffered + in_flight
+        ):
+            raise AssertionError(f"cell conservation violated at slot {t}")
+        mismatch = (occ.sum(axis=(2, 3)) != queued.sum(axis=2)).any(axis=1)
+        if mismatch.any():
+            name = self._switch_names[int(np.flatnonzero(mismatch)[0])]
+            raise AssertionError(f"VOQ/per-flow count mismatch at {name}")
+        if (pending < 0).any():
+            raise AssertionError(f"negative host backlog at slot {t}")
+        # A shared VOQ's ring lists exactly its flows with cells queued.
+        S, B, F = queued.shape
+        row, flow = eligible.entries()
+        listed = np.zeros((S, B, F), dtype=bool)
+        listed[plan.ring_switch[row // B], row % B, flow] = True
+        shared = (plan.flow_ring >= 0).reshape(S, 1, F)
+        if listed.sum() != row.size or not np.array_equal(
+            listed, (queued > 0) & shared
+        ):
+            raise AssertionError(
+                f"round-robin rings out of step with queued flows at slot {t}"
+            )
 
 
 def run_fastpath_network(

@@ -161,6 +161,13 @@ class TestPerfGate:
         assert "gate FAIL" in out
         assert "[FAIL]" in out
 
+    def test_first_recorded_run_prints_ungated(self, tmp_path, capsys):
+        seed_history(tmp_path, [10.0])
+        assert main(["perf", "gate", "--history", str(tmp_path)]) == 0
+        out = capsys.readouterr().out
+        assert "gate UNGATED" in out and "nothing was checked" in out
+        assert "PASS" not in out
+
     def test_gates_every_bench_by_default(self, tmp_path, capsys):
         seed_history(tmp_path, [10.0, 10.0])
         seed_history(tmp_path, [10.0, 4.0], bench="other")

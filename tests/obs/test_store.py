@@ -173,17 +173,26 @@ class TestGate:
         record(tmp_path, 7.0)  # -30% < default 40% tolerance
         assert gate(PerfStore(tmp_path).load("fastpath")).ok
 
-    def test_first_run_passes_trivially(self, tmp_path):
+    def test_first_run_is_ungated_not_passed(self, tmp_path):
         record(tmp_path, 10.0)
         report = gate(PerfStore(tmp_path).load("fastpath"))
         assert report.ok
         assert report.checks == []
+        assert report.ungated and report.verdict == "UNGATED"
+        assert "gate UNGATED" in report.describe()
+        assert "PASS" not in report.describe()
+
+    def test_checked_history_is_not_ungated(self, tmp_path):
+        record(tmp_path, 10.0)
+        record(tmp_path, 10.0)
+        report = gate(PerfStore(tmp_path).load("fastpath"))
+        assert not report.ungated and report.verdict == "PASS"
 
     def test_new_configs_are_skipped_not_failed(self, tmp_path):
         record(tmp_path, 10.0)
         record(tmp_path, 0.1, config={"ports": 32, "load": 0.8})
         report = gate(PerfStore(tmp_path).load("fastpath"))
-        assert report.ok
+        assert report.ok and report.ungated
         assert report.skipped == [config_key({"ports": 32, "load": 0.8})]
 
     def test_tolerance_validated(self, tmp_path):

@@ -9,14 +9,17 @@ determinism, warm-up accounting, and the fuzz-case JSON format.
 """
 
 import json
+import sys
 
 import numpy as np
 import pytest
 
-from repro.check.differential import network_parity
+import repro.sim.fastpath_network as fastpath_network
+from repro.check.differential import fabric_parity, network_parity
 from repro.check.fuzz import NetworkCase, run_network_case
 from repro.network.netsim import FlowSpec
 from repro.network.topologies import TOPOLOGIES, build, parking_lot
+from repro.network.topology import Topology
 from repro.sim.fastpath_network import NetworkFastpath, run_fastpath_network
 
 
@@ -45,6 +48,116 @@ class TestObjectParity:
 
     def test_with_warmup(self):
         network_parity(topology="campus", n_flows=4, slots=250, seed=4, warmup=50)
+
+
+def _lopsided_fabric():
+    """A 6-port and two 3-port switches in a row over latency-1 and
+    latency-3 links, loaded so the stacked passes meet every shape they
+    pad for:
+
+    - flows 1-3 share VOQ (0, 1) of ``mid``, flows 4, 5 and 7 its VOQ
+      (0, 2), flows 4-5 VOQ (0, 1) of ``far``, host a's and host b's
+      flows their first VOQ at ``wide``: round-robin rings of different
+      lengths beside single-flow VOQs;
+    - host a drives two stochastic flows and a greedy one, host b a
+      greedy and a stochastic one, hosts x and y answer back;
+    - a credit limit blocks outputs of switches with different port
+      counts, and hosts behind them.
+    """
+    topo = Topology()
+    topo.add_switch("wide", 6)
+    topo.add_switch("mid", 3)
+    topo.add_switch("far", 3)
+    for host in "abcdexyz":
+        topo.add_host(host)
+    for port, host in enumerate("abcd"):
+        topo.connect(host, "wide", 0, port)
+    topo.connect("wide", "mid", 4, 0, latency=3)
+    topo.connect("wide", "e", 5, 0)
+    topo.connect("mid", "x", 1, 0)
+    topo.connect("mid", "far", 2, 0, latency=3)
+    topo.connect("far", "y", 1, 0)
+    topo.connect("far", "z", 2, 0)
+    flows = [
+        FlowSpec(1, "a", "x", 0.4),
+        FlowSpec(2, "b", "x", 1.0),
+        FlowSpec(3, "c", "x", 0.7),
+        FlowSpec(4, "a", "y", 0.3),
+        FlowSpec(5, "b", "y", 0.5),
+        FlowSpec(6, "a", "e", 1.0),
+        FlowSpec(7, "d", "z", 0.6),
+        FlowSpec(8, "x", "a", 0.5),
+        FlowSpec(9, "y", "d", 0.8),
+    ]
+    return topo, flows
+
+
+class TestStackedLayout:
+    """Slot-exact parity where switches, hosts and rings differ in size."""
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("buffer_limit", [None, 2, 5])
+    def test_lopsided_fabric_parity(self, seed, buffer_limit):
+        topo, flows = _lopsided_fabric()
+        report = fabric_parity(
+            topo, flows, slots=300, seed=seed, warmup=40, buffer_limit=buffer_limit
+        )
+        assert report.ok
+
+    def test_conservation_under_credit_limit_across_replicas(self):
+        topo, flows = _lopsided_fabric()
+        sim = NetworkFastpath(topo, replicas=8, seed=6, buffer_limit=2)
+        for flow in flows:
+            sim.add_flow(flow)
+        result = sim.run(300, check=True)
+        # Every flow gets through, and credit keeps each input port of
+        # the three switches within its two cells.
+        assert (result.delivered.sum(axis=0) > 0).all()
+        assert result.final_backlog.max() <= 2 * (6 + 3 + 3)
+        replay = sim.run(300, check=True)
+        np.testing.assert_array_equal(result.delay_integral, replay.delay_integral)
+
+    def test_shared_voq_without_eligible_flow_names_slot_and_switch(self, monkeypatch):
+        topo, flows = _lopsided_fabric()
+        monkeypatch.setattr(fastpath_network.FlowRing, "append", lambda *_: None)
+        with pytest.raises(IndexError, match=r"slot \d+: .*shared VOQ of wide"):
+            run_fastpath_network(topo, flows, 100, replicas=2)
+        with pytest.raises(AssertionError, match="rings out of step"):
+            run_fastpath_network(topo, flows, 100, replicas=2, check=True)
+
+
+def _dispatches(replicas, slots=40):
+    """Python and C calls the fabric slot loop itself makes in a run."""
+    topo, hosts = build("fat_tree", 4)
+    sim = NetworkFastpath(topo, replicas=replicas, seed=0)
+    for k, host in enumerate(hosts):
+        sim.add_flow(FlowSpec(k + 1, host, hosts[(k + 3) % len(hosts)], (1.0, 0.6)[k % 2]))
+    own = ("fastpath_network.py", "flowring.py")
+    count = 0
+
+    def profile(frame, event, _):
+        nonlocal count
+        caller = {"call": frame.f_back, "c_call": frame}.get(event)
+        if caller is not None and caller.f_code.co_filename.endswith(own):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        sim.run(slots)
+    finally:
+        sys.setprofile(None)
+    return count
+
+
+class TestNoPerCellPython:
+    def test_dispatch_count_does_not_grow_with_replicas(self):
+        """32x the cells, the same calls: only the number of switches
+        with a request somewhere (hence kernel calls) may differ."""
+        single, batched = _dispatches(1), _dispatches(32)
+        assert batched <= 1.2 * single
+
+    def test_no_deque(self):
+        assert not hasattr(fastpath_network, "deque")
 
 
 class TestBatchedRun:

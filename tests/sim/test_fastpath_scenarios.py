@@ -237,7 +237,7 @@ class TestRoundRobinShadow:
         cells += [(slot, 0, 1, 50) for slot in range(1, 30)]
         sources = [_ScriptedFlows(2, cells)]
         shadow, completion = self._drive(2, sources, 30, seed=4)
-        assert shadow._ring.shape[1] > 4
+        assert shadow._eligible.width > 4
         observations, incomplete = self._expected_fct(sources, completion)
         assert shadow.fct_stats(0).observations() == observations
         assert incomplete == 0

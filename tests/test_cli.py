@@ -372,6 +372,20 @@ class TestFleetCommands:
         assert "PASS" in out
         assert "2 checks" in out
 
+    def test_fleet_gate_without_history_prints_ungated(self, capsys, tmp_path):
+        spec = self._spec(tmp_path)
+        results = tmp_path / "r.jsonl"
+        main(["fleet", "run", str(spec), "--results", str(results)])
+        capsys.readouterr()
+        code = main([
+            "fleet", "gate", str(spec), "--results", str(results),
+            "--history", str(tmp_path / "never-recorded"), "--metric", "throughput",
+        ])
+        assert code == 0
+        out = capsys.readouterr().out
+        assert "baseline: 0 recorded runs" in out
+        assert "gate UNGATED" in out and "PASS" not in out
+
     def test_fleet_gate_without_cells_errors(self, capsys, tmp_path):
         spec = self._spec(tmp_path)
         code = main([
