@@ -70,8 +70,12 @@ BATCH_SCHEDULERS = ("pim", "islip", "lqf", "wavefront", "qps")
 
 
 def as_request_batch(requests: np.ndarray) -> np.ndarray:
-    """Validate and normalize a (B, N, N) boolean request batch."""
-    batch = np.asarray(requests).astype(bool)
+    """Validate and normalize a (B, N, N) boolean request batch.
+
+    A batch that is already boolean is returned as is, not copied:
+    kernels treat ``requests`` as read-only.
+    """
+    batch = np.asarray(requests).astype(bool, copy=False)
     if batch.ndim != 3 or batch.shape[1] != batch.shape[2]:
         raise ValueError(f"expected (B, N, N) requests, got shape {batch.shape}")
     return batch

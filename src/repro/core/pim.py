@@ -43,7 +43,6 @@ import numpy as np
 from repro.core.batch import (
     BatchScheduler,
     as_request_batch,
-    pointer_offsets,
     replay_generator,
     resolve_generator,
 )
@@ -320,9 +319,25 @@ def pim_match(
     return PIMResult(matching, tuple(sizes), completed, tuple(traces), executed)
 
 
-# Backwards-compatible alias; the canonical validator lives with the
-# BatchScheduler protocol in repro.core.batch.
-_as_request_batch = as_request_batch
+def _line_winners(
+    edges: np.ndarray, line: int, keys: np.ndarray, n_lines: int
+) -> np.ndarray:
+    """Per port line, the edge holding the largest key (in edge order).
+
+    Row ``line`` of the (3, E) C-ordered edge list names which of the
+    ``n_lines`` port lines each edge competes on; ``keys`` are the edges'
+    non-negative keys.  They are lifted by ``+ 1.0``, which rounds a
+    uniform draw's last bit away, so ties are real: a line's first edge
+    wins them, as a dense ``argmax`` over the line would.
+    """
+    lines = edges[line]
+    keys += 1.0
+    best = np.zeros(n_lines)
+    np.maximum.at(best, lines, keys)
+    winners = (keys == best[lines]).nonzero()[0]
+    if winners.size != np.count_nonzero(best):  # ties: keep first occurrences
+        winners = winners[np.sort(np.unique(lines[winners], return_index=True)[1])]
+    return edges.take(winners, axis=1)
 
 
 class BatchPIMScheduler(BatchScheduler):
@@ -330,9 +345,9 @@ class BatchPIMScheduler(BatchScheduler):
 
     Runs the request/grant/accept rounds of Section 3.1 simultaneously
     on a ``(B, N, N)`` stack of request matrices -- one matrix per
-    replica -- with every phase expressed as whole-array numpy work, so
-    the per-slot cost is amortized across the batch.  This is the
-    matching kernel of the fast-path simulator
+    replica -- carried as one edge list of unresolved requests, so a
+    round costs array work per request, not per cell of the cube.  This
+    is the matching kernel of the fast-path simulator
     (:mod:`repro.sim.fastpath`) and the generalization of the one-shot
     :func:`pim_match_batch` helper; it carries the same cross-slot
     state as :class:`PIMScheduler`:
@@ -448,73 +463,60 @@ class BatchPIMScheduler(BatchScheduler):
         """
         batch = self._validate_batch(requests)
         b, n, _ = batch.shape
-        match = np.full((b, n), -1, dtype=np.int64)
-        output_slots = np.full((b, n), self.output_capacity, dtype=np.int64)
+        match = np.full(b * n, -1, dtype=np.int64)
+        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
+        pointers = self._pointers.reshape(-1)
+        # The unresolved requests as an edge list in C order: per edge
+        # its flat cell index, input line b*N + i and output line b*N + j.
+        cells = batch.reshape(-1).nonzero()[0]
+        edges = np.empty((3, cells.size), dtype=np.intp)
+        edges[0] = cells
+        line = np.floor_divide(cells, n, out=edges[1])
+        np.subtract(cells, (line - line // n) * n, out=edges[2])
         cumulative: List[np.ndarray] = []
         executed = 0
 
-        while self.iterations is None or executed < self.iterations:
-            active = (
-                batch & (match < 0)[:, :, None] & (output_slots > 0)[:, None, :]
-            )
-            if not active.any():
-                break
+        while edges.shape[1] and executed != self.iterations:  # None: no budget
             executed += 1
-            # Grant: each output with capacity left picks one
-            # requesting input uniformly at random.  Adding the boolean
-            # mask lifts active keys into [1, 2) while inactive ones
-            # stay in [0, 1), so argmax always lands on an unresolved
-            # request -- equivalent to masking with -1 but one cheap
-            # elementwise pass instead of an np.where allocation.
-            keys = self._rng.random(active.shape)
-            keys += active
-            grant_input = keys.argmax(axis=1)          # (B, N) per output
-            has_request = active.any(axis=1)           # (B, N)
-            grants = np.zeros_like(active)
-            bb, jj = np.nonzero(has_request)
-            grants[bb, grant_input[bb, jj], jj] = True
+            # Grant: each output with capacity left picks one requesting
+            # input uniformly at random (the largest of i.i.d. keys).  The
+            # whole cube is drawn: the stream moves per round, not per edge.
+            keys = self._rng.random(batch.shape).take(edges[0])
+            grants = _line_winners(edges, 2, keys, b * n)
             # Accept: each input picks one granting output.
             if self.accept == "random":
-                keys2 = self._rng.random(grants.shape)
-                keys2 += grants
-                accept_output = keys2.argmax(axis=2)   # (B, N) per input
+                keys = self._rng.random(batch.shape).take(grants[0])
             else:
                 # Round-robin: first granted output at/after the pointer.
-                offsets = pointer_offsets(n)[self._pointers]
-                offsets = np.where(grants, offsets, n)  # n = "no grant" sentinel
-                accept_output = offsets.argmin(axis=2)
-            has_grant = grants.any(axis=2)             # (B, N)
-            bb, ii = np.nonzero(has_grant)
-            jj = accept_output[bb, ii]
-            match[bb, ii] = jj
-            # Each output grants at most one input per iteration, so
-            # (bb, jj) never repeats within a round: plain fancy
-            # indexing is safe (and much faster than ufunc.at).
-            output_slots[bb, jj] -= 1
+                keys = (n - (grants[0] - pointers[grants[1]]) % n).astype(float)
+            accepts = _line_winners(grants, 1, keys, b * n)
+            out = accepts[0] % n
+            # One accept per input, one grant per output: no index repeats.
+            match[accepts[1]] = out
+            slots[accepts[2]] -= 1
             if self.accept == "round_robin":
-                self._pointers[bb, ii] = (jj + 1) % n
+                pointers[accepts[1]] = (out + 1) % n
             if self.track_sizes:
-                cumulative.append((match >= 0).sum(axis=1))
+                cumulative.append((match.reshape(b, n) >= 0).sum(axis=1))
             if self._probe is not None and self._probe.sampling:
                 self._probe.pim_iteration(
                     executed,
-                    requests=int(active.sum()),
-                    grants=int(grants.sum()),
-                    accepts=int(bb.size),
-                    matched=int((match >= 0).sum()),
+                    requests=edges.shape[1],
+                    grants=grants.shape[1],
+                    accepts=accepts.shape[1],
+                    matched=int(np.count_nonzero(match >= 0)),
                     replicas=b,
                 )
+            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]])
+            edges = edges.compress(unresolved, axis=1)
 
         if self._probe is not None:
             self._probe.slot_iterations(executed)
         if self.track_sizes:
-            if cumulative:
-                self.last_cumulative_sizes = np.stack(cumulative, axis=1)
-            else:
-                self.last_cumulative_sizes = np.zeros((b, 1), dtype=np.int64)
-            active = batch & (match < 0)[:, :, None] & (output_slots > 0)[:, None, :]
-            self.last_completed = ~active.any(axis=(1, 2))
-        return match
+            sizes = cumulative or [np.zeros(b, dtype=np.int64)]  # no round ran
+            self.last_cumulative_sizes = np.stack(sizes, axis=1)
+            self.last_completed = np.bincount(edges[0] // (n * n), minlength=b) == 0
+        return match.reshape(b, n)
 
     def reset(self) -> None:
         """Restore all cross-slot state (pointers, RNG, diagnostics).
@@ -565,12 +567,11 @@ def pim_match_batch(
     matching size after iteration k+1.  The last column is the
     run-to-completion ("100%") size used as Table 1's denominator.
     """
-    batch = _as_request_batch(requests)
-    b, n, _ = batch.shape
+    b, n, _ = as_request_batch(requests).shape
     scheduler = BatchPIMScheduler(
         replicas=b, ports=n, iterations=max_iterations, accept="random", rng=rng
     )
-    scheduler.schedule(batch)
+    scheduler.schedule(requests)
     return scheduler.last_cumulative_sizes
 
 

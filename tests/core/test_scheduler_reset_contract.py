@@ -12,6 +12,11 @@ different trajectory anyway).
 One parametrized test drives every scheduler in ``repro.core`` through
 its own interface (``schedule`` for crossbar matchers, ``arbitrate``
 for the FIFO pair) and asserts rerun determinism after reset().
+
+The batched registry kernels are also checked to leave their
+``requests`` / ``occupancy`` arguments untouched: ``as_request_batch``
+hands a boolean batch through without copying it, which is only safe
+while every kernel treats its input as read-only.
 """
 
 import numpy as np
@@ -29,6 +34,7 @@ from repro.core import (
     WavefrontScheduler,
     WindowedFIFOScheduler,
 )
+from repro.core.batch import BATCH_SCHEDULERS, build_batch_scheduler
 
 _ALLOC = np.array(
     [[2, 1, 0, 1], [0, 2, 2, 0], [1, 0, 2, 1], [1, 1, 0, 2]], dtype=int
@@ -120,3 +126,23 @@ def test_fresh_instance_matches_reset_instance(build, drive):
     drive(used)
     used.reset()
     assert drive(used) == drive(build())
+
+
+@pytest.mark.parametrize("name", BATCH_SCHEDULERS)
+@pytest.mark.parametrize("accept", ["random", "round_robin"])
+def test_batch_kernels_leave_their_arguments_unmodified(name, accept):
+    replicas, ports = 5, 6
+    scheduler = build_batch_scheduler(
+        name, replicas, ports, iterations=3, accept=accept, seed=3
+    )
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        occupancy = rng.integers(0, 3, size=(replicas, ports, ports))
+        requests = occupancy > 0
+        requests_before, occupancy_before = requests.copy(), occupancy.copy()
+        if scheduler.needs_occupancy:
+            scheduler.schedule(requests, occupancy)
+        else:
+            scheduler.schedule(requests)
+        assert np.array_equal(requests, requests_before)
+        assert np.array_equal(occupancy, occupancy_before)
