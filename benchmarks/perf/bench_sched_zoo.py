@@ -93,6 +93,15 @@ def main() -> None:
             f"{timing['speedup_vs_object']:6.1f}x"
         )
 
+    # One greppable line of absolutes: the table's ratios hide a kernel
+    # that got faster on both backends (or an object baseline that moved).
+    print(
+        "fastpath replica-slots/s: "
+        + ", ".join(
+            f"{r['config']['scheduler']} {r['slots_per_sec']:,.0f}" for r in results
+        )
+    )
+
     slots = extra.get("slots", spec.defaults["slots"])
     entry = record_result(
         spec.bench_name,

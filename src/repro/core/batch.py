@@ -21,7 +21,17 @@ wavefront, QPS-r) can plug into every fast path interchangeably:
 - **Occupancy-aware kernels** (``needs_occupancy = True``, e.g. LQF
   and QPS-r) additionally receive the ``(B, N, N)`` queue-depth counts;
   entries outside the request mask are ignored (callers may pass the
-  raw counts -- the base class masks them).
+  raw counts -- only requested cells are read).
+- **Request graph**: PIM, iSLIP, LQF and QPS-r carry a slot's
+  unresolved requests as one C-ordered edge list
+  (:func:`request_edges`) and resolve every per-port choice with
+  :func:`line_winners`; a kernel is a key function plus that helper's
+  tie rule (a line's equal keys go to its first edge).
+- **Stream contract**: what a kernel draws depends only on the batch
+  shape and the rounds it runs, never on who requests -- PIM a full
+  ``(B, N, N)`` cube per grant / random accept of an executed
+  iteration, LQF one full cube per slot, QPS-r one ``(B, N)`` block
+  per round (proposers or not), iSLIP and wavefront nothing.
 - ``reset()`` restores *all* cross-slot state (pointers, RNG streams)
   to the as-constructed state so a rerun replays the first run draw
   for draw -- the reset/rerun contract the object schedulers honor.
@@ -47,7 +57,6 @@ everywhere.
 from __future__ import annotations
 
 import copy
-from functools import lru_cache
 from typing import Optional, Tuple
 
 import numpy as np
@@ -58,8 +67,10 @@ __all__ = [
     "as_request_batch",
     "build_batch_scheduler",
     "build_object_scheduler",
-    "pointer_offsets",
+    "line_winners",
+    "occupancy_edges",
     "replay_generator",
+    "request_edges",
     "resolve_generator",
 ]
 
@@ -81,22 +92,69 @@ def as_request_batch(requests: np.ndarray) -> np.ndarray:
     return batch
 
 
-@lru_cache(maxsize=None)
-def pointer_offsets(ports: int) -> np.ndarray:
-    """The rotating-priority table ``table[p, x] = (x - p) % ports``.
+def request_edges(batch: np.ndarray) -> np.ndarray:
+    """The request graph of a (B, N, N) boolean batch as a (3, E) edge list.
 
-    Round-robin arbiters pick the candidate with the smallest offset
-    past their pointer.  The offsets depend on the pointer value alone,
-    so ``pointer_offsets(n)[pointers]`` gathers, for a ``(B, N)``
-    pointer array, the ``(B, N, N)`` cube ``(x - pointers[b, k]) % n``
-    (x along the last axis) without redoing the modulo every
-    iteration.  The (N, N) int64 table is cached per ``ports`` and
-    read-only, since every kernel shares it.
+    One column per request, in C order: its flat cell index, its input
+    line ``b * N + i`` and its output line ``b * N + j``.  Kernels carry
+    the unresolved requests in this form and filter it after each
+    round, so a round costs array work per request, not per cell.  Line
+    indices are congruent to the port mod N: ``(cell - p) % N`` is the
+    output's offset past a pointer p, ``(input_line - p) % N`` the input's.
     """
-    ports_range = np.arange(ports)
-    table = (ports_range[None, :] - ports_range[:, None]) % ports
-    table.flags.writeable = False
-    return table
+    n = batch.shape[-1]
+    cells = batch.reshape(-1).nonzero()[0]
+    edges = np.empty((3, cells.size), dtype=np.intp)
+    edges[0] = cells
+    line = np.floor_divide(cells, n, out=edges[1])
+    np.subtract(cells, (line - line // n) * n, out=edges[2])
+    return edges
+
+
+def occupancy_edges(
+    batch: np.ndarray, occupancy: Optional[np.ndarray]
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(edges, weights)``: the request graph of an occupancy-aware kernel.
+
+    ``weights[e] >= 1`` is the int64 queue depth of edge e's cell;
+    requests for an empty VOQ are dropped.  ``None`` degrades to boolean
+    occupancy (each requested VOQ counts one cell); otherwise the
+    (B, N, N) counts are validated and read at the requested cells
+    only, so a VOQ outside the request mask never contributes weight
+    even when cells are queued behind it (the CBR gap-fill /
+    blocked-output convention).
+    """
+    edges = request_edges(batch)
+    if occupancy is None:
+        return edges, np.ones(edges.shape[1], dtype=np.int64)
+    occ = np.asarray(occupancy)
+    if occ.shape != batch.shape:
+        raise ValueError(
+            f"occupancy shape {occ.shape} does not match requests {batch.shape}"
+        )
+    if (occ < 0).any():
+        raise ValueError("occupancy must be non-negative")
+    weights = occ.reshape(-1).take(edges[0]).astype(np.int64, copy=False)
+    queued = weights > 0
+    return edges.compress(queued, axis=1), weights.compress(queued)
+
+
+def line_winners(lines: np.ndarray, keys: np.ndarray, n_lines: int) -> np.ndarray:
+    """Per port line, the position of the edge holding the largest key.
+
+    ``lines`` names which of the ``n_lines`` port lines each edge of a
+    C-ordered edge list competes on (row 1 or 2 of the list), ``keys``
+    the edges' **positive** keys.  Returns ascending positions into the
+    list, one per line that has an edge.  A line's ties go to its first
+    edge, as a dense ``argmax`` over the line would -- the tie rule every
+    kernel inherits (a kernel is a key function plus this rule).
+    """
+    best = np.zeros(n_lines, dtype=keys.dtype)
+    np.maximum.at(best, lines, keys)
+    winners = (keys == best[lines]).nonzero()[0]
+    if winners.size != np.count_nonzero(best):  # ties: keep first occurrences
+        winners = winners[np.sort(np.unique(lines[winners], return_index=True)[1])]
+    return winners
 
 
 def resolve_generator(
@@ -146,8 +204,8 @@ class BatchScheduler:
     """Base class for batched matching kernels (see module docstring).
 
     Subclasses implement :meth:`schedule` and :meth:`reset`; the base
-    provides construction-time validation and the request/occupancy
-    normalization helpers so every kernel enforces the same contract.
+    provides construction-time validation and the request
+    normalization helper so every kernel enforces the same contract.
 
     Parameters
     ----------
@@ -190,29 +248,6 @@ class BatchScheduler:
                 f"requests, got {batch.shape}"
             )
         return batch
-
-    def _occupancy_counts(
-        self, batch: np.ndarray, occupancy: Optional[np.ndarray]
-    ) -> np.ndarray:
-        """Masked (B, N, N) int64 queue depths for occupancy-aware kernels.
-
-        ``None`` degrades to boolean occupancy (each requested VOQ
-        counts one cell); otherwise the counts are validated and masked
-        by the request batch, so a VOQ outside the request mask never
-        contributes weight even when cells are queued behind it (the
-        CBR gap-fill / blocked-output convention).
-        """
-        if occupancy is None:
-            return batch.astype(np.int64)
-        occ = np.asarray(occupancy)
-        if occ.shape != batch.shape:
-            raise ValueError(
-                f"occupancy shape {occ.shape} does not match requests "
-                f"{batch.shape}"
-            )
-        if (occ < 0).any():
-            raise ValueError("occupancy must be non-negative")
-        return np.where(batch, occ.astype(np.int64), 0)
 
     def schedule(
         self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None

@@ -11,6 +11,11 @@ uniform traffic with one iteration's less work.
 Included here as the natural extension/ablation target: the
 ``benchmarks/test_ablation_arbiter_policies.py`` bench compares PIM,
 iSLIP, and wavefront arbitration on the paper's workloads.
+
+The batched kernel walks the request graph's edge list, not the
+``(B, N, N)`` cube (see :mod:`repro.core.batch`): grant and accept are
+both "largest ``N - offset past the pointer`` on the line".  It draws
+no randomness, so there is no stream to keep aligned.
 """
 
 from __future__ import annotations
@@ -19,7 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler, pointer_offsets
+from repro.core.batch import BatchScheduler, line_winners, request_edges
 from repro.core.matching import Matching, as_request_matrix
 
 __all__ = [
@@ -191,11 +196,13 @@ class BatchISLIPScheduler(BatchScheduler):
     :func:`islip_match` driven by :class:`ISLIPScheduler`:
 
     - **grant**: each output with capacity left picks the requesting
-      input with the smallest offset ``(i - grant_ptr) % N`` -- an
-      argmin over the offset cube with the sentinel N marking inactive
-      entries, exactly the object kernel's first-at/after-pointer scan;
+      input with the smallest offset ``(i - grant_ptr) % N`` -- the
+      winner of its output line under the key ``N - offset`` over the
+      unresolved edges (:func:`repro.core.batch.line_winners`), exactly
+      the object kernel's first-at/after-pointer scan;
     - **accept**: each granted input symmetrically picks the smallest
-      ``(j - accept_ptr) % N`` among its grants;
+      ``(j - accept_ptr) % N`` among its grants (the same helper over
+      input lines);
     - **pointer rule**: pointers advance one past the accepted port,
       only for pairs accepted in the *first* iteration (the
       desynchronization rule), matching the object update order because
@@ -242,43 +249,32 @@ class BatchISLIPScheduler(BatchScheduler):
         """
         batch = self._validate_batch(requests)
         b, n, _ = batch.shape
-        match = np.full((b, n), -1, dtype=np.int64)
-        output_slots = np.full((b, n), self.output_capacity, dtype=np.int64)
-        offsets = pointer_offsets(n)
+        match = np.full(b * n, -1, dtype=np.int64)
+        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
+        grant_ptr = self._grant_pointers.reshape(-1)
+        accept_ptr = self._accept_pointers.reshape(-1)
+        edges = request_edges(batch)  # the unresolved requests
         executed = 0
-        while self.iterations is None or executed < self.iterations:
-            active = (
-                batch & (match < 0)[:, :, None] & (output_slots > 0)[:, None, :]
-            )
-            if not active.any():
-                break
+        while edges.shape[1] and executed != self.iterations:  # None: no budget
             executed += 1
-            # Grant: offsets[b, i, j] = (i - grant_ptr[b, j]) % n, with
-            # the sentinel n on inactive entries so argmin always lands
-            # on a genuine request when one exists.
-            g_off = offsets[self._grant_pointers].transpose(0, 2, 1)
-            g_off = np.where(active, g_off, n)
-            grant_input = g_off.argmin(axis=1)          # (B, N) per output
-            has_request = active.any(axis=1)            # (B, N)
-            grants = np.zeros_like(active)
-            bb, jj = np.nonzero(has_request)
-            grants[bb, grant_input[bb, jj], jj] = True
-            # Accept: symmetric argmin over (j - accept_ptr[b, i]) % n.
-            a_off = np.where(grants, offsets[self._accept_pointers], n)
-            accept_output = a_off.argmin(axis=2)        # (B, N) per input
-            has_grant = grants.any(axis=2)              # (B, N)
-            bb, ii = np.nonzero(has_grant)
-            jj = accept_output[bb, ii]
-            match[bb, ii] = jj
-            # Each output grants at most once per iteration, so (bb, jj)
-            # never repeats within a round: plain fancy indexing is safe.
-            output_slots[bb, jj] -= 1
+            # Grant: each output picks the requesting input with the
+            # smallest offset past its pointer (largest key; no ties).
+            keys = n - (edges[1] - grant_ptr[edges[2]]) % n
+            grants = edges.take(line_winners(edges[2], keys, b * n), axis=1)
+            # Accept: each input symmetrically picks among its grants.
+            keys = n - (grants[0] - accept_ptr[grants[1]]) % n
+            accepts = grants.take(line_winners(grants[1], keys, b * n), axis=1)
+            # One accept per input, one grant per output: no index repeats.
+            match[accepts[1]] = accepts[0] % n
+            slots[accepts[2]] -= 1
             if executed == 1:
-                self._grant_pointers[bb, jj] = (ii + 1) % n
-                self._accept_pointers[bb, ii] = (jj + 1) % n
+                grant_ptr[accepts[2]] = (accepts[1] + 1) % n
+                accept_ptr[accepts[1]] = (accepts[0] + 1) % n
+            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]])
+            edges = edges.compress(unresolved, axis=1)
         if self._probe is not None:
             self._probe.slot_iterations(executed)
-        return match
+        return match.reshape(b, n)
 
     def reset(self) -> None:
         """Return all pointers to zero (no RNG: iSLIP is deterministic)."""

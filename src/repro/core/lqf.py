@@ -21,7 +21,13 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler, replay_generator, resolve_generator
+from repro.core.batch import (
+    BatchScheduler,
+    line_winners,
+    occupancy_edges,
+    replay_generator,
+    resolve_generator,
+)
 from repro.core.matching import Matching, as_request_matrix
 
 __all__ = ["BatchLQFScheduler", "LQFScheduler", "lqf_match"]
@@ -31,8 +37,9 @@ def lqf_match(occupancy: np.ndarray, rng: np.random.Generator) -> Matching:
     """Greedy longest-queue-first maximal matching.
 
     ``occupancy[i, j]`` is the number of queued cells for (i, j); ties
-    are broken uniformly at random.  The result is maximal over the
-    positive-occupancy pairs.
+    are broken uniformly at random (equal keys, which only a coarse
+    ``rng`` produces, go to the first cell).  The result is maximal
+    over the positive-occupancy pairs.
     """
     matrix = np.asarray(occupancy)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
@@ -42,7 +49,9 @@ def lqf_match(occupancy: np.ndarray, rng: np.random.Generator) -> Matching:
     n = matrix.shape[0]
     # Random keys break ties uniformly while keeping one sort.
     keys = matrix.astype(np.float64) + rng.random(matrix.shape)
-    order = np.argsort(keys, axis=None)[::-1]
+    # Stable on the negated keys: (key descending, cell ascending), the
+    # batched kernel's order -- a tie goes to the first cell.
+    order = np.argsort(-keys, axis=None, kind="stable")
     row_free = np.ones(n, dtype=bool)
     col_free = np.ones(n, dtype=bool)
     pairs: List[Tuple[int, int]] = []
@@ -98,24 +107,27 @@ class LQFScheduler:
 class BatchLQFScheduler(BatchScheduler):
     """Longest-queue-first vectorized over B independent replicas.
 
-    Implements the :class:`repro.core.batch.BatchScheduler` protocol.
-    Instead of the object kernel's flat sort + sequential greedy scan,
-    the batch kernel repeatedly selects every **locally dominant**
-    entry -- an active entry whose key is the maximum of both its row
-    and its column among the still-active entries -- and retires the
-    involved rows/columns.  For distinct keys (an almost-sure event:
-    keys are ``occupancy + Uniform[0, 1)``) this computes exactly the
-    same matching as descending-key sequential greedy, because the
-    globally largest remaining key is always locally dominant and
-    greedy decisions commute when they share no row or column.  At
-    most N rounds run (each round matches at least one entry per
-    replica that still has active entries).
+    Implements the :class:`repro.core.batch.BatchScheduler` protocol
+    over the request graph's edge list.  Instead of the object kernel's
+    flat sort + sequential greedy scan, the batch kernel repeatedly
+    selects every **locally dominant** edge -- the winner of both its
+    input line and its output line among the unresolved edges
+    (:func:`repro.core.batch.line_winners`, key ``occupancy + jitter``)
+    -- and drops the edges of matched inputs and exhausted outputs.
+    This computes exactly the matching of sequential greedy in (key
+    descending, cell ascending) order -- :func:`lqf_match`'s order --
+    because the first remaining edge of that order is always locally
+    dominant and greedy decisions commute when they share no row or
+    column.  Ties (possible with a coarse injected ``rng``) therefore
+    go to the first cell and the result stays maximal.  At most N
+    rounds run.
 
-    **B = 1 draw parity**: the tie-break uniforms are drawn as one
-    ``(B, N, N)`` block per slot over the *full* matrix -- the same
-    element count as :func:`lqf_match`'s ``rng.random(matrix.shape)``
-    -- so with a shared seed the batch kernel at B = 1 consumes the
-    stream identically and returns the identical matching.
+    **Stream contract / B = 1 draw parity**: the tie-break uniforms are
+    drawn as one ``(B, N, N)`` block per slot over the *full* cube and
+    gathered at the edges -- the same element count as
+    :func:`lqf_match`'s ``rng.random(matrix.shape)`` -- so with a shared
+    seed the batch kernel at B = 1 consumes the stream identically and
+    returns the identical matching.
 
     ``needs_occupancy``: the fast paths pass queue-depth counts along
     with the request mask; entries outside the mask get zero weight
@@ -143,30 +155,24 @@ class BatchLQFScheduler(BatchScheduler):
         """Compute one slot's matchings for all replicas."""
         batch = self._validate_batch(requests)
         b, n, _ = batch.shape
-        occ = self._occupancy_counts(batch, occupancy)
-        keys = occ.astype(np.float64) + self._rng.random(batch.shape)
-        match = np.full((b, n), -1, dtype=np.int64)
-        col_slots = np.full((b, n), self.output_capacity, dtype=np.int64)
-        # Active keys carry occupancy >= 1 so they are always >= 1;
-        # -1.0 is a safe "retired" sentinel.
-        masked = np.where(batch & (occ > 0), keys, -1.0)
-        for _ in range(n):
-            row_best = masked.max(axis=2)               # (B, N)
-            col_best = masked.max(axis=1)               # (B, N)
-            sel = (
-                (masked >= 0.0)
-                & (masked == row_best[:, :, None])
-                & (masked == col_best[:, None, :])
-            )
-            if not sel.any():
-                break
-            bb, ii, jj = np.nonzero(sel)
-            match[bb, ii] = jj
-            col_slots[bb, jj] -= 1
-            masked[bb, ii, :] = -1.0                    # inputs match once
-            exhausted = col_slots[bb, jj] == 0
-            masked[bb[exhausted], :, jj[exhausted]] = -1.0
-        return match
+        edges, weights = occupancy_edges(batch, occupancy)
+        # The whole cube is drawn, once: the stream moves per slot.
+        keys = weights + self._rng.random(batch.shape).take(edges[0])
+        match = np.full(b * n, -1, dtype=np.int64)
+        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
+        while edges.shape[1]:
+            # Locally dominant: the winner of its input line *and* of its
+            # output line (at least each replica's largest key is one).
+            rows = np.zeros(edges.shape[1], dtype=bool)
+            rows[line_winners(edges[1], keys, b * n)] = True
+            cols = line_winners(edges[2], keys, b * n)
+            chosen = edges.take(cols.compress(rows.take(cols)), axis=1)
+            match[chosen[1]] = chosen[0] % n
+            slots[chosen[2]] -= 1
+            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]]).nonzero()[0]
+            edges = edges.take(unresolved, axis=1)
+            keys = keys.take(unresolved)
+        return match.reshape(b, n)
 
     def reset(self) -> None:
         """Rewind the tie-break RNG to its as-constructed state."""

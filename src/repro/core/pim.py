@@ -43,7 +43,9 @@ import numpy as np
 from repro.core.batch import (
     BatchScheduler,
     as_request_batch,
+    line_winners,
     replay_generator,
+    request_edges,
     resolve_generator,
 )
 from repro.core.matching import Matching, as_request_matrix
@@ -319,27 +321,6 @@ def pim_match(
     return PIMResult(matching, tuple(sizes), completed, tuple(traces), executed)
 
 
-def _line_winners(
-    edges: np.ndarray, line: int, keys: np.ndarray, n_lines: int
-) -> np.ndarray:
-    """Per port line, the edge holding the largest key (in edge order).
-
-    Row ``line`` of the (3, E) C-ordered edge list names which of the
-    ``n_lines`` port lines each edge competes on; ``keys`` are the edges'
-    non-negative keys.  They are lifted by ``+ 1.0``, which rounds a
-    uniform draw's last bit away, so ties are real: a line's first edge
-    wins them, as a dense ``argmax`` over the line would.
-    """
-    lines = edges[line]
-    keys += 1.0
-    best = np.zeros(n_lines)
-    np.maximum.at(best, lines, keys)
-    winners = (keys == best[lines]).nonzero()[0]
-    if winners.size != np.count_nonzero(best):  # ties: keep first occurrences
-        winners = winners[np.sort(np.unique(lines[winners], return_index=True)[1])]
-    return edges.take(winners, axis=1)
-
-
 class BatchPIMScheduler(BatchScheduler):
     """Stateful PIM vectorized over B independent switch replicas.
 
@@ -466,13 +447,7 @@ class BatchPIMScheduler(BatchScheduler):
         match = np.full(b * n, -1, dtype=np.int64)
         slots = np.full(b * n, self.output_capacity, dtype=np.int64)
         pointers = self._pointers.reshape(-1)
-        # The unresolved requests as an edge list in C order: per edge
-        # its flat cell index, input line b*N + i and output line b*N + j.
-        cells = batch.reshape(-1).nonzero()[0]
-        edges = np.empty((3, cells.size), dtype=np.intp)
-        edges[0] = cells
-        line = np.floor_divide(cells, n, out=edges[1])
-        np.subtract(cells, (line - line // n) * n, out=edges[2])
+        edges = request_edges(batch)  # the unresolved requests
         cumulative: List[np.ndarray] = []
         executed = 0
 
@@ -481,15 +456,17 @@ class BatchPIMScheduler(BatchScheduler):
             # Grant: each output with capacity left picks one requesting
             # input uniformly at random (the largest of i.i.d. keys).  The
             # whole cube is drawn: the stream moves per round, not per edge.
-            keys = self._rng.random(batch.shape).take(edges[0])
-            grants = _line_winners(edges, 2, keys, b * n)
+            # ``+ 1.0`` makes the keys positive and rounds a uniform draw's
+            # last bit away, so ties are real (a line's first edge wins).
+            keys = self._rng.random(batch.shape).take(edges[0]) + 1.0
+            grants = edges.take(line_winners(edges[2], keys, b * n), axis=1)
             # Accept: each input picks one granting output.
             if self.accept == "random":
-                keys = self._rng.random(batch.shape).take(grants[0])
+                keys = self._rng.random(batch.shape).take(grants[0]) + 1.0
             else:
                 # Round-robin: first granted output at/after the pointer.
-                keys = (n - (grants[0] - pointers[grants[1]]) % n).astype(float)
-            accepts = _line_winners(grants, 1, keys, b * n)
+                keys = n - (grants[0] - pointers[grants[1]]) % n
+            accepts = grants.take(line_winners(grants[1], keys, b * n), axis=1)
             out = accepts[0] % n
             # One accept per input, one grant per output: no index repeats.
             match[accepts[1]] = out

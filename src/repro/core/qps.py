@@ -25,12 +25,16 @@ another free output goes idle), so
 maximality for it.
 
 Both implementations -- the object :class:`QPSScheduler` and the
-batched :class:`BatchQPSScheduler` -- drive the *same* ``(B, N, N)``
-kernel (:func:`_qps_rounds`), the object one at B = 1.  The sampling
-uniforms are drawn as one ``(B, N)`` block per round for **all**
-inputs, proposers or not, so the random-stream consumption is a pure
-function of (N, rounds); with a shared seed the two are bit-identical,
-which is what the slot-exact differential parity checks rely on.
+batched :class:`BatchQPSScheduler` -- drive the *same* kernel
+(:func:`_qps_rounds`), the object one at B = 1.  It walks the request
+graph's edge list (:mod:`repro.core.batch`), so a round is O(1) array
+work per unresolved request: one running sum of the edge weights, one
+binary search per proposing input, one round-robin winner per output
+line.  **Stream contract**: the sampling uniforms are drawn as one
+``(B, N)`` block per round for **all** inputs, proposers or not, so the
+random-stream consumption is a pure function of (N, rounds); with a
+shared seed the two are bit-identical, which is what the slot-exact
+differential parity checks rely on.
 """
 
 from __future__ import annotations
@@ -41,7 +45,8 @@ import numpy as np
 
 from repro.core.batch import (
     BatchScheduler,
-    pointer_offsets,
+    line_winners,
+    occupancy_edges,
     replay_generator,
     resolve_generator,
 )
@@ -51,64 +56,57 @@ __all__ = ["BatchQPSScheduler", "QPSScheduler", "qps_match"]
 
 
 def _qps_rounds(
-    requests: np.ndarray,
-    occupancy: np.ndarray,
+    edges: np.ndarray,
+    weights: np.ndarray,
     rng,
     accept_pointers: np.ndarray,
     rounds: int,
     output_capacity: int,
 ) -> Tuple[np.ndarray, int]:
-    """The shared QPS-r kernel over a (B, N, N) batch.
+    """The shared QPS-r kernel over a batch's request graph.
 
-    ``accept_pointers`` is (B, N) int64 and mutated in place (the
-    round-robin accept state).  Returns ``(match, proposal_rounds)``
-    where ``match`` is the (B, N) match array and ``proposal_rounds``
-    counts rounds in which at least one input proposed.
+    ``edges`` / ``weights`` come from
+    :func:`repro.core.batch.occupancy_edges`; ``accept_pointers`` is
+    (B, N) int64 and mutated in place (the round-robin accept state).
+    Returns ``(match, proposal_rounds)``: the (B, N) match array and the
+    number of rounds in which at least one input proposed.
 
     One ``(B, N)`` uniform block is drawn per round regardless of who
-    can propose -- see the module docstring's stream-parity convention.
+    can propose -- see the module docstring's stream contract.
     """
-    b, n, _ = requests.shape
-    match = np.full((b, n), -1, dtype=np.int64)
-    output_slots = np.full((b, n), output_capacity, dtype=np.int64)
-    pointer_table = pointer_offsets(n)
+    b, n = accept_pointers.shape
+    match = np.full(b * n, -1, dtype=np.int64)
+    slots = np.full(b * n, output_capacity, dtype=np.int64)
+    pointers = accept_pointers.reshape(-1)
     proposal_rounds = 0
     for _ in range(rounds):
         u = rng.random((b, n))
-        avail = (
-            requests
-            & (occupancy > 0)
-            & (match < 0)[:, :, None]
-            & (output_slots > 0)[:, None, :]
-        )
-        weights = np.where(avail, occupancy, 0)
-        cum = np.cumsum(weights, axis=2)
-        totals = cum[:, :, -1]
-        proposers = totals > 0
-        if not proposers.any():
+        if not edges.shape[1]:
             continue
         proposal_rounds += 1
-        # Inverse-CDF sample: the first column whose cumulative weight
-        # exceeds u * total.  That column always has positive weight
-        # (a zero-weight column shares its cumulative value with its
-        # predecessor, so it can never be the first to exceed).
-        targets = u * totals
-        choice = (cum > targets[:, :, None]).argmax(axis=2)  # (B, N)
-        proposals = np.zeros((b, n, n), dtype=bool)
-        bb, ii = np.nonzero(proposers)
-        proposals[bb, ii, choice[bb, ii]] = True
-        # Accept: first proposer at/after the output's pointer (offset
-        # argmin with the sentinel n on non-proposing entries).
-        offsets = pointer_table[accept_pointers].transpose(0, 2, 1)
-        offsets = np.where(proposals, offsets, n)
-        winner = offsets.argmin(axis=1)                 # (B, N) per output
-        has_proposal = proposals.any(axis=1)            # (B, N)
-        bb, jj = np.nonzero(has_proposal)
-        ii = winner[bb, jj]
-        match[bb, ii] = jj
-        output_slots[bb, jj] -= 1
-        accept_pointers[bb, jj] = (ii + 1) % n
-    return match, proposal_rounds
+        # C order keeps an input's edges contiguous, so one running sum
+        # of the weights holds every input's CDF: its segment ends at
+        # its last edge and starts where the previous proposer's ended.
+        cum = np.cumsum(weights)
+        lines = edges[1]
+        last = np.concatenate(((lines[1:] != lines[:-1]).nonzero()[0], [-1]))
+        end = cum.take(last)
+        start = np.concatenate(([0], end[:-1]))
+        # Inverse-CDF sample: the first edge whose cumulative weight
+        # exceeds u * total -- the sums are integers, so floor(u * total).
+        draws = u.reshape(-1).take(lines.take(last))
+        target = start + (draws * (end - start)).astype(np.int64)
+        proposals = edges.take(cum.searchsorted(target, side="right"), axis=1)
+        # Accept: first proposer at/after the output's pointer.
+        keys = n - (proposals[1] - pointers[proposals[2]]) % n
+        accepts = proposals.take(line_winners(proposals[2], keys, b * n), axis=1)
+        match[accepts[1]] = accepts[0] % n
+        slots[accepts[2]] -= 1
+        pointers[accepts[2]] = (accepts[1] + 1) % n
+        unresolved = np.logical_and(match[lines] < 0, slots[edges[2]]).nonzero()[0]
+        edges = edges.take(unresolved, axis=1)
+        weights = weights.take(unresolved)
+    return match.reshape(b, n), proposal_rounds
 
 
 def qps_match(
@@ -128,8 +126,6 @@ def qps_match(
     matrix = np.asarray(occupancy)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"occupancy must be square, got shape {matrix.shape}")
-    if (matrix < 0).any():
-        raise ValueError("occupancy must be non-negative")
     if rounds < 1:
         raise ValueError(f"rounds must be >= 1, got {rounds}")
     n = matrix.shape[0]
@@ -142,10 +138,8 @@ def qps_match(
                 f"{accept_pointers.dtype} {accept_pointers.shape}"
             )
         pointers = accept_pointers[None, :]  # view: in-place mutation flows back
-    occ = matrix.astype(np.int64)
-    match, _ = _qps_rounds(
-        (occ > 0)[None, :, :], occ[None, :, :], rng, pointers, rounds, 1
-    )
+    edges, weights = occupancy_edges((matrix > 0)[None], matrix[None])
+    match, _ = _qps_rounds(edges, weights, rng, pointers, rounds, 1)
     pairs: List[Tuple[int, int]] = [
         (i, int(j)) for i, j in enumerate(match[0]) if j >= 0
     ]
@@ -195,18 +189,9 @@ class QPSScheduler:
         """Return this slot's matching from the occupancy matrix."""
         matrix = as_request_matrix(requests)
         n = matrix.shape[0]
-        if occupancy is None:
-            occ = matrix.astype(np.int64)
-        else:
-            occ = np.asarray(occupancy)
-            if occ.shape != matrix.shape:
-                raise ValueError(
-                    f"occupancy shape {occ.shape} does not match requests "
-                    f"{matrix.shape}"
-                )
-            if (occ < 0).any():
-                raise ValueError("occupancy must be non-negative")
-            occ = np.where(matrix, occ.astype(np.int64), 0)
+        edges, weights = occupancy_edges(
+            matrix[None], None if occupancy is None else np.asarray(occupancy)[None]
+        )
         if self._pointers is None:
             self._pointers = np.zeros((1, n), dtype=np.int64)
         elif self._pointers.shape[1] != n:
@@ -218,8 +203,7 @@ class QPSScheduler:
             )
         rounds = self.rounds if self.rounds is not None else n
         match, executed = _qps_rounds(
-            matrix[None, :, :], occ[None, :, :], self._rng, self._pointers,
-            rounds, 1,
+            edges, weights, self._rng, self._pointers, rounds, 1
         )
         if self._probe is not None:
             self._probe.slot_iterations(executed)
@@ -270,10 +254,10 @@ class BatchQPSScheduler(BatchScheduler):
     ) -> np.ndarray:
         """Compute one slot's matchings for all replicas."""
         batch = self._validate_batch(requests)
-        occ = self._occupancy_counts(batch, occupancy)
+        edges, weights = occupancy_edges(batch, occupancy)
         rounds = self.rounds if self.rounds is not None else self.ports
         match, executed = _qps_rounds(
-            batch, occ, self._rng, self._pointers, rounds, self.output_capacity
+            edges, weights, self._rng, self._pointers, rounds, self.output_capacity
         )
         if self._probe is not None:
             self._probe.slot_iterations(executed)

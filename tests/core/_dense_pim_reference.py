@@ -14,8 +14,9 @@ from typing import List, Optional
 
 import numpy as np
 
-from repro.core.batch import pointer_offsets
 from repro.core.pim import BatchPIMScheduler
+
+from ._dense_zoo_reference import pointer_offsets
 
 
 class DenseBatchPIMScheduler(BatchPIMScheduler):

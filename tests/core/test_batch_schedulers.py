@@ -19,7 +19,9 @@ from repro.core.batch import (
     as_request_batch,
     build_batch_scheduler,
     build_object_scheduler,
-    pointer_offsets,
+    line_winners,
+    occupancy_edges,
+    request_edges,
 )
 
 # Kernels whose object twin is draw-for-draw identical at B=1.
@@ -139,29 +141,39 @@ class TestBatchValidity:
             assert (a == b).all(), f"{name} rerun diverged at slot {slot}"
 
 
-class TestPointerOffsets:
-    def test_gathers_the_offset_cube_the_kernels_used_to_compute(self):
-        rng = np.random.default_rng(0)
-        for ports in (1, 5, 16):
-            pointers = rng.integers(0, ports, size=(7, ports))
-            ports_range = np.arange(ports)
-            table = pointer_offsets(ports)
-            # Accept form: x runs over outputs, one pointer per input.
-            assert (
-                table[pointers]
-                == (ports_range[None, None, :] - pointers[:, :, None]) % ports
-            ).all()
-            # Grant form: x runs over inputs, one pointer per output.
-            assert (
-                table[pointers].transpose(0, 2, 1)
-                == (ports_range[None, :, None] - pointers[:, None, :]) % ports
-            ).all()
+class TestRequestGraph:
+    """The shared edge-list primitive every batched kernel runs on."""
 
-    def test_shared_table_is_read_only(self):
-        table = pointer_offsets(4)
-        assert table is pointer_offsets(4)
-        with pytest.raises(ValueError):
-            table[0, 0] = 1
+    def test_edges_are_the_requests_in_c_order_with_their_port_lines(self):
+        rng = np.random.default_rng(0)
+        for replicas, ports in ((1, 1), (3, 5), (7, 16)):
+            batch = rng.random((replicas, ports, ports)) < 0.4
+            edges = request_edges(batch)
+            b, i, j = np.nonzero(batch)
+            assert (edges[0] == (b * ports + i) * ports + j).all()
+            assert (edges[1] == b * ports + i).all()
+            assert (edges[2] == b * ports + j).all()
+        assert request_edges(np.zeros((2, 3, 3), dtype=bool)).shape == (3, 0)
+
+    def test_weights_read_requested_cells_only_and_drop_empty_voqs(self):
+        requests = np.array([[[1, 1, 0], [0, 1, 0], [0, 0, 0]]], dtype=bool)
+        occupancy = np.array([[[4, 0, 9], [9, 2, 0], [9, 0, 0]]])
+        edges, weights = occupancy_edges(requests, occupancy)
+        assert edges[0].tolist() == [0, 4] and weights.tolist() == [4, 2]
+        assert weights.dtype == np.int64
+        edges, weights = occupancy_edges(requests, None)
+        assert edges[0].tolist() == [0, 1, 4] and weights.tolist() == [1, 1, 1]
+
+    @pytest.mark.parametrize("dtype", [np.int64, np.float64])
+    def test_line_winner_is_the_largest_key_and_ties_go_to_the_first_edge(self, dtype):
+        lines = np.array([0, 0, 0, 2, 2, 5, 5, 5])
+        keys = np.array([1, 3, 2, 7, 7, 4, 9, 9], dtype=dtype)
+        assert line_winners(lines, keys, 6).tolist() == [1, 3, 6]
+        # Without ties the same answer comes from the shortcut branch.
+        keys[4] = 6
+        keys[7] = 8
+        assert line_winners(lines, keys, 6).tolist() == [1, 3, 6]
+        assert line_winners(lines[:0], keys[:0], 6).size == 0
 
 
 class TestProtocolValidation:
