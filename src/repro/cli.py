@@ -390,7 +390,6 @@ def cmd_cbr(args: argparse.Namespace) -> int:
             scheduler=args.scheduler,
             seed=args.seed,
             probe=probe,
-            trace_stride=None,
         )
         print(result.summary())
         _finish_probe(probe)

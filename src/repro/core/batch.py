@@ -6,7 +6,11 @@ advance B independent switch replicas per step and hand the scheduler
 one ``(B, N, N)`` boolean request batch.  Historically the only such
 kernel was :class:`repro.core.pim.BatchPIMScheduler`; this module
 extracts the contract it implemented so the scheduler zoo (iSLIP, LQF,
-wavefront, QPS-r) can plug into every fast path interchangeably:
+wavefront, QPS-r) can plug into every fast path interchangeably, and
+so Section 5's lottery can be one more kernel
+(:class:`repro.sim.fastpath_statistical.BatchStatisticalMatcher`:
+lottery + masked PIM fill, built from an allocation matrix rather than
+a registry name):
 
 - ``schedule(requests, occupancy=None)`` maps a ``(B, N, N)`` request
   batch to a ``(B, N)`` int64 match array (``match[b, i]`` is the
@@ -18,10 +22,12 @@ wavefront, QPS-r) can plug into every fast path interchangeably:
   reserved this slot and the network fast path masks outputs whose
   downstream buffer is full.  Kernels must never match outside the
   request mask.
-- **Occupancy-aware kernels** (``needs_occupancy = True``, e.g. LQF
-  and QPS-r) additionally receive the ``(B, N, N)`` queue-depth counts;
-  entries outside the request mask are ignored (callers may pass the
-  raw counts -- only requested cells are read).
+- **Occupancy**: the fast paths always call ``schedule(requests,
+  counts)`` with the raw ``(B, N, N)`` queue-depth counts, unmasked and
+  whatever the kernel -- only requested cells are ever read, by the
+  kernels that weigh them (``needs_occupancy = True``: LQF, QPS-r; the
+  attribute is what the object ``CrossbarSwitch`` dispatches on), and
+  the rest ignore the argument.
 - **Request graph**: PIM, iSLIP, LQF and QPS-r carry a slot's
   unresolved requests as one C-ordered edge list
   (:func:`request_edges`) and resolve every per-port choice with
@@ -219,8 +225,8 @@ class BatchScheduler:
 
     name = "batch"
     #: True for kernels whose choice depends on queue depths (LQF,
-    #: QPS-r); the fast paths then pass the occupancy counts alongside
-    #: the boolean request mask.
+    #: QPS-r): they read the occupancy counts every fast path passes
+    #: alongside the boolean request mask.
     needs_occupancy = False
 
     def __init__(self, replicas: int, ports: int, output_capacity: int = 1):

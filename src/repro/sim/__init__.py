@@ -16,10 +16,12 @@ reproduction:
 - :mod:`repro.sim.engine` -- a minimal slotted event loop for composing
   multiple components (used by the network simulator),
 - :mod:`repro.sim.fastpath` -- the count-based, batch-vectorized
-  fast-path simulator for multi-replica Monte-Carlo sweeps (with
-  :mod:`repro.sim.fastpath_cbr` and
-  :mod:`repro.sim.fastpath_statistical` as its integrated-CBR and
-  statistical-matching counterparts).
+  fast-path simulator for multi-replica Monte-Carlo sweeps, and the
+  one slot loop (``run_slots``) and accounting class (``PoolLedger``)
+  of the crossbar family: :mod:`repro.sim.fastpath_cbr` plugs in a
+  two-pool switch with a frame-claim stage,
+  :mod:`repro.sim.fastpath_statistical` a lottery kernel;
+  :mod:`repro.sim.fastpath_network` keeps its own per-flow loop.
 """
 
 from repro.sim.engine import SimulationEngine, SlotProcess

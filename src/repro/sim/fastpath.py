@@ -131,40 +131,23 @@ class FastpathResult:
     def mean_delay(self) -> float:
         """Pooled mean queueing delay in slots (Little's law).
 
-        In ``warmup_mode="arrival"`` the estimator counts only cells
-        that arrived inside the measurement window, so over a drained
-        run it equals the object backend's ``DelayStats`` mean exactly;
-        in ``"slot"`` mode it is the historical whole-slot-truncation
-        estimate (biased low near the warmup boundary: cells that
-        arrived before warmup but departed after contribute departures
-        without their pre-warmup queueing).
+        Exactly the object backend's ``DelayStats`` mean over a drained
+        ``warmup_mode="arrival"`` run; in ``"slot"`` mode biased low
+        near the warmup boundary (cells that arrived before it but
+        departed after count without their pre-warmup queueing).
         """
-        if self.delay_cells is not None:
-            cells = int(self.delay_cells.sum())
-            if cells == 0:
-                return 0.0
-            return float(self.delay_integral.sum()) / cells
-        carried = int(self.carried_cells.sum())
-        if carried == 0:
-            return 0.0
-        return float(self.backlog_integral.sum()) / carried
+        return PoolLedger.pooled_delay(
+            self.backlog_integral, self.carried_cells,
+            self.delay_integral, self.delay_cells,
+        )
 
     @property
     def mean_delay_by_replica(self) -> np.ndarray:
         """(B,) mean delay per replica (0.0 where nothing departed)."""
+        integral, cells = self.backlog_integral, self.carried_cells
         if self.delay_cells is not None:
-            cells = self.delay_cells
-            return np.where(
-                cells > 0,
-                self.delay_integral / np.maximum(cells, 1),
-                0.0,
-            )
-        carried = self.carried_cells
-        return np.where(
-            carried > 0,
-            self.backlog_integral / np.maximum(carried, 1),
-            0.0,
-        )
+            integral, cells = self.delay_integral, self.delay_cells
+        return np.where(cells > 0, integral / np.maximum(cells, 1), 0.0)
 
     @property
     def throughput(self) -> float:
@@ -184,6 +167,30 @@ class FastpathResult:
             self.window * self.ports * self.replicas
         )
 
+    @classmethod
+    def from_ledger(
+        cls, switch, ledger: PoolLedger, slots: int, drain_slots: int, warmup: int, **extra
+    ):
+        """The result of a finished one-pool run, read off its ledger."""
+        return cls(
+            ports=switch.ports,
+            replicas=switch.replicas,
+            slots=slots,
+            drain_slots=drain_slots,
+            warmup=warmup,
+            window=slots + drain_slots - warmup,
+            offered_cells=ledger.offered,
+            carried_cells=ledger.carried,
+            backlog_integral=ledger.backlog_integral,
+            arrivals_by_input=ledger.arrivals_by_input,
+            departures_by_output=ledger.departures_by_output,
+            final_backlog=switch.backlog(),
+            warmup_mode=ledger.warmup_mode,
+            delay_cells=ledger.delay_cells,
+            delay_integral=ledger.delay_integral,
+            **extra,
+        )
+
     def summary(self) -> str:
         """One-line human-readable summary."""
         text = (
@@ -195,6 +202,19 @@ class FastpathResult:
         if self.fct is not None:
             text += f"; {self.fct.summary()}"
         return text
+
+
+def check_switch_shape(ports: int, replicas: int, scheduler: BatchScheduler) -> None:
+    """Reject a non-positive switch shape or a kernel built for another."""
+    if ports <= 0:
+        raise ValueError(f"ports must be positive, got {ports}")
+    if replicas <= 0:
+        raise ValueError(f"replicas must be positive, got {replicas}")
+    if (scheduler.replicas, scheduler.ports) != (replicas, ports):
+        raise ValueError(
+            f"scheduler is for {scheduler.replicas}x{scheduler.ports} "
+            f"replicas x ports, switch has {replicas}x{ports}"
+        )
 
 
 class FastpathCrossbar:
@@ -212,15 +232,7 @@ class FastpathCrossbar:
     """
 
     def __init__(self, ports: int, replicas: int, scheduler: BatchScheduler):
-        if ports <= 0:
-            raise ValueError(f"ports must be positive, got {ports}")
-        if replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {replicas}")
-        if (scheduler.replicas, scheduler.ports) != (replicas, ports):
-            raise ValueError(
-                f"scheduler is for {scheduler.replicas}x{scheduler.ports} "
-                f"replicas x ports, switch has {replicas}x{ports}"
-            )
+        check_switch_shape(ports, replicas, scheduler)
         self.ports = ports
         self.replicas = replicas
         self.scheduler = scheduler
@@ -248,11 +260,8 @@ class FastpathCrossbar:
             if check and (np.asarray(arrivals) < 0).any():
                 raise ValueError("negative arrival counts")
             self.occupancy += arrivals
-        requests = self.occupancy > 0
-        if getattr(self.scheduler, "needs_occupancy", False):
-            match = self.scheduler.schedule(requests, self.occupancy)
-        else:
-            match = self.scheduler.schedule(requests)
+        # Unmasked counts: kernels read them at requested cells only.
+        match = self.scheduler.schedule(self.occupancy > 0, self.occupancy)
         bb, ii = np.nonzero(match >= 0)
         jj = match[bb, ii]
         if check and (self.occupancy[bb, ii, jj] <= 0).any():
@@ -261,6 +270,16 @@ class FastpathCrossbar:
         if check and (self.occupancy < 0).any():
             raise AssertionError("negative VOQ occupancy")
         return bb, ii, jj
+
+    def advance(self, slot: int, arrivals: Sequence, check: bool = False):
+        """:func:`run_slots` stage: :meth:`step` as a one-pool switch."""
+        return (self.step(arrivals[0], check),)
+
+    def trace(self, probe, slot: int, departed) -> None:
+        """The slot's events after the kernel's own (``probe`` is enabled)."""
+        probe.transfer(int(departed[0][0].size))
+        if probe.sampling:
+            probe.voq_snapshot(self.occupancy.sum(axis=0), replica=-1)
 
     def backlog(self) -> np.ndarray:
         """(B,) cells currently buffered per replica."""
@@ -336,7 +355,7 @@ class _ObjectCompatArrivals:
         return counts
 
 
-class _ScenarioArrivals:
+class ScenarioArrivals:
     """Arrival counts from B arbitrary TrafficSource objects, compiled.
 
     Replica b is driven by ``sources[b]`` (any object implementing the
@@ -562,6 +581,176 @@ def _doubled(array: np.ndarray, fill: int) -> np.ndarray:
     return np.concatenate((array, np.full(array.size, fill, dtype=array.dtype)))
 
 
+def uniform_arrivals(
+    ports: int, replicas: int, load: float, seeds, rng, seeds_name="arrival_seeds"
+):
+    """The Bernoulli/uniform arrival source of a run: per-replica
+    object-compatible streams given ``seeds`` (length B; ``seeds_name``
+    is the caller's spelling, for the error), else the batched ``rng``."""
+    if seeds is None:
+        return _BatchedArrivals(ports, replicas, load, rng)
+    if len(seeds) != replicas:
+        raise ValueError(
+            f"{seeds_name} has {len(seeds)} entries for {replicas} replicas"
+        )
+    return _ObjectCompatArrivals(ports, load, seeds)
+
+
+class PoolLedger:
+    """Measurement-window accounting of one ``(B, N, N)`` buffer pool.
+
+    :func:`run_slots` calls :meth:`update` once per slot >= warmup, so
+    the (B,) counters ``offered``, ``carried`` and ``backlog_integral``
+    (the Little's-law numerator) ignore the slots before it.
+    ``warmup_mode="arrival"`` also keys delay on the *arrival* slot, as
+    :class:`repro.sim.stats.DelayStats` does: cells queued at the start
+    of slot ``warmup`` are snapshotted per VOQ as ``legacy`` (per-VOQ
+    FIFO order, exact when each connection carries one flow, makes them
+    depart before anything arriving later), their departures kept out of
+    ``delay_cells`` and their occupancy out of ``delay_integral`` (both
+    None in slot mode).  ``by_port`` adds the (B, N)
+    ``arrivals_by_input`` / ``departures_by_output`` -- only for results
+    that expose them: they cost two more reductions per slot.
+    """
+
+    def __init__(self, pool: np.ndarray, warmup_mode: str, by_port: bool = False):
+        replicas, ports, _ = pool.shape
+        self.pool = pool
+        self.warmup_mode = warmup_mode
+        self.offered = np.zeros(replicas, dtype=np.int64)
+        self.carried = np.zeros(replicas, dtype=np.int64)
+        self.backlog_integral = np.zeros(replicas, dtype=np.int64)
+        self.arrivals_by_input = self.departures_by_output = None
+        if by_port:
+            self.arrivals_by_input = np.zeros((replicas, ports), dtype=np.int64)
+            self.departures_by_output = np.zeros((replicas, ports), dtype=np.int64)
+        self.legacy: Optional[np.ndarray] = None
+        self.delay_cells = self.delay_integral = None
+        if warmup_mode == "arrival":
+            self.delay_cells = np.zeros(replicas, dtype=np.int64)
+            self.delay_integral = np.zeros(replicas, dtype=np.int64)
+
+    def mark(self) -> None:
+        """Start of slot ``warmup``: snapshot the cells that predate it."""
+        if self.delay_cells is not None:
+            self.legacy = self.pool.copy()
+
+    def update(self, counts: Optional[np.ndarray], departed) -> None:
+        """Account one in-window slot: its arrivals, departures, backlog."""
+        bb, ii, jj = departed
+        replicas, ports, _ = self.pool.shape
+        if counts is not None:
+            if self.arrivals_by_input is None:
+                self.offered += counts.sum(axis=(1, 2))
+            else:
+                per_input = counts.sum(axis=2)
+                self.arrivals_by_input += per_input
+                self.offered += per_input.sum(axis=1)
+        self.carried += np.bincount(bb, minlength=replicas)
+        if self.departures_by_output is not None:
+            self.departures_by_output += np.bincount(
+                bb * ports + jj, minlength=replicas * ports
+            ).reshape(replicas, ports)
+        self.backlog_integral += self.pool.sum(axis=(1, 2))
+        if self.legacy is not None:
+            # At most one departure per (replica, input) of a pool per
+            # slot, so the (bb, ii, jj) triples are unique and
+            # fancy-indexed decrements are safe.
+            was_legacy = self.legacy[bb, ii, jj] > 0
+            self.legacy[bb[was_legacy], ii[was_legacy], jj[was_legacy]] -= 1
+            self.delay_cells += np.bincount(bb[~was_legacy], minlength=replicas)
+            self.delay_integral += (self.pool - self.legacy).sum(axis=(1, 2))
+
+    @staticmethod
+    def pooled_delay(backlog_integral, carried, delay_integral, delay_cells) -> float:
+        """Little's-law mean delay in slots, pooled over replicas: the
+        arrival-keyed pair when present, else the whole-slot pair."""
+        if delay_cells is not None:
+            backlog_integral, carried = delay_integral, delay_cells
+        cells = int(carried.sum())
+        return float(backlog_integral.sum()) / cells if cells else 0.0
+
+
+def check_window(
+    load: float, slots: int, drain_slots: int, warmup: int, warmup_mode: str,
+    load_name: str = "load",
+) -> None:
+    """Reject a load, slot window or warm-up mode no run can use."""
+    if not 0.0 <= load <= 1.0:
+        raise ValueError(f"{load_name} must be in [0, 1], got {load}")
+    if slots <= 0:
+        raise ValueError(f"slots must be positive, got {slots}")
+    if drain_slots < 0:
+        raise ValueError(f"drain_slots must be >= 0, got {drain_slots}")
+    if not 0 <= warmup < slots + drain_slots:
+        raise ValueError(
+            f"warmup must be in [0, {slots + drain_slots}), got {warmup}"
+        )
+    if warmup_mode not in ("slot", "arrival"):
+        raise ValueError(
+            f"warmup_mode must be 'slot' or 'arrival', got {warmup_mode!r}"
+        )
+
+
+def run_slots(
+    switch, sources: Sequence, ledgers: Sequence[PoolLedger],
+    slots: int, drain_slots: int, warmup: int,
+    check: bool = False, probe=None, timer=NULL_PHASE_TIMER, observer=None,
+) -> Tuple[int, int]:
+    """The slot loop of the crossbar family, run inside the ``run`` span.
+
+    One slot is ``arrivals -> [claim] -> match -> depart -> account``:
+    every source yields its pool's ``(B, N, N)`` counts (None in the
+    ``drain_slots`` arrival-free slots after ``slots``); the ledgers
+    :meth:`~PoolLedger.mark` at slot ``warmup``;
+    ``switch.advance(slot, arrivals, check)`` lands the arrivals,
+    claims, matches and departs, returning one ``(bb, ii, jj)``
+    departure triple per pool; ``observer(slot, departed)`` sees every
+    slot, warm-up included; ``switch.trace(probe, slot, departed)``
+    emits the switch's own events; from slot ``warmup`` on each ledger
+    accounts its pool.  ``sources[k]`` feeds, and ``ledgers[k]``
+    accounts, the k-th pool in the order ``advance`` takes and returns
+    them.  Returns the run's ``(replica-slots, carried cells)``, the
+    totals its ``phase_profile`` event reports once the span is closed.
+    """
+    traced = probe is not None and probe.enabled
+    if traced:
+        switch.scheduler.attach_probe(probe)
+    drained = [None] * len(sources)
+    for slot in range(slots + drain_slots):
+        with timer.phase("arrivals"):
+            arrivals = [s.slot_counts() for s in sources] if slot < slots else drained
+        if slot == warmup:
+            for ledger in ledgers:
+                ledger.mark()
+        if traced:
+            # Before the kernel, so its per-iteration events see the
+            # right slot and sampling flag; backlog is the pre-arrival
+            # occupancy (the object backends' convention).
+            probe.begin_slot(
+                slot,
+                arrivals=sum(int(c.sum()) for c in arrivals if c is not None),
+                backlog=sum(int(ledger.pool.sum()) for ledger in ledgers),
+            )
+        with timer.phase("kernel"):
+            departed = switch.advance(slot, arrivals, check)
+        if observer is not None:
+            observer(slot, departed)
+        if traced:
+            switch.trace(probe, slot, departed)
+        if slot < warmup:
+            continue
+        with timer.phase("update"):
+            for ledger, counts, cells in zip(ledgers, arrivals, departed):
+                ledger.update(counts, cells)
+    if traced:
+        switch.scheduler.attach_probe(None)
+    return (
+        switch.replicas * (slots + drain_slots),
+        sum(int(ledger.carried.sum()) for ledger in ledgers),
+    )
+
+
 def run_fastpath(
     ports: int,
     load: float,
@@ -578,7 +767,6 @@ def run_fastpath(
     drain_slots: int = 0,
     check: bool = False,
     probe=None,
-    trace_stride: Optional[int] = None,
     warmup_mode: str = "slot",
     phase_timer=None,
 ) -> FastpathResult:
@@ -602,8 +790,8 @@ def run_fastpath(
         budget).
     scheduler:
         Batched kernel registry name (``repro.core.BATCH_SCHEDULERS``:
-        "pim", "islip", "lqf", "wavefront", "qps").  Occupancy-aware
-        kernels automatically receive the VOQ depth counts.
+        "pim", "islip", "lqf", "wavefront", "qps").  Every kernel is
+        handed the VOQ depth counts; occupancy-aware ones read them.
     seed:
         Root seed; arrival and matching streams are derived via
         :class:`repro.sim.rng.RandomStreams` ("fastpath/arrivals",
@@ -637,13 +825,10 @@ def run_fastpath(
         replicas) and ``CrossbarTransfer`` events; slots selected by
         the probe's stride additionally emit the batched PIM
         per-iteration anatomy (counts pooled over the B replicas) and
-        one pooled ``VoqSnapshot`` (``replica == -1``).  The disabled
-        default costs one boolean per slot, preserving the vectorized
-        speedup.
-    trace_stride:
-        Convenience override of ``probe.stride`` for this run; raise
-        it (e.g. to 64) so tracing samples the volume-heavy events
-        without serializing every slot.
+        one pooled ``VoqSnapshot`` (``replica == -1``).  Build the probe
+        with ``stride=k`` (e.g. 64) so tracing samples the volume-heavy
+        events without serializing every slot.  The disabled default
+        costs one boolean per slot, preserving the vectorized speedup.
     warmup_mode:
         How warmup truncation attributes delay.  ``"slot"`` (default)
         keeps the historical convention: every counter simply ignores
@@ -651,12 +836,9 @@ def run_fastpath(
         departed after still contribute departures (and their residual
         queueing) to the Little's-law estimate.  ``"arrival"`` matches
         :class:`repro.sim.stats.DelayStats`, which keys its warmup
-        filter on the *arrival* slot: cells present at the start of
-        slot ``warmup`` are tracked as "legacy" per VOQ (FIFO order
-        means they depart first), their departures are excluded from
-        ``delay_cells`` and their occupancy from ``delay_integral``,
-        so over a drained run ``mean_delay`` equals the object
-        backend's arrival-keyed mean exactly.
+        filter on the *arrival* slot (see :class:`PoolLedger`), so over
+        a drained run ``mean_delay`` equals the object backend's
+        arrival-keyed mean exactly.
     phase_timer:
         Optional :class:`repro.obs.perf.PhaseTimer`.  When enabled the
         run is profiled under a ``run`` root span with ``run/compile``
@@ -669,25 +851,8 @@ def run_fastpath(
 
     Returns a :class:`FastpathResult`.
     """
-    if not 0.0 <= load <= 1.0:
-        raise ValueError(f"load must be in [0, 1], got {load}")
-    if slots <= 0:
-        raise ValueError(f"slots must be positive, got {slots}")
-    if drain_slots < 0:
-        raise ValueError(f"drain_slots must be >= 0, got {drain_slots}")
-    total_slots = slots + drain_slots
-    if not 0 <= warmup < total_slots:
-        raise ValueError(f"warmup must be in [0, {total_slots}), got {warmup}")
-    if warmup_mode not in ("slot", "arrival"):
-        raise ValueError(
-            f"warmup_mode must be 'slot' or 'arrival', got {warmup_mode!r}"
-        )
-
-    timer = (
-        phase_timer
-        if phase_timer is not None and phase_timer.enabled
-        else NULL_PHASE_TIMER
-    )
+    check_window(load, slots, drain_slots, warmup, warmup_mode)
+    timer = phase_timer or NULL_PHASE_TIMER
     with timer.phase("run"):
         with timer.phase("compile"):
             streams = RandomStreams(seed)
@@ -702,6 +867,7 @@ def run_fastpath(
                 track_sizes=False,
             )
             switch = FastpathCrossbar(ports, replicas, kernel)
+            observer = None
             if sources is not None:
                 if arrival_seeds is not None:
                     raise ValueError(
@@ -716,110 +882,26 @@ def run_fastpath(
                     reset = getattr(src, "reset", None)
                     if callable(reset):
                         reset()
-                source = _ScenarioArrivals(ports, sources, slots)
-            elif arrival_seeds is not None:
-                if len(arrival_seeds) != replicas:
-                    raise ValueError(
-                        f"arrival_seeds has {len(arrival_seeds)} entries for "
-                        f"{replicas} replicas"
-                    )
-                source = _ObjectCompatArrivals(ports, load, arrival_seeds)
-            else:
-                source = _BatchedArrivals(
-                    ports, replicas, load, streams.get("fastpath/arrivals")
-                )
+                source = ScenarioArrivals(ports, sources, slots)
 
-        traced = probe is not None and probe.enabled
-        if traced:
-            if trace_stride is not None:
-                if trace_stride < 1:
-                    raise ValueError(
-                        f"trace_stride must be >= 1, got {trace_stride}"
-                    )
-                probe.stride = trace_stride
-            kernel.attach_probe(probe)
-
-        scenario_mode = sources is not None
-        offered = np.zeros(replicas, dtype=np.int64)
-        carried = np.zeros(replicas, dtype=np.int64)
-        backlog_integral = np.zeros(replicas, dtype=np.int64)
-        arrivals_by_input = np.zeros((replicas, ports), dtype=np.int64)
-        departures_by_output = np.zeros((replicas, ports), dtype=np.int64)
-        arrival_keyed = warmup_mode == "arrival"
-        legacy: Optional[np.ndarray] = None
-        delay_cells = np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        delay_integral = (
-            np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        )
-
-        for slot in range(total_slots):
-            with timer.phase("arrivals"):
-                counts = source.slot_counts() if slot < slots else None
-            if arrival_keyed and slot == warmup:
-                # Cells still queued at the start of the warmup boundary
-                # arrived before it; per-VOQ FIFO order guarantees they
-                # depart before anything arriving from here on.
-                legacy = switch.occupancy.copy()
-            if traced:
-                # begin_slot must precede step() so the scheduler's
-                # per-iteration emission sees the right slot/sampling flag.
-                probe.begin_slot(
-                    slot,
-                    arrivals=int(counts.sum()) if counts is not None else 0,
-                    backlog=int(switch.occupancy.sum()),
-                )
-            with timer.phase("kernel"):
-                bb, ii, jj = switch.step(counts, check=check)
-            if scenario_mode:
                 # Flow bookkeeping covers the whole run; FlowStats does
                 # its own arrival-keyed warmup filtering at the end.
-                source.on_departures(bb, ii, jj, slot)
-            if traced:
-                probe.transfer(int(bb.size))
-                if probe.sampling:
-                    probe.voq_snapshot(switch.occupancy.sum(axis=0), replica=-1)
-            if slot < warmup:
-                continue
-            with timer.phase("update"):
-                if counts is not None:
-                    per_input = counts.sum(axis=2)
-                    arrivals_by_input += per_input
-                    offered += per_input.sum(axis=1)
-                carried += np.bincount(bb, minlength=replicas)
-                departures_by_output += np.bincount(
-                    bb * ports + jj, minlength=replicas * ports
-                ).reshape(replicas, ports)
-                backlog_integral += switch.backlog()
-                if arrival_keyed:
-                    # At most one departure per (replica, input) per slot,
-                    # so the (bb, ii, jj) triples are unique and
-                    # fancy-indexed decrements are safe.
-                    was_legacy = legacy[bb, ii, jj] > 0
-                    legacy[bb[was_legacy], ii[was_legacy], jj[was_legacy]] -= 1
-                    delay_cells += np.bincount(bb[~was_legacy], minlength=replicas)
-                    delay_integral += (switch.occupancy - legacy).sum(axis=(1, 2))
+                def observer(slot, departed):
+                    source.on_departures(*departed[0], slot)
 
-    if traced and timer.enabled:
-        probe.phase_profile(
-            timer,
-            slots=replicas * total_slots,
-            cells=int(carried.sum()),
+            else:
+                source = uniform_arrivals(
+                    ports, replicas, load, arrival_seeds,
+                    streams.get("fastpath/arrivals"),
+                )
+        ledger = PoolLedger(switch.occupancy, warmup_mode, by_port=True)
+        totals = run_slots(
+            switch, [source], [ledger], slots, drain_slots, warmup,
+            check=check, probe=probe, timer=timer, observer=observer,
         )
-    return FastpathResult(
-        ports=ports,
-        replicas=replicas,
-        slots=slots,
-        drain_slots=drain_slots,
-        warmup=warmup,
-        window=total_slots - warmup,
-        offered_cells=offered,
-        carried_cells=carried,
-        backlog_integral=backlog_integral,
-        arrivals_by_input=arrivals_by_input,
-        departures_by_output=departures_by_output,
-        final_backlog=switch.backlog(),
-        warmup_mode=warmup_mode,
-        delay_cells=delay_cells,
-        delay_integral=delay_integral,
-        fct=source.fct_stats(warmup) if scenario_mode else None,
+    if probe is not None:
+        probe.phase_profile(timer, *totals)
+    return FastpathResult.from_ledger(
+        switch, ledger, slots, drain_slots, warmup,
+        fct=source.fct_stats(warmup) if sources is not None else None,
     )

@@ -20,13 +20,10 @@ recipe as :mod:`repro.sim.fastpath`:
   scheduler -- PIM by default) fills the leftover ports with VBR.
 
 Per-class mean delay is recovered by Little's law exactly as in
-:mod:`repro.sim.fastpath`: the pools are disjoint, so each class's
-end-of-slot backlog integral equals the summed delay of that class's
-cells over a drained run.  Both ``warmup_mode`` conventions are
-supported; ``"arrival"`` tracks legacy cells per pool and (given the
-per-VOQ FIFO that holds when each connection carries one flow) matches
-the object backend's arrival-keyed :class:`repro.sim.stats.DelayStats`
-exactly.
+:mod:`repro.sim.fastpath`, one :class:`~repro.sim.fastpath.PoolLedger`
+per pool: the pools are disjoint, so each class's end-of-slot backlog
+integral equals the summed delay of that class's cells over a drained
+run, in either ``warmup_mode``.
 
 Seed-for-seed parity: with ``replicas=1``, ``vbr_arrival_seeds=[s]``
 and ``match_seed=m``, this backend sees byte-identical arrivals and
@@ -57,8 +54,15 @@ from repro.cbr.reservations import ReservationTable
 from repro.core.batch import BatchScheduler, build_batch_scheduler
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy
 from repro.obs.perf import NULL_PHASE_TIMER
-from repro.sim.fastpath import _BatchedArrivals, _ObjectCompatArrivals
-from repro.sim.rng import RandomStreams
+from repro.sim.fastpath import (
+    PoolLedger,
+    ScenarioArrivals,
+    check_switch_shape,
+    check_window,
+    run_slots,
+    uniform_arrivals,
+)
+from repro.sim.rng import RandomStreams, derive_seed
 from repro.switch.flow import Flow
 from repro.traffic.cbr_source import CBRSource
 
@@ -150,20 +154,12 @@ class IntegratedFastpath:
         scheduler: BatchScheduler,
         cbr_buffer_bound: Optional[np.ndarray] = None,
     ):
-        if ports <= 0:
-            raise ValueError(f"ports must be positive, got {ports}")
-        if replicas <= 0:
-            raise ValueError(f"replicas must be positive, got {replicas}")
+        check_switch_shape(ports, replicas, scheduler)
         reserved = np.asarray(reserved, dtype=np.int64)
         if reserved.shape != (frame_slots, ports):
             raise ValueError(
                 f"reserved table must have shape ({frame_slots}, {ports}), "
                 f"got {reserved.shape}"
-            )
-        if (scheduler.replicas, scheduler.ports) != (replicas, ports):
-            raise ValueError(
-                f"scheduler is for {scheduler.replicas}x{scheduler.ports} "
-                f"replicas x ports, switch has {replicas}x{ports}"
             )
         self.ports = ports
         self.replicas = replicas
@@ -250,27 +246,43 @@ class IntegratedFastpath:
         if bb_c.size:
             requests[bb_c, ii_c, :] = False
             requests[bb_c, :, jj_c] = False
-        if getattr(self.scheduler, "needs_occupancy", False):
-            match = self.scheduler.schedule(
-                requests, np.where(requests, self.vbr, 0)
-            )
-        else:
-            match = self.scheduler.schedule(requests)
+        # Unmasked depths: kernels read them at requested cells only.
+        match = self.scheduler.schedule(requests, self.vbr)
         bb_v, ii_v = np.nonzero(match >= 0)
         jj_v = match[bb_v, ii_v]
         if check:
             if (self.vbr[bb_v, ii_v, jj_v] <= 0).any():
                 raise AssertionError("PIM matched an empty VBR VOQ")
-            claimed_in = np.zeros((self.replicas, self.ports), dtype=bool)
-            claimed_out = np.zeros((self.replicas, self.ports), dtype=bool)
-            claimed_in[bb_c, ii_c] = True
-            claimed_out[bb_c, jj_c] = True
-            if claimed_in[bb_v, ii_v].any() or claimed_out[bb_v, jj_v].any():
+            # Queued yet not requested: a row or column the claim masked.
+            if not requests[bb_v, ii_v, jj_v].all():
                 raise AssertionError("VBR fill collided with a CBR claim")
         self.vbr[bb_v, ii_v, jj_v] -= 1
         if check and ((self.cbr < 0).any() or (self.vbr < 0).any()):
             raise AssertionError("negative VOQ occupancy")
         return (bb_c, ii_c, jj_c), (bb_v, ii_v, jj_v)
+
+    def advance(self, slot: int, arrivals: Sequence, check: bool = False):
+        """:func:`run_slots` stage: :meth:`step` on the (CBR, VBR) pools."""
+        return self.step(slot, *arrivals, check=check)
+
+    def trace(self, probe, slot: int, departed) -> None:
+        """The slot's events after the kernel's own (``probe`` is enabled)."""
+        cbr_cells, vbr_cells = (int(cells[0].size) for cells in departed)
+        position = slot % self.frame_slots
+        reserved = self._res_inputs[position].size * self.replicas
+        probe.transfer(cbr_cells + vbr_cells)
+        probe.cbr_slot(
+            position=position,
+            reserved=reserved,
+            cbr_cells=cbr_cells,
+            vbr_cells=vbr_cells,
+            donated=reserved - cbr_cells,
+            cbr_backlog=int(self.cbr.sum()),
+            vbr_backlog=int(self.vbr.sum()),
+            replicas=self.replicas,
+        )
+        if probe.sampling:
+            probe.voq_snapshot((self.cbr + self.vbr).sum(axis=0), replica=-1)
 
     def backlog(self) -> np.ndarray:
         """(B,) cells buffered per replica, both pools."""
@@ -333,23 +345,10 @@ class CbrFastpathResult:
     vbr_delay_cells: Optional[np.ndarray] = None
     vbr_delay_integral: Optional[np.ndarray] = None
 
-    @staticmethod
-    def _pooled_delay(
-        integral: np.ndarray,
-        carried: np.ndarray,
-        delay_integral: Optional[np.ndarray],
-        delay_cells: Optional[np.ndarray],
-    ) -> float:
-        if delay_cells is not None:
-            cells = int(delay_cells.sum())
-            return float(delay_integral.sum()) / cells if cells else 0.0
-        total = int(carried.sum())
-        return float(integral.sum()) / total if total else 0.0
-
     @property
     def mean_cbr_delay(self) -> float:
         """Pooled mean CBR queueing delay in slots (Little's law)."""
-        return self._pooled_delay(
+        return PoolLedger.pooled_delay(
             self.cbr_backlog_integral, self.carried_cbr,
             self.cbr_delay_integral, self.cbr_delay_cells,
         )
@@ -357,7 +356,7 @@ class CbrFastpathResult:
     @property
     def mean_vbr_delay(self) -> float:
         """Pooled mean VBR queueing delay in slots (Little's law)."""
-        return self._pooled_delay(
+        return PoolLedger.pooled_delay(
             self.vbr_backlog_integral, self.carried_vbr,
             self.vbr_delay_integral, self.vbr_delay_cells,
         )
@@ -365,15 +364,12 @@ class CbrFastpathResult:
     @property
     def mean_delay(self) -> float:
         """Pooled mean delay over both classes."""
-        return self._pooled_delay(
+        keyed = self.cbr_delay_cells is not None
+        return PoolLedger.pooled_delay(
             self.cbr_backlog_integral + self.vbr_backlog_integral,
             self.carried_cbr + self.carried_vbr,
-            None
-            if self.cbr_delay_integral is None
-            else self.cbr_delay_integral + self.vbr_delay_integral,
-            None
-            if self.cbr_delay_cells is None
-            else self.cbr_delay_cells + self.vbr_delay_cells,
+            self.cbr_delay_integral + self.vbr_delay_integral if keyed else None,
+            self.cbr_delay_cells + self.vbr_delay_cells if keyed else None,
         )
 
     @property
@@ -409,34 +405,25 @@ class CbrFastpathResult:
         )
 
 
-class _CbrSourceArrivals:
-    """Per-replica jittered CBR arrivals, converted to count tensors.
+class _FramePattern:
+    """The deterministic CBR emission pattern as an arrival source.
 
-    Used for jitter parity runs: replica b drives a real
-    :class:`CBRSource` seeded with ``seeds[b]``, consuming its jitter
-    stream draw-for-draw like an object-backend run with the same seed.
+    The pattern consumes no randomness, so every replica sees the same
+    counts: a slot's arrivals are a zero-stride ``(B, N, N)`` view of
+    one frame position of :func:`compile_cbr_pattern`, no copy.
     """
 
-    def __init__(
-        self,
-        ports: int,
-        flows: Sequence[Flow],
-        frame_slots: int,
-        seeds: Sequence[Optional[int]],
-    ):
-        self.ports = ports
-        self._sources = [
-            CBRSource(ports, flows, frame_slots, jitter=True, seed=seed)
-            for seed in seeds
-        ]
-
-    def slot_counts(self, slot: int) -> np.ndarray:
-        counts = np.zeros(
-            (len(self._sources), self.ports, self.ports), dtype=np.int64
+    def __init__(self, pattern: np.ndarray, replicas: int):
+        frame_slots, ports, _ = pattern.shape
+        self._frames = np.broadcast_to(
+            pattern[:, None], (frame_slots, replicas, ports, ports)
         )
-        for b, source in enumerate(self._sources):
-            for input_port, cell in source.arrivals(slot):
-                counts[b, input_port, cell.output] += 1
+        self._slot = 0
+
+    def slot_counts(self) -> np.ndarray:
+        """(B, N, N) arrival counts for the next slot."""
+        counts = self._frames[self._slot % self._frames.shape[0]]
+        self._slot += 1
         return counts
 
 
@@ -458,7 +445,6 @@ def run_fastpath_cbr(
     drain_slots: int = 0,
     check: bool = False,
     probe=None,
-    trace_stride: Optional[int] = None,
     cbr_buffer_bound: BoundSpec = "auto",
     phase_timer=None,
 ) -> CbrFastpathResult:
@@ -476,13 +462,14 @@ def run_fastpath_cbr(
         Arrival-carrying slots, plus arrival-free slots appended so
         both pools can flush (making the Little's-law identity exact).
     replicas, warmup, warmup_mode, iterations, accept, check, probe,
-    trace_stride:
+    phase_timer:
         As :func:`repro.sim.fastpath.run_fastpath`; ``warmup_mode=
-        "arrival"`` tracks legacy cells per class pool.
+        "arrival"`` tracks legacy cells per class pool, and an enabled
+        probe additionally gets one ``cbr_slot`` event per slot.
     scheduler:
         Batched kernel registry name for the VBR gap fill
         (``repro.core.BATCH_SCHEDULERS``); occupancy-aware kernels see
-        the VBR queue depths masked to the unreserved ports.
+        the VBR queue depths of the unreserved ports.
     seed:
         Root seed; VBR arrival and matching streams derive from it
         ("cbr-fastpath/vbr-arrivals", "cbr-fastpath/<scheduler>").
@@ -498,58 +485,34 @@ def run_fastpath_cbr(
         emission pattern, compiled once and shared by every replica
         (it consumes no randomness).  ``True`` drives one jittered
         :class:`CBRSource` per replica, seeded from
-        ``cbr_jitter_seeds`` (or derived from ``seed``).
+        ``cbr_jitter_seeds`` (or derived from ``seed``), each consuming
+        its jitter stream draw for draw like an object-backend run
+        with the same seed.
     cbr_buffer_bound:
         Appendix B enforcement, as
         :class:`repro.cbr.integrated.IntegratedSwitch`: ``"auto"``
         derives per-input ``2 x input_committed(i)`` from the
         reservation table; an overflow raises
         :class:`CBRBufferOverflow`.
-    phase_timer:
-        Optional :class:`repro.obs.perf.PhaseTimer`; profiles the run
-        under the shared phase taxonomy (``run`` root with
-        ``run/compile``, ``run/arrivals``, ``run/kernel``,
-        ``run/update`` children), as
-        :func:`repro.sim.fastpath.run_fastpath`.
 
     Returns a :class:`CbrFastpathResult`.
     """
-    if not 0.0 <= vbr_load <= 1.0:
-        raise ValueError(f"vbr_load must be in [0, 1], got {vbr_load}")
-    if slots <= 0:
-        raise ValueError(f"slots must be positive, got {slots}")
-    if drain_slots < 0:
-        raise ValueError(f"drain_slots must be >= 0, got {drain_slots}")
-    total_slots = slots + drain_slots
-    if not 0 <= warmup < total_slots:
-        raise ValueError(f"warmup must be in [0, {total_slots}), got {warmup}")
-    if warmup_mode not in ("slot", "arrival"):
-        raise ValueError(
-            f"warmup_mode must be 'slot' or 'arrival', got {warmup_mode!r}"
-        )
-
-    timer = (
-        phase_timer
-        if phase_timer is not None and phase_timer.enabled
-        else NULL_PHASE_TIMER
-    )
+    check_window(vbr_load, slots, drain_slots, warmup, warmup_mode, "vbr_load")
+    timer = phase_timer or NULL_PHASE_TIMER
     with timer.phase("run"):
         with timer.phase("compile"):
             ports = reservations.ports
             frame_slots = reservations.frame_slots
             streams = RandomStreams(seed)
-            match_rng = (
-                np.random.default_rng(match_seed)
-                if match_seed is not None
-                else streams.get(f"cbr-fastpath/{scheduler}")
-            )
             kernel = build_batch_scheduler(
                 scheduler,
                 replicas=replicas,
                 ports=ports,
                 iterations=iterations,
                 accept=accept,
-                rng=match_rng,
+                rng=np.random.default_rng(match_seed)
+                if match_seed is not None
+                else streams.get(f"cbr-fastpath/{scheduler}"),
                 track_sizes=False,
             )
             bound = resolve_cbr_buffer_bound(
@@ -567,8 +530,6 @@ def run_fastpath_cbr(
             flows = reservations.flows()
             if cbr_jitter:
                 if cbr_jitter_seeds is None:
-                    from repro.sim.rng import derive_seed
-
                     cbr_jitter_seeds = [
                         derive_seed(seed, f"cbr-fastpath/jitter/{b}")
                         for b in range(replicas)
@@ -578,151 +539,30 @@ def run_fastpath_cbr(
                         f"cbr_jitter_seeds has {len(cbr_jitter_seeds)} entries "
                         f"for {replicas} replicas"
                     )
-                cbr_source: Optional[_CbrSourceArrivals] = _CbrSourceArrivals(
-                    ports, flows, frame_slots, cbr_jitter_seeds
+                cbr_source = ScenarioArrivals(
+                    ports,
+                    [
+                        CBRSource(ports, flows, frame_slots, jitter=True, seed=s)
+                        for s in cbr_jitter_seeds
+                    ],
+                    slots,
                 )
-                cbr_pattern = None
             else:
-                cbr_source = None
-                cbr_pattern = compile_cbr_pattern(ports, flows, frame_slots)
-
-            if vbr_arrival_seeds is not None:
-                if len(vbr_arrival_seeds) != replicas:
-                    raise ValueError(
-                        f"vbr_arrival_seeds has {len(vbr_arrival_seeds)} entries "
-                        f"for {replicas} replicas"
-                    )
-                vbr_source = _ObjectCompatArrivals(ports, vbr_load, vbr_arrival_seeds)
-            else:
-                vbr_source = _BatchedArrivals(
-                    ports, replicas, vbr_load,
-                    streams.get("cbr-fastpath/vbr-arrivals"),
+                cbr_source = _FramePattern(
+                    compile_cbr_pattern(ports, flows, frame_slots), replicas
                 )
-
-        traced = probe is not None and probe.enabled
-        if traced:
-            if trace_stride is not None:
-                if trace_stride < 1:
-                    raise ValueError(
-                        f"trace_stride must be >= 1, got {trace_stride}"
-                    )
-                probe.stride = trace_stride
-            kernel.attach_probe(probe)
-
-        offered_cbr = np.zeros(replicas, dtype=np.int64)
-        offered_vbr = np.zeros(replicas, dtype=np.int64)
-        carried_cbr = np.zeros(replicas, dtype=np.int64)
-        carried_vbr = np.zeros(replicas, dtype=np.int64)
-        cbr_integral = np.zeros(replicas, dtype=np.int64)
-        vbr_integral = np.zeros(replicas, dtype=np.int64)
-        arrival_keyed = warmup_mode == "arrival"
-        legacy_cbr: Optional[np.ndarray] = None
-        legacy_vbr: Optional[np.ndarray] = None
-        cbr_delay_cells = np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        cbr_delay_integral = (
-            np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        )
-        vbr_delay_cells = np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        vbr_delay_integral = (
-            np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        )
-
-        for slot in range(total_slots):
-            with timer.phase("arrivals"):
-                if slot < slots:
-                    position = slot % frame_slots
-                    if cbr_source is not None:
-                        cbr_counts: Optional[np.ndarray] = cbr_source.slot_counts(slot)
-                    elif cbr_pattern is not None:
-                        # Shared deterministic pattern; broadcast, no copy.
-                        cbr_counts = cbr_pattern[position][None, :, :]
-                    else:
-                        cbr_counts = None
-                    vbr_counts: Optional[np.ndarray] = vbr_source.slot_counts()
-                else:
-                    cbr_counts = vbr_counts = None
-            if arrival_keyed and slot == warmup:
-                # Cells still queued at the warmup boundary arrived before
-                # it; per-VOQ FIFO (exact when each connection carries one
-                # flow) means they depart before anything arriving later.
-                legacy_cbr = switch.cbr.copy()
-                legacy_vbr = switch.vbr.copy()
-            if traced:
-                arrivals = 0
-                if cbr_counts is not None:
-                    arrivals += int(cbr_counts.sum()) * (
-                        replicas if cbr_counts.shape[0] == 1 and replicas > 1 else 1
-                    )
-                if vbr_counts is not None:
-                    arrivals += int(vbr_counts.sum())
-                probe.begin_slot(
-                    slot, arrivals=arrivals, backlog=int(switch.backlog().sum())
-                )
-            with timer.phase("kernel"):
-                (bb_c, ii_c, jj_c), (bb_v, ii_v, jj_v) = switch.step(
-                    slot, cbr_counts, vbr_counts, check=check
-                )
-            if traced:
-                position = slot % frame_slots
-                reserved_pairs = switch._res_inputs[position].size
-                probe.transfer(int(bb_c.size + bb_v.size))
-                probe.cbr_slot(
-                    position=position,
-                    reserved=reserved_pairs * replicas,
-                    cbr_cells=int(bb_c.size),
-                    vbr_cells=int(bb_v.size),
-                    donated=reserved_pairs * replicas - int(bb_c.size),
-                    cbr_backlog=int(switch.cbr.sum()),
-                    vbr_backlog=int(switch.vbr.sum()),
-                    replicas=replicas,
-                )
-                if probe.sampling:
-                    probe.voq_snapshot(
-                        (switch.cbr + switch.vbr).sum(axis=0), replica=-1
-                    )
-            if slot < warmup:
-                continue
-            with timer.phase("update"):
-                if cbr_counts is not None:
-                    per_replica = cbr_counts.sum(axis=(1, 2))
-                    offered_cbr += (
-                        per_replica if per_replica.size > 1 else per_replica[0]
-                    )
-                if vbr_counts is not None:
-                    offered_vbr += vbr_counts.sum(axis=(1, 2))
-                carried_cbr += np.bincount(bb_c, minlength=replicas)
-                carried_vbr += np.bincount(bb_v, minlength=replicas)
-                cbr_integral += switch.cbr.sum(axis=(1, 2))
-                vbr_integral += switch.vbr.sum(axis=(1, 2))
-                if arrival_keyed:
-                    # At most one departure per (replica, input, class) per
-                    # slot, so the index triples are unique per class and the
-                    # fancy-indexed legacy decrements are safe.
-                    was_legacy = legacy_cbr[bb_c, ii_c, jj_c] > 0
-                    legacy_cbr[
-                        bb_c[was_legacy], ii_c[was_legacy], jj_c[was_legacy]
-                    ] -= 1
-                    cbr_delay_cells += np.bincount(
-                        bb_c[~was_legacy], minlength=replicas
-                    )
-                    cbr_delay_integral += (switch.cbr - legacy_cbr).sum(axis=(1, 2))
-                    was_legacy = legacy_vbr[bb_v, ii_v, jj_v] > 0
-                    legacy_vbr[
-                        bb_v[was_legacy], ii_v[was_legacy], jj_v[was_legacy]
-                    ] -= 1
-                    vbr_delay_cells += np.bincount(
-                        bb_v[~was_legacy], minlength=replicas
-                    )
-                    vbr_delay_integral += (switch.vbr - legacy_vbr).sum(axis=(1, 2))
-
-    if traced:
-        kernel.attach_probe(None)
-        if timer.enabled:
-            probe.phase_profile(
-                timer,
-                slots=replicas * total_slots,
-                cells=int(carried_cbr.sum() + carried_vbr.sum()),
+            vbr_source = uniform_arrivals(
+                ports, replicas, vbr_load, vbr_arrival_seeds,
+                streams.get("cbr-fastpath/vbr-arrivals"), "vbr_arrival_seeds",
             )
+        cbr = PoolLedger(switch.cbr, warmup_mode)
+        vbr = PoolLedger(switch.vbr, warmup_mode)
+        totals = run_slots(
+            switch, [cbr_source, vbr_source], [cbr, vbr], slots, drain_slots,
+            warmup, check=check, probe=probe, timer=timer,
+        )
+    if probe is not None:
+        probe.phase_profile(timer, *totals)
     return CbrFastpathResult(
         ports=ports,
         replicas=replicas,
@@ -730,21 +570,21 @@ def run_fastpath_cbr(
         slots=slots,
         drain_slots=drain_slots,
         warmup=warmup,
-        window=total_slots - warmup,
-        offered_cbr=offered_cbr,
-        offered_vbr=offered_vbr,
-        carried_cbr=carried_cbr,
-        carried_vbr=carried_vbr,
-        cbr_backlog_integral=cbr_integral,
-        vbr_backlog_integral=vbr_integral,
+        window=slots + drain_slots - warmup,
+        offered_cbr=cbr.offered,
+        offered_vbr=vbr.offered,
+        carried_cbr=cbr.carried,
+        carried_vbr=vbr.carried,
+        cbr_backlog_integral=cbr.backlog_integral,
+        vbr_backlog_integral=vbr.backlog_integral,
         cbr_slots_used=switch.cbr_slots_used.copy(),
         cbr_slots_donated=switch.cbr_slots_donated.copy(),
         peak_cbr_buffer=switch.peak_cbr_buffer.copy(),
         final_backlog=switch.backlog(),
         warmup_mode=warmup_mode,
         cbr_buffer_bound=tuple(int(b) for b in bound) if bound is not None else None,
-        cbr_delay_cells=cbr_delay_cells,
-        cbr_delay_integral=cbr_delay_integral,
-        vbr_delay_cells=vbr_delay_cells,
-        vbr_delay_integral=vbr_delay_integral,
+        cbr_delay_cells=cbr.delay_cells,
+        cbr_delay_integral=cbr.delay_integral,
+        vbr_delay_cells=vbr.delay_cells,
+        vbr_delay_integral=vbr.delay_integral,
     )

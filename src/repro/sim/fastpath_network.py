@@ -117,7 +117,6 @@ class _Turn(NamedTuple):
     """What one switch's turn in the slot loop reads, replicas included."""
 
     sched: object
-    weighted: bool  # the kernel takes VOQ depths besides requests
     depth: np.ndarray  # (B, ports, ports) view: the switch's corner of occ
     wants: np.ndarray  # (B, ports, ports) view: its corner of the request cube
     rows: np.ndarray  # (B * ports,) flat occ index of each raveled match row
@@ -519,11 +518,7 @@ class NetworkFastpath:
             host injection, ``run/kernel`` per-switch scheduling and
             transfer, ``run/update`` delay/series/check accounting).
         """
-        timer = (
-            phase_timer
-            if phase_timer is not None and phase_timer.enabled
-            else NULL_PHASE_TIMER
-        )
+        timer = phase_timer or NULL_PHASE_TIMER
         with timer.phase("run"):
             return self._run(timer, slots, warmup, record_series, check)
 
@@ -584,7 +579,6 @@ class NetworkFastpath:
                 switches.append(
                     _Turn(
                         sched=sched,
-                        weighted=getattr(sched, "needs_occupancy", False),
                         depth=occ[s, :, :ports, :ports],
                         wants=requests[s, :, :ports, :ports],
                         rows=rows.ravel(),
@@ -728,20 +722,15 @@ class NetworkFastpath:
             np.greater(occ, 0, out=requests)
             departed = []
             for s in requests.any(axis=(1, 2, 3)).nonzero()[0].tolist():
-                sched, weighted, depth, wants, rows, credit_ports, credit_rows = (
-                    switches[s]
-                )
+                sched, depth, wants, rows, credit_ports, credit_rows = switches[s]
                 if credit_ports.size:
                     blocked = occ_rows[credit_rows].sum(axis=2) >= limit
                     if blocked.any():
                         wants[:, :, credit_ports] &= ~blocked[:, None, :]
                         if not wants.any():
                             continue  # no scheduling rounds run: no draws
-                if weighted:
-                    match = sched.schedule(wants, np.where(wants, depth, 0))
-                else:
-                    match = sched.schedule(wants)
-                match = match.ravel()
+                # Kernels read the depths at requested cells only.
+                match = sched.schedule(wants, depth).ravel()
                 matched = (match >= 0).nonzero()[0]
                 if matched.size == 0:
                     continue

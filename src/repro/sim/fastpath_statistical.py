@@ -45,6 +45,7 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.core.batch import BatchScheduler
 from repro.core.pim import AN2_ITERATIONS, BatchPIMScheduler
 from repro.core.statistical import (
     StatisticalMatcher,
@@ -54,7 +55,14 @@ from repro.core.statistical import (
     virtual_grant_pmf,
 )
 from repro.obs.perf import NULL_PHASE_TIMER
-from repro.sim.fastpath import FastpathResult, _BatchedArrivals, _ObjectCompatArrivals
+from repro.sim.fastpath import (
+    FastpathCrossbar,
+    FastpathResult,
+    PoolLedger,
+    check_window,
+    run_slots,
+    uniform_arrivals,
+)
 from repro.sim.rng import RandomStreams, default_seed, derive_seed
 
 __all__ = [
@@ -182,22 +190,30 @@ class StatRoundCounts:
     matched: int
 
 
-class BatchStatisticalMatcher:
+class BatchStatisticalMatcher(BatchScheduler):
     """Statistical matching for B replicas at once, on compiled tables.
 
-    One :meth:`match` call draws a full slot's lottery for all
-    replicas: ``rounds`` grant/virtual-grant/accept rounds with the
-    round-2+ both-endpoints-unmatched filter.  The generator is
-    consumed in the object matcher's four fixed-order uniform passes,
-    flattened row-major over (replica, port), so at B = 1 the draws
-    coincide with :class:`StatisticalMatcher` exactly.
+    A :class:`repro.core.batch.BatchScheduler` kernel, the batched twin
+    of :class:`StatisticalMatcher` as a switch scheduler:
+    :meth:`schedule` draws the slot's lottery (:meth:`match`: ``rounds``
+    grant/virtual-grant/accept rounds with the round-2+
+    both-endpoints-unmatched filter, queue-oblivious), drops the
+    matches no request backs (their reserved slot stays idle) and, with
+    ``fill``, hands the ports left idle to a masked
+    :class:`repro.core.pim.BatchPIMScheduler` of ``AN2_ITERATIONS``
+    iterations (Section 5.2).  Draw order and the fill's own stream are
+    the module docstring's parity and decoupling contracts.  An
+    attached probe gets one ``stat_round`` event per round.
 
-    The matcher is queue-oblivious, like the object model's
-    :meth:`StatisticalMatcher.match`; the run loop drops matches with
-    no queued cell and PIM-fills (see :func:`run_fastpath_statistical`).
+    ``stat_cells`` is the (B,) count of the last :meth:`schedule`
+    call's matches that the lottery carried (the rest are the fill's).
+    ``check``, set by ``run_fastpath_statistical(check=True)``, asserts
+    on every call that no zero-allocation pair is granted and no fill
+    match lands on a lottery-taken input or output (tests only).
     """
 
     name = "statistical"
+    check = False
 
     def __init__(
         self,
@@ -206,31 +222,35 @@ class BatchStatisticalMatcher:
         rounds: int = 2,
         replicas: int = 1,
         seed: Optional[int] = None,
-        tables: Optional[CompiledStatTables] = None,
+        fill: bool = False,
     ):
         if rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
-        if replicas < 1:
-            raise ValueError(f"replicas must be >= 1, got {replicas}")
-        self.tables = (
-            tables if tables is not None else compile_stat_tables(allocations, units)
-        )
-        self.ports = self.tables.ports
+        self.tables = compile_stat_tables(allocations, units)
+        super().__init__(replicas, self.tables.ports)
         self.units = self.tables.units
         self.rounds = rounds
-        self.replicas = replicas
         if seed is None:
             seed = default_seed("statistical")
         self._seed = seed
         self._rng = np.random.default_rng(seed)
+        # Same derivation as the object matcher's _fill_rng: the
+        # statistical stream is untouched by the fill phase.
+        self._fill: Optional[BatchPIMScheduler] = None
+        if fill:
+            self._fill = BatchPIMScheduler(
+                replicas, self.ports, iterations=AN2_ITERATIONS,
+                seed=derive_seed(seed, "statistical/fill"), track_sizes=False,
+            )
+        self.stat_cells = np.zeros(replicas, dtype=np.int64)
 
     def reset(self) -> None:
-        """Rewind the generator to its as-constructed state."""
+        """Rewind the lottery and fill generators to their as-constructed state."""
         self._rng = np.random.default_rng(self._seed)
+        if self._fill is not None:
+            self._fill.reset()
 
-    def _one_round(
-        self, check: bool = False
-    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+    def _one_round(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
         """One batched grant / virtual-grant / accept round.
 
         Returns ``(bb, ii, jj, granted, virtual_total, decoy_total)``:
@@ -255,7 +275,7 @@ class BatchStatisticalMatcher:
         virtual = np.zeros((b, n, n), dtype=np.int64)
         if bb.size:
             rows = t.virtual_row[ii, jj]
-            if check and (rows < 0).any():
+            if self.check and (rows < 0).any():
                 raise AssertionError("granted a zero-allocation pair")
             m = (t.virtual_cdf_rows[rows] <= u_virtual[:, None]).sum(axis=1)
             # Each output grants at most once, so the (b, i, j) triples
@@ -292,9 +312,7 @@ class BatchStatisticalMatcher:
             int(decoys.sum()),
         )
 
-    def match_with_counts(
-        self, check: bool = False
-    ) -> Tuple[np.ndarray, List[StatRoundCounts]]:
+    def match_with_counts(self) -> Tuple[np.ndarray, List[StatRoundCounts]]:
         """One slot's matching for all replicas, plus per-round counts.
 
         Returns ``(match, rounds)`` where ``match[b, i]`` is the output
@@ -307,8 +325,9 @@ class BatchStatisticalMatcher:
         match = np.full((b, n), -1, dtype=np.int64)
         output_taken = np.zeros((b, n), dtype=bool)
         per_round: List[StatRoundCounts] = []
-        for _ in range(self.rounds):
-            rb, ri, rj, granted, virtual_total, decoy_total = self._one_round(check)
+        probe = self._probe
+        for index in range(self.rounds):
+            rb, ri, rj, granted, virtual_total, decoy_total = self._one_round()
             # Keep a round-2+ pair only when both endpoints are still
             # unmatched (pairs within a round never conflict: each
             # output grants once and each input accepts once).
@@ -326,12 +345,45 @@ class BatchStatisticalMatcher:
                     matched=int((match >= 0).sum()),
                 )
             )
+            if probe is not None and probe.enabled:
+                probe.stat_round(index, replicas=b, **vars(per_round[-1]))
         return match, per_round
 
     def match(self) -> np.ndarray:
         """(B, N) matched output per input (-1 unmatched) for one slot."""
         match, _ = self.match_with_counts()
         return match
+
+    def schedule(
+        self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One slot's lottery, dropped where unbacked, then the PIM fill."""
+        batch = self._validate_batch(requests)
+        match, _ = self.match_with_counts()
+        sb, si = np.nonzero(match >= 0)
+        sj = match[sb, si]
+        backed = batch[sb, si, sj]
+        match[sb, si] = np.where(backed, sj, -1)
+        sb, si, sj = sb[backed], si[backed], sj[backed]
+        self.stat_cells = np.bincount(sb, minlength=self.replicas)
+        if self._fill is None:
+            return match
+        # The lottery's ports are off the table for the fill.
+        residual = batch.copy()
+        residual[sb, si, :] = False
+        residual[sb, :, sj] = False
+        fill = self._fill.schedule(residual)
+        if self.check:
+            if (fill[sb, si] >= 0).any():
+                raise AssertionError("fill matched a statistical-taken input")
+            taken = np.zeros((self.replicas, self.ports), dtype=bool)
+            taken[sb, sj] = True
+            fb, fi = np.nonzero(fill >= 0)
+            if taken[fb, fill[fb, fi]].any():
+                raise AssertionError("fill matched a statistical-taken output")
+        # Lottery-taken inputs were masked, so at most one side of each
+        # entry is matched and the maximum merges the two.
+        return np.maximum(match, fill, out=match)
 
     def __repr__(self) -> str:
         return (
@@ -363,6 +415,20 @@ class StatFastpathResult(FastpathResult):
         )
 
 
+class _SplitLedger(PoolLedger):
+    """A crossbar ledger that also tallies the lottery's share of each
+    in-window slot's departures, as the matcher reports it."""
+
+    def __init__(self, matcher: BatchStatisticalMatcher, pool, warmup_mode: str):
+        super().__init__(pool, warmup_mode, by_port=True)
+        self._matcher = matcher
+        self.stat_cells = np.zeros(matcher.replicas, dtype=np.int64)
+
+    def update(self, counts, departed) -> None:
+        super().update(counts, departed)
+        self.stat_cells += self._matcher.stat_cells
+
+
 def run_fastpath_statistical(
     allocations: np.ndarray,
     units: int,
@@ -370,7 +436,6 @@ def run_fastpath_statistical(
     slots: int,
     rounds: int = 2,
     fill: bool = True,
-    fill_iterations: int = AN2_ITERATIONS,
     replicas: int = 1,
     warmup: int = 0,
     seed: int = 0,
@@ -379,18 +444,18 @@ def run_fastpath_statistical(
     drain_slots: int = 0,
     check: bool = False,
     probe=None,
-    trace_stride: Optional[int] = None,
     warmup_mode: str = "slot",
     phase_timer=None,
 ) -> StatFastpathResult:
     """Simulate B replicas of a statistically-matched crossbar.
 
-    The slot anatomy mirrors ``CrossbarSwitch`` running a
-    ``StatisticalMatcher(fill=...)`` scheduler: arrivals land, the
-    statistical lottery draws a matching, matches with no queued cell
-    are dropped (the reserved slot is idle), and -- when ``fill`` is on
-    -- the remaining requests go to a masked batched PIM over the
-    untaken ports.
+    :class:`repro.sim.fastpath.FastpathCrossbar` stepping a
+    :class:`BatchStatisticalMatcher` kernel -- the slot anatomy of
+    ``CrossbarSwitch`` running a ``StatisticalMatcher(fill=...)``
+    scheduler: arrivals land, the statistical lottery draws a matching,
+    matches with no queued cell are dropped (the reserved slot is
+    idle), and -- when ``fill`` is on -- the remaining requests go to a
+    masked batched PIM over the untaken ports.
 
     Parameters
     ----------
@@ -399,11 +464,12 @@ def run_fastpath_statistical(
     load, slots:
         Per-link Bernoulli offered load of the (VBR) traffic and the
         number of arrival-carrying slots.
-    fill, fill_iterations:
-        Enable the Section 5.2 PIM fill phase and its iteration
-        budget.
-    replicas, warmup, warmup_mode, drain_slots:
-        As :func:`repro.sim.fastpath.run_fastpath`.
+    fill:
+        Enable the Section 5.2 PIM fill phase.
+    replicas, warmup, warmup_mode, drain_slots, arrival_seeds, check,
+    phase_timer:
+        As :func:`repro.sim.fastpath.run_fastpath` (``run/compile`` is
+        the table compilation, ``run/kernel`` the lottery plus fill).
     seed:
         Root seed for the arrival streams ("fastpath/arrivals").
     match_seed:
@@ -414,226 +480,41 @@ def run_fastpath_statistical(
         with fill on or off, and a ``StatisticalMatcher(seed=
         match_seed)`` consumes the same stream draw for draw (the B = 1
         parity contract).
-    arrival_seeds:
-        Length-B: replica b's arrivals replicate
-        ``UniformTraffic(ports, load, seed=arrival_seeds[b])`` draw for
-        draw (the parity mode), instead of the batched stream.
-    check:
-        Assert occupancy/matching invariants every slot (tests only).
     probe:
         Optional :class:`repro.obs.probe.Probe`.  Every enabled slot
         emits ``SlotBegin``, one ``StatRound`` per matching round
         (counts pooled over replicas), and ``CrossbarTransfer``; slots
-        selected by the stride add a pooled ``VoqSnapshot``.
-    trace_stride:
-        Convenience override of ``probe.stride`` for this run.
-    phase_timer:
-        Optional :class:`repro.obs.perf.PhaseTimer`; profiles the run
-        under the shared taxonomy (``run`` root; ``run/compile`` table
-        compilation, ``run/arrivals``, ``run/kernel`` the lottery plus
-        PIM fill, ``run/update``), as
-        :func:`repro.sim.fastpath.run_fastpath`.
+        selected by the probe's stride add a pooled ``VoqSnapshot``.
 
     Returns a :class:`StatFastpathResult`.
     """
-    if not 0.0 <= load <= 1.0:
-        raise ValueError(f"load must be in [0, 1], got {load}")
-    if slots <= 0:
-        raise ValueError(f"slots must be positive, got {slots}")
-    if drain_slots < 0:
-        raise ValueError(f"drain_slots must be >= 0, got {drain_slots}")
-    total_slots = slots + drain_slots
-    if not 0 <= warmup < total_slots:
-        raise ValueError(f"warmup must be in [0, {total_slots}), got {warmup}")
-    if warmup_mode not in ("slot", "arrival"):
-        raise ValueError(
-            f"warmup_mode must be 'slot' or 'arrival', got {warmup_mode!r}"
-        )
-
-    timer = (
-        phase_timer
-        if phase_timer is not None and phase_timer.enabled
-        else NULL_PHASE_TIMER
-    )
+    check_window(load, slots, drain_slots, warmup, warmup_mode)
+    timer = phase_timer or NULL_PHASE_TIMER
     with timer.phase("run"):
         with timer.phase("compile"):
-            streams = RandomStreams(seed)
             if match_seed is None:
                 match_seed = derive_seed(seed, "fastpath/statistical")
             matcher = BatchStatisticalMatcher(
                 allocations, units, rounds=rounds, replicas=replicas,
-                seed=match_seed,
+                seed=match_seed, fill=fill,
             )
-            ports = matcher.ports
-            fill_scheduler: Optional[BatchPIMScheduler] = None
-            if fill:
-                # Same derivation as the object matcher's _fill_rng: the
-                # statistical stream is untouched by the fill phase.
-                fill_scheduler = BatchPIMScheduler(
-                    replicas=replicas,
-                    ports=ports,
-                    iterations=fill_iterations,
-                    accept="random",
-                    rng=np.random.default_rng(
-                        derive_seed(match_seed, "statistical/fill")
-                    ),
-                    track_sizes=False,
-                )
-            if arrival_seeds is not None:
-                if len(arrival_seeds) != replicas:
-                    raise ValueError(
-                        f"arrival_seeds has {len(arrival_seeds)} entries for "
-                        f"{replicas} replicas"
-                    )
-                source = _ObjectCompatArrivals(ports, load, arrival_seeds)
-            else:
-                source = _BatchedArrivals(
-                    ports, replicas, load, streams.get("fastpath/arrivals")
-                )
-
-        traced = probe is not None and probe.enabled
-        if traced and trace_stride is not None:
-            if trace_stride < 1:
-                raise ValueError(f"trace_stride must be >= 1, got {trace_stride}")
-            probe.stride = trace_stride
-
-        occupancy = np.zeros((replicas, ports, ports), dtype=np.int64)
-        offered = np.zeros(replicas, dtype=np.int64)
-        carried = np.zeros(replicas, dtype=np.int64)
-        stat_cells = np.zeros(replicas, dtype=np.int64)
-        fill_cells = np.zeros(replicas, dtype=np.int64)
-        backlog_integral = np.zeros(replicas, dtype=np.int64)
-        arrivals_by_input = np.zeros((replicas, ports), dtype=np.int64)
-        departures_by_output = np.zeros((replicas, ports), dtype=np.int64)
-        arrival_keyed = warmup_mode == "arrival"
-        legacy: Optional[np.ndarray] = None
-        delay_cells = np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
-        delay_integral = (
-            np.zeros(replicas, dtype=np.int64) if arrival_keyed else None
+            matcher.check = check
+            switch = FastpathCrossbar(matcher.ports, replicas, matcher)
+            source = uniform_arrivals(
+                matcher.ports, replicas, load, arrival_seeds,
+                RandomStreams(seed).get("fastpath/arrivals"),
+            )
+        ledger = _SplitLedger(matcher, switch.occupancy, warmup_mode)
+        totals = run_slots(
+            switch, [source], [ledger], slots, drain_slots, warmup,
+            check=check, probe=probe, timer=timer,
         )
-
-        for slot in range(total_slots):
-            with timer.phase("arrivals"):
-                counts = source.slot_counts() if slot < slots else None
-            if arrival_keyed and slot == warmup:
-                # Cells still queued at the start of the warmup boundary
-                # arrived before it; per-VOQ FIFO order guarantees they
-                # depart before anything arriving from here on.
-                legacy = occupancy.copy()
-            if traced:
-                # begin_slot precedes the arrivals landing, so the backlog
-                # field is the pre-arrival occupancy (object convention).
-                probe.begin_slot(
-                    slot,
-                    arrivals=int(counts.sum()) if counts is not None else 0,
-                    backlog=int(occupancy.sum()),
-                )
-            if counts is not None:
-                occupancy += counts
-            with timer.phase("kernel"):
-                # Statistical lottery; matches with no queued cell are
-                # dropped (their reserved slot stays idle, the ports go
-                # to the fill).
-                match, per_round = matcher.match_with_counts(check=check)
-                sb, si = np.nonzero(match >= 0)
-                sj = match[sb, si]
-                backed = occupancy[sb, si, sj] > 0
-                sb, si, sj = sb[backed], si[backed], sj[backed]
-
-                if fill_scheduler is not None:
-                    requests = occupancy > 0
-                    if sb.size:
-                        requests[sb, si, :] = False
-                        requests[sb, :, sj] = False
-                    fill_match = fill_scheduler.schedule(requests)
-                    fb, fi = np.nonzero(fill_match >= 0)
-                    fj = fill_match[fb, fi]
-                else:
-                    fb = fi = fj = _EMPTY
-            if traced:
-                for index, counts_r in enumerate(per_round):
-                    probe.stat_round(
-                        index,
-                        granted=counts_r.granted,
-                        virtual=counts_r.virtual,
-                        decoys=counts_r.decoys,
-                        accepted=counts_r.accepted,
-                        kept=counts_r.kept,
-                        matched=counts_r.matched,
-                        replicas=replicas,
-                    )
-
-            if check:
-                if sb.size and (occupancy[sb, si, sj] <= 0).any():
-                    raise AssertionError("statistical match without a queued cell")
-                if fb.size and (occupancy[fb, fi, fj] <= 0).any():
-                    raise AssertionError("fill match without a queued cell")
-                taken = np.zeros((replicas, ports), dtype=bool)
-                taken[sb, si] = True
-                if taken[fb, fi].any():
-                    raise AssertionError("fill matched a statistical-taken input")
-                taken = np.zeros((replicas, ports), dtype=bool)
-                taken[sb, sj] = True
-                if taken[fb, fj].any():
-                    raise AssertionError("fill matched a statistical-taken output")
-
-            bb = np.concatenate([sb, fb])
-            ii = np.concatenate([si, fi])
-            jj = np.concatenate([sj, fj])
-            occupancy[bb, ii, jj] -= 1
-            if check and (occupancy < 0).any():
-                raise AssertionError("negative VOQ occupancy")
-            if traced:
-                probe.transfer(int(bb.size))
-                if probe.sampling:
-                    probe.voq_snapshot(occupancy.sum(axis=0), replica=-1)
-            if slot < warmup:
-                continue
-            with timer.phase("update"):
-                if counts is not None:
-                    per_input = counts.sum(axis=2)
-                    arrivals_by_input += per_input
-                    offered += per_input.sum(axis=1)
-                carried += np.bincount(bb, minlength=replicas)
-                stat_cells += np.bincount(sb, minlength=replicas)
-                fill_cells += np.bincount(fb, minlength=replicas)
-                departures_by_output += np.bincount(
-                    bb * ports + jj, minlength=replicas * ports
-                ).reshape(replicas, ports)
-                backlog_integral += occupancy.sum(axis=(1, 2))
-                if arrival_keyed:
-                    # At most one departure per (replica, input) per slot
-                    # (statistical and fill inputs are disjoint), so the
-                    # triples are unique and fancy decrements are safe.
-                    was_legacy = legacy[bb, ii, jj] > 0
-                    legacy[bb[was_legacy], ii[was_legacy], jj[was_legacy]] -= 1
-                    delay_cells += np.bincount(bb[~was_legacy], minlength=replicas)
-                    delay_integral += (occupancy - legacy).sum(axis=(1, 2))
-
-    if traced and timer.enabled:
-        probe.phase_profile(
-            timer,
-            slots=replicas * total_slots,
-            cells=int(carried.sum()),
-        )
-    return StatFastpathResult(
-        ports=ports,
-        replicas=replicas,
-        slots=slots,
-        drain_slots=drain_slots,
-        warmup=warmup,
-        window=total_slots - warmup,
-        offered_cells=offered,
-        carried_cells=carried,
-        backlog_integral=backlog_integral,
-        arrivals_by_input=arrivals_by_input,
-        departures_by_output=departures_by_output,
-        final_backlog=occupancy.sum(axis=(1, 2)),
-        warmup_mode=warmup_mode,
-        delay_cells=delay_cells,
-        delay_integral=delay_integral,
-        stat_cells=stat_cells,
-        fill_cells=fill_cells,
+    if probe is not None:
+        probe.phase_profile(timer, *totals)
+    return StatFastpathResult.from_ledger(
+        switch, ledger, slots, drain_slots, warmup,
+        stat_cells=ledger.stat_cells,
+        fill_cells=ledger.carried - ledger.stat_cells,
     )
 
 

@@ -13,10 +13,13 @@ One parametrized test drives every scheduler in ``repro.core`` through
 its own interface (``schedule`` for crossbar matchers, ``arbitrate``
 for the FIFO pair) and asserts rerun determinism after reset().
 
-The batched registry kernels are also checked to leave their
-``requests`` / ``occupancy`` arguments untouched: ``as_request_batch``
-hands a boolean batch through without copying it, which is only safe
-while every kernel treats its input as read-only.
+The batched kernels -- the registry's and the statistical matcher, fill
+on and off -- are also checked to leave their ``requests`` /
+``occupancy`` arguments untouched: ``as_request_batch`` hands a boolean
+batch through without copying it, which is only safe while every
+kernel treats its input as read-only (the matcher masks the lottery's
+ports on a copy).  Every kernel is handed the counts, as the fast paths
+do, whether or not it weighs them.
 """
 
 import numpy as np
@@ -35,6 +38,7 @@ from repro.core import (
     WindowedFIFOScheduler,
 )
 from repro.core.batch import BATCH_SCHEDULERS, build_batch_scheduler
+from repro.sim.fastpath_statistical import BatchStatisticalMatcher
 
 _ALLOC = np.array(
     [[2, 1, 0, 1], [0, 2, 2, 0], [1, 0, 2, 1], [1, 1, 0, 2]], dtype=int
@@ -128,21 +132,66 @@ def test_fresh_instance_matches_reset_instance(build, drive):
     assert drive(used) == drive(build())
 
 
-@pytest.mark.parametrize("name", BATCH_SCHEDULERS)
-@pytest.mark.parametrize("accept", ["random", "round_robin"])
-def test_batch_kernels_leave_their_arguments_unmodified(name, accept):
-    replicas, ports = 5, 6
-    scheduler = build_batch_scheduler(
+def _registry_kernel(name, accept):
+    return lambda replicas, ports: build_batch_scheduler(
         name, replicas, ports, iterations=3, accept=accept, seed=3
     )
-    rng = np.random.default_rng(11)
-    for _ in range(20):
+
+
+def _statistical_kernel(fill):
+    def build(replicas, ports):
+        allocations = 2 * np.eye(ports, dtype=int) + np.eye(ports, k=1, dtype=int)
+        return BatchStatisticalMatcher(
+            allocations, 4, rounds=2, replicas=replicas, seed=3, fill=fill
+        )
+
+    return build
+
+
+BATCH_KERNELS = [
+    (f"{accept}-{name}", _registry_kernel(name, accept))
+    for accept in ("random", "round_robin")
+    for name in BATCH_SCHEDULERS
+] + [
+    ("statistical", _statistical_kernel(fill=False)),
+    ("statistical-fill", _statistical_kernel(fill=True)),
+]
+
+
+def _drive_batch(scheduler, slots=20, replicas=5, ports=6, traffic_seed=11):
+    """Match trajectory of a batched kernel; asserts its inputs come back intact."""
+    rng = np.random.default_rng(traffic_seed)
+    out = []
+    for _ in range(slots):
         occupancy = rng.integers(0, 3, size=(replicas, ports, ports))
         requests = occupancy > 0
         requests_before, occupancy_before = requests.copy(), occupancy.copy()
-        if scheduler.needs_occupancy:
-            scheduler.schedule(requests, occupancy)
-        else:
-            scheduler.schedule(requests)
+        out.append(scheduler.schedule(requests, occupancy).copy())
         assert np.array_equal(requests, requests_before)
         assert np.array_equal(occupancy, occupancy_before)
+    return out
+
+
+@pytest.mark.parametrize(
+    "build", [b for _, b in BATCH_KERNELS], ids=[name for name, _ in BATCH_KERNELS]
+)
+def test_batch_kernels_leave_their_arguments_unmodified(build):
+    _drive_batch(build(5, 6))
+
+
+@pytest.mark.parametrize("fill", [False, True], ids=["lottery", "lottery+fill"])
+def test_batch_statistical_reset_replays_lottery_and_fill(fill):
+    """reset() rewinds both of the matcher's streams: the rerun equals the
+    first run and a fresh instance, and with fill on the trajectory is
+    not the lottery's alone (so the fill stream is really under test)."""
+    build = _statistical_kernel(fill)
+    used = build(5, 6)
+    first = _drive_batch(used)
+    used.reset()
+    second = _drive_batch(used)
+    fresh = _drive_batch(build(5, 6))
+    for a, b, c in zip(first, second, fresh):
+        assert np.array_equal(a, b) and np.array_equal(a, c)
+    if fill:
+        lottery = _drive_batch(_statistical_kernel(False)(5, 6))
+        assert any(not np.array_equal(a, b) for a, b in zip(first, lottery))

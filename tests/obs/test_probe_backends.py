@@ -101,7 +101,7 @@ class TestFastpathBackend:
     def test_trace_sums_match_result(self):
         sink = InMemorySink()
         result = run_fastpath(
-            PORTS, 0.8, SLOTS, replicas=4, seed=1, probe=Probe(sink), trace_stride=8
+            PORTS, 0.8, SLOTS, replicas=4, seed=1, probe=Probe(sink, stride=8)
         )
         begins = sink.of_kind("slot_begin")
         assert len(begins) == SLOTS
@@ -113,7 +113,7 @@ class TestFastpathBackend:
     def test_pooled_snapshots_at_stride(self):
         sink = InMemorySink()
         run_fastpath(
-            PORTS, 0.8, 64, replicas=4, seed=1, probe=Probe(sink), trace_stride=16
+            PORTS, 0.8, 64, replicas=4, seed=1, probe=Probe(sink, stride=16)
         )
         snaps = sink.of_kind("voq_snapshot")
         assert [e.slot for e in snaps] == [0, 16, 32, 48]
@@ -130,17 +130,23 @@ class TestFastpathBackend:
         plain = run_fastpath(PORTS, 0.8, 300, replicas=2, seed=6)
         traced = run_fastpath(
             PORTS, 0.8, 300, replicas=2, seed=6,
-            probe=Probe(InMemorySink()), trace_stride=4,
+            probe=Probe(InMemorySink(), stride=4),
         )
         assert int(plain.carried_cells.sum()) == int(traced.carried_cells.sum())
         assert plain.mean_delay == traced.mean_delay
         assert np.array_equal(plain.departures_by_output, traced.departures_by_output)
 
-    def test_bad_trace_stride_rejected(self):
-        with pytest.raises(ValueError, match="trace_stride"):
-            run_fastpath(
-                PORTS, 0.5, 10, probe=Probe(InMemorySink()), trace_stride=0
-            )
+    def test_a_run_leaves_the_probe_stride_alone(self):
+        """Regression: the removed ``trace_stride=`` keyword wrote
+        ``probe.stride``, so the next run on the same probe was thinned
+        too (2 snapshots here, not 16).  Stride belongs to the probe."""
+        sink = InMemorySink()
+        probe = Probe(sink, stride=1)
+        with pytest.raises(TypeError, match="trace_stride"):
+            run_fastpath(4, 0.5, 16, probe=probe, trace_stride=8)
+        run_fastpath(4, 0.5, 16, probe=probe)
+        assert probe.stride == 1
+        assert len(sink.of_kind("voq_snapshot")) == 16
 
 
 class TestBatchSchedulerProbe:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.core.islip import ISLIPScheduler
-from repro.sim.fastpath import _ScenarioArrivals, run_fastpath
+from repro.sim.fastpath import ScenarioArrivals, run_fastpath
 from repro.switch.buffers import VOQBuffer
 from repro.switch.cell import Cell
 from repro.switch.switch import CrossbarSwitch
@@ -179,7 +179,7 @@ class TestRoundRobinShadow:
         """Run shadow and reference side by side under random service;
         returns (shadow, reference completion slot per (replica, flow))."""
         rng = np.random.default_rng(seed)
-        shadow = _ScenarioArrivals(ports, sources, slots)
+        shadow = ScenarioArrivals(ports, sources, slots)
         buffers = [[VOQBuffer(ports) for _ in range(ports)] for _ in sources]
         departed, completion = {}, {}
         for slot in range(slots + 400):
@@ -257,7 +257,7 @@ class TestRoundRobinShadow:
         assert fast.fct.observations() == reference.fct.observations()
 
     def test_departure_from_an_empty_voq_raises(self):
-        shadow = _ScenarioArrivals(2, [_ScriptedFlows(2, [(0, 0, 1, 5)])], 4)
+        shadow = ScenarioArrivals(2, [_ScriptedFlows(2, [(0, 0, 1, 5)])], 4)
         shadow.slot_counts()
         one = np.array([0])
         shadow.on_departures(one, one, np.array([1]), 0)
@@ -265,7 +265,7 @@ class TestRoundRobinShadow:
             shadow.on_departures(one, one, np.array([1]), 1)
 
     def test_out_of_range_port_raises(self):
-        shadow = _ScenarioArrivals(2, [_ScriptedFlows(2, [(0, 0, 2, 5)])], 4)
+        shadow = ScenarioArrivals(2, [_ScriptedFlows(2, [(0, 0, 2, 5)])], 4)
         with pytest.raises(ValueError, match="output port"):
             shadow.slot_counts()
 
@@ -273,16 +273,16 @@ class TestRoundRobinShadow:
         source = _ScriptedFlows(2, [(0, 0, 1, 5)])
         source.flow_records().clear()
         with pytest.raises(KeyError):
-            _ScenarioArrivals(2, [source], 4).slot_counts()
+            ScenarioArrivals(2, [source], 4).slot_counts()
 
     def test_flow_changing_its_voq_raises(self):
         source = _ScriptedFlows(2, [(0, 0, 1, 5), (1, 1, 1, 5)])
         with pytest.raises(ValueError, match="moved a flow"):
-            _ScenarioArrivals(2, [source], 4).slot_counts()
+            ScenarioArrivals(2, [source], 4).slot_counts()
 
     def test_nothing_is_generated_past_the_arrival_slots(self):
         source = get_scenario("websearch-incast").build_source(1)
-        shadow = _ScenarioArrivals(source.ports, [source], 300)
+        shadow = ScenarioArrivals(source.ports, [source], 300)
         for _ in range(300):
             shadow.slot_counts()
         twin = get_scenario("websearch-incast").build_source(1)

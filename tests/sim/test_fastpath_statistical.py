@@ -74,6 +74,37 @@ class TestBatchMatcher:
                 (i, int(j)) for i, j in enumerate(match) if j >= 0
             )
 
+    @pytest.mark.parametrize("fill", [False, True], ids=["lottery", "lottery+fill"])
+    @pytest.mark.parametrize("partial", [False, True], ids=["full", "partial"])
+    def test_b1_schedule_matches_object_scheduler(self, fill, partial):
+        """The kernel twin: as a switch scheduler -- lottery, unbacked
+        matches dropped, ports masked, PIM fill on its own stream -- the
+        B=1 batch equals ``StatisticalMatcher.schedule`` slot for slot
+        (whole runs are compared by ``statistical_parity``)."""
+        alloc, units = ALLOC, UNITS
+        if partial:
+            alloc = np.zeros((4, 4), dtype=np.int64)
+            alloc[0, 1], alloc[2, 2], units = 3, 5, 12
+        obj = StatisticalMatcher(alloc, units=units, rounds=2, seed=9, fill=fill)
+        fast = BatchStatisticalMatcher(
+            alloc, units, rounds=2, replicas=1, seed=9, fill=fill
+        )
+        # The same lottery on its own: what was matched before the drop.
+        lottery = BatchStatisticalMatcher(alloc, units, rounds=2, replicas=1, seed=9)
+        rng = np.random.default_rng(21)
+        unbacked = 0
+        for _ in range(200):
+            requests = rng.random((4, 4)) < 0.5
+            match = fast.schedule(requests[None])[0]
+            assert sorted(obj.schedule(requests).pairs) == sorted(
+                (i, int(j)) for i, j in enumerate(match) if j >= 0
+            )
+            drawn = lottery.match()[0]
+            unbacked += sum(
+                not requests[i, j] for i, j in enumerate(drawn) if j >= 0
+            )
+        assert unbacked > 0
+
     def test_matches_are_legal(self):
         fast = BatchStatisticalMatcher(ALLOC, UNITS, replicas=8, seed=1)
         for _ in range(50):
@@ -170,7 +201,7 @@ class TestRunFastpathStatistical:
         sink = InMemorySink()
         result = run_fastpath_statistical(
             ALLOC, UNITS, load=0.5, slots=50, replicas=2,
-            seed=4, probe=Probe(sink), trace_stride=10,
+            seed=4, probe=Probe(sink, stride=10),
         )
         transfers = [e for e in sink.events if e.kind == "crossbar_transfer"]
         assert len(transfers) == 50
@@ -207,13 +238,6 @@ class TestRunFastpathStatistical:
         with pytest.raises(ValueError, match="arrival_seeds"):
             run_fastpath_statistical(
                 ALLOC, UNITS, 0.5, 10, replicas=2, arrival_seeds=[1]
-            )
-        with pytest.raises(ValueError, match="trace_stride"):
-            from repro.obs import InMemorySink, Probe
-
-            run_fastpath_statistical(
-                ALLOC, UNITS, 0.5, 10, probe=Probe(InMemorySink()),
-                trace_stride=0,
             )
 
 
