@@ -17,7 +17,8 @@ The headline acceptance number is asserted, not just recorded: on the
 faster than the object model per replica-slot (the recorded numbers
 land far beyond that -- the object model re-walks every VOQ deque and
 runs one scalar PIM instance per switch per slot, while the fast path
-issues one batched scheduler call per switch across all replicas).
+issues one batched scheduler call per turn of switches across all
+replicas).
 
 Run from the repo root::
 

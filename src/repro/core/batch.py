@@ -38,6 +38,20 @@ a registry name):
   ``(B, N, N)`` cube per grant / random accept of an executed
   iteration, LQF one full cube per slot, QPS-r one ``(B, N)`` block
   per round (proposers or not), iSLIP and wavefront nothing.
+- **Stream bank**: a kernel handed a *sequence* of K generators as
+  ``rng`` schedules K independent switches in one call
+  (:class:`StreamBank`).  Its replica axis is K equal blocks, block k
+  draws from generator k alone, and it draws exactly when a kernel of
+  its own over that block would have been called and drawn: never
+  while the block holds no request (an idle switch is not scheduled),
+  otherwise PIM once per grant / random accept of every round in which
+  the block still has an unresolved request, LQF one cube per slot,
+  QPS-r one block per round of the slot.  Matches, pointers and every
+  generator's state therefore equal K separate kernels' -- what lets
+  :mod:`repro.sim.fastpath_network` schedule a whole fabric per call.
+  (Stacking needs no bank where nothing is drawn: iSLIP's pointers are
+  per replica row already; wavefront keeps one start diagonal per
+  kernel, so stacked switches turn it together, once per call.)
 - ``reset()`` restores *all* cross-slot state (pointers, RNG streams)
   to the as-constructed state so a rerun replays the first run draw
   for draw -- the reset/rerun contract the object schedulers honor.
@@ -70,6 +84,7 @@ import numpy as np
 __all__ = [
     "BATCH_SCHEDULERS",
     "BatchScheduler",
+    "StreamBank",
     "as_request_batch",
     "build_batch_scheduler",
     "build_object_scheduler",
@@ -163,6 +178,49 @@ def line_winners(lines: np.ndarray, keys: np.ndarray, n_lines: int) -> np.ndarra
     return winners
 
 
+class StreamBank:
+    """K generators behind one ``random(shape)``: one stream per block.
+
+    The leading axis of every draw is K equal blocks and block k is
+    filled from generator k -- with the numbers that generator's own
+    ``random`` of the block's shape would have returned -- but only
+    for the blocks :meth:`arm` found a request in.  The other blocks
+    keep stale keys, which no kernel reads: keys are gathered at
+    request edges, and an unarmed block has none.
+
+    ``block_cells`` is the size of one block of the kernel's
+    ``(K * B, N, N)`` request cube, ``B * N * N``.
+    """
+
+    def __init__(self, generators, block_cells: int):
+        self.generators = tuple(generators)
+        self._bounds = np.arange(len(self.generators) + 1) * block_cells
+        self._armed: list = []
+        self._keys = np.empty(0)
+        self._blocks: list = []
+
+    def arm(self, cells: np.ndarray) -> None:
+        """Let the blocks holding one of ``cells`` draw until re-armed.
+
+        ``cells`` are flat indices into the request cube in ascending
+        order: row 0 of a C-ordered edge list.
+        """
+        first = cells.searchsorted(self._bounds)
+        self._armed = (first[1:] != first[:-1]).nonzero()[0].tolist()
+
+    def random(self, shape) -> np.ndarray:
+        """Uniform keys of ``shape``, fresh in the armed blocks.
+
+        The returned buffer is reused by the next call.
+        """
+        if self._keys.shape != shape:
+            self._keys = np.zeros(shape)
+            self._blocks = list(self._keys.reshape(len(self.generators), -1))
+        for k in self._armed:
+            self.generators[k].random(out=self._blocks[k])
+        return self._keys
+
+
 def resolve_generator(
     seed: Optional[int], rng, component: str
 ) -> Tuple[object, Tuple[str, object]]:
@@ -196,11 +254,15 @@ def replay_generator(rng, token: Tuple[str, object]):
 
     Returns the generator to use from here on (a fresh one for
     seed-owned streams, the original -- rewound when possible -- for
-    injected ones).
+    injected ones, a :class:`StreamBank`'s generators included).
     """
     kind, value = token
     if kind == "seed":
         return np.random.default_rng(value)
+    if kind == "bank":
+        for generator, state in zip(rng.generators, value):
+            generator.bit_generator.state = state
+        return rng
     if value is not None:
         rng.bit_generator.state = copy.deepcopy(value)
     return rng
@@ -244,6 +306,29 @@ class BatchScheduler:
     def attach_probe(self, probe) -> None:
         """Attach a :class:`repro.obs.probe.Probe` (None detaches)."""
         self._probe = probe
+
+    def _resolve_streams(self, seed: Optional[int], rng, component: str) -> None:
+        """Set ``_rng`` / ``_rng_token`` by the ``(seed, rng)`` convention.
+
+        A list or tuple of generators as ``rng`` becomes a
+        :class:`StreamBank` over equal blocks of the replica axis, kept
+        as ``_bank`` too (``None`` for a single stream) so ``schedule``
+        can arm it; its replay token is the generators' states.
+        """
+        self._bank = None
+        # Not isinstance(): one-stream construction keeps its exact call count.
+        if rng.__class__ not in (list, tuple):
+            self._rng, self._rng_token = resolve_generator(seed, rng, component)
+            return
+        if not rng or self.replicas % len(rng):
+            raise ValueError(
+                f"{self.replicas} replicas do not split into "
+                f"{len(rng)} equal stream blocks"
+            )
+        block = self.replicas // len(rng) * self.ports * self.ports
+        self._rng = self._bank = StreamBank(rng, block)
+        # ``state`` hands out a fresh dict each time: nothing to copy.
+        self._rng_token = ("bank", tuple(g.bit_generator.state for g in rng))
 
     def _validate_batch(self, requests: np.ndarray) -> np.ndarray:
         """Normalize ``requests`` and check it matches (B, N, N)."""
@@ -291,7 +376,9 @@ def build_batch_scheduler(
     convergence) and the QPS-r round count r (``None`` = N rounds).
     Wavefront and LQF are single-pass and ignore it, as they ignore
     ``accept`` (a PIM-only policy).  ``track_sizes`` is PIM's Table 1
-    diagnostic and is likewise ignored elsewhere.
+    diagnostic and is likewise ignored elsewhere.  ``rng`` is one
+    generator or, for a kernel that draws, a list of K of them: a
+    :class:`StreamBank` over K equal blocks of the replica axis.
     """
     # Imported lazily to avoid module-level cycles (the kernels import
     # this module for the base class).

@@ -147,7 +147,7 @@ class BatchLQFScheduler(BatchScheduler):
         output_capacity: int = 1,
     ):
         super().__init__(replicas, ports, output_capacity=output_capacity)
-        self._rng, self._rng_token = resolve_generator(seed, rng, "lqf")
+        self._resolve_streams(seed, rng, "lqf")
 
     def schedule(
         self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
@@ -156,6 +156,8 @@ class BatchLQFScheduler(BatchScheduler):
         batch = self._validate_batch(requests)
         b, n, _ = batch.shape
         edges, weights = occupancy_edges(batch, occupancy)
+        if self._bank is not None:
+            self._bank.arm(edges[0])
         # The whole cube is drawn, once: the stream moves per slot.
         keys = weights + self._rng.random(batch.shape).take(edges[0])
         match = np.full(b * n, -1, dtype=np.int64)

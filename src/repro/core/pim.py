@@ -397,7 +397,7 @@ class BatchPIMScheduler(BatchScheduler):
         self.accept = accept
         # Deterministic seed=None fallback (repro.sim.rng default-seed
         # policy): identical configs must be replayable.
-        self._rng, self._rng_token = resolve_generator(seed, rng, "pim_batch")
+        self._resolve_streams(seed, rng, "pim_batch")
         self._pointers = np.zeros((replicas, ports), dtype=np.int64)
         self.track_sizes = track_sizes
         #: (B, K) cumulative matching sizes of the last schedule() call
@@ -453,6 +453,8 @@ class BatchPIMScheduler(BatchScheduler):
 
         while edges.shape[1] and executed != self.iterations:  # None: no budget
             executed += 1
+            if self._bank is not None:  # blocks with a request left draw
+                self._bank.arm(edges[0])
             # Grant: each output with capacity left picks one requesting
             # input uniformly at random (the largest of i.i.d. keys).  The
             # whole cube is drawn: the stream moves per round, not per edge.

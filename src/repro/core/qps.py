@@ -246,7 +246,7 @@ class BatchQPSScheduler(BatchScheduler):
         if rounds is not None and rounds < 1:
             raise ValueError(f"rounds must be >= 1, got {rounds}")
         self.rounds = rounds
-        self._rng, self._rng_token = resolve_generator(seed, rng, "qps")
+        self._resolve_streams(seed, rng, "qps")
         self._pointers = np.zeros((replicas, ports), dtype=np.int64)
 
     def schedule(
@@ -255,6 +255,8 @@ class BatchQPSScheduler(BatchScheduler):
         """Compute one slot's matchings for all replicas."""
         batch = self._validate_batch(requests)
         edges, weights = occupancy_edges(batch, occupancy)
+        if self._bank is not None:
+            self._bank.arm(edges[0])
         rounds = self.rounds if self.rounds is not None else self.ports
         match, executed = _qps_rounds(
             edges, weights, self._rng, self._pointers, rounds, self.output_capacity

@@ -1,88 +1,72 @@
 """Vectorized multi-switch network fast path.
 
-The object-model network simulator
-(:class:`repro.network.netsim.NetworkSimulator`) advances one network
-replica at a time with per-cell Python objects, which is faithful but
-slow: every Monte-Carlo point of a network experiment (the Figure 9
-parking-lot sweep, fabric-sizing scans over mesh/fat-tree shapes) pays
-per-cell deque traffic at every hop.  This module is its batched
-counterpart, in the same spirit as :mod:`repro.sim.fastpath` for the
-single switch.  The state of **B independent network replicas** at
-**all S switches** is a few switch-stacked arrays -- no Cell objects,
-no per-switch containers:
+The batched counterpart of the object-model
+:class:`repro.network.netsim.NetworkSimulator`, as
+:mod:`repro.sim.fastpath` is of the single switch: **B independent
+network replicas** at **all S switches** advance in lockstep over a few
+switch-stacked arrays (no Cell objects, no per-switch containers):
 
 - ``occ (S, B, P, P)``: VOQ depths, P the widest switch's port count
   (a narrower switch uses the leading ``[:p, :p]`` corner);
-- ``queued (S, B, F)``: cells of each of the F flows buffered at each
-  switch;
+- ``queued (S, B, F)``: each flow's cells buffered at each switch;
 - ``ring (R, S + 1, B, F)``: cells in flight, by landing slot modulo
   R = longest link latency + 1 and by the switch they land at (index S:
   the flow's destination host);
-- ``pending (H, B, M)``: cells waiting at each of the H source hosts
-  for each of its (up to M) flows; a greedy flow's entry is a count
-  that never runs out;
+- ``pending (H, B, M)``: cells waiting at each source host for each of
+  its (up to M) flows; a greedy flow's count never runs out;
 - one :class:`repro.sim.flowring.FlowRing` row per (VOQ that several
-  flows share, replica): the flows with cells queued there, in the
-  round-robin order :class:`repro.switch.buffers.VOQBuffer` serves
-  them.  A VOQ with a single flow (the common case) needs none.
+  flows share, replica): the flows with cells queued there, in
+  :class:`repro.switch.buffers.VOQBuffer`'s round-robin order.  A VOQ
+  with a single flow (the common case) needs none.
 
-A slot is one kernel call per busy switch between three whole-fabric
-passes:
+A slot is one kernel call per *turn* between three whole-fabric passes:
 
 1. *delivery*: one ``nonzero`` over the landing ring slice completes
    the cells that reached their host, one more buffers every arriving
    cell at every switch;
 2. *injection*: all hosts at once -- credit check, Bernoulli arrivals
    from per-(host, replica) uniform pools, round-robin flow pick;
-3. *kernel*: every switch with a request advances all B replicas with
-   a single :class:`repro.core.batch.BatchScheduler` call (any registry
-   scheduler -- PIM by default), in ``topology.switches()`` order, and
-   takes its matched cells out of ``occ`` at its turn, because the
-   credit mask of a later switch must see them gone;
-4. *transfer*: the matched cells of all switches, attributed to their
+3. *kernel*: a turn is a compile-time group of T equal-width switches
+   that one :class:`repro.core.batch.BatchScheduler` call (any registry
+   scheduler, PIM by default) schedules over their stacked
+   ``(T * B, p, p)`` request cube; it takes its matched cells out of
+   ``occ`` before the next turn reads its credit.  Without a
+   ``buffer_limit`` nobody reads a neighbour's buffers and each width
+   is one turn (the k = 4 fat tree: one call per slot); with one, a
+   switch goes one wave after its last neighbour earlier in
+   ``topology.switches()`` order, so its blocked-output mask sees what
+   the object's sequential loop would show it.  The kernel draws from a
+   :class:`repro.core.batch.StreamBank` of the turn's ``sched:{switch}``
+   generators: each switch's block of B replicas draws from its own
+   stream, and only when a kernel of its own would have been called and
+   drawn (not when idle or wholly credit-blocked);
+4. *transfer*: the matched cells of all turns, attributed to their
    flows (sole flow of the VOQ, or the front of its ring) and put on
    their next link in one pass.
 
 A link carries one cell per slot and a VOQ is matched at most once per
 replica per slot, so every index array these passes build is free of
-duplicates and plain fancy-indexed updates are safe.  Work per slot
-therefore grows with the number of *switches* that have work, not with
-the number of cells, hosts or flows.
+duplicates and plain fancy-indexed updates are safe.  Work per slot grows
+with the number of *turns*, not of switches, cells, hosts or flows.
 
-Slot-exact parity with the object model
----------------------------------------
-
-With ``replicas=1`` and the default (PIM) scheduler, a run replicates
-a freshly built :class:`~repro.network.netsim.NetworkSimulator` with
-the same root seed *draw for draw*: scheduler streams are seeded from
-the same ``sched:{switch}`` named streams, replica 0's host streams
-are the object's ``host:{host}`` streams consumed in the same order
-(one uniform per stochastic flow per unblocked slot), and the
-slot phases run in the object's order -- deliveries land, hosts
-inject (credit-checked first, consuming no draws when blocked),
-switches schedule sequentially in ``topology.switches()`` order with
-blocked-output masks computed at each switch's turn.  Per-slot
-injection/delivery/transfer/backlog series therefore match the
-object's :class:`~repro.network.netsim.NetworkSlotRecord` stream
-exactly; :func:`repro.check.differential.network_parity` asserts this
-on every bundled topology.
-
-What cell identity costs and what replaces it: per-flow FIFO order is
-implicit (a flow's cells follow one path and every per-hop queue is
-FIFO), so mean end-to-end delay is recovered per flow by Little's law
--- a cell injected in slot t and delivered in slot t' is present in
-exactly ``t' - t`` end-of-slot in-system samples.  Over a run whose
-warm-window cells all reach their destination the per-flow mean equals
-the object backend's :class:`~repro.sim.stats.DelayStats` mean
-exactly; cells still in flight at the end contribute their partial
-delay to the integral but no delivery, the usual truncation bias of
-the estimator.
+**Slot-exact parity with the object model.**  With ``replicas=1`` and
+the default (PIM) scheduler a run replicates a freshly built
+``NetworkSimulator`` with the same root seed *draw for draw*: the same
+``sched:{switch}`` streams, replica 0's hosts on the object's
+``host:{host}`` streams (one uniform per stochastic flow per unblocked
+slot), and the object's phase order -- deliveries land, hosts inject
+(credit-checked first, no draws when blocked), switches schedule under
+the blocked-output masks of its sequential loop.  The per-slot
+injection/delivery/transfer/backlog series therefore equal its
+:class:`~repro.network.netsim.NetworkSlotRecord` stream exactly
+(:func:`repro.check.differential.network_parity`).  Cell identity is
+replaced by Little's law per flow: see :class:`NetworkFastpathResult`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple, get_args
 
 import numpy as np
 
@@ -110,18 +94,16 @@ _HOST_CHUNK_SLOTS = 1024
 #: one per slot never gets near zero.
 _ALWAYS_PENDING = 1 << 62
 
-_NO_PORTS = np.zeros((0, 3), dtype=np.int64)
-
 
 class _Turn(NamedTuple):
-    """What one switch's turn in the slot loop reads, replicas included."""
+    """What one turn (T switches) of the slot loop reads, replicas included."""
 
     sched: object
-    depth: np.ndarray  # (B, ports, ports) view: the switch's corner of occ
-    wants: np.ndarray  # (B, ports, ports) view: its corner of the request cube
-    rows: np.ndarray  # (B * ports,) flat occ index of each raveled match row
-    credit_ports: np.ndarray  # (n,) switch-facing output ports, if limited
-    credit_rows: np.ndarray  # (B, n) occ_rows index of the peer input each feeds
+    members: object  # the turn's switches on occ's S axis: a slice if consecutive
+    ports: int
+    rows: np.ndarray  # (T * B * ports,) flat occ index of each raveled match row
+    credit_rows: np.ndarray  # (n, B) occ_rows index of the peer input fed by
+    credit_cells: np.ndarray  # (n, B, ports) a switch-facing output's request column
 
 
 @dataclass(frozen=True)
@@ -167,7 +149,9 @@ class _FabricPlan:
     next_hop: np.ndarray  # (S * F,) downstream switch; S for the host
     next_lat: np.ndarray  # (S * F,) latency of the flow's outgoing link
     switch_ports: Tuple[np.ndarray, ...]
-    # per switch: (port, peer switch, peer port) rows, one per switch-facing port
+    # per switch: (port, peer switch, peer port) of each switch-facing port
+    # (what credit checks read: none without a buffer limit)
+    turns: Tuple[np.ndarray, ...]  # switches scheduled together, in turn order
     ring_slots: int  # R: longest link latency + 1
     hosts: _HostPlan
 
@@ -290,8 +274,8 @@ class NetworkFastpath:
         simulator's default scheduler factory).
     scheduler:
         Batched kernel registry name used at every switch
-        (``repro.core.BATCH_SCHEDULERS``); occupancy-aware kernels see
-        each switch's VOQ depths masked by the blocked-output requests.
+        (``repro.core.BATCH_SCHEDULERS``); occupancy-aware kernels read
+        each switch's VOQ depths at its unblocked requests.
 
     Flows are registered with :meth:`add_flow`; :meth:`run` simulates.
     Every ``run()`` is an independent replay from slot 0, like the
@@ -312,6 +296,9 @@ class NetworkFastpath:
             raise ValueError(f"replicas must be >= 1, got {replicas}")
         if buffer_limit is not None and buffer_limit < 1:
             raise ValueError(f"buffer_limit must be >= 1, got {buffer_limit}")
+        build_batch_scheduler(scheduler, 1, 1)  # a typo fails here, not in run()
+        if accept not in get_args(AcceptPolicy):
+            raise ValueError(f"unknown accept policy: {accept!r}")
         self.topology = topology
         self.replicas = replicas
         self.seed = seed
@@ -404,14 +391,25 @@ class NetworkFastpath:
                 ring_switch.append(s)
                 ring_width = max(ring_width, len(flows_here))
 
+        limited = self.buffer_limit is not None
         switch_ports = []
         for name, count in zip(self._switch_names, ports):
             facing = []
             for j in range(count):
-                peer = self.topology.peer(name, j)
+                peer = self.topology.peer(name, j) if limited else None
                 if peer is not None and self.topology.node(peer[0]).is_switch:
                     facing.append((j, self._switch_index[peer[0]], peer[1]))
             switch_ports.append(np.array(facing, dtype=np.int64).reshape(-1, 3))
+
+        # A credit mask reads the neighbours' buffers after the departures of
+        # those earlier in ``topology.switches()`` order, before those of later
+        # ones: one wave after the last earlier neighbour.  Turn = wave x width.
+        groups: Dict[Tuple[int, int], List[int]] = {}
+        wave: List[int] = []
+        for k, facing in enumerate(switch_ports):
+            earlier = [wave[peer] + 1 for peer in facing[:, 1].tolist() if peer < k]
+            wave.append(max(earlier, default=0))
+            groups.setdefault((wave[k], ports[k]), []).append(k)
 
         self._plan = _FabricPlan(
             ports=ports,
@@ -425,6 +423,7 @@ class NetworkFastpath:
             next_hop=next_hop.ravel(),
             next_lat=next_lat.ravel(),
             switch_ports=tuple(switch_ports),
+            turns=tuple(np.array(groups[key]) for key in sorted(groups)),
             ring_slots=max_lat + 1,
             hosts=self._compile_hosts(fidx),
         )
@@ -515,7 +514,7 @@ class NetworkFastpath:
             run under the shared taxonomy (``run`` root with
             ``run/compile`` plan compilation + scheduler construction,
             ``run/delivery`` link deliveries landing, ``run/arrivals``
-            host injection, ``run/kernel`` per-switch scheduling and
+            host injection, ``run/kernel`` per-turn scheduling and
             transfer, ``run/update`` delay/series/check accounting).
         """
         timer = phase_timer or NULL_PHASE_TIMER
@@ -545,45 +544,55 @@ class NetworkFastpath:
             R = plan.ring_slots
             PP, BF = P * P, B * F
             limit = self.buffer_limit
+            names = self._switch_names
             replica = np.arange(B)
 
             occ = np.zeros((S, B, P, P), dtype=np.int64)
             occ_flat = occ.reshape(-1)
             occ_rows = occ.reshape(S * B * P, P)
-            requests = np.zeros((S, B, P, P), dtype=bool)
             queued = np.zeros((S, B, F), dtype=np.int64)
             queued_flat = queued.reshape(-1)
             ring = np.zeros((R, S + 1, B, F), dtype=bool)
             ring_flat = ring.reshape(-1)
             eligible = FlowRing(plan.ring_switch.size * B, plan.ring_width)
 
-            # Credit flow control is tables that are empty without a
-            # limit: the switch-facing ports of each switch and the
-            # hosts that feed a switch.
+            # One kernel per turn, over its switches' sched:{switch} streams.
+            # Credit flow control is tables that are empty without a limit:
+            # each switch's switch-facing ports, the hosts that feed a switch.
             streams = RandomStreams(self.seed)
-            switches = []
-            for s, (name, ports) in enumerate(zip(self._switch_names, plan.ports)):
-                sched_seed = int(streams.get(f"sched:{name}").integers(2**31))
-                sched = build_batch_scheduler(
-                    self.scheduler,
-                    replicas=B,
-                    ports=ports,
-                    iterations=self.iterations,
-                    accept=self.accept,
-                    rng=np.random.default_rng(sched_seed),
-                    track_sizes=False,
-                )
-                rows = ((s * B + replica)[:, None] * P + np.arange(ports)) * P
-                facing = plan.switch_ports[s] if limit is not None else _NO_PORTS
-                out, peer, peer_port = facing.T
-                switches.append(
+            turns = []
+            for members in plan.turns:
+                count, ports = members.size, plan.ports[members[0]]
+                generators = [
+                    np.random.default_rng(
+                        int(streams.get(f"sched:{names[k]}").integers(2**31))
+                    )
+                    for k in members
+                ]
+                facing = [plan.switch_ports[k] for k in members]
+                out, peer, peer_port = np.concatenate(facing).T[:, :, None]
+                member = np.repeat(np.arange(count), [len(f) for f in facing])
+                rows = (members[:, None] * B + replica)[:, :, None] * P
+                column = (member[:, None] * B + replica) * ports  # in the turn's cube
+                if members[-1] - members[0] + 1 == count:
+                    members = slice(members[0], members[-1] + 1)  # views of occ
+                turns.append(
                     _Turn(
-                        sched=sched,
-                        depth=occ[s, :, :ports, :ports],
-                        wants=requests[s, :, :ports, :ports],
-                        rows=rows.ravel(),
-                        credit_ports=out,
-                        credit_rows=(peer * B + replica[:, None]) * P + peer_port,
+                        sched=build_batch_scheduler(
+                            self.scheduler,
+                            replicas=count * B,
+                            ports=ports,
+                            iterations=self.iterations,
+                            accept=self.accept,
+                            rng=generators,
+                            track_sizes=False,
+                        ),
+                        members=members,
+                        ports=ports,
+                        rows=((rows + np.arange(ports)) * P).ravel(),
+                        credit_rows=(peer * B + replica) * P + peer_port,
+                        credit_cells=(column[:, :, None] + np.arange(ports)) * ports
+                        + out[:, :, None],
                     )
                 )
             gated = np.flatnonzero((hosts.dest < S) & (limit is not None))
@@ -712,38 +721,29 @@ class NetworkFastpath:
                     series_inj[t, fsel[bb == 0]] = 1
             arrivals_span.__exit__(None, None, None)
 
-            # -- 3. Switches schedule, sequentially in topology order,
-            #       each taking its matched cells out of occ at its turn
-            #       (credit masks see earlier switches' departures,
-            #       exactly like the object loop); the cells move on in
-            #       one pass afterwards.
+            # -- 3. Switches schedule, a turn per kernel call; its matched
+            #       cells leave occ before the next turn reads its credit
+            #       and move on in one pass afterwards.
             kernel_span = timer.phase("kernel")
             kernel_span.__enter__()
-            np.greater(occ, 0, out=requests)
             departed = []
-            for s in requests.any(axis=(1, 2, 3)).nonzero()[0].tolist():
-                sched, depth, wants, rows, credit_ports, credit_rows = switches[s]
-                if credit_ports.size:
+            for sched, members, p, rows, credit_rows, credit_cells in turns:
+                depth = occ[members, :, :p, :p].reshape(-1, p, p)
+                wants = depth > 0
+                if credit_rows.size:
                     blocked = occ_rows[credit_rows].sum(axis=2) >= limit
-                    if blocked.any():
-                        wants[:, :, credit_ports] &= ~blocked[:, None, :]
-                        if not wants.any():
-                            continue  # no scheduling rounds run: no draws
-                # Kernels read the depths at requested cells only.
+                    wants.reshape(-1)[credit_cells[blocked]] = False
+                # Depths are read at requests only; no request left, no draw.
                 match = sched.schedule(wants, depth).ravel()
                 matched = (match >= 0).nonzero()[0]
-                if matched.size == 0:
-                    continue
                 cells = rows[matched] + match[matched]  # flat occ index
-                left = occ_flat[cells] - 1
-                occ_flat[cells] = left
-                if check and (left < 0).any():
-                    raise AssertionError(
-                        f"negative VOQ occupancy at {self._switch_names[s]}"
-                    )
+                occ_flat[cells] -= 1
                 departed.append(cells)
             if departed:
                 cells = np.concatenate(departed)
+                if check and (occ_flat[cells] < 0).any():
+                    at = cells[occ_flat[cells].argmin()] // (B * PP)
+                    raise AssertionError(f"negative VOQ occupancy at {names[at]}")
                 sb, voq = np.divmod(cells, PP)
                 ss = sb // B
                 sv = ss * PP + voq
@@ -755,7 +755,7 @@ class NetworkFastpath:
                 try:
                     flow[shared] = served = eligible.pop(ring_rows)
                 except EmptyRing as empty:
-                    name = self._switch_names[plan.ring_switch[empty.row // B]]
+                    name = names[plan.ring_switch[empty.row // B]]
                     raise IndexError(
                         f"slot {t}: a cell departed from a shared VOQ of "
                         f"{name} with no eligible flow"

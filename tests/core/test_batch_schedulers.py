@@ -176,6 +176,82 @@ class TestRequestGraph:
         assert line_winners(lines[:0], keys[:0], 6).size == 0
 
 
+def _pointer_state(kernel):
+    names = ("_pointers", "_grant_pointers", "_accept_pointers")
+    return [getattr(kernel, n) for n in names if hasattr(kernel, n)]
+
+
+class TestStreamBank:
+    """A kernel over K generators == K kernels, one per block, each
+    called only in the slots its block holds a request."""
+
+    K, B, N = 3, 4, 5
+
+    def _slots(self, count=30):
+        """(K * B, N, N) depths; whole blocks go idle now and then."""
+        rng = np.random.default_rng(5)
+        for _ in range(count):
+            depth = rng.integers(0, 3, size=(self.K, self.B, self.N, self.N))
+            depth *= rng.random((self.K, self.B, self.N, self.N)) < 0.4
+            depth[rng.random(self.K) < 0.3] = 0
+            yield depth.reshape(-1, self.N, self.N)
+
+    @pytest.mark.parametrize("iterations", [1, 4, None])
+    @pytest.mark.parametrize(
+        "name, accept",
+        [("pim", "random"), ("pim", "round_robin"), ("islip", "random"),
+         ("lqf", "random"), ("qps", "random")],
+    )
+    def test_equals_one_kernel_per_block(self, name, accept, iterations):
+        options = dict(ports=self.N, iterations=iterations, accept=accept)
+        banked = [np.random.default_rng(70 + k) for k in range(self.K)]
+        single = [np.random.default_rng(70 + k) for k in range(self.K)]
+        stacked = build_batch_scheduler(
+            name, replicas=self.K * self.B, rng=banked, **options
+        )
+        apart = [
+            build_batch_scheduler(name, replicas=self.B, rng=g, **options)
+            for g in single
+        ]
+        idle_blocks = 0
+        for depth in self._slots():
+            got = stacked.schedule(depth > 0, depth)
+            for k, kernel in enumerate(apart):
+                block = depth[k * self.B:(k + 1) * self.B]
+                want = -np.ones((self.B, self.N), dtype=np.int64)
+                if block.any():
+                    want = kernel.schedule(block > 0, block)
+                idle_blocks += not block.any()
+                assert got[k * self.B:(k + 1) * self.B].tobytes() == want.tobytes()
+            for a, b in zip(banked, single):
+                assert a.bit_generator.state == b.bit_generator.state
+        assert idle_blocks
+        pointers = [_pointer_state(kernel) for kernel in apart]
+        for which, stacked_pointers in enumerate(_pointer_state(stacked)):
+            want = np.concatenate([p[which] for p in pointers])
+            assert np.array_equal(stacked_pointers, want)
+
+    @pytest.mark.parametrize("name", ["pim", "lqf", "qps"])
+    def test_reset_rewinds_every_stream(self, name):
+        generators = [np.random.default_rng(k) for k in range(self.K)]
+        for g in generators:
+            g.random(3)  # as-constructed is not as-seeded
+        kernel = build_batch_scheduler(
+            name, replicas=self.K * self.B, ports=self.N, iterations=2, rng=generators
+        )
+        first = [kernel.schedule(d > 0, d).copy() for d in self._slots(8)]
+        kernel.reset()
+        again = [kernel.schedule(d > 0, d).copy() for d in self._slots(8)]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+
+    def test_blocks_must_be_equal(self):
+        generators = [np.random.default_rng(k) for k in range(2)]
+        with pytest.raises(ValueError, match="equal stream blocks"):
+            build_batch_scheduler("pim", replicas=7, ports=4, rng=generators)
+        with pytest.raises(ValueError, match="equal stream blocks"):
+            build_batch_scheduler("lqf", replicas=4, ports=4, rng=[])
+
+
 class TestProtocolValidation:
     def test_as_request_batch_rejects_bad_shapes(self):
         with pytest.raises(ValueError, match="B, N, N"):

@@ -17,6 +17,8 @@ import pytest
 import repro.sim.fastpath_network as fastpath_network
 from repro.check.differential import fabric_parity, network_parity
 from repro.check.fuzz import NetworkCase, run_network_case
+from repro.core.batch import BatchScheduler
+from repro.core.pim import BatchPIMScheduler
 from repro.network.netsim import FlowSpec
 from repro.network.topologies import TOPOLOGIES, build, parking_lot
 from repro.network.topology import Topology
@@ -126,12 +128,18 @@ class TestStackedLayout:
             run_fastpath_network(topo, flows, 100, replicas=2, check=True)
 
 
-def _dispatches(replicas, slots=40):
-    """Python and C calls the fabric slot loop itself makes in a run."""
-    topo, hosts = build("fat_tree", 4)
-    sim = NetworkFastpath(topo, replicas=replicas, seed=0)
+def _fat_tree(size, **options):
+    """A k-ary fat tree with one flow out of and one into every host."""
+    topo, hosts = build("fat_tree", size)
+    sim = NetworkFastpath(topo, seed=0, **options)
     for k, host in enumerate(hosts):
         sim.add_flow(FlowSpec(k + 1, host, hosts[(k + 3) % len(hosts)], (1.0, 0.6)[k % 2]))
+    return sim
+
+
+def _dispatches(replicas, slots=40, size=4):
+    """Python and C calls the fabric slot loop itself makes in a run."""
+    sim = _fat_tree(size, replicas=replicas)
     own = ("fastpath_network.py", "flowring.py")
     count = 0
 
@@ -158,6 +166,67 @@ class TestNoPerCellPython:
 
     def test_no_deque(self):
         assert not hasattr(fastpath_network, "deque")
+
+    @pytest.mark.parametrize("buffer_limit, turns", [(None, 1), (2, 3)])
+    def test_one_kernel_call_per_turn_per_slot(self, monkeypatch, buffer_limit, turns):
+        """Twenty switches, one ``schedule`` per slot; with a credit
+        limit one per wave (cores, aggregation, edge) -- busy or not."""
+        calls = []
+        schedule = BatchPIMScheduler.schedule
+
+        def counted(self, requests, occupancy=None):
+            calls.append(requests.shape)
+            return schedule(self, requests, occupancy)
+
+        monkeypatch.setattr(BatchPIMScheduler, "schedule", counted)
+        sim = _fat_tree(4, replicas=8, buffer_limit=buffer_limit)
+        sim.run(40)
+        assert len(sim._compile().turns) == turns
+        assert len(calls) == 40 * turns
+        assert sum(shape[0] for shape in calls[:turns]) == 20 * 8
+
+    def test_dispatch_count_does_not_grow_with_switches(self):
+        """Four times the switches (20 against 5), eight times the hosts,
+        the same calls: no part of the slot is per switch."""
+        def per_slot(size):  # 40 steady-state slots, compilation cancelled out
+            return _dispatches(8, 80, size) - _dispatches(8, 40, size)
+
+        assert per_slot(4) <= 1.3 * per_slot(2)
+
+
+class _EdgeDrain(BatchScheduler):
+    """Matches input 0 to output 0 in the last switch's blocks only,
+    whatever was requested there."""
+
+    def __init__(self, replicas, ports, **_):
+        super().__init__(replicas, ports)
+
+    def schedule(self, requests, occupancy=None):
+        match = np.full((self.replicas, self.ports), -1, dtype=np.int64)
+        match[-8:, 0] = 0
+        return match
+
+
+class TestChecks:
+    def test_negative_occupancy_names_the_switch(self, monkeypatch):
+        """One kernel serves twenty switches; the check still says whose
+        VOQ went negative, from the cell's place in the stacked state."""
+        monkeypatch.setattr(
+            fastpath_network,
+            "build_batch_scheduler",
+            lambda name, replicas, ports, **_: _EdgeDrain(replicas, ports),
+        )
+        with pytest.raises(AssertionError, match="negative VOQ occupancy at edge3_1"):
+            _fat_tree(4, replicas=8).run(5, check=True)
+
+    def test_scheduler_and_accept_checked_at_construction(self):
+        topo, _ = _parking_lot_flows()
+        with pytest.raises(ValueError, match="unknown batch scheduler 'pmi'"):
+            NetworkFastpath(topo, scheduler="pmi")
+        with pytest.raises(ValueError, match="unknown accept policy: 'rr'"):
+            NetworkFastpath(topo, accept="rr")
+        with pytest.raises(ValueError, match="unknown batch scheduler"):
+            run_fastpath_network(topo, [], 10, scheduler="lottery")
 
 
 class TestBatchedRun:
