@@ -7,15 +7,18 @@ Monte-Carlo average over thousands of such slots.  This module runs
 **B independent replicas** of the lottery at once on compiled tables:
 
 - the per-output grant tables become cumulative arrays
-  (:func:`repro.core.statistical.grant_cdf_table`), so the grant step
-  is one batched ``searchsorted`` draw per slot across all replicas;
+  (:func:`repro.core.statistical.grant_cdf_table`), and one count of
+  ``cdf <= u`` inverts all B * N grant draws of a round at once;
 - the cached :func:`~repro.core.statistical.virtual_grant_pmf` and
   :func:`~repro.core.statistical.binomial_decoy_pmf` tables are
   stacked into padded cdf-row matrices, so virtual-grant counts and
   imaginary-output decoys are batched draws too;
-- accept picks are vectorized weighted choices over the per-input
-  cumulative virtual-grant counts (a pick falling through into the
-  decoys leaves the input unmatched);
+- a round works per *grant*, not per cell: the real grants are one
+  flat list, ascending (replica, output); an input's total is a
+  scatter-add over its line, and the accept pick is one stable sort
+  of the grants by line, one running sum of their virtual-grant
+  counts and one binary search per active input (a pick at or past
+  the line's real grants is a decoy win: the input stays unmatched);
 - ``rounds`` independent rounds run per slot, keeping round-2+ pairs
   only where both endpoints are still unmatched;
 - with ``fill=True`` the residual requests go to the existing
@@ -74,8 +77,6 @@ __all__ = [
     "run_fastpath_statistical",
     "match_counts",
 ]
-
-_EMPTY = np.zeros(0, dtype=np.int64)
 
 
 @dataclass(frozen=True)
@@ -196,7 +197,7 @@ class BatchStatisticalMatcher(BatchScheduler):
     A :class:`repro.core.batch.BatchScheduler` kernel, the batched twin
     of :class:`StatisticalMatcher` as a switch scheduler:
     :meth:`schedule` draws the slot's lottery (:meth:`match`: ``rounds``
-    grant/virtual-grant/accept rounds with the round-2+
+    per-grant grant/virtual-grant/accept rounds with the round-2+
     both-endpoints-unmatched filter, queue-oblivious), drops the
     matches no request backs (their reserved slot stays idle) and, with
     ``fill``, hands the ports left idle to a masked
@@ -243,10 +244,23 @@ class BatchStatisticalMatcher(BatchScheduler):
                 seed=derive_seed(seed, "statistical/fill"), track_sizes=False,
             )
         self.stat_cells = np.zeros(replicas, dtype=np.int64)
+        # Round invariants.  The cdfs are stored entry-major, (entries,
+        # 1, ports), so counting ``cdf <= u`` down axis 0 inverts a
+        # whole (B, ports) block of draws; a grant's last entry, exactly
+        # 1.0 > u (the imaginary input), is dropped.  Only inputs with
+        # slack draw decoys: ``_decoys`` keeps zeros for the rest.
+        n, t = self.ports, self.tables
+        self._grant_cdf = np.ascontiguousarray(t.grant_cdf[:, :n].T)[:, None, :]
+        self._slack_idx = np.nonzero(t.slack > 0)[0]
+        decoy_cdf = t.decoy_cdf_rows[t.decoy_row[self._slack_idx]]
+        self._decoy_cdf = np.ascontiguousarray(decoy_cdf.T)[:, None, :]
+        self._decoys = np.zeros((replicas, n), dtype=np.int64)
 
     def reset(self) -> None:
-        """Rewind the lottery and fill generators to their as-constructed state."""
+        """Rewind the lottery and fill generators to their as-constructed
+        state and forget the last slot's ``stat_cells``."""
         self._rng = np.random.default_rng(self._seed)
+        self.stat_cells = np.zeros(self.replicas, dtype=np.int64)
         if self._fill is not None:
             self._fill.reset()
 
@@ -254,63 +268,58 @@ class BatchStatisticalMatcher(BatchScheduler):
         """One batched grant / virtual-grant / accept round.
 
         Returns ``(bb, ii, jj, granted, virtual_total, decoy_total)``:
-        replica/input/output index arrays of the accepted pairs plus
-        the pooled counts for the ``stat_round`` trace event.
+        replica/input/output index arrays of the accepted pairs, in
+        ascending (replica, input) order, plus the pooled counts for
+        the ``stat_round`` trace event.
         """
         n = self.ports
         b = self.replicas
         t = self.tables
         rng = self._rng
         # Pass 1: every output grants one input (index N = imaginary).
-        u_grant = rng.random((b, n))
-        granted = np.empty((b, n), dtype=np.int64)
-        for j in range(n):
-            granted[:, j] = np.searchsorted(t.grant_cdf[j], u_grant[:, j], side="right")
-        # Pass 2: granted inputs re-draw each grant as m virtual
-        # grants; flattening (replica, output) row-major matches the
-        # object matcher's ascending-output loop at B = 1.
-        bb, jj = np.nonzero(granted < n)
-        ii = granted[bb, jj]
-        u_virtual = rng.random(bb.size)
-        virtual = np.zeros((b, n, n), dtype=np.int64)
-        if bb.size:
-            rows = t.virtual_row[ii, jj]
-            if self.check and (rows < 0).any():
-                raise AssertionError("granted a zero-allocation pair")
-            m = (t.virtual_cdf_rows[rows] <= u_virtual[:, None]).sum(axis=1)
-            # Each output grants at most once, so the (b, i, j) triples
-            # are unique and plain assignment suffices.
-            virtual[bb, ii, jj] = m
+        granted = (self._grant_cdf <= rng.random((b, n))).sum(axis=0).reshape(-1)
+        # The real grants, one entry each, ascending (replica, output):
+        # the object matcher's ascending-output loop at B = 1.  ``line``
+        # is the granted input's line, b * N + i.
+        flat = (granted < n).nonzero()[0]
+        inputs = granted.take(flat)
+        outputs = flat % n
+        line = flat - outputs + inputs
+        # Pass 2: granted inputs re-draw each grant as m virtual grants.
+        u_virtual = rng.random(flat.size)
+        rows = t.virtual_row.reshape(-1).take(inputs * n + outputs)
+        if self.check and (rows < 0).any():
+            raise AssertionError("granted a zero-allocation pair")
+        m = (t.virtual_cdf_rows.T.take(rows, axis=1) <= u_virtual).sum(axis=0)
+        real = np.zeros(b * n, dtype=np.int64)
+        np.add.at(real, line, m)
         # Pass 3: under-reserved inputs draw Binomial(slack, 1/X)
         # decoys from their imaginary output (ascending input at B = 1).
-        decoys = np.zeros((b, n), dtype=np.int64)
-        slack_idx = np.nonzero(t.slack > 0)[0]
-        if slack_idx.size:
-            u_decoy = rng.random((b, slack_idx.size))
-            rows = t.decoy_cdf_rows[t.decoy_row[slack_idx]]
-            decoys[:, slack_idx] = (rows[None, :, :] <= u_decoy[:, :, None]).sum(axis=2)
+        totals = real
+        decoy_total = 0
+        if self._slack_idx.size:
+            u_decoy = rng.random((b, self._slack_idx.size))
+            self._decoys[:, self._slack_idx] = (self._decoy_cdf <= u_decoy).sum(axis=0)
+            decoy_total = int(self._decoys.sum())
+            totals = real + self._decoys.reshape(-1)
         # Pass 4: each active input accepts one virtual grant
-        # uniformly; a pick beyond the real grants is a decoy win.
-        real = virtual.sum(axis=2)
-        totals = real + decoys
-        abb, aii = np.nonzero(totals > 0)
-        u_pick = rng.random(abb.size)
-        if abb.size:
-            picks = (u_pick * totals[abb, aii]).astype(np.int64)
-            cum = np.cumsum(virtual[abb, aii, :], axis=1)
-            j_sel = (cum <= picks[:, None]).sum(axis=1)
-            won = j_sel < n
-            pairs = (abb[won], aii[won], j_sel[won])
-        else:
-            pairs = (_EMPTY, _EMPTY, _EMPTY)
-        return (
-            pairs[0],
-            pairs[1],
-            pairs[2],
-            int(bb.size),
-            int(virtual.sum()),
-            int(decoys.sum()),
-        )
+        # uniformly; a pick at or past its real grants is a decoy win.
+        active = totals.nonzero()[0]
+        picks = (rng.random(active.size) * totals.take(active)).astype(np.int64)
+        won = (picks < real.take(active)).nonzero()[0]
+        lines = active.take(won)
+        # Sorted by line -- stably, so ascending output within a line --
+        # one running sum of m holds every input's pick table, starting
+        # where the lines before it end; the first entry past start +
+        # pick is the accepted grant, never one with m = 0.
+        order = line.argsort(kind="stable")
+        cum = m.take(order).cumsum()
+        start = real.cumsum()
+        start -= real
+        chosen = cum.searchsorted(start.take(lines) + picks.take(won), side="right")
+        bb, ii = np.divmod(lines, n)
+        jj = outputs.take(order.take(chosen))
+        return bb, ii, jj, flat.size, int(m.sum()), decoy_total
 
     def match_with_counts(self) -> Tuple[np.ndarray, List[StatRoundCounts]]:
         """One slot's matching for all replicas, plus per-round counts.
@@ -322,8 +331,9 @@ class BatchStatisticalMatcher(BatchScheduler):
         """
         n = self.ports
         b = self.replicas
-        match = np.full((b, n), -1, dtype=np.int64)
-        output_taken = np.zeros((b, n), dtype=bool)
+        match = np.full(b * n, -1, dtype=np.int64)
+        output_free = np.ones(b * n, dtype=bool)
+        matched = 0
         per_round: List[StatRoundCounts] = []
         probe = self._probe
         for index in range(self.rounds):
@@ -331,23 +341,28 @@ class BatchStatisticalMatcher(BatchScheduler):
             # Keep a round-2+ pair only when both endpoints are still
             # unmatched (pairs within a round never conflict: each
             # output grants once and each input accepts once).
-            free = (match[rb, ri] < 0) & ~output_taken[rb, rj]
-            kb, ki, kj = rb[free], ri[free], rj[free]
-            match[kb, ki] = kj
-            output_taken[kb, kj] = True
+            base = rb * n
+            inputs = base + ri
+            outputs = base + rj
+            free = np.logical_and(
+                match.take(inputs) < 0, output_free.take(outputs)
+            ).nonzero()[0]
+            match[inputs.take(free)] = rj.take(free)
+            output_free[outputs.take(free)] = False
+            matched += free.size
             per_round.append(
                 StatRoundCounts(
                     granted=granted,
                     virtual=virtual_total,
                     decoys=decoy_total,
-                    accepted=int(rb.size),
-                    kept=int(kb.size),
-                    matched=int((match >= 0).sum()),
+                    accepted=rb.size,
+                    kept=free.size,
+                    matched=matched,
                 )
             )
             if probe is not None and probe.enabled:
                 probe.stat_round(index, replicas=b, **vars(per_round[-1]))
-        return match, per_round
+        return match.reshape(b, n), per_round
 
     def match(self) -> np.ndarray:
         """(B, N) matched output per input (-1 unmatched) for one slot."""

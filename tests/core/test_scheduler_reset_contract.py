@@ -187,7 +187,12 @@ def test_batch_statistical_reset_replays_lottery_and_fill(fill):
     build = _statistical_kernel(fill)
     used = build(5, 6)
     first = _drive_batch(used)
+    assert used.stat_cells.any()
     used.reset()
+    # The last slot's lottery share is run state too.
+    fresh_cells = build(5, 6).stat_cells
+    assert used.stat_cells.dtype == fresh_cells.dtype
+    assert np.array_equal(used.stat_cells, fresh_cells)
     second = _drive_batch(used)
     fresh = _drive_batch(build(5, 6))
     for a, b, c in zip(first, second, fresh):

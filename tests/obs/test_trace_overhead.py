@@ -1,19 +1,19 @@
 """NullSink and no-op PhaseTimer overhead: disabled telemetry is free.
 
-The telemetry acceptance budget is <5% wall-clock overhead for a
-default (NullSink) run versus a fully untraced run on both backends,
-and the same budget applies to the disabled
-:data:`repro.obs.perf.NULL_PHASE_TIMER` default threaded through every
-simulator.  Wall-clock ratios on shared CI boxes are noisy, so the
-assertions here use a generous 1.25x ceiling on best-of-N timings; the
-5% budget is what the design targets (a single attribute read per emit
-site, a shared no-op span per phase site) and what the benchmark
-harness measures under controlled conditions.
+The telemetry design budget is <5% wall-clock overhead for a default
+(NullSink) run versus a fully untraced run on both backends, and the
+same for the disabled :data:`repro.obs.perf.NULL_PHASE_TIMER` default
+threaded through every simulator.  A wall-clock ratio cannot be asserted
+on a shared box (the best-of-3 form of these tests failed under load);
+what can be asserted exactly, anywhere, is the mechanism: a disabled
+probe or timer costs no function call *per slot*.  Under ``cProfile`` a
+run with the null object makes the calls of a run with ``None`` plus a
+per-run constant (0 on the object backend and for the timer, 1 for the
+fast path's probe when this was written), so the difference is the same
+at 200 and at 400 slots.
 """
 
-import time
-
-import pytest
+import cProfile
 
 from repro.core.pim import PIMScheduler
 from repro.obs.perf import NULL_PHASE_TIMER, PhaseTimer
@@ -24,66 +24,53 @@ from repro.switch.switch import CrossbarSwitch
 from repro.traffic.uniform import UniformTraffic
 
 PORTS = 16
-SLOTS = 2000
-CEILING = 1.25  # generous CI ceiling; design budget is 1.05
-REPEATS = 3
+SLOTS = 200
 
 
-def _best_of(repeats, fn):
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _calls(fn, *args):
+    """Every Python and C call ``fn(*args)`` makes, counted by cProfile."""
+    profile = cProfile.Profile()
+    profile.enable()
+    fn(*args)
+    profile.disable()
+    return sum(entry.callcount for entry in profile.getstats())
 
 
-@pytest.mark.slow
+def _assert_no_per_slot_calls(run, null):
+    """``run(slots, null)`` against ``run(slots, None)``: the extra calls
+    do not grow with ``slots``."""
+    run(SLOTS, None)  # warm caches and lazy imports
+    extra = [
+        _calls(run, slots, null) - _calls(run, slots, None)
+        for slots in (SLOTS, 2 * SLOTS)
+    ]
+    assert extra[0] == extra[1], (
+        f"the disabled object costs {extra[1] - extra[0]} calls per {SLOTS} slots"
+    )
+
+
 def test_null_probe_overhead_object_backend():
-    def run(probe):
+    def run(slots, probe):
         switch = CrossbarSwitch(PORTS, PIMScheduler(iterations=4, seed=1))
-        switch.run(UniformTraffic(PORTS, load=0.9, seed=2), slots=SLOTS, probe=probe)
+        switch.run(UniformTraffic(PORTS, load=0.9, seed=2), slots=slots, probe=probe)
 
-    run(None)  # warm caches
-    untraced = _best_of(REPEATS, lambda: run(None))
-    nullsink = _best_of(REPEATS, lambda: run(NULL_PROBE))
-    ratio = nullsink / untraced
-    assert ratio < CEILING, (
-        f"NullSink object-backend run took {ratio:.3f}x the untraced run "
-        f"(budget 1.05x, ceiling {CEILING}x)"
-    )
+    _assert_no_per_slot_calls(run, NULL_PROBE)
 
 
-@pytest.mark.slow
 def test_null_probe_overhead_fastpath_backend():
-    def run(probe):
-        run_fastpath(PORTS, 0.9, SLOTS, replicas=8, seed=3, probe=probe)
+    def run(slots, probe):
+        run_fastpath(PORTS, 0.9, slots, replicas=8, seed=3, probe=probe)
 
-    run(None)  # warm caches
-    untraced = _best_of(REPEATS, lambda: run(None))
-    nullsink = _best_of(REPEATS, lambda: run(NULL_PROBE))
-    ratio = nullsink / untraced
-    assert ratio < CEILING, (
-        f"NullSink fastpath run took {ratio:.3f}x the untraced run "
-        f"(budget 1.05x, ceiling {CEILING}x)"
-    )
+    _assert_no_per_slot_calls(run, NULL_PROBE)
 
 
-@pytest.mark.slow
 def test_noop_phase_timer_overhead_fastpath_backend():
-    """A disabled PhaseTimer adds no measurable per-slot cost."""
+    """A disabled PhaseTimer adds no per-slot call."""
 
-    def run(timer):
-        run_fastpath(PORTS, 0.9, SLOTS, replicas=8, seed=3, phase_timer=timer)
+    def run(slots, timer):
+        run_fastpath(PORTS, 0.9, slots, replicas=8, seed=3, phase_timer=timer)
 
-    run(None)  # warm caches
-    untimed = _best_of(REPEATS, lambda: run(None))
-    noop = _best_of(REPEATS, lambda: run(NULL_PHASE_TIMER))
-    ratio = noop / untimed
-    assert ratio < CEILING, (
-        f"no-op PhaseTimer fastpath run took {ratio:.3f}x the untimed run "
-        f"(budget 1.05x, ceiling {CEILING}x)"
-    )
+    _assert_no_per_slot_calls(run, NULL_PHASE_TIMER)
 
 
 def test_disabled_phase_timer_records_nothing():
