@@ -6,20 +6,27 @@ Three layers, each usable on its own:
   through the :mod:`repro.obs` probe hook (stream invariants) and a
   :class:`~repro.check.invariants.CheckingScheduler` wrapper (matching
   validity / maximality), plus end-of-run conservation checks;
-- :mod:`repro.check.differential` -- seed-matched differential runs
-  (object vs fast path) and cross-scheduler metamorphic checks;
-- :mod:`repro.check.fuzz` -- a randomized sweep over (ports, load,
-  pattern, scheduler, iterations, seed) that shrinks any failure to a
-  minimal reproducer and writes it as a pytest-replayable JSON case.
+- :mod:`repro.check.differential` -- the seed-matched object-vs-fastpath
+  parity oracles, one per switch model, each a set-up, two runs, two
+  projections onto named per-slot series and one :func:`diff_series`
+  call that names the first divergent (slot, series, index); plus
+  cross-scheduler metamorphic checks;
+- :mod:`repro.check.fuzz` -- one :class:`Case` type ``(family, seed,
+  params)`` and one strategy table (``switch``, ``cbr``, ``churn``,
+  ``statistical``, ``network``, ``scenario``): :func:`fuzz` sweeps a
+  family, shrinks any failure to a minimal reproducer and writes it as
+  a pytest-replayable JSON case.
 
-The ``repro-an2 check`` CLI subcommand runs the sweep; ``make check``
-and the CI smoke stage bound it by seed count and wall-clock budget.
+The ``repro-an2 check --suite <family>|all`` CLI subcommand runs the
+sweeps; ``make check`` and the CI smoke stage bound them by seed count
+and wall-clock budget.
 """
 
 from repro.check.differential import (
     DifferentialReport,
     ScenarioParityReport,
     backend_parity,
+    diff_series,
     fabric_parity,
     integrated_parity,
     metamorphic_pim_iterations,
@@ -28,29 +35,7 @@ from repro.check.differential import (
     scenario_parity,
     statistical_parity,
 )
-from repro.check.fuzz import (
-    Case,
-    CbrCase,
-    ChurnCase,
-    NetworkCase,
-    ScenarioCase,
-    StatCase,
-    FuzzReport,
-    fuzz,
-    fuzz_cbr,
-    fuzz_churn,
-    fuzz_network,
-    fuzz_scenarios,
-    fuzz_statistical,
-    load_case,
-    run_case,
-    run_cbr_case,
-    run_churn_case,
-    run_network_case,
-    run_scenario_case,
-    run_stat_case,
-    shrink,
-)
+from repro.check.fuzz import Case, FuzzReport, fuzz, load_case, run_case, shrink
 from repro.check.invariants import (
     CheckingScheduler,
     InvariantSink,
@@ -65,33 +50,19 @@ __all__ = [
     "FuzzReport",
     "InvariantSink",
     "InvariantViolation",
-    "backend_parity",
-    "fabric_parity",
-    "CbrCase",
-    "check_conservation",
-    "ChurnCase",
-    "NetworkCase",
-    "ScenarioCase",
     "ScenarioParityReport",
-    "StatCase",
+    "backend_parity",
+    "check_conservation",
+    "diff_series",
+    "fabric_parity",
     "fuzz",
-    "fuzz_cbr",
-    "fuzz_churn",
-    "fuzz_network",
-    "fuzz_scenarios",
-    "fuzz_statistical",
     "integrated_parity",
     "load_case",
     "metamorphic_pim_iterations",
     "metamorphic_statistical_fill",
     "network_parity",
     "run_case",
-    "run_cbr_case",
-    "run_churn_case",
-    "run_network_case",
-    "run_scenario_case",
-    "run_stat_case",
     "scenario_parity",
-    "statistical_parity",
     "shrink",
+    "statistical_parity",
 ]

@@ -1,24 +1,41 @@
 """Seed-matched differential runs and cross-scheduler metamorphic checks.
 
-Three families of checks, each reporting the first divergent slot (or
-the violating totals) when it fails:
+Every object-vs-fastpath oracle here has the same four parts: the model
+set-up, one run per backend on seed-matched inputs, a *projection* of
+each run onto the same named series -- integer arrays whose rows are
+slots, end-of-run totals as one-row series -- and one call to
+:func:`diff_series`, which raises
+:class:`~repro.check.invariants.InvariantViolation` at the first
+divergent (slot, series, index) with both values.
 
-- :func:`backend_parity` -- object backend vs fast path on
-  seed-matched arrivals, over the *whole* configuration space the fast
-  path supports (iterations including run-to-convergence, accept
-  policy, output capacity).  Generalizes the PR 1 PIM-only parity
-  check in :mod:`repro.obs.parity`.
+- :func:`backend_parity` -- the Section 3 crossbar over the whole
+  configuration space the fast path supports (every batched kernel,
+  iterations including run-to-convergence, accept policy, output
+  capacity);
+- :func:`scenario_parity` -- the crossbar driven by a named flow-level
+  scenario, down to the per-flow (size, FCT) samples;
+- :func:`integrated_parity` -- the Section 4 CBR frame plus VBR fill;
+- :func:`statistical_parity` -- the Section 5 lottery, round by round;
+- :func:`fabric_parity` / :func:`network_parity` -- the multi-switch
+  network, per flow and per switch.
+
+The projections are where an oracle says what must agree.  Two are
+deliberately weaker than slot-exact, and say so where they are built:
+PIM's object and fast matching streams are independent, so PIM parity
+compares arrivals per slot and *drained totals* rather than matches per
+slot; and scenario delay sums are compared only on drained runs with
+``warmup == 0``.
+
+Two metamorphic checks compare a backend with itself:
 
 - :func:`metamorphic_statistical_fill` -- Section 5.2's "any slot not
   used by statistical matching can be filled" must never *lose* cells:
   a ``fill=True`` matcher carries at least as much as ``fill=False``
-  with the same seed on the same arrivals, slot for slot.  This is
-  exact (slack 0): the statistical grant/accept draws consume a
-  stream decoupled from the PIM fill (see
-  :class:`repro.core.statistical.StatisticalMatcher`), so both runs
-  see identical statistical matchings and filling can only remove
+  with the same seed on the same arrivals.  This is exact (slack 0):
+  the statistical draws consume a stream decoupled from the PIM fill
+  (see :class:`repro.core.statistical.StatisticalMatcher`), so both
+  runs see identical statistical matchings and filling can only remove
   additional cells -- occupancy is pointwise dominated.
-
 - :func:`metamorphic_pim_iterations` -- more PIM iterations must not
   carry (meaningfully) less on the same arrivals.  PIM-k vs PIM-1 is
   not sample-wise monotone (different random draws), so the check
@@ -27,27 +44,54 @@ the violating totals) when it fails:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Dict, Optional, Sequence
 
 import numpy as np
 
+from repro.cbr.integrated import IntegratedSwitch
+from repro.cbr.reservations import ReservationTable
 from repro.check.invariants import InvariantViolation
-from repro.obs.parity import ParityReport, diff_backends
+from repro.core.batch import build_object_scheduler
+from repro.core.pim import PIMScheduler
+from repro.core.statistical import StatisticalMatcher
+from repro.network.netsim import FlowSpec, NetworkSimulator
+from repro.network.topologies import build
+from repro.obs.perf import NULL_PHASE_TIMER
+from repro.obs.probe import Probe
+from repro.obs.sinks import InMemorySink
+from repro.sim.fastpath import run_fastpath
+from repro.sim.fastpath_cbr import run_fastpath_cbr
+from repro.sim.fastpath_network import run_fastpath_network
+from repro.sim.fastpath_statistical import run_fastpath_statistical
+from repro.sim.rng import derive_seed
+from repro.switch.cell import ServiceClass
+from repro.switch.fabric import ReplicatedBanyanFabric
+from repro.switch.flow import Flow
+from repro.switch.switch import CrossbarSwitch
+from repro.traffic.cbr_source import CBRSource
 from repro.traffic.flows import WindowedSource
+from repro.traffic.scenarios import get_scenario
+from repro.traffic.uniform import UniformTraffic
 
 __all__ = [
     "DifferentialReport",
+    "ScenarioParityReport",
     "backend_parity",
+    "diff_series",
     "fabric_parity",
     "integrated_parity",
     "metamorphic_pim_iterations",
     "metamorphic_statistical_fill",
     "network_parity",
-    "ScenarioParityReport",
     "scenario_parity",
     "statistical_parity",
 ]
+
+#: A run projected for the differ: series name -> integer array-like
+#: whose rows are slots (one row: an end-of-run total).
+Series = Dict[str, object]
 
 
 @dataclass
@@ -74,6 +118,98 @@ class ScenarioParityReport(DifferentialReport):
     fast_result: object = None
 
 
+def _rows(values) -> np.ndarray:
+    """A series as a 2-D (rows, entries per row) array."""
+    array = np.asarray(values)
+    return array.reshape(array.shape[0], math.prod(array.shape[1:]))
+
+
+def diff_series(check: str, name: str, object_series: Series, fast_series: Series) -> None:
+    """Raise at the first divergent (slot, series, index) of two projected runs.
+
+    Both projections name the same series in the same order.  The
+    earliest divergent slot over all per-slot series wins, ties going to
+    the series named first; a one-row series is an end-of-run total,
+    reported only when no per-slot series diverges.  A row or entry that
+    only one backend has is a divergence, so a length mismatch is one.
+    The :class:`InvariantViolation` names ``check`` and carries both
+    values.
+    """
+    first = None
+    for order, key in enumerate(object_series):
+        a, b = _rows(object_series[key]), _rows(fast_series[key])
+        rows, width = min(len(a), len(b)), min(a.shape[1], b.shape[1])
+        differs = np.ones((max(len(a), len(b)), max(a.shape[1], b.shape[1])), bool)
+        differs[:rows, :width] = a[:rows, :width] != b[:rows, :width]
+        if differs.any():
+            row, index = np.argwhere(differs)[0]
+            rank = (len(differs) == 1, row, order)
+            if first is None or rank < first[0]:
+                first = (rank, key, index, a, b, differs.shape[1])
+    if first is None:
+        return
+    (total, row, _), key, index, a, b, width = first
+
+    def value(series):
+        inside = row < len(series) and index < series.shape[1]
+        return series[row, index] if inside else "absent"
+
+    where = "end of run" if total else f"slot {row}"
+    at = f"[{index}]" if width > 1 else ""
+    raise InvariantViolation(
+        check,
+        f"{name}: first divergence at {where}, {key}{at}: "
+        f"object {value(a)} fastpath {value(b)}",
+    )
+
+
+def _event_series(sink: InMemorySink, kind: str, fields: Sequence[str]) -> Series:
+    """Per-slot event counts and field sums of one trace event kind.
+
+    The one per-slot projection of a probe's trace: ``"<kind> events"``
+    counts the events of each slot and ``"<kind>.<field>"`` sums each
+    field, one row per slot.  An event's ``round_index`` (``StatRound``)
+    picks its column; every other kind has a single column.
+    """
+    events = sink.of_kind(kind)
+    slot = np.array([e.slot for e in events], dtype=np.int64)
+    column = np.array([getattr(e, "round_index", 0) for e in events], dtype=np.int64)
+    shape = (slot.max(initial=-1) + 1, column.max(initial=0) + 1)
+    values = {f"{kind} events": 1}
+    for field in fields:
+        values[f"{kind}.{field}"] = [getattr(e, field) for e in events]
+    series = {}
+    for key, value in values.items():
+        series[key] = np.zeros(shape, dtype=np.int64)
+        np.add.at(series[key], (slot, column), value)
+    return series
+
+
+def _crossbar_series(sink: InMemorySink, slot_exact: bool) -> Series:
+    """A crossbar run: arrivals per slot, matches per slot when the two
+    backends' matching streams are seed-matched, and cells carried."""
+    series = _event_series(sink, "slot_begin", ("arrivals",))
+    matched = _event_series(sink, "crossbar_transfer", ("cells",))
+    if slot_exact:
+        series.update(matched)
+    series["carried"] = [matched["crossbar_transfer.cells"].sum()]
+    return series
+
+
+def _delay_sums(stats) -> tuple:
+    """(sum of delays, cell count) from a DelayStats histogram.
+
+    Integer-exact, so it can be compared against the fast path's
+    Little's-law ``delay_integral`` / ``delay_cells`` counters without
+    Welford floating-point noise.
+    """
+    histogram = stats.histogram()
+    return (
+        sum(delay * count for delay, count in histogram.items()),
+        sum(histogram.values()),
+    )
+
+
 def backend_parity(
     ports: int,
     load: float,
@@ -90,16 +226,20 @@ def backend_parity(
 
     All three streams (traffic, object matching, fast matching) are
     derived from ``seed`` so one integer replays the whole comparison.
+    Both runs start empty and append ``drain_slots`` arrival-free slots
+    (the object side through :class:`~repro.traffic.flows.WindowedSource`),
+    so lossless switches drained to empty carry exactly what was offered.
 
     ``scheduler`` picks the batched kernel by registry name
     (``repro.core.BATCH_SCHEDULERS``).  For PIM the object and fast
-    matching streams are independent, so the invariant is the classic
-    one: identical arrivals, equal drained totals.  For every other
-    kernel the object side is built as the *seed-matched twin* of the
-    fast path's kernel (same stream the fast path derives internally:
-    ``derive_seed(fast_match_seed, "fastpath/<name>")``), and the B=1
-    parity convention upgrades the invariant to **slot-exact** matched
-    counts -- any per-slot divergence raises.
+    matching streams are independent, so the projection is the classic
+    one: arrivals on every slot, and equal drained totals.  For every
+    other kernel the object side is built as the *seed-matched twin* of
+    the fast path's kernel (same stream the fast path derives
+    internally: ``derive_seed(fast_match_seed, "fastpath/<name>")``), and
+    the B=1 parity convention upgrades the projection to matched cells
+    on every slot.  With ``output_capacity > 1`` the object switch runs
+    on a replicated fabric with a matching ``speedup``.
 
     ``phase_timer``, when given an enabled
     :class:`repro.obs.perf.PhaseTimer`, profiles the check under a
@@ -107,10 +247,6 @@ def backend_parity(
     children (each backend's own phase breakdown nested below), so
     slow parity sweeps report where the wall time went.
     """
-    from repro.core.batch import build_object_scheduler
-    from repro.obs.perf import NULL_PHASE_TIMER
-    from repro.sim.rng import derive_seed
-
     if drain_slots is None:
         # Enough to flush any backlog a stable run accumulates.
         drain_slots = max(200, slots)
@@ -119,9 +255,15 @@ def backend_parity(
         if phase_timer is not None and phase_timer.enabled
         else NULL_PHASE_TIMER
     )
+    traffic_seed = derive_seed(seed, "check/traffic")
     fast_match_seed = derive_seed(seed, "check/fast-match")
     if scheduler == "pim":
-        object_scheduler = None  # diff_backends builds the default PIM twin
+        object_scheduler = PIMScheduler(
+            iterations=iterations,
+            seed=derive_seed(seed, "check/object-match"),
+            accept=accept,
+            output_capacity=output_capacity,
+        )
     else:
         # Reconstruct the exact stream run_fastpath will inject
         # (RandomStreams(fast_match_seed).get("fastpath/<name>")) so the
@@ -134,36 +276,54 @@ def backend_parity(
             output_capacity=output_capacity,
             ports=ports,
         )
-    with timer.phase("parity"):
-        report: ParityReport = diff_backends(
-            ports,
-            load,
-            slots,
-            drain_slots=drain_slots,
-            iterations=iterations,
-            traffic_seed=derive_seed(seed, "check/traffic"),
-            object_match_seed=derive_seed(seed, "check/object-match"),
-            fast_match_seed=fast_match_seed,
-            accept=accept,
-            output_capacity=output_capacity,
-            scheduler=scheduler,
-            object_scheduler=object_scheduler,
-            phase_timer=timer,
-        )
-    name = (
-        f"backend-parity(N={ports}, load={load}, sched={scheduler}, "
-        f"iter={iterations}, accept={accept}, cap={output_capacity}, "
-        f"seed={seed})"
+    fabric = (
+        ReplicatedBanyanFabric(ports, copies=output_capacity)
+        if output_capacity > 1
+        else None
     )
-    if not report.ok:
-        raise InvariantViolation("backend-parity", report.describe())
-    if scheduler != "pim" and report.first_match_divergence is not None:
-        raise InvariantViolation(
-            "backend-parity",
-            f"seed-matched {scheduler} twins diverged at slot "
-            f"{report.first_match_divergence}:\n" + report.describe(),
+    switch = CrossbarSwitch(
+        ports, object_scheduler, fabric=fabric, speedup=output_capacity
+    )
+    sinks = InMemorySink(), InMemorySink()
+    with timer.phase("parity"):
+        with timer.phase("object"):
+            switch.run(
+                WindowedSource(UniformTraffic(ports, load=load, seed=traffic_seed), slots),
+                slots=slots + drain_slots,
+                probe=Probe(sinks[0]),
+                phase_timer=timer,
+            )
+        with timer.phase("fastpath"):
+            run_fastpath(
+                ports,
+                load,
+                slots,
+                replicas=1,
+                iterations=iterations,
+                accept=accept,
+                output_capacity=output_capacity,
+                scheduler=scheduler,
+                seed=fast_match_seed,
+                arrival_seeds=[traffic_seed],
+                drain_slots=drain_slots,
+                probe=Probe(sinks[1]),
+                phase_timer=timer,
+            )
+        object_series, fast_series = (
+            _crossbar_series(sink, slot_exact=scheduler != "pim") for sink in sinks
         )
-    return DifferentialReport(name=name, ok=True, detail=report.describe())
+        name = (
+            f"backend-parity(N={ports}, load={load}, sched={scheduler}, "
+            f"iter={iterations}, accept={accept}, cap={output_capacity}, "
+            f"seed={seed})"
+        )
+        diff_series("backend-parity", name, object_series, fast_series)
+    detail = (
+        f"{slots + drain_slots} slots, arrivals identical per slot, "
+        + ("drained totals equal" if scheduler == "pim" else "matches identical per slot")
+        + f" ({int(fast_series['carried'][0])} cells carried)"
+    )
+    return DifferentialReport(name=name, ok=True, detail=detail)
 
 
 def _random_allocations(
@@ -183,31 +343,6 @@ def _random_allocations(
     return alloc
 
 
-# Wraps a source so arrivals stop after ``limit`` slots: lets the
-# object backend run drain slots (the fast path's ``drain_slots``)
-# without a separate API.  Past the window the inner source is never
-# consulted, so neither backend consumes RNG draws there and the
-# offered traffic stays draw-for-draw identical.  Now shared with the
-# scenario CLI as :class:`repro.traffic.flows.WindowedSource` (which
-# also forwards ``reset``/``flow_records``); the old private name is
-# kept for existing callers.
-_WindowedTraffic = WindowedSource
-
-
-def _delay_sums(stats) -> tuple:
-    """(sum of delays, cell count) from a DelayStats histogram.
-
-    Integer-exact, so it can be compared ``==`` against the fast
-    path's Little's-law ``delay_integral`` / ``delay_cells`` counters
-    without Welford floating-point noise.
-    """
-    histogram = stats.histogram()
-    return (
-        sum(delay * count for delay, count in histogram.items()),
-        sum(histogram.values()),
-    )
-
-
 def scenario_parity(
     scenario: str,
     scheduler: str = "islip",
@@ -224,32 +359,27 @@ def scenario_parity(
     Both backends are driven by identically-seeded
     :class:`repro.traffic.flows.FlowTraffic` sources built from the
     named scenario (the rerun contract makes two same-seed sources
-    trace-identical), so the offered traffic is byte-identical.
+    trace-identical), so the offered traffic is byte-identical: arrivals
+    per slot and per input, and offered totals, are always compared.
 
     For the non-PIM kernels the object scheduler is the seed-matched
     twin of the batched kernel (the B=1 slot-exact parity convention),
-    so the *whole trajectory* coincides and the check compares, all as
-    exact integers: offered/carried totals, per-input arrival and
-    per-output departure counts, delay sums (over a drained run with
-    ``warmup`` 0 -- see the inline note), and the full per-flow
-    (size, FCT) sample list plus incomplete counts.
+    so the *whole trajectory* coincides and the projection adds, all as
+    exact integers: matched cells per slot, carried totals, per-output
+    departure counts, delay sums (over a drained run with ``warmup`` 0
+    -- see the inline note), and the full per-flow (size, FCT) sample
+    list plus incomplete counts.
 
-    For PIM the matching streams are independent, so the invariant is
-    the drained-totals one: identical arrivals; and over a drained run
-    equal carried totals, per-output departures (when ``warmup`` is 0)
-    and an identical *set* of completed flows (FCT values legitimately
+    For PIM the matching streams are independent, so the projection is
+    the drained-totals one: over a drained run equal carried totals,
+    per-output departures (when ``warmup`` is 0) and an identical
+    *number* of completed and incomplete flows (FCT values legitimately
     differ).
 
     Raises :class:`InvariantViolation` on any mismatch; returns a
     :class:`ScenarioParityReport` carrying both results so callers can
     print FCT tables without re-running.
     """
-    from repro.core.batch import build_object_scheduler
-    from repro.sim.fastpath import run_fastpath
-    from repro.sim.rng import derive_seed
-    from repro.switch.switch import CrossbarSwitch
-    from repro.traffic.scenarios import get_scenario
-
     spec = get_scenario(scenario)
     if drain_slots is None:
         # Flow tails are long (heavy-tailed sizes, incast bursts), so
@@ -261,32 +391,26 @@ def scenario_parity(
         f"scenario-parity({scenario}, sched={scheduler}, slots={slots}, "
         f"warmup={warmup}, seed={seed})"
     )
-
+    pim = scheduler == "pim"
     n = ports if ports is not None else spec.ports
-    if scheduler == "pim":
-        object_scheduler = build_object_scheduler(
-            "pim",
-            iterations=iterations,
-            seed=derive_seed(seed, "check/object-match"),
-            ports=n,
-        )
-    else:
-        # Reconstruct the exact stream run_fastpath injects into the
-        # batched kernel so the object twin is draw-for-draw identical.
-        object_scheduler = build_object_scheduler(
-            scheduler,
-            iterations=iterations,
-            seed=derive_seed(fast_match_seed, f"fastpath/{scheduler}"),
-            ports=n,
-        )
-
-    total = slots + drain_slots
-    object_source = spec.build_source(traffic_seed, ports=ports, load=load)
-    object_switch = CrossbarSwitch(n, object_scheduler)
-    object_result = object_switch.run(
-        WindowedSource(object_source, slots), slots=total, warmup=warmup
+    object_scheduler = build_object_scheduler(
+        scheduler,
+        iterations=iterations,
+        # A non-PIM twin reconstructs the exact stream run_fastpath
+        # injects into the batched kernel: draw-for-draw identical.
+        seed=derive_seed(seed, "check/object-match")
+        if pim
+        else derive_seed(fast_match_seed, f"fastpath/{scheduler}"),
+        ports=n,
     )
-
+    sinks = InMemorySink(), InMemorySink()
+    object_source = spec.build_source(traffic_seed, ports=ports, load=load)
+    object_result = CrossbarSwitch(n, object_scheduler).run(
+        WindowedSource(object_source, slots),
+        slots=slots + drain_slots,
+        warmup=warmup,
+        probe=Probe(sinks[0]),
+    )
     fast_result = run_fastpath(
         n,
         load if load is not None else spec.load,
@@ -300,88 +424,31 @@ def scenario_parity(
         drain_slots=drain_slots,
         warmup_mode="arrival",
         check=True,
+        probe=Probe(sinks[1]),
     )
-
-    def fail(label: str, object_value, fast_value) -> None:
-        raise InvariantViolation(
-            "scenario-parity",
-            f"{name}: {label} mismatch: object {object_value} "
-            f"fastpath {fast_value}",
-        )
-
-    # Arrival streams are scheduler-independent: always exact.
-    fast_offered = int(fast_result.offered_cells.sum())
-    if object_result.counter.offered != fast_offered:
-        fail("offered cells", object_result.counter.offered, fast_offered)
-    fast_by_input = tuple(int(x) for x in fast_result.arrivals_by_input[0])
-    if tuple(object_result.arrivals_by_input) != fast_by_input:
-        fail(
-            "arrivals by input",
-            object_result.arrivals_by_input,
-            fast_by_input,
-        )
-
     drained = (
         object_result.backlog == 0 and int(fast_result.final_backlog.sum()) == 0
     )
-    object_fct = object_result.fct
-    fast_fct = fast_result.fct
-    if scheduler == "pim":
-        if not drained:
-            raise InvariantViolation(
-                "scenario-parity",
-                f"{name}: run did not drain (object backlog "
-                f"{object_result.backlog}, fastpath "
-                f"{int(fast_result.final_backlog.sum())}); raise drain_slots",
-            )
-        if object_result.counter.carried != int(fast_result.carried_cells.sum()):
-            fail(
-                "carried cells (drained)",
-                object_result.counter.carried,
-                int(fast_result.carried_cells.sum()),
-            )
-        if warmup == 0:
-            fast_by_output = tuple(
-                int(x) for x in fast_result.departures_by_output[0]
-            )
-            if tuple(object_result.departures_by_output) != fast_by_output:
-                fail(
-                    "departures by output",
-                    object_result.departures_by_output,
-                    fast_by_output,
-                )
-        # Drained runs complete the same set of flows even though the
-        # independent matching randomness shifts individual FCTs.
-        if (object_fct.count, object_fct.incomplete) != (
-            fast_fct.count,
-            fast_fct.incomplete,
-        ):
-            fail(
-                "completed/incomplete flows",
-                (object_fct.count, object_fct.incomplete),
-                (fast_fct.count, fast_fct.incomplete),
-            )
-        detail = (
-            f"drained totals exact ({object_result.counter.carried} cells, "
-            f"{object_fct.count} flows); {fast_fct.summary()}"
+    if pim and not drained:
+        raise InvariantViolation(
+            "scenario-parity",
+            f"{name}: run did not drain (object backlog "
+            f"{object_result.backlog}, fastpath "
+            f"{int(fast_result.final_backlog.sum())}); raise drain_slots",
         )
-    else:
-        # Seed-matched twins: the whole trajectory must coincide.
-        if object_result.counter.carried != int(fast_result.carried_cells.sum()):
-            fail(
-                "carried cells",
-                object_result.counter.carried,
-                int(fast_result.carried_cells.sum()),
-            )
-        fast_by_output = tuple(
-            int(x) for x in fast_result.departures_by_output[0]
-        )
-        if tuple(object_result.departures_by_output) != fast_by_output:
-            fail(
-                "departures by output",
-                object_result.departures_by_output,
-                fast_by_output,
-            )
+
+    def project(sink, offered, by_input, carried, by_output, delay, fct) -> Series:
+        series = _crossbar_series(sink, slot_exact=not pim)
+        series["offered cells"] = [offered]
+        series["arrivals by input"] = [by_input]
+        series["carried cells"] = [carried]
+        if not pim or warmup == 0:
+            series["departures by output"] = [by_output]
+        if pim:
+            # Drained runs complete the same set of flows even though the
+            # independent matching randomness shifts individual FCTs.
+            series["completed/incomplete flows"] = [[fct.count, fct.incomplete]]
+            return series
         if drained and warmup == 0:
             # At warmup 0 the per-cell delay sum equals the occupancy
             # integral regardless of intra-VOQ service order, so the
@@ -390,41 +457,50 @@ def scenario_parity(
             # which round-robin service over multi-flow VOQs breaks:
             # *which* cells straddle the boundary then differs between
             # the accountings even though every trajectory matches.
-            object_delay = _delay_sums(object_result.delay)
-            fast_delay = (
-                int(fast_result.delay_integral.sum()),
-                int(fast_result.delay_cells.sum()),
-            )
-            if object_delay != fast_delay:
-                fail("delay (sum, cells)", object_delay, fast_delay)
-        if object_fct.observations() != fast_fct.observations():
-            diffs = [
-                (k, a, b)
-                for k, (a, b) in enumerate(
-                    zip(object_fct.observations(), fast_fct.observations())
-                )
-                if a != b
-            ]
-            first = diffs[0] if diffs else ("length",
-                                            object_fct.count, fast_fct.count)
-            fail("per-flow (size, fct) samples", first[1], first[2])
-        if (object_fct.incomplete, object_fct.warm_discarded) != (
-            fast_fct.incomplete,
-            fast_fct.warm_discarded,
-        ):
-            fail(
-                "incomplete/warm-discarded flows",
-                (object_fct.incomplete, object_fct.warm_discarded),
-                (fast_fct.incomplete, fast_fct.warm_discarded),
-            )
+            series["delay (sum, cells)"] = [delay]
+        series["per-flow (size, fct) samples"] = [np.ravel(fct.observations())]
+        series["incomplete/warm-discarded flows"] = [
+            [fct.incomplete, fct.warm_discarded]
+        ]
+        return series
+
+    diff_series(
+        "scenario-parity",
+        name,
+        project(
+            sinks[0],
+            object_result.counter.offered,
+            object_result.arrivals_by_input,
+            object_result.counter.carried,
+            object_result.departures_by_output,
+            _delay_sums(object_result.delay),
+            object_result.fct,
+        ),
+        project(
+            sinks[1],
+            fast_result.offered_cells.sum(),
+            fast_result.arrivals_by_input[0],
+            fast_result.carried_cells.sum(),
+            fast_result.departures_by_output[0],
+            (fast_result.delay_integral.sum(), fast_result.delay_cells.sum()),
+            fast_result.fct,
+        ),
+    )
+    carried, fct = object_result.counter.carried, fast_result.fct
+    if pim:
         detail = (
-            f"slot-exact ({object_result.counter.carried} cells"
+            f"drained totals exact ({carried} cells, "
+            f"{object_result.fct.count} flows); {fct.summary()}"
+        )
+    else:
+        detail = (
+            f"slot-exact ({carried} cells"
             + (
                 ", drained delay sums match"
                 if drained and warmup == 0
                 else (", drained" if drained else ", undrained")
             )
-            + f"); {fast_fct.summary()}"
+            + f"); {fct.summary()}"
         )
     return ScenarioParityReport(
         name=name,
@@ -454,26 +530,13 @@ def integrated_parity(
     :func:`repro.sim.fastpath_cbr.run_fastpath_cbr` on seed-matched
     arrivals and matchings, and compares:
 
-    - the per-slot ``CbrSlot`` series (CBR departures, VBR departures,
-      donated count, both pool backlogs) slot for slot, reporting the
-      first divergent slot;
+    - the per-slot ``CbrSlot`` series (reserved pairings, CBR
+      departures, VBR departures, donated count, both pool backlogs);
     - per-class delay statistics as integer (sum, count) pairs;
     - the used/donated/peak counters and the resolved Appendix B bound.
 
     Raises :class:`InvariantViolation` on any mismatch.
     """
-    from repro.cbr.integrated import IntegratedSwitch
-    from repro.cbr.reservations import ReservationTable
-    from repro.core.pim import PIMScheduler
-    from repro.obs.probe import Probe
-    from repro.obs.sinks import InMemorySink
-    from repro.sim.fastpath_cbr import run_fastpath_cbr
-    from repro.sim.rng import derive_seed
-    from repro.switch.cell import ServiceClass
-    from repro.switch.flow import Flow
-    from repro.traffic.cbr_source import CBRSource
-    from repro.traffic.uniform import UniformTraffic
-
     if drain_slots is None:
         drain_slots = max(200, slots)
     name = (
@@ -488,41 +551,33 @@ def integrated_parity(
         ports, frame_slots, alloc_rng, fraction=utilization
     )
     table = ReservationTable(ports, frame_slots)
-    flow_id = 1
-    for i in range(ports):
-        for j in range(ports):
-            if matrix[i, j]:
-                table.admit(
-                    Flow(
-                        flow_id=flow_id,
-                        src=i,
-                        dst=j,
-                        service=ServiceClass.CBR,
-                        cells_per_frame=int(matrix[i, j]),
-                    )
-                )
-                flow_id += 1
+    for flow_id, (i, j) in enumerate(zip(*np.nonzero(matrix)), start=1):
+        table.admit(
+            Flow(
+                flow_id=flow_id,
+                src=int(i),
+                dst=int(j),
+                service=ServiceClass.CBR,
+                cells_per_frame=int(matrix[i, j]),
+            )
+        )
 
     traffic_seed = derive_seed(seed, "check/cbr-vbr-traffic")
     match_seed = derive_seed(seed, "check/cbr-match")
-
-    object_switch = IntegratedSwitch(
+    sinks = InMemorySink(), InMemorySink()
+    object_result = IntegratedSwitch(
         table, scheduler=PIMScheduler(iterations=iterations, seed=match_seed)
-    )
-    object_sink = InMemorySink()
-    object_result = object_switch.run(
+    ).run(
         [
-            _WindowedTraffic(CBRSource(ports, table.flows(), frame_slots), slots),
-            _WindowedTraffic(
+            WindowedSource(CBRSource(ports, table.flows(), frame_slots), slots),
+            WindowedSource(
                 UniformTraffic(ports, load=vbr_load, seed=traffic_seed), slots
             ),
         ],
         slots=slots + drain_slots,
         warmup=warmup,
-        probe=Probe(object_sink),
+        probe=Probe(sinks[0]),
     )
-
-    fast_sink = InMemorySink()
     fast_result = run_fastpath_cbr(
         table,
         vbr_load,
@@ -535,77 +590,51 @@ def integrated_parity(
         vbr_arrival_seeds=[traffic_seed],
         drain_slots=drain_slots,
         check=True,
-        probe=Probe(fast_sink),
+        probe=Probe(sinks[1]),
     )
 
-    def series(sink):
-        return [
-            (e.slot, e.reserved, e.cbr_cells, e.vbr_cells, e.donated,
-             e.cbr_backlog, e.vbr_backlog)
-            for e in sink.events
-            if e.kind == "cbr_slot"
-        ]
-
-    object_series = series(object_sink)
-    fast_series = series(fast_sink)
-    for object_slot, fast_slot in zip(object_series, fast_series):
-        if object_slot != fast_slot:
-            raise InvariantViolation(
-                "integrated-parity",
-                f"{name}: first divergent slot {object_slot[0]}: "
-                f"object (reserved, cbr, vbr, donated, cbr_backlog, "
-                f"vbr_backlog)={object_slot[1:]} fastpath={fast_slot[1:]}",
-            )
-    if len(object_series) != len(fast_series):
-        raise InvariantViolation(
-            "integrated-parity",
-            f"{name}: event count mismatch "
-            f"{len(object_series)} vs {len(fast_series)}",
+    def project(sink, cbr_delay, vbr_delay, used, donated, peak, bound) -> Series:
+        series = _event_series(
+            sink,
+            "cbr_slot",
+            ("reserved", "cbr_cells", "vbr_cells", "donated", "cbr_backlog",
+             "vbr_backlog"),
         )
+        series["cbr delay (sum, cells)"] = [cbr_delay]
+        series["vbr delay (sum, cells)"] = [vbr_delay]
+        series["cbr slots used"] = [used]
+        series["cbr slots donated"] = [donated]
+        series["peak cbr buffer"] = [peak]
+        series["cbr buffer bound"] = [bound or ()]
+        return series
 
-    comparisons = {
-        "cbr delay (sum, cells)": (
-            _delay_sums(object_result.cbr_delay),
-            (
-                int(fast_result.cbr_delay_integral.sum()),
-                int(fast_result.cbr_delay_cells.sum()),
-            ),
-        ),
-        "vbr delay (sum, cells)": (
-            _delay_sums(object_result.vbr_delay),
-            (
-                int(fast_result.vbr_delay_integral.sum()),
-                int(fast_result.vbr_delay_cells.sum()),
-            ),
-        ),
-        "cbr slots used": (
+    cbr_delay = _delay_sums(object_result.cbr_delay)
+    vbr_delay = _delay_sums(object_result.vbr_delay)
+    diff_series(
+        "integrated-parity",
+        name,
+        project(
+            sinks[0],
+            cbr_delay,
+            vbr_delay,
             object_result.cbr_slots_used,
-            int(fast_result.cbr_slots_used.sum()),
-        ),
-        "cbr slots donated": (
             object_result.cbr_slots_donated,
-            int(fast_result.cbr_slots_donated.sum()),
-        ),
-        "peak cbr buffer": (
             object_result.peak_cbr_buffer,
-            int(fast_result.peak_cbr_buffer.max(initial=0)),
-        ),
-        "cbr buffer bound": (
             object_result.cbr_buffer_bound,
+        ),
+        project(
+            sinks[1],
+            (fast_result.cbr_delay_integral.sum(), fast_result.cbr_delay_cells.sum()),
+            (fast_result.vbr_delay_integral.sum(), fast_result.vbr_delay_cells.sum()),
+            fast_result.cbr_slots_used.sum(),
+            fast_result.cbr_slots_donated.sum(),
+            fast_result.peak_cbr_buffer.max(initial=0),
             fast_result.cbr_buffer_bound,
         ),
-    }
-    for label, (object_value, fast_value) in comparisons.items():
-        if object_value != fast_value:
-            raise InvariantViolation(
-                "integrated-parity",
-                f"{name}: {label} mismatch: object {object_value} "
-                f"fastpath {fast_value}",
-            )
+    )
     detail = (
-        f"{len(fast_series)} slots slot-exact; cbr "
-        f"{comparisons['cbr delay (sum, cells)'][0]}, vbr "
-        f"{comparisons['vbr delay (sum, cells)'][0]} delay sums match"
+        f"{slots + drain_slots} slots slot-exact; cbr {cbr_delay}, "
+        f"vbr {vbr_delay} delay sums match"
     )
     return DifferentialReport(name=name, ok=True, detail=detail)
 
@@ -624,13 +653,14 @@ def statistical_parity(
 ) -> DifferentialReport:
     """Object vs fast path on the statistically-matched switch.
 
-    Unlike :func:`backend_parity` (where the two backends' matching
-    randomness is independent and only totals are compared), the
-    statistical fast path consumes the object matcher's generator draw
-    for draw at B = 1 (see :mod:`repro.sim.fastpath_statistical`), so
-    the comparison here is **slot-exact**: with a shared ``match_seed``
-    every grant/virtual-grant/accept lottery -- and therefore every
-    matching, transfer, and queue trajectory -- must coincide.
+    Unlike PIM's :func:`backend_parity` (where the two backends'
+    matching randomness is independent and only totals are compared),
+    the statistical fast path consumes the object matcher's generator
+    draw for draw at B = 1 (see :mod:`repro.sim.fastpath_statistical`),
+    so the comparison here is **slot-exact**: with a shared
+    ``match_seed`` every grant/virtual-grant/accept lottery -- and
+    therefore every matching, transfer, and queue trajectory -- must
+    coincide.
 
     Builds a random feasible allocation matrix (sum of permutations at
     the requested ``utilization`` of ``units``), runs
@@ -638,9 +668,8 @@ def statistical_parity(
     :func:`repro.sim.fastpath_statistical.run_fastpath_statistical`
     on seed-matched arrivals and matchings, and compares:
 
-    - the per-slot ``StatRound`` series (granted, virtual grants,
-      decoys, accepted, kept, matched) round for round, reporting the
-      first divergent slot;
+    - the per-round ``StatRound`` anatomy (granted, virtual grants,
+      decoys, accepted, kept, matched), one column per round;
     - the per-slot offered arrivals, pre-arrival backlog, and
       transferred cells;
     - when the run drained, the delay statistics as integer
@@ -648,14 +677,6 @@ def statistical_parity(
 
     Raises :class:`InvariantViolation` on any mismatch.
     """
-    from repro.core.statistical import StatisticalMatcher
-    from repro.obs.probe import Probe
-    from repro.obs.sinks import InMemorySink
-    from repro.sim.fastpath_statistical import run_fastpath_statistical
-    from repro.sim.rng import derive_seed
-    from repro.switch.switch import CrossbarSwitch
-    from repro.traffic.uniform import UniformTraffic
-
     if drain_slots is None:
         drain_slots = max(200, slots)
     total = slots + drain_slots
@@ -669,22 +690,16 @@ def statistical_parity(
     allocations = _random_allocations(ports, units, alloc_rng, fraction=utilization)
     traffic_seed = derive_seed(seed, "check/stat-traffic")
     match_seed = derive_seed(seed, "check/stat-match")
-
-    object_sink = InMemorySink()
+    sinks = InMemorySink(), InMemorySink()
     matcher = StatisticalMatcher(
         allocations, units=units, rounds=rounds, seed=match_seed, fill=fill
     )
-    object_switch = CrossbarSwitch(ports, matcher)
-    object_result = object_switch.run(
-        _WindowedTraffic(
-            UniformTraffic(ports, load=load, seed=traffic_seed), slots
-        ),
+    object_result = CrossbarSwitch(ports, matcher).run(
+        WindowedSource(UniformTraffic(ports, load=load, seed=traffic_seed), slots),
         slots=total,
         warmup=warmup,
-        probe=Probe(object_sink),
+        probe=Probe(sinks[0]),
     )
-
-    fast_sink = InMemorySink()
     fast_result = run_fastpath_statistical(
         allocations,
         units,
@@ -699,85 +714,43 @@ def statistical_parity(
         arrival_seeds=[traffic_seed],
         drain_slots=drain_slots,
         check=True,
-        probe=Probe(fast_sink),
+        probe=Probe(sinks[1]),
     )
+    # Only a drained run makes the Little's-law integral equal the sum
+    # of departed-cell delays (cells still queued at the end contribute
+    # backlog but no departure); without fill a switch cannot drain
+    # cells on zero-allocation pairs, so the delay comparison is
+    # conditional.
+    drained = int(fast_result.final_backlog.sum()) == 0
 
-    def stat_series(sink):
-        return [
-            (e.slot, e.round_index, e.granted, e.virtual, e.decoys,
-             e.accepted, e.kept, e.matched)
-            for e in sink.events
-            if e.kind == "stat_round"
-        ]
-
-    def slot_series(sink, kind, field):
-        series = [0] * total
-        for event in sink.events:
-            if event.kind == kind and 0 <= event.slot < total:
-                series[event.slot] += getattr(event, field)
+    def project(sink, delay) -> Series:
+        series = {
+            **_event_series(
+                sink,
+                "stat_round",
+                ("granted", "virtual", "decoys", "accepted", "kept", "matched"),
+            ),
+            **_event_series(sink, "slot_begin", ("arrivals", "backlog")),
+            **_event_series(sink, "crossbar_transfer", ("cells",)),
+        }
+        if drained:
+            series["delay (sum, cells)"] = [delay]
         return series
 
-    object_rounds = stat_series(object_sink)
-    fast_rounds = stat_series(fast_sink)
-    for object_round, fast_round in zip(object_rounds, fast_rounds):
-        if object_round != fast_round:
-            raise InvariantViolation(
-                "statistical-parity",
-                f"{name}: first divergent round at slot {object_round[0]}: "
-                f"object (round, granted, virtual, decoys, accepted, kept, "
-                f"matched)={object_round[1:]} fastpath={fast_round[1:]}",
-            )
-    if len(object_rounds) != len(fast_rounds):
-        raise InvariantViolation(
-            "statistical-parity",
-            f"{name}: stat_round event count mismatch "
-            f"{len(object_rounds)} vs {len(fast_rounds)}",
-        )
-
-    for kind, field, label in (
-        ("slot_begin", "arrivals", "offered arrivals"),
-        ("slot_begin", "backlog", "pre-arrival backlog"),
-        ("crossbar_transfer", "cells", "transferred cells"),
-    ):
-        object_per_slot = slot_series(object_sink, kind, field)
-        fast_per_slot = slot_series(fast_sink, kind, field)
-        if object_per_slot != fast_per_slot:
-            slot = next(
-                s for s, (a, b) in
-                enumerate(zip(object_per_slot, fast_per_slot)) if a != b
-            )
-            raise InvariantViolation(
-                "statistical-parity",
-                f"{name}: {label} first diverge at slot {slot}: object "
-                f"{object_per_slot[slot]} fastpath {fast_per_slot[slot]}",
-            )
-
-    drained = int(fast_result.final_backlog.sum()) == 0
-    if drained:
-        # Only a drained run makes the Little's-law integral equal the
-        # sum of departed-cell delays (cells still queued at the end
-        # contribute backlog but no departure); without fill a switch
-        # cannot drain cells on zero-allocation pairs, so the delay
-        # comparison is conditional.
-        object_delay = _delay_sums(object_result.delay)
-        fast_delay = (
-            int(fast_result.delay_integral.sum()),
-            int(fast_result.delay_cells.sum()),
-        )
-        if object_delay != fast_delay:
-            raise InvariantViolation(
-                "statistical-parity",
-                f"{name}: delay (sum, cells) mismatch: object "
-                f"{object_delay} fastpath {fast_delay}",
-            )
-    detail = (
-        f"{len(fast_rounds)} rounds and {total} slots slot-exact; "
-        + (
-            f"delay sums {_delay_sums(object_result.delay)} match"
-            if drained
-            else f"undrained (backlog {int(fast_result.final_backlog.sum())}), "
-            f"delay comparison skipped"
-        )
+    object_delay = _delay_sums(object_result.delay)
+    diff_series(
+        "statistical-parity",
+        name,
+        project(sinks[0], object_delay),
+        project(
+            sinks[1], (fast_result.delay_integral.sum(), fast_result.delay_cells.sum())
+        ),
+    )
+    detail = f"{total} slots of {rounds}-round lotteries slot-exact; " + (
+        f"delay sums {object_delay} match"
+        if drained
+        else f"undrained (backlog {int(fast_result.final_backlog.sum())}), "
+        f"delay comparison skipped"
     )
     return DifferentialReport(name=name, ok=True, detail=detail)
 
@@ -796,11 +769,6 @@ def metamorphic_statistical_fill(
     both runs, so filling dominates pointwise and the check runs with
     **zero** slack.
     """
-    from repro.core.statistical import StatisticalMatcher
-    from repro.sim.rng import derive_seed
-    from repro.switch.switch import CrossbarSwitch
-    from repro.traffic.uniform import UniformTraffic
-
     alloc_rng = np.random.default_rng(derive_seed(seed, "check/allocations"))
     allocations = _random_allocations(ports, units, alloc_rng)
     matcher_seed = derive_seed(seed, "check/statistical")
@@ -842,9 +810,6 @@ def metamorphic_pim_iterations(
     port) absorbs the noise while still catching an iteration loop
     that loses work wholesale.
     """
-    from repro.sim.fastpath import run_fastpath
-    from repro.sim.rng import derive_seed
-
     if slack is None:
         slack = ports
     arrival_seed = derive_seed(seed, "check/traffic")
@@ -884,10 +849,6 @@ def network_parity(
     and draws ``n_flows`` random host-to-host flows from a seed-derived
     stream.  Raises :class:`InvariantViolation` on any mismatch.
     """
-    from repro.network.netsim import FlowSpec
-    from repro.network.topologies import build
-    from repro.sim.rng import derive_seed
-
     topo, hosts = build(topology, size, latency=latency)
     if len(hosts) < 2:
         raise ValueError(f"topology {topology}(size={size}) has {len(hosts)} hosts")
@@ -925,34 +886,29 @@ def fabric_parity(
     observer and :class:`repro.sim.fastpath_network.NetworkFastpath` at
     B=1 with the same root seed over ``flows`` on ``topo`` (any
     :class:`~repro.network.topology.Topology`), and compares slot for
-    slot:
+    slot -- one row per observed slot, so a missing record diverges:
 
-    - per-flow injections and deliveries,
-    - per-switch fabric transfer counts,
-    - per-switch end-of-slot backlog,
+    - per-flow injections and deliveries (index: the fast path's
+      ``series.flow_ids`` order),
+    - per-switch fabric transfer counts and end-of-slot backlog (index:
+      its ``series.switch_names`` order),
 
-    reporting the first divergent slot on mismatch, then the per-flow
-    delivered totals and warm delay-sample counts.  Because both
-    backends consume the same ``sched:{switch}``/``host:{host}``
-    streams in the same order, every quantity must match *exactly* --
-    any drift is a bug in one of the backends.
+    then the per-flow delivered totals and warm delay-sample counts.
+    Because both backends consume the same ``sched:{switch}`` /
+    ``host:{host}`` streams in the same order, every quantity must
+    match *exactly* -- any drift is a bug in one of the backends.
 
     Raises :class:`InvariantViolation` on any mismatch.
     """
-    from repro.network.netsim import NetworkSimulator
-    from repro.sim.fastpath_network import run_fastpath_network
-
     name = (
         f"network-parity({label}, flows={len(flows)}, "
         f"slots={slots}, warmup={warmup}, limit={buffer_limit}, seed={seed})"
     )
-
     records = []
     object_sim = NetworkSimulator(topo, seed=seed, buffer_limit=buffer_limit)
     for flow in flows:
         object_sim.add_flow(flow)
     object_result = object_sim.run(slots, warmup=warmup, observer=records.append)
-
     fast = run_fastpath_network(
         topo,
         flows,
@@ -965,51 +921,26 @@ def fabric_parity(
         check=True,
     )
     series = fast.series
-    flow_col = {fid: k for k, fid in enumerate(series.flow_ids)}
-    switch_col = {sw: k for k, sw in enumerate(series.switch_names)}
-
-    for record in records:
-        t = record.slot
-        for fid, k in flow_col.items():
-            for label, got, want in (
-                ("injected", record.injected.get(fid, 0), series.injected[t, k]),
-                ("delivered", record.delivered.get(fid, 0), series.delivered[t, k]),
-            ):
-                if got != want:
-                    raise InvariantViolation(
-                        "network-parity",
-                        f"{name}: first divergent slot {t}: flow {fid} "
-                        f"{label} object={got} fastpath={int(want)}",
-                    )
-        for sw, k in switch_col.items():
-            for label, got, want in (
-                ("transfers", record.transfers.get(sw, 0), series.transfers[t, k]),
-                ("backlog", record.backlog.get(sw, 0), series.backlog[t, k]),
-            ):
-                if got != want:
-                    raise InvariantViolation(
-                        "network-parity",
-                        f"{name}: first divergent slot {t}: switch {sw} "
-                        f"{label} object={got} fastpath={int(want)}",
-                    )
-    for flow in flows:
-        fid = flow.flow_id
-        object_delivered = object_result.delivered[fid]
-        fast_delivered = int(fast.delivered[0, flow_col[fid]])
-        if object_delivered != fast_delivered:
-            raise InvariantViolation(
-                "network-parity",
-                f"{name}: flow {fid} delivered object={object_delivered} "
-                f"fastpath={fast_delivered}",
-            )
-        object_samples = object_result.delay[fid].count
-        fast_samples = int(fast.delay_cells[0, flow_col[fid]])
-        if object_samples != fast_samples:
-            raise InvariantViolation(
-                "network-parity",
-                f"{name}: flow {fid} delay samples object={object_samples} "
-                f"fastpath={fast_samples}",
-            )
+    columns = {
+        "injected": series.flow_ids,
+        "delivered": series.flow_ids,
+        "transfers": series.switch_names,
+        "backlog": series.switch_names,
+    }
+    object_series = {
+        field: [[getattr(r, field).get(k, 0) for k in keys] for r in records]
+        for field, keys in columns.items()
+    }
+    object_series["delivered per flow"] = [
+        [object_result.delivered[fid] for fid in series.flow_ids]
+    ]
+    object_series["delay samples per flow"] = [
+        [object_result.delay[fid].count for fid in series.flow_ids]
+    ]
+    fast_series = {field: getattr(series, field) for field in columns}
+    fast_series["delivered per flow"] = fast.delivered[:1]
+    fast_series["delay samples per flow"] = fast.delay_cells[:1]
+    diff_series("network-parity", name, object_series, fast_series)
     total = int(fast.delivered.sum())
     return DifferentialReport(
         name=name, ok=True, detail=f"{slots} slots slot-exact, {total} cells delivered"

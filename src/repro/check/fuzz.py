@@ -1,51 +1,72 @@
-"""Randomized invariant sweep with failure shrinking.
+"""Randomized invariant and parity sweeps with failure shrinking.
 
-A :class:`Case` is one fully-seeded configuration point: (ports, load,
-pattern, scheduler, iterations, slots, seed).  :func:`run_case` builds
-the corresponding switch with every checker attached -- the scheduler
-wrapped in :class:`~repro.check.invariants.CheckingScheduler`, the
-probe feeding an :class:`~repro.check.invariants.InvariantSink`,
-end-of-run conservation, and (where the fast path supports the
-configuration) a seed-matched :func:`~repro.check.differential.backend_parity`
-run -- and raises on the first violation.
+A :class:`Case` is one fully-seeded fuzz point: a *family*, a seed, and
+the family's params.  :data:`FAMILIES` is the strategy table: for each
+family, how a seed becomes params (:func:`case_for_seed`) and the
+function that runs them (:func:`run_case`), raising on the first
+violation.
 
-:func:`fuzz` sweeps random cases until a seed count or wall-clock
-budget is exhausted.  Each failure is shrunk
-(:func:`shrink`: smaller ports, fewer slots, fewer iterations, the
-plainest pattern) to a minimal reproducer and written as JSON that
-``tests/check/test_replay_failures.py`` replays under pytest, so a
-fuzz finding becomes a regression test by dropping the file in
-``tests/check/failures/``.
+- ``switch`` -- every registry scheduler on a crossbar with every
+  checker attached (a :class:`~repro.check.invariants.CheckingScheduler`,
+  an :class:`~repro.check.invariants.InvariantSink` probe, end-of-run
+  conservation) and, where the fast path has a batched twin and the
+  traffic is uniform, a seed-matched
+  :func:`~repro.check.differential.backend_parity` run;
+- ``cbr`` / ``statistical`` / ``network`` / ``scenario`` -- the
+  :func:`~repro.check.differential.integrated_parity`,
+  :func:`~repro.check.differential.statistical_parity`,
+  :func:`~repro.check.differential.network_parity` and
+  :func:`~repro.check.differential.scenario_parity` oracles;
+- ``churn`` -- Slepian-Duguid add/remove reservation sequences.
+
+:func:`fuzz` sweeps one family until a seed count or wall-clock budget
+is exhausted.  Each failure is shrunk (:func:`shrink`: per-field moves
+towards the plainest, smallest case that still fails) and written as
+``<family>_case_<seed>.json``, which ``tests/check/test_replay_failures.py``
+replays under pytest -- a fuzz finding becomes a regression test by
+dropping the file in ``tests/check/failures/``.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import time
-from dataclasses import asdict, dataclass, replace
-from typing import Callable, List, Optional
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
+
+import numpy as np
+
+from repro.cbr.slepian_duguid import SlepianDuguidScheduler
+from repro.check.differential import (
+    _random_allocations,
+    backend_parity,
+    integrated_parity,
+    network_parity,
+    scenario_parity,
+    statistical_parity,
+)
+from repro.check.invariants import CheckingScheduler, InvariantSink, check_conservation
+from repro.core.batch import build_object_scheduler
+from repro.core.rrm import RRMScheduler
+from repro.core.statistical import StatisticalMatcher
+from repro.network.topologies import TOPOLOGIES
+from repro.obs.probe import Probe
+from repro.sim.rng import derive_seed
+from repro.switch.switch import CrossbarSwitch
+from repro.traffic.bursty import BurstyTraffic
+from repro.traffic.clientserver import ClientServerTraffic
+from repro.traffic.scenarios import SCENARIOS
+from repro.traffic.uniform import UniformTraffic
 
 __all__ = [
     "Case",
-    "CbrCase",
-    "ChurnCase",
-    "NetworkCase",
-    "ScenarioCase",
-    "StatCase",
+    "FAMILIES",
     "FuzzReport",
+    "case_for_seed",
     "fuzz",
-    "fuzz_cbr",
-    "fuzz_churn",
-    "fuzz_network",
-    "fuzz_scenarios",
-    "fuzz_statistical",
     "load_case",
     "run_case",
-    "run_cbr_case",
-    "run_churn_case",
-    "run_network_case",
-    "run_scenario_case",
-    "run_stat_case",
     "shrink",
 ]
 
@@ -58,163 +79,305 @@ DIFFERENTIAL_SCHEDULERS = ("pim", "islip", "lqf", "wavefront", "qps")
 
 @dataclass(frozen=True)
 class Case:
-    """One reproducible fuzz configuration."""
+    """One reproducible fuzz point: ``run_case`` replays it exactly.
 
+    ``params`` are the keyword arguments of the family's run function;
+    any it leaves out take that function's defaults.
+    """
+
+    family: str
     seed: int
-    ports: int = 8
-    load: float = 0.9
-    pattern: str = "uniform"
-    scheduler: str = "pim"
-    iterations: int = 4
-    slots: int = 200
+    params: Dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        """The reproducer: family, seed and params as one flat object."""
+        return json.dumps(
+            {"family": self.family, "seed": self.seed, **self.params}, sort_keys=True
+        )
 
 
 def load_case(text: str) -> Case:
     """Parse a JSON reproducer back into a :class:`Case`."""
-    return Case(**json.loads(text))
+    params = json.loads(text)
+    return Case(params.pop("family"), params.pop("seed"), params)
 
 
-def _build_traffic(case: Case):
-    from repro.sim.rng import derive_seed
-    from repro.traffic.bursty import BurstyTraffic
-    from repro.traffic.clientserver import ClientServerTraffic
-    from repro.traffic.uniform import UniformTraffic
-
-    seed = derive_seed(case.seed, f"fuzz/traffic/{case.pattern}")
-    if case.pattern == "uniform":
-        return UniformTraffic(case.ports, load=case.load, seed=seed)
-    if case.pattern == "bursty":
-        return BurstyTraffic(case.ports, load=case.load, seed=seed)
-    if case.pattern == "clientserver":
+def _build_traffic(seed: int, ports: int, load: float, pattern: str):
+    traffic_seed = derive_seed(seed, f"fuzz/traffic/{pattern}")
+    if pattern == "uniform":
+        return UniformTraffic(ports, load=load, seed=traffic_seed)
+    if pattern == "bursty":
+        return BurstyTraffic(ports, load=load, seed=traffic_seed)
+    if pattern == "clientserver":
         return ClientServerTraffic(
-            case.ports,
-            load=case.load,
-            servers=max(1, case.ports // 4),
-            seed=seed,
+            ports, load=load, servers=max(1, ports // 4), seed=traffic_seed
         )
-    raise ValueError(f"unknown pattern {case.pattern!r}")
+    raise ValueError(f"unknown pattern {pattern!r}")
 
 
-def _build_scheduler(case: Case):
-    import numpy as np
-
-    from repro.core.islip import ISLIPScheduler
-    from repro.core.lqf import LQFScheduler
-    from repro.core.pim import PIMScheduler
-    from repro.core.qps import QPSScheduler
-    from repro.core.rrm import RRMScheduler
-    from repro.core.statistical import StatisticalMatcher
-    from repro.core.wavefront import WavefrontScheduler
-    from repro.sim.rng import derive_seed
-
-    seed = derive_seed(case.seed, f"fuzz/match/{case.scheduler}")
-    if case.scheduler == "pim":
-        return PIMScheduler(iterations=case.iterations, seed=seed)
-    if case.scheduler == "islip":
-        return ISLIPScheduler(iterations=case.iterations)
-    if case.scheduler == "rrm":
-        return RRMScheduler(iterations=case.iterations)
-    if case.scheduler == "lqf":
-        return LQFScheduler(seed=seed)
-    if case.scheduler == "wavefront":
-        return WavefrontScheduler()
-    if case.scheduler == "qps":
-        return QPSScheduler(rounds=case.iterations, seed=seed)
-    if case.scheduler == "statistical":
-        from repro.check.differential import _random_allocations
-
+def _build_scheduler(seed: int, ports: int, scheduler: str, iterations: int):
+    match_seed = derive_seed(seed, f"fuzz/match/{scheduler}")
+    if scheduler == "rrm":
+        return RRMScheduler(iterations=iterations)
+    if scheduler == "statistical":
         units = 16
         allocations = _random_allocations(
-            case.ports, units, np.random.default_rng(seed)
+            ports, units, np.random.default_rng(match_seed)
         )
-        return StatisticalMatcher(allocations, units=units, seed=seed, fill=True)
-    raise ValueError(f"unknown scheduler {case.scheduler!r}")
-
-
-def run_case(case: Case, differential: bool = True) -> None:
-    """Run every checker on one case; raises on the first violation.
-
-    ``differential=False`` limits the run to the invariant checkers
-    (used while shrinking, where re-running the cross-backend
-    comparison on every candidate would dominate the budget).
-    """
-    from repro.check.differential import backend_parity
-    from repro.check.invariants import (
-        CheckingScheduler,
-        InvariantSink,
-        check_conservation,
+        return StatisticalMatcher(allocations, units=units, seed=match_seed, fill=True)
+    return build_object_scheduler(
+        scheduler, iterations=iterations, seed=match_seed, ports=ports
     )
-    from repro.obs.probe import Probe
-    from repro.switch.switch import CrossbarSwitch
 
-    scheduler = CheckingScheduler(_build_scheduler(case))
-    switch = CrossbarSwitch(case.ports, scheduler)
+
+def _run_switch(
+    seed: int,
+    ports: int = 8,
+    load: float = 0.9,
+    pattern: str = "uniform",
+    scheduler: str = "pim",
+    iterations: int = 4,
+    slots: int = 200,
+) -> None:
+    """Every invariant checker on one scheduler, then cross-backend parity.
+
+    PIM compares drained totals (independent matching streams); every
+    other registry kernel with a batched twin runs against its
+    seed-matched object twin and must agree slot for slot.
+    """
+    switch = CrossbarSwitch(
+        ports, CheckingScheduler(_build_scheduler(seed, ports, scheduler, iterations))
+    )
     result = switch.run(
-        _build_traffic(case),
-        slots=case.slots,
+        _build_traffic(seed, ports, load, pattern),
+        slots=slots,
         probe=Probe(InvariantSink()),
     )
-    check_conservation(result, label=str(case))
-    if (
-        differential
-        and case.scheduler in DIFFERENTIAL_SCHEDULERS
-        and case.pattern == "uniform"
-    ):
-        # PIM compares drained totals (independent matching streams);
-        # every other registry kernel runs against its seed-matched
-        # object twin and must agree slot for slot.
+    check_conservation(
+        result, label=f"switch(seed={seed}, {scheduler}, {pattern}, N={ports})"
+    )
+    if scheduler in DIFFERENTIAL_SCHEDULERS and pattern == "uniform":
         backend_parity(
-            case.ports,
-            case.load,
-            case.slots,
-            seed=case.seed,
-            iterations=case.iterations,
-            scheduler=case.scheduler,
+            ports, load, slots, seed=seed, iterations=iterations, scheduler=scheduler
         )
+
+
+def _run_churn(
+    seed: int, ports: int = 4, frame_slots: int = 8, operations: int = 120
+) -> None:
+    """Interleave add/remove reservations, checking after every op.
+
+    Drives a :class:`SlepianDuguidScheduler` through a random
+    high-utilization add/remove sequence (biased 2:1 toward adds so
+    the frame fills up and insertions exercise the ``_swap_chain``
+    rearrangement path, including removal-then-reinsertion).  After
+    *every* operation:
+
+    - ``FrameSchedule.validate()`` must hold (forward/backward slot
+      maps agree);
+    - the schedule's ``reservation_matrix()`` must equal the
+      scheduler's own ``reservations`` ledger;
+    - no input or output may be committed past the frame length.
+    """
+    rng = np.random.default_rng(derive_seed(seed, "fuzz/churn"))
+    scheduler = SlepianDuguidScheduler(ports, frame_slots)
+    active: List[tuple] = []  # (input, output, cells) still reserved
+
+    def check(op: str) -> None:
+        scheduler.schedule.validate()
+        matrix = scheduler.schedule.reservation_matrix()
+        ledger = scheduler.reservations
+        where = f"churn(seed={seed}): after {op}"
+        if not (matrix == ledger).all():
+            raise AssertionError(
+                f"{where}: schedule matrix disagrees with ledger:\n{matrix}\nvs\n{ledger}"
+            )
+        if (matrix.sum(axis=1) > frame_slots).any() or (
+            matrix.sum(axis=0) > frame_slots
+        ).any():
+            raise AssertionError(f"{where}: link over-committed")
+
+    for _ in range(operations):
+        if not active or rng.random() < 2 / 3:
+            i = int(rng.integers(ports))
+            j = int(rng.integers(ports))
+            headroom = min(
+                frame_slots - scheduler.input_committed(i),
+                frame_slots - scheduler.output_committed(j),
+            )
+            if headroom <= 0:
+                continue
+            cells = int(rng.integers(1, headroom + 1))
+            scheduler.add_reservation(i, j, cells)
+            active.append((i, j, cells))
+            check(f"add({i}, {j}, {cells})")
+        else:
+            i, j, cells = active.pop(int(rng.integers(len(active))))
+            scheduler.remove_reservation(i, j, cells)
+            check(f"remove({i}, {j}, {cells})")
+
+
+def _run_network(seed: int, buffer_limit: int = 0, **params) -> None:
+    """:func:`network_parity`, with ``buffer_limit == 0`` encoding "no
+    link-level flow control" so the case stays JSON-primitive."""
+    network_parity(seed=seed, buffer_limit=buffer_limit or None, **params)
+
+
+class Family(NamedTuple):
+    """How one fuzz family turns a seed into params, and runs them.
+
+    ``choices`` are drawn in order from the ``label`` stream
+    (``derive_seed(seed, label)``), one uniform pick per field; a
+    callable gets the params drawn so far and returns the options.
+    ``cycled`` maps the seed straight to the fields that cycle with it
+    (none by default), so a sweep of consecutive seeds provably covers
+    them.
+    """
+
+    label: str
+    choices: Dict[str, Any]
+    run: Callable[..., Any]
+    cycled: Callable[[int], Dict[str, Any]] = lambda seed: {}
+
+
+def _scenario_cycle(seed: int) -> Dict[str, Any]:
+    # Kernel and scenario cycle at coprime strides: any
+    # len(DIFFERENTIAL_SCHEDULERS) * len(SCENARIOS) consecutive seeds
+    # cover every (kernel, scenario) pair.
+    names = sorted(SCENARIOS)
+    width = len(DIFFERENTIAL_SCHEDULERS)
+    return {
+        "scenario": names[(seed // width) % len(names)],
+        "scheduler": DIFFERENTIAL_SCHEDULERS[seed % width],
+    }
+
+
+#: The strategy table, in ``repro-an2 check --suite all`` order.
+FAMILIES: Dict[str, Family] = {
+    "switch": Family(
+        "fuzz/config",
+        dict(
+            ports=[2, 4, 8, 16],
+            load=[0.3, 0.6, 0.8, 0.9, 0.95],
+            pattern=PATTERNS,
+            iterations=[1, 2, 4],
+            slots=[100, 200, 400],
+        ),
+        _run_switch,
+        lambda seed: {"scheduler": SCHEDULERS[seed % len(SCHEDULERS)]},
+    ),
+    "cbr": Family(
+        "fuzz/cbr-config",
+        dict(
+            ports=[2, 4, 8],
+            frame_slots=[4, 8, 16],
+            utilization=[0.25, 0.5, 0.75, 1.0],
+            vbr_load=[0.2, 0.5, 0.8, 1.0],
+            slots=[80, 150, 300],
+            warmup=[0, 20],
+        ),
+        integrated_parity,
+    ),
+    "churn": Family(
+        "fuzz/churn-config",
+        dict(ports=[2, 4, 8, 16], frame_slots=[4, 8, 16, 32], operations=[60, 120, 250]),
+        _run_churn,
+    ),
+    "statistical": Family(
+        "fuzz/stat-config",
+        dict(
+            ports=[2, 4, 8],
+            units=[4, 8, 16],
+            utilization=[0.25, 0.5, 0.75, 1.0],
+            load=[0.2, 0.5, 0.8, 1.0],
+            rounds=[1, 2, 3],
+            slots=[80, 150, 300],
+            warmup=[0, 20],
+        ),
+        statistical_parity,
+        # Two consecutive seeds cover the filled and the lottery-only switch.
+        lambda seed: {"fill": seed % 2 == 0},
+    ),
+    "network": Family(
+        "fuzz/network-config",
+        dict(
+            topology=TOPOLOGIES,
+            # Keep the big shapes small: fuzz wants many cheap cases,
+            # not a handful of fabric-scale ones (the bench covers those).
+            size=lambda p: [2, 3] if p["topology"] in ("fat_tree", "mesh") else [2, 3, 4],
+            n_flows=[2, 4, 6],
+            latency=[1, 1, 2, 3],
+            buffer_limit=[0, 0, 2, 4],
+            slots=[120, 200, 350],
+            warmup=[0, 25],
+        ),
+        _run_network,
+    ),
+    "scenario": Family(
+        "fuzz/scenario-config",
+        dict(slots=[120, 200, 350], warmup=[0, 25]),
+        scenario_parity,
+        _scenario_cycle,
+    ),
+}
+
+
+def case_for_seed(family: str, seed: int) -> Case:
+    """Deterministically map a seed to one point of ``family``."""
+    spec = FAMILIES[family]
+    rng = np.random.default_rng(derive_seed(seed, spec.label))
+    params = spec.cycled(seed)
+    for name, options in spec.choices.items():
+        params[name] = rng.choice(options(params) if callable(options) else options).item()
+    return Case(family, seed, params)
+
+
+def run_case(case: Case) -> None:
+    """Run one case; raises on the first violation."""
+    FAMILIES[case.family].run(seed=case.seed, **case.params)
 
 
 def _fails(case: Case) -> Optional[str]:
     try:
-        run_case(case, differential=False)
+        run_case(case)
     except Exception as exc:  # noqa: BLE001 -- any failure is a reproducer
         return f"{type(exc).__name__}: {exc}"
     return None
 
 
-def shrink(
-    case: Case, fails: Callable[[Case], Optional[str]] = _fails
-) -> Case:
+#: Per-field shrink moves, tried in this order: each maps a value to a
+#: plainer or smaller one (equal when there is nothing left to shrink).
+SHRINK_MOVES: Dict[str, Callable[[Any], Any]] = {
+    "pattern": lambda value: "uniform",
+    "ports": lambda value: max(2, value // 2),
+    "slots": lambda value: max(10, value // 2),
+    "iterations": lambda value: 1,
+    "load": lambda value: min(value, 0.5),
+}
+
+
+def shrink(case: Case, fails: Callable[[Case], Optional[str]] = _fails) -> Case:
     """Greedily minimize a failing case while it keeps failing.
 
-    Tries, in order and to fixpoint: the plainest traffic pattern,
-    halved ports (floor 2), halved slots (floor 10), a single
-    iteration, and a tamer load.  ``fails`` returns the failure
-    message (truthy) or None; the default re-runs the invariant
-    checkers without the differential stage.
+    Tries, in :data:`SHRINK_MOVES` order and to fixpoint, every move
+    that applies to one of the case's params: the plainest traffic
+    pattern, halved ports (floor 2), halved slots (floor 10), a single
+    iteration, and a tamer load.  ``fails`` returns the failure message
+    (truthy) or None; the default re-runs the case.
     """
     if fails(case) is None:
         raise ValueError("shrink() needs a failing case")
     changed = True
     while changed:
         changed = False
-        candidates: List[Case] = []
-        if case.pattern != "uniform":
-            candidates.append(replace(case, pattern="uniform"))
-        if case.ports > 2:
-            candidates.append(replace(case, ports=max(2, case.ports // 2)))
-        if case.slots > 10:
-            candidates.append(replace(case, slots=max(10, case.slots // 2)))
-        if case.iterations > 1:
-            candidates.append(replace(case, iterations=1))
-        if case.load > 0.5:
-            candidates.append(replace(case, load=0.5))
-        for candidate in candidates:
+        for name, move in SHRINK_MOVES.items():
+            if name not in case.params or move(case.params[name]) == case.params[name]:
+                continue
+            candidate = replace(
+                case, params={**case.params, name: move(case.params[name])}
+            )
             if fails(candidate) is not None:
-                case = candidate
-                changed = True
+                case, changed = candidate, True
                 break
     return case
 
@@ -242,354 +405,26 @@ class FuzzReport:
         if self.failures:
             lines.append(f"  {len(self.failures)} FAILURES:")
             for failure in self.failures:
-                lines.append(f"    {failure['shrunk']}  <-  {failure['error']}")
+                lines.append(
+                    f"    {failure['shrunk'].to_json()}  <-  {failure['error']}"
+                )
         else:
             lines.append("  all invariants held")
         return "\n".join(lines)
 
 
-def _case_for_seed(seed: int) -> Case:
-    """Deterministically map a seed to one configuration point.
-
-    The scheduler cycles round-robin with the seed so any sweep of
-    ``len(SCHEDULERS)`` or more consecutive seeds provably covers all
-    the full scheduler registry; the remaining dimensions are drawn
-    from a seed-derived stream.
-    """
-    import numpy as np
-
-    from repro.sim.rng import derive_seed
-
-    rng = np.random.default_rng(derive_seed(seed, "fuzz/config"))
-    return Case(
-        seed=seed,
-        ports=int(rng.choice([2, 4, 8, 16])),
-        load=float(rng.choice([0.3, 0.6, 0.8, 0.9, 0.95])),
-        pattern=str(rng.choice(PATTERNS)),
-        scheduler=SCHEDULERS[seed % len(SCHEDULERS)],
-        iterations=int(rng.choice([1, 2, 4])),
-        slots=int(rng.choice([100, 200, 400])),
-    )
-
-
-@dataclass(frozen=True)
-class CbrCase:
-    """One reproducible integrated CBR+VBR parity fuzz point."""
-
-    seed: int
-    ports: int = 4
-    frame_slots: int = 8
-    utilization: float = 0.5
-    vbr_load: float = 0.6
-    slots: int = 150
-    warmup: int = 20
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def run_cbr_case(case: CbrCase) -> None:
-    """Seed-matched object-vs-fastpath parity on one CBR case.
-
-    Raises :class:`~repro.check.invariants.InvariantViolation` (with
-    the first divergent slot) or :class:`CBRBufferOverflow` on the
-    first violation; the fast path runs with ``check=True`` so the
-    occupancy/claim-collision invariants are asserted every slot too.
-    """
-    from repro.check.differential import integrated_parity
-
-    integrated_parity(
-        case.ports,
-        case.frame_slots,
-        case.utilization,
-        case.vbr_load,
-        case.slots,
-        seed=case.seed,
-        warmup=case.warmup,
-    )
-
-
-def _cbr_case_for_seed(seed: int) -> CbrCase:
-    import numpy as np
-
-    from repro.sim.rng import derive_seed
-
-    rng = np.random.default_rng(derive_seed(seed, "fuzz/cbr-config"))
-    return CbrCase(
-        seed=seed,
-        ports=int(rng.choice([2, 4, 8])),
-        frame_slots=int(rng.choice([4, 8, 16])),
-        utilization=float(rng.choice([0.25, 0.5, 0.75, 1.0])),
-        vbr_load=float(rng.choice([0.2, 0.5, 0.8, 1.0])),
-        slots=int(rng.choice([80, 150, 300])),
-        warmup=int(rng.choice([0, 20])),
-    )
-
-
-def fuzz_cbr(
-    seeds: int = 10,
-    budget_seconds: Optional[float] = None,
-    out_dir: Optional[str] = None,
-    base_seed: int = 0,
-) -> FuzzReport:
-    """Sweep random integrated CBR+VBR parity cases.
-
-    Like :func:`fuzz`, but each case is a full seed-matched
-    object-vs-fastpath comparison of the integrated switch (per-slot
-    CBR/VBR departures, per-class delay sums, counters).  Failures are
-    recorded unshrunk -- the case tuple is already minimal enough to
-    replay directly.
-    """
-    return _sweep(
-        seeds, budget_seconds, out_dir, base_seed,
-        make_case=_cbr_case_for_seed, run=run_cbr_case, tag="cbr",
-    )
-
-
-@dataclass(frozen=True)
-class StatCase:
-    """One reproducible statistical-matching parity fuzz point."""
-
-    seed: int
-    ports: int = 4
-    units: int = 16
-    utilization: float = 0.75
-    load: float = 0.8
-    rounds: int = 2
-    fill: bool = True
-    slots: int = 150
-    warmup: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def run_stat_case(case: StatCase) -> None:
-    """Seed-matched object-vs-fastpath parity on one statistical case.
-
-    The statistical fast path replays the object matcher's generator
-    draw for draw at B = 1, so the check is slot-exact: raises
-    :class:`~repro.check.invariants.InvariantViolation` with the first
-    divergent round/slot on any mismatch (the fast path also runs with
-    ``check=True``, asserting its occupancy invariants every slot).
-    """
-    from repro.check.differential import statistical_parity
-
-    statistical_parity(
-        case.ports,
-        case.units,
-        case.utilization,
-        case.load,
-        case.slots,
-        seed=case.seed,
-        rounds=case.rounds,
-        fill=case.fill,
-        warmup=case.warmup,
-    )
-
-
-def _stat_case_for_seed(seed: int) -> StatCase:
-    """Deterministically map a seed to one statistical parity point.
-
-    ``fill`` alternates with the seed so any two consecutive seeds
-    cover both the filled and the statistical-only configuration; the
-    remaining dimensions come from a seed-derived stream.
-    """
-    import numpy as np
-
-    from repro.sim.rng import derive_seed
-
-    rng = np.random.default_rng(derive_seed(seed, "fuzz/stat-config"))
-    return StatCase(
-        seed=seed,
-        ports=int(rng.choice([2, 4, 8])),
-        units=int(rng.choice([4, 8, 16])),
-        utilization=float(rng.choice([0.25, 0.5, 0.75, 1.0])),
-        load=float(rng.choice([0.2, 0.5, 0.8, 1.0])),
-        rounds=int(rng.choice([1, 2, 3])),
-        fill=bool(seed % 2 == 0),
-        slots=int(rng.choice([80, 150, 300])),
-        warmup=int(rng.choice([0, 20])),
-    )
-
-
-def fuzz_statistical(
-    seeds: int = 10,
-    budget_seconds: Optional[float] = None,
-    out_dir: Optional[str] = None,
-    base_seed: int = 0,
-) -> FuzzReport:
-    """Sweep random statistical-matching parity cases.
-
-    Like :func:`fuzz_cbr`: each case is a full seed-matched
-    object-vs-fastpath comparison (per-round ``StatRound`` anatomy,
-    per-slot arrivals/backlog/transfers, drained delay sums).
-    Failures are recorded unshrunk -- the case tuple replays directly.
-    """
-    return _sweep(
-        seeds, budget_seconds, out_dir, base_seed,
-        make_case=_stat_case_for_seed, run=run_stat_case, tag="statistical",
-    )
-
-
-@dataclass(frozen=True)
-class ChurnCase:
-    """One reproducible Slepian-Duguid churn sequence."""
-
-    seed: int
-    ports: int = 4
-    frame_slots: int = 8
-    operations: int = 120
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def run_churn_case(case: ChurnCase) -> None:
-    """Interleave add/remove reservations, checking after every op.
-
-    Drives a :class:`SlepianDuguidScheduler` through a random
-    high-utilization add/remove sequence (biased 2:1 toward adds so
-    the frame fills up and insertions exercise the ``_swap_chain``
-    rearrangement path, including removal-then-reinsertion).  After
-    *every* operation:
-
-    - ``FrameSchedule.validate()`` must hold (forward/backward slot
-      maps agree);
-    - the schedule's ``reservation_matrix()`` must equal the
-      scheduler's own ``reservations`` ledger;
-    - no input or output may be committed past the frame length.
-    """
-    import numpy as np
-
-    from repro.cbr.slepian_duguid import SlepianDuguidScheduler
-    from repro.sim.rng import derive_seed
-
-    rng = np.random.default_rng(derive_seed(case.seed, "fuzz/churn"))
-    scheduler = SlepianDuguidScheduler(case.ports, case.frame_slots)
-    active: List[tuple] = []  # (input, output, cells) still reserved
-
-    def check(op: str) -> None:
-        scheduler.schedule.validate()
-        matrix = scheduler.schedule.reservation_matrix()
-        ledger = scheduler.reservations
-        if not (matrix == ledger).all():
-            raise AssertionError(
-                f"{case}: after {op}: schedule matrix disagrees with "
-                f"ledger:\n{matrix}\nvs\n{ledger}"
-            )
-        if (matrix.sum(axis=1) > case.frame_slots).any() or (
-            matrix.sum(axis=0) > case.frame_slots
-        ).any():
-            raise AssertionError(f"{case}: after {op}: link over-committed")
-
-    for _ in range(case.operations):
-        add = not active or rng.random() < 2 / 3
-        if add:
-            i = int(rng.integers(case.ports))
-            j = int(rng.integers(case.ports))
-            headroom = min(
-                case.frame_slots - scheduler.input_committed(i),
-                case.frame_slots - scheduler.output_committed(j),
-            )
-            if headroom <= 0:
-                continue
-            cells = int(rng.integers(1, headroom + 1))
-            scheduler.add_reservation(i, j, cells)
-            active.append((i, j, cells))
-            check(f"add({i}, {j}, {cells})")
-        else:
-            i, j, cells = active.pop(int(rng.integers(len(active))))
-            scheduler.remove_reservation(i, j, cells)
-            check(f"remove({i}, {j}, {cells})")
-
-
-def _churn_case_for_seed(seed: int) -> ChurnCase:
-    import numpy as np
-
-    from repro.sim.rng import derive_seed
-
-    rng = np.random.default_rng(derive_seed(seed, "fuzz/churn-config"))
-    return ChurnCase(
-        seed=seed,
-        ports=int(rng.choice([2, 4, 8, 16])),
-        frame_slots=int(rng.choice([4, 8, 16, 32])),
-        operations=int(rng.choice([60, 120, 250])),
-    )
-
-
-def fuzz_churn(
-    seeds: int = 25,
-    budget_seconds: Optional[float] = None,
-    out_dir: Optional[str] = None,
-    base_seed: int = 0,
-) -> FuzzReport:
-    """Sweep random Slepian-Duguid churn sequences (satellite of the
-    CBR fast-path work: the swap-chain path under
-    removal-then-reinsertion was previously untested)."""
-    return _sweep(
-        seeds, budget_seconds, out_dir, base_seed,
-        make_case=_churn_case_for_seed, run=run_churn_case, tag="churn",
-    )
-
-
-def _sweep(
-    seeds: int,
-    budget_seconds: Optional[float],
-    out_dir: Optional[str],
-    base_seed: int,
-    make_case,
-    run,
-    tag: str,
-) -> FuzzReport:
-    """Shared sweep driver for the case families without a shrinker."""
-    start = time.monotonic()
-    failures: List[dict] = []
-    cases_run = 0
-    budget_exhausted = False
-    for index in range(seeds):
-        if budget_seconds is not None and time.monotonic() - start > budget_seconds:
-            budget_exhausted = True
-            break
-        case = make_case(base_seed + index)
-        try:
-            run(case)
-        except Exception as exc:  # noqa: BLE001 -- record and continue
-            record = {
-                "case": asdict(case),
-                "shrunk": asdict(case),
-                "error": f"{type(exc).__name__}: {exc}",
-            }
-            failures.append(record)
-            if out_dir is not None:
-                import os
-
-                os.makedirs(out_dir, exist_ok=True)
-                path = os.path.join(out_dir, f"{tag}_case_{case.seed}.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(record["shrunk"], handle, sort_keys=True, indent=2)
-                    handle.write("\n")
-        cases_run += 1
-    return FuzzReport(
-        cases_run=cases_run,
-        seeds_requested=seeds,
-        elapsed_seconds=time.monotonic() - start,
-        failures=failures,
-        budget_exhausted=budget_exhausted,
-    )
-
-
 def fuzz(
+    family: str,
     seeds: int = 25,
     budget_seconds: Optional[float] = None,
     out_dir: Optional[str] = None,
     base_seed: int = 0,
 ) -> FuzzReport:
-    """Sweep ``seeds`` random cases (bounded by ``budget_seconds``).
+    """Sweep ``seeds`` cases of ``family`` (bounded by ``budget_seconds``).
 
     Every failure is shrunk to a minimal reproducer; when ``out_dir``
     is given, each reproducer is written there as
-    ``case_<seed>.json`` for pytest replay.
+    ``<family>_case_<seed>.json`` for pytest replay.
     """
     start = time.monotonic()
     failures: List[dict] = []
@@ -599,197 +434,27 @@ def fuzz(
         if budget_seconds is not None and time.monotonic() - start > budget_seconds:
             budget_exhausted = True
             break
-        case = _case_for_seed(base_seed + index)
-        try:
-            run_case(case)
-        except Exception as exc:  # noqa: BLE001 -- record and continue
-            error = f"{type(exc).__name__}: {exc}"
-            try:
-                shrunk = shrink(case)
-            except ValueError:
-                # Failure only reproduces with the differential stage
-                # (or was transient); keep the original case.
-                shrunk = case
-            record = {
-                "case": asdict(case),
-                "shrunk": asdict(shrunk),
-                "error": error,
-            }
-            failures.append(record)
-            if out_dir is not None:
-                import os
-
-                os.makedirs(out_dir, exist_ok=True)
-                path = os.path.join(out_dir, f"case_{case.seed}.json")
-                with open(path, "w", encoding="utf-8") as handle:
-                    json.dump(record["shrunk"], handle, sort_keys=True, indent=2)
-                    handle.write("\n")
+        case = case_for_seed(family, base_seed + index)
+        error = _fails(case)
         cases_run += 1
+        if error is None:
+            continue
+        try:
+            shrunk = shrink(case)
+        except ValueError:
+            # The failure did not reproduce (it was transient); keep
+            # the original case.
+            shrunk = case
+        failures.append({"case": case, "shrunk": shrunk, "error": error})
+        if out_dir is not None:
+            os.makedirs(out_dir, exist_ok=True)
+            path = os.path.join(out_dir, f"{family}_case_{case.seed}.json")
+            with open(path, "w", encoding="utf-8") as handle:
+                handle.write(shrunk.to_json() + "\n")
     return FuzzReport(
         cases_run=cases_run,
         seeds_requested=seeds,
         elapsed_seconds=time.monotonic() - start,
         failures=failures,
         budget_exhausted=budget_exhausted,
-    )
-
-
-@dataclass(frozen=True)
-class NetworkCase:
-    """One reproducible network-parity fuzz point.
-
-    ``buffer_limit == 0`` encodes "no link-level flow control" so the
-    whole case stays JSON-primitive.
-    """
-
-    seed: int
-    topology: str = "parking_lot"
-    size: int = 3
-    n_flows: int = 4
-    latency: int = 1
-    buffer_limit: int = 0
-    slots: int = 200
-    warmup: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def run_network_case(case: NetworkCase) -> None:
-    """Slot-exact object-vs-fastpath parity on one network case.
-
-    Raises :class:`~repro.check.invariants.InvariantViolation` with
-    the first divergent slot; the fast path runs with ``check=True``
-    so cell-conservation and VOQ-count invariants are asserted every
-    slot too (see :func:`repro.check.differential.network_parity`).
-    """
-    from repro.check.differential import network_parity
-
-    network_parity(
-        topology=case.topology,
-        size=case.size,
-        n_flows=case.n_flows,
-        slots=case.slots,
-        seed=case.seed,
-        warmup=case.warmup,
-        buffer_limit=case.buffer_limit or None,
-        latency=case.latency,
-    )
-
-
-def _network_case_for_seed(seed: int) -> NetworkCase:
-    import numpy as np
-
-    from repro.network.topologies import TOPOLOGIES
-    from repro.sim.rng import derive_seed
-
-    rng = np.random.default_rng(derive_seed(seed, "fuzz/network-config"))
-    topology = str(rng.choice(TOPOLOGIES))
-    # Keep the big shapes small: fuzz wants many cheap cases, not a
-    # handful of fabric-scale ones (the bench covers those).
-    size = int(rng.choice([2, 3] if topology in ("fat_tree", "mesh") else [2, 3, 4]))
-    return NetworkCase(
-        seed=seed,
-        topology=topology,
-        size=size,
-        n_flows=int(rng.choice([2, 4, 6])),
-        latency=int(rng.choice([1, 1, 2, 3])),
-        buffer_limit=int(rng.choice([0, 0, 2, 4])),
-        slots=int(rng.choice([120, 200, 350])),
-        warmup=int(rng.choice([0, 25])),
-    )
-
-
-@dataclass(frozen=True)
-class ScenarioCase:
-    """One reproducible named-scenario parity fuzz point."""
-
-    seed: int
-    scenario: str = "websearch-incast"
-    scheduler: str = "islip"
-    slots: int = 200
-    warmup: int = 0
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
-
-
-def run_scenario_case(case: ScenarioCase) -> None:
-    """Object-vs-fastpath parity on one named flow-level scenario.
-
-    Raises :class:`~repro.check.invariants.InvariantViolation` on the
-    first mismatch; non-PIM kernels compare the full trajectory
-    including the per-flow (size, FCT) sample lists, PIM the drained
-    totals and completed-flow counts (see
-    :func:`repro.check.differential.scenario_parity`).  The fast path
-    runs with ``check=True`` so its conservation invariants are
-    asserted every slot as well.
-    """
-    from repro.check.differential import scenario_parity
-
-    scenario_parity(
-        case.scenario,
-        scheduler=case.scheduler,
-        slots=case.slots,
-        seed=case.seed,
-        warmup=case.warmup,
-    )
-
-
-def _scenario_case_for_seed(seed: int) -> ScenarioCase:
-    """Deterministically map a seed to one scenario parity point.
-
-    Scheduler and scenario cycle with the seed at coprime strides, so
-    ``len(DIFFERENTIAL_SCHEDULERS) * len(SCENARIOS)`` consecutive seeds
-    provably cover every (kernel, scenario) pair; run geometry comes
-    from a seed-derived stream.
-    """
-    import numpy as np
-
-    from repro.sim.rng import derive_seed
-    from repro.traffic.scenarios import SCENARIOS
-
-    names = sorted(SCENARIOS)
-    rng = np.random.default_rng(derive_seed(seed, "fuzz/scenario-config"))
-    return ScenarioCase(
-        seed=seed,
-        scenario=names[(seed // len(DIFFERENTIAL_SCHEDULERS)) % len(names)],
-        scheduler=DIFFERENTIAL_SCHEDULERS[seed % len(DIFFERENTIAL_SCHEDULERS)],
-        slots=int(rng.choice([120, 200, 350])),
-        warmup=int(rng.choice([0, 25])),
-    )
-
-
-def fuzz_scenarios(
-    seeds: int = 10,
-    budget_seconds: Optional[float] = None,
-    out_dir: Optional[str] = None,
-    base_seed: int = 0,
-) -> FuzzReport:
-    """Sweep random named-scenario parity cases: each drives both
-    backends with identically-seeded flow-level traffic and demands
-    exact agreement (slot-exact with FCT samples for non-PIM kernels,
-    drained totals for PIM).  Failures are recorded unshrunk -- the
-    case tuple replays directly."""
-    return _sweep(
-        seeds, budget_seconds, out_dir, base_seed,
-        make_case=_scenario_case_for_seed, run=run_scenario_case,
-        tag="scenario",
-    )
-
-
-def fuzz_network(
-    seeds: int = 10,
-    budget_seconds: Optional[float] = None,
-    out_dir: Optional[str] = None,
-    base_seed: int = 0,
-) -> FuzzReport:
-    """Sweep random (topology, flows, latency, credit) network-parity
-    cases: each runs the object simulator and the vectorized network
-    fast path on the same root seed and demands slot-exact agreement.
-    Failures are recorded unshrunk -- the case tuple replays directly.
-    """
-    return _sweep(
-        seeds, budget_seconds, out_dir, base_seed,
-        make_case=_network_case_for_seed, run=run_network_case, tag="network",
     )

@@ -906,27 +906,13 @@ def cmd_scenario_smoke(args: argparse.Namespace) -> int:
 
 def cmd_check(args: argparse.Namespace) -> int:
     """Randomized invariant/differential sweeps (see repro.check)."""
-    from repro.check import (
-        fuzz,
-        fuzz_cbr,
-        fuzz_churn,
-        fuzz_network,
-        fuzz_scenarios,
-        fuzz_statistical,
-    )
+    from repro.check.fuzz import FAMILIES, fuzz
 
-    suites = {
-        "switch": fuzz,
-        "cbr": fuzz_cbr,
-        "churn": fuzz_churn,
-        "statistical": fuzz_statistical,
-        "network": fuzz_network,
-        "scenario": fuzz_scenarios,
-    }
-    selected = list(suites) if args.suite == "all" else [args.suite]
+    selected = list(FAMILIES) if args.suite == "all" else [args.suite]
     ok = True
     for name in selected:
-        report = suites[name](
+        report = fuzz(
+            name,
             seeds=args.seeds,
             budget_seconds=args.budget,
             out_dir=args.out,
@@ -1241,14 +1227,15 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
             traffic, slots=args.slots, warmup=args.warmup, phase_timer=timer
         )
         slots_total = args.slots
-    else:  # parity: both backends nested under object/ and fastpath/
-        from repro.obs.parity import diff_backends
+    else:  # parity: both backends nested under parity/object and parity/fastpath
+        from repro.check.differential import backend_parity
 
-        report = diff_backends(
-            args.ports, args.load, args.slots,
-            traffic_seed=args.seed, phase_timer=timer,
+        drain_slots = 500
+        backend_parity(
+            args.ports, args.load, args.slots, seed=args.seed,
+            drain_slots=drain_slots, phase_timer=timer,
         )
-        slots_total = 2 * (args.slots + report.drain_slots)
+        slots_total = 2 * (args.slots + drain_slots)
 
     manifest = RunManifest.collect(seed=args.seed, config=_args_config(args))
     print(f"profiled {args.backend} run:")

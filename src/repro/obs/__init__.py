@@ -17,8 +17,6 @@ internals first-class:
 - :mod:`repro.obs.probe` -- the :class:`Probe` facade threaded through
   both simulator backends; **zero overhead when disabled** (call sites
   guard on a single attribute read),
-- :mod:`repro.obs.parity` -- a trace-based diagnostic that diffs the
-  object and fast-path backends slot by slot,
 - :mod:`repro.obs.perf` -- the phase profiler (:class:`PhaseTimer`)
   and :class:`RunManifest` provenance stamps threaded through every
   backend's ``run``; **zero overhead when disabled**,
@@ -34,7 +32,9 @@ Quick start::
     probe.sink.events   # the full per-slot trace
 
 or from the shell: ``repro-an2 delay --trace run.jsonl --metrics``
-followed by ``repro-an2 trace summarize run.jsonl``.
+followed by ``repro-an2 trace summarize run.jsonl``.  The
+object-vs-fastpath parity oracles, which diff two backends' traces slot
+by slot, live in :mod:`repro.check.differential`.
 """
 
 from repro.obs.events import (
@@ -51,7 +51,6 @@ from repro.obs.events import (
     event_from_record,
 )
 from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.parity import ParityReport, diff_backends
 from repro.obs.perf import (
     NULL_PHASE_TIMER,
     PhaseReport,
@@ -98,6 +97,4 @@ __all__ = [
     "write_csv_summary",
     "Probe",
     "NULL_PROBE",
-    "ParityReport",
-    "diff_backends",
 ]

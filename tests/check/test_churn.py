@@ -11,12 +11,12 @@ reinsertion is the historically fragile path: it is what drives
 import pytest
 
 from repro.cbr.slepian_duguid import SlepianDuguidScheduler
-from repro.check.fuzz import ChurnCase, fuzz_churn, run_churn_case
+from repro.check.fuzz import Case, fuzz, run_case
 
 
 @pytest.mark.parametrize("seed", range(8))
 def test_churn_case_invariants_hold(seed):
-    run_churn_case(ChurnCase(seed=seed))
+    run_case(Case("churn", seed))
 
 
 def test_churn_exercises_swap_chain(monkeypatch):
@@ -31,14 +31,14 @@ def test_churn_exercises_swap_chain(monkeypatch):
 
     monkeypatch.setattr(SlepianDuguidScheduler, "_swap_chain", counting)
     for seed in range(8):
-        run_churn_case(ChurnCase(seed=seed))
+        run_case(Case("churn", seed))
     assert calls["n"] > 0
 
 
 def test_churn_high_utilization_small_frame():
     """A tiny frame at high utilization forces constant rearrangement."""
     for seed in range(4):
-        run_churn_case(ChurnCase(seed=seed, ports=8, frame_slots=4, operations=250))
+        run_case(Case("churn", seed, dict(ports=8, frame_slots=4, operations=250)))
 
 
 def test_removal_then_reinsertion_keeps_ledger_in_sync():
@@ -62,6 +62,6 @@ def test_removal_then_reinsertion_keeps_ledger_in_sync():
 
 
 def test_fuzz_churn_sweep_clean(tmp_path):
-    report = fuzz_churn(seeds=6, out_dir=str(tmp_path))
+    report = fuzz("churn", seeds=6, out_dir=str(tmp_path))
     assert report.ok, report.describe()
     assert report.cases_run == 6

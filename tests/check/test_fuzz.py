@@ -1,14 +1,12 @@
 """Fuzz-harness mechanics: case generation, shrinking, JSON replay, CLI."""
 
-import json
-
 import pytest
 
 from repro.check.fuzz import (
     PATTERNS,
     SCHEDULERS,
     Case,
-    _case_for_seed,
+    case_for_seed,
     fuzz,
     load_case,
     run_case,
@@ -16,48 +14,49 @@ from repro.check.fuzz import (
 )
 
 
+def _switch(seed, **params):
+    return Case("switch", seed, params)
+
+
 class TestCaseGeneration:
     def test_deterministic(self):
-        assert _case_for_seed(7) == _case_for_seed(7)
+        assert case_for_seed("switch", 7) == case_for_seed("switch", 7)
 
     def test_scheduler_coverage_in_consecutive_seeds(self):
         width = len(SCHEDULERS)
         for base in (0, 13, 100):
             schedulers = {
-                _case_for_seed(base + i).scheduler for i in range(width)
+                case_for_seed("switch", base + i).params["scheduler"] for i in range(width)
             }
             assert schedulers == set(SCHEDULERS)
 
     def test_json_roundtrip(self):
-        case = _case_for_seed(3)
+        case = case_for_seed("switch", 3)
         assert load_case(case.to_json()) == case
 
     def test_patterns_and_bounds(self):
         for seed in range(20):
-            case = _case_for_seed(seed)
-            assert case.pattern in PATTERNS
-            assert 2 <= case.ports <= 16
-            assert 0.0 < case.load <= 1.0
+            params = case_for_seed("switch", seed).params
+            assert params["pattern"] in PATTERNS
+            assert 2 <= params["ports"] <= 16
+            assert 0.0 < params["load"] <= 1.0
 
 
 class TestRunCase:
     @pytest.mark.parametrize("scheduler", SCHEDULERS)
     def test_each_scheduler_clean(self, scheduler):
-        run_case(
-            Case(seed=1, ports=4, scheduler=scheduler, slots=100),
-            differential=False,
-        )
+        run_case(_switch(1, ports=4, scheduler=scheduler, slots=100))
 
     def test_differential_stage_runs_for_pim_uniform(self):
-        run_case(Case(seed=2, ports=4, scheduler="pim", pattern="uniform", slots=80))
+        run_case(_switch(2, ports=4, scheduler="pim", pattern="uniform", slots=80))
 
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(ValueError, match="unknown scheduler"):
-            run_case(Case(seed=0, scheduler="bogus"))
+            run_case(_switch(0, scheduler="bogus"))
 
     def test_unknown_pattern_rejected(self):
         with pytest.raises(ValueError, match="unknown pattern"):
-            run_case(Case(seed=0, pattern="bogus"))
+            run_case(_switch(0, pattern="bogus"))
 
 
 class TestShrink:
@@ -67,39 +66,47 @@ class TestShrink:
         down and ports to the smallest still-failing value."""
 
         def fails(case):
-            return "boom" if case.ports >= 4 else None
+            return "boom" if case.params["ports"] >= 4 else None
 
         shrunk = shrink(
-            Case(seed=0, ports=16, slots=400, iterations=4, pattern="bursty"),
+            _switch(0, ports=16, slots=400, iterations=4, pattern="bursty",
+                    load=0.9, scheduler="pim"),
             fails=fails,
         )
-        assert shrunk.ports == 4
-        assert shrunk.slots == 10
-        assert shrunk.iterations == 1
-        assert shrunk.pattern == "uniform"
+        assert shrunk == _switch(0, ports=4, slots=10, iterations=1,
+                                 pattern="uniform", load=0.5, scheduler="pim")
 
     def test_requires_a_failing_case(self):
         with pytest.raises(ValueError, match="failing case"):
-            shrink(Case(seed=0), fails=lambda case: None)
+            shrink(_switch(0), fails=lambda case: None)
 
     def test_shrink_preserves_failure(self):
         def fails(case):
-            return "bad" if case.slots > 50 else None
+            return "bad" if case.params["slots"] > 50 else None
 
-        shrunk = shrink(Case(seed=0, slots=400), fails=fails)
+        shrunk = shrink(_switch(0, slots=400), fails=fails)
         assert fails(shrunk) is not None
-        assert shrunk.slots == 100  # halving stops while still failing
+        assert shrunk.params["slots"] == 100  # halving stops while still failing
+
+    def test_moves_apply_to_every_family(self):
+        """The per-field moves know nothing of families: a churn case
+        shrinks its ports, and keeps the fields no move names."""
+        shrunk = shrink(
+            Case("churn", 3, dict(ports=16, frame_slots=32, operations=250)),
+            fails=lambda case: "boom" if case.params["ports"] > 4 else None,
+        )
+        assert shrunk.params == dict(ports=8, frame_slots=32, operations=250)
 
 
 class TestFuzzSweep:
     def test_small_sweep_clean(self):
-        report = fuzz(seeds=8)
+        report = fuzz("switch", seeds=8)
         assert report.ok
         assert report.cases_run == 8
         assert "all invariants held" in report.describe()
 
     def test_budget_bounds_the_sweep(self):
-        report = fuzz(seeds=10_000, budget_seconds=1.0)
+        report = fuzz("switch", seeds=10_000, budget_seconds=1.0)
         assert report.cases_run < 10_000
         assert report.budget_exhausted
 
@@ -114,21 +121,23 @@ class TestFuzzSweep:
         fuzz_mod = importlib.import_module("repro.check.fuzz")
         real_run_case = fuzz_mod.run_case
 
-        def broken_run_case(case, differential=True):
-            if case.scheduler == "islip":
+        def broken_run_case(case):
+            if case.params["scheduler"] == "islip":
                 raise AssertionError("injected islip failure")
-            return real_run_case(case, differential=differential)
+            return real_run_case(case)
 
         monkeypatch.setattr(fuzz_mod, "run_case", broken_run_case)
         # _fails (used by shrink) calls run_case through the module
         # global, so the injected failure shrinks consistently.
-        report = fuzz_mod.fuzz(seeds=4, out_dir=str(tmp_path))
+        report = fuzz_mod.fuzz("switch", seeds=4, out_dir=str(tmp_path))
         assert not report.ok
         assert len(report.failures) == 1
-        files = list(tmp_path.glob("case_*.json"))
+        files = list(tmp_path.glob("switch_case_*.json"))
         assert len(files) == 1
         replayed = load_case(files[0].read_text())
-        assert replayed.scheduler == "islip"
+        assert replayed == report.failures[0]["shrunk"]
+        assert replayed.params["scheduler"] == "islip"
+        assert replayed.params["ports"] == 2  # shrunk
         with pytest.raises(AssertionError, match="injected"):
             broken_run_case(replayed)
 
@@ -164,7 +173,7 @@ class TestExtendedSweep:
     """Nightly-style deep sweep; excluded from tier-1 by the marker."""
 
     def test_hundred_seed_sweep(self):
-        report = fuzz(seeds=100, base_seed=10_000)
+        report = fuzz("switch", seeds=100, base_seed=10_000)
         assert report.ok, report.describe()
 
     def test_metamorphic_sweep(self):

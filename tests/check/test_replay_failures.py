@@ -1,44 +1,20 @@
 """Replay shrunk fuzz reproducers as pytest regressions.
 
 ``repro-an2 check --out tests/check/failures`` writes every shrunk
-failing case here -- ``case_<seed>.json`` from the switch sweep and
-``<tag>_case_<seed>.json`` from the cbr/churn/statistical families --
-and this module picks them all up automatically, so promoting a fuzz
-finding to a permanent regression test is just committing the file.
-With no files present the module collects nothing (the harness is
-healthy).
+failing case here as ``<family>_case_<seed>.json``, and this module
+picks them all up automatically, so promoting a fuzz finding to a
+permanent regression test is just committing the file.  With no files
+present the replay test collects nothing (the harness is healthy).
 """
 
-import json
 import pathlib
 
 import pytest
 
-from repro.check.fuzz import (
-    CbrCase,
-    ChurnCase,
-    NetworkCase,
-    StatCase,
-    load_case,
-    run_case,
-    run_cbr_case,
-    run_churn_case,
-    run_network_case,
-    run_stat_case,
-)
+from repro.check.fuzz import FAMILIES, case_for_seed, load_case, run_case
 
 FAILURE_DIR = pathlib.Path(__file__).parent / "failures"
-
-
-def _reproducers(pattern):
-    return sorted(FAILURE_DIR.glob(pattern)) if FAILURE_DIR.is_dir() else []
-
-
-CASES = _reproducers("case_*.json")
-CBR_CASES = _reproducers("cbr_case_*.json")
-CHURN_CASES = _reproducers("churn_case_*.json")
-NETWORK_CASES = _reproducers("network_case_*.json")
-STAT_CASES = _reproducers("statistical_case_*.json")
+CASES = sorted(FAILURE_DIR.glob("*_case_*.json")) if FAILURE_DIR.is_dir() else []
 
 
 @pytest.mark.parametrize("path", CASES, ids=lambda p: p.stem)
@@ -46,35 +22,17 @@ def test_replay(path):
     run_case(load_case(path.read_text()))
 
 
-@pytest.mark.parametrize("path", CBR_CASES, ids=lambda p: p.stem)
-def test_replay_cbr(path):
-    run_cbr_case(CbrCase(**json.loads(path.read_text())))
-
-
-@pytest.mark.parametrize("path", CHURN_CASES, ids=lambda p: p.stem)
-def test_replay_churn(path):
-    run_churn_case(ChurnCase(**json.loads(path.read_text())))
-
-
-@pytest.mark.parametrize("path", NETWORK_CASES, ids=lambda p: p.stem)
-def test_replay_network(path):
-    run_network_case(NetworkCase(**json.loads(path.read_text())))
-
-
-@pytest.mark.parametrize("path", STAT_CASES, ids=lambda p: p.stem)
-def test_replay_statistical(path):
-    run_stat_case(StatCase(**json.loads(path.read_text())))
-
-
 def test_no_unfixed_reproducers_note():
     """Document the mechanism even when the directory is empty."""
-    if not (CASES or CBR_CASES or CHURN_CASES or NETWORK_CASES or STAT_CASES):
+    if not CASES:
         assert True  # healthy: no outstanding reproducers
 
 
-def test_stat_case_round_trips_through_json():
-    """The wiring itself: a StatCase survives the JSON reproducer
-    format ``fuzz_statistical(out_dir=...)`` writes."""
-    case = StatCase(seed=7, ports=2, units=4, utilization=0.5,
-                    load=0.5, rounds=1, fill=False, slots=20, warmup=0)
-    assert StatCase(**json.loads(case.to_json())) == case
+@pytest.mark.parametrize("family", FAMILIES)
+def test_case_round_trips_through_json(family):
+    """The wiring itself: every family's case survives the JSON
+    reproducer format ``fuzz(family, out_dir=...)`` writes, and the file
+    says which family replays it."""
+    case = case_for_seed(family, 7)
+    assert load_case(case.to_json()) == case
+    assert f'"family": "{family}"' in case.to_json()

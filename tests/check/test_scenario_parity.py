@@ -3,13 +3,7 @@
 import pytest
 
 from repro.check.differential import ScenarioParityReport, scenario_parity
-from repro.check.fuzz import (
-    DIFFERENTIAL_SCHEDULERS,
-    ScenarioCase,
-    _scenario_case_for_seed,
-    fuzz_scenarios,
-    run_scenario_case,
-)
+from repro.check.fuzz import DIFFERENTIAL_SCHEDULERS, Case, case_for_seed, fuzz, run_case
 from repro.check.invariants import InvariantViolation
 from repro.traffic.scenarios import SCENARIOS
 
@@ -53,38 +47,38 @@ class TestScenarioParity:
 
 class TestScenarioCaseGeneration:
     def test_deterministic(self):
-        assert _scenario_case_for_seed(7) == _scenario_case_for_seed(7)
+        assert case_for_seed("scenario", 7) == case_for_seed("scenario", 7)
 
     def test_consecutive_seeds_cover_every_pair(self):
         width = len(DIFFERENTIAL_SCHEDULERS) * len(SCENARIOS)
         pairs = {
-            (c.scenario, c.scheduler)
-            for c in (_scenario_case_for_seed(i) for i in range(width))
+            (c.params["scenario"], c.params["scheduler"])
+            for c in (case_for_seed("scenario", i) for i in range(width))
         }
         assert len(pairs) == width
 
     def test_case_fields_in_bounds(self):
         for seed in range(25):
-            case = _scenario_case_for_seed(seed)
-            assert case.scenario in SCENARIOS
-            assert case.scheduler in DIFFERENTIAL_SCHEDULERS
-            assert case.slots in (120, 200, 350)
-            assert case.warmup in (0, 25)
+            params = case_for_seed("scenario", seed).params
+            assert params["scenario"] in SCENARIOS
+            assert params["scheduler"] in DIFFERENTIAL_SCHEDULERS
+            assert params["slots"] in (120, 200, 350)
+            assert params["warmup"] in (0, 25)
 
     def test_json_serializable(self):
         import json
 
-        case = _scenario_case_for_seed(4)
-        assert json.loads(case.to_json())["scenario"] == case.scenario
+        case = case_for_seed("scenario", 4)
+        assert json.loads(case.to_json())["scenario"] == case.params["scenario"]
 
 
 class TestFuzzScenarios:
     def test_small_sweep_is_clean(self, tmp_path):
-        report = fuzz_scenarios(seeds=3, out_dir=str(tmp_path))
+        report = fuzz("scenario", seeds=3, out_dir=str(tmp_path))
         assert report.cases_run == 3
         assert report.ok
         assert report.failures == []
 
     def test_run_scenario_case_replays_directly(self):
-        run_scenario_case(ScenarioCase(seed=0, scenario="skewed-uniform",
-                                       scheduler="qps", slots=120))
+        run_case(Case("scenario", 0, dict(scenario="skewed-uniform",
+                                         scheduler="qps", slots=120)))

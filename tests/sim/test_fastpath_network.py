@@ -8,7 +8,6 @@ every bundled topology.  The rest covers the batched (B>1) invariants,
 determinism, warm-up accounting, and the fuzz-case JSON format.
 """
 
-import json
 import sys
 
 import numpy as np
@@ -16,7 +15,7 @@ import pytest
 
 import repro.sim.fastpath_network as fastpath_network
 from repro.check.differential import fabric_parity, network_parity
-from repro.check.fuzz import NetworkCase, run_network_case
+from repro.check.fuzz import Case, load_case, run_case
 from repro.core.batch import BatchScheduler
 from repro.core.pim import BatchPIMScheduler
 from repro.network.netsim import FlowSpec
@@ -328,14 +327,15 @@ class TestWarmup:
 
 class TestFuzzCase:
     def test_round_trips_through_json(self):
-        case = NetworkCase(seed=11, topology="mesh", size=2, n_flows=4,
-                          latency=2, buffer_limit=4, slots=120, warmup=25)
-        assert NetworkCase(**json.loads(case.to_json())) == case
+        case = Case("network", 11, dict(topology="mesh", size=2, n_flows=4,
+                                        latency=2, buffer_limit=4, slots=120,
+                                        warmup=25))
+        assert load_case(case.to_json()) == case
 
     def test_run_case_executes_parity(self):
-        run_network_case(NetworkCase(seed=0))
+        run_case(Case("network", 0))
 
     def test_zero_buffer_limit_means_unlimited(self):
         # buffer_limit=0 encodes None so the dataclass stays
         # JSON-primitive; the parity driver must translate it.
-        run_network_case(NetworkCase(seed=1, buffer_limit=0, slots=120))
+        run_case(Case("network", 1, dict(buffer_limit=0, slots=120)))

@@ -272,7 +272,7 @@ class TestEndToEndParity:
 @pytest.mark.slow
 def test_statistical_fuzz_sweep():
     """The randomized parity sweep the CI smoke stage samples."""
-    from repro.check.fuzz import fuzz_statistical
+    from repro.check.fuzz import fuzz
 
-    report = fuzz_statistical(seeds=24)
+    report = fuzz("statistical", seeds=24)
     assert report.ok, report.describe()
