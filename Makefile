@@ -1,12 +1,17 @@
 # Convenience targets for the AN2 reproduction.
 
-.PHONY: install test check check-full bench bench-fastpath cbr-bench stat-bench network-bench sched-bench scenario-bench bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke bench-full perf-report perf-gate trace-demo examples lint clean
+.PHONY: install test claims check check-full bench bench-fastpath cbr-bench stat-bench network-bench sched-bench scenario-bench bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke bench-full perf-report perf-gate trace-demo examples lint clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
 
 test:
 	pytest tests/ -q
+
+# The paper's quantitative claims as statistical tests on the fast path
+# (part of tier-1 too; this runs them alone).
+claims:
+	PYTHONPATH=src python -m pytest tests/claims -q
 
 # Bounded randomized invariant/differential sweeps (the CI smoke stage):
 # VBR-only parity, integrated CBR+VBR parity, and Slepian-Duguid churn.

@@ -123,11 +123,11 @@ class BatchLQFScheduler(BatchScheduler):
     rounds run.
 
     **Stream contract / B = 1 draw parity**: the tie-break uniforms are
-    drawn as one ``(B, N, N)`` block per slot over the *full* cube and
-    gathered at the edges -- the same element count as
-    :func:`lqf_match`'s ``rng.random(matrix.shape)`` -- so with a shared
-    seed the batch kernel at B = 1 consumes the stream identically and
-    returns the identical matching.
+    the keys at the edges of one *full* ``(B, N, N)`` cube per slot
+    (:meth:`~repro.core.batch.BatchScheduler._cube_keys`) -- the same
+    element count as :func:`lqf_match`'s ``rng.random(matrix.shape)``
+    -- so with a shared seed the batch kernel at B = 1 consumes the
+    stream identically and returns the identical matching.
 
     ``needs_occupancy``: the fast paths pass queue-depth counts along
     with the request mask; entries outside the mask get zero weight
@@ -156,10 +156,8 @@ class BatchLQFScheduler(BatchScheduler):
         batch = self._validate_batch(requests)
         b, n, _ = batch.shape
         edges, weights = occupancy_edges(batch, occupancy)
-        if self._bank is not None:
-            self._bank.arm(edges[0])
-        # The whole cube is drawn, once: the stream moves per slot.
-        keys = weights + self._rng.random(batch.shape).take(edges[0])
+        # The stream moves by one whole cube per slot.
+        keys = weights + self._cube_keys(edges[0])
         match = np.full(b * n, -1, dtype=np.int64)
         slots = np.full(b * n, self.output_capacity, dtype=np.int64)
         while edges.shape[1]:

@@ -453,18 +453,17 @@ class BatchPIMScheduler(BatchScheduler):
 
         while edges.shape[1] and executed != self.iterations:  # None: no budget
             executed += 1
-            if self._bank is not None:  # blocks with a request left draw
-                self._bank.arm(edges[0])
             # Grant: each output with capacity left picks one requesting
             # input uniformly at random (the largest of i.i.d. keys).  The
-            # whole cube is drawn: the stream moves per round, not per edge.
-            # ``+ 1.0`` makes the keys positive and rounds a uniform draw's
-            # last bit away, so ties are real (a line's first edge wins).
-            keys = self._rng.random(batch.shape).take(edges[0]) + 1.0
+            # stream moves by a whole cube per draw, not per edge; only
+            # the edges' keys are read.  ``+ 1.0`` makes the keys
+            # positive and rounds a uniform draw's last bit away, so ties
+            # are real (a line's first edge wins).
+            keys = self._cube_keys(edges[0]) + 1.0
             grants = edges.take(line_winners(edges[2], keys, b * n), axis=1)
             # Accept: each input picks one granting output.
             if self.accept == "random":
-                keys = self._rng.random(batch.shape).take(grants[0]) + 1.0
+                keys = self._cube_keys(grants[0]) + 1.0
             else:
                 # Round-robin: first granted output at/after the pointer.
                 keys = n - (grants[0] - pointers[grants[1]]) % n

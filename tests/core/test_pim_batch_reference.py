@@ -12,13 +12,22 @@ The coarse key sources make the tie rule a test rather than a comment:
 with 1-, 2- or 16-bit keys several requests to a port routinely draw
 the same key, and "first index wins on the ``+ 1.0``-rounded key"
 decides the matching.
+
+With the ``numpy`` (PCG64) source the grid also compares the
+generator's state after every slot: sparse rounds jump the stream over
+the cells no request holds (:meth:`BatchScheduler._cube_keys`), and a
+jump that lands short shows up there even when no later draw reads it.
 """
 
+import inspect
 import json
+import textwrap
 
 import numpy as np
 import pytest
 
+from repro.core import batch as core_batch
+from repro.core.batch import BatchScheduler
 from repro.core.pim import BatchPIMScheduler
 from repro.hardware.random_select import lfsr_pim_rng
 from repro.obs.probe import Probe
@@ -42,6 +51,33 @@ class QuantisedKeys:
         return np.floor(self._rng.random(shape) * self._levels) / self._levels
 
 
+class Cells(np.ndarray):
+    """Flat cell indices that remember whether the jump loop listed them
+    (the only reader of ``_cube_keys``'s cells that calls ``tolist``)."""
+
+    listed = False
+
+    def tolist(self):
+        self.listed = True
+        return super().tolist()
+
+
+class JumpCounting:
+    """Kernel mixin: counts the key draws that jumped."""
+
+    jumps = 0
+
+    def _cube_keys(self, cells):
+        cells = cells.view(Cells)
+        keys = super()._cube_keys(cells)
+        self.jumps += cells.listed
+        return keys
+
+
+class JumpCountingPIM(JumpCounting, BatchPIMScheduler):
+    """``BatchPIMScheduler`` that counts the key draws that jumped."""
+
+
 KEY_SOURCES = {
     "numpy": lambda: np.random.default_rng(3),
     "1bit": lambda: QuantisedKeys(1, 3),
@@ -57,6 +93,7 @@ def trajectory(kernel_class, make_rng, replicas, ports, **config):
     scheduler.attach_probe(probe)
     traffic = np.random.default_rng(5)
     arrays = []
+    states = []
     for slot, density in enumerate(DENSITIES):
         requests = traffic.random((replicas, ports, ports)) < density
         probe.begin_slot(slot)
@@ -69,28 +106,35 @@ def trajectory(kernel_class, make_rng, replicas, ports, **config):
                 scheduler.last_completed,
             )
         )
+        bit = getattr(scheduler._rng, "bit_generator", None)
+        states.append(None if bit is None else bit.state)
     # Serialised, as a trace sink would: the counts must be plain ints.
     events = [
         json.dumps(e.to_record())
         for e in probe.sink.events
         if e.kind == "pim_iteration"
     ]
-    return arrays, events
+    return scheduler, arrays, events, states
 
 
-def assert_same_trajectory(make_rng, replicas, ports, **config):
-    arrays, events = trajectory(
-        BatchPIMScheduler, make_rng, replicas, ports, **config
+def assert_same_trajectory(
+    make_rng, replicas, ports, kernel_class=BatchPIMScheduler, **config
+):
+    """Run ``kernel_class`` and the dense reference; returns the kernel."""
+    kernel, arrays, events, states = trajectory(
+        kernel_class, make_rng, replicas, ports, **config
     )
-    ref_arrays, ref_events = trajectory(
+    _, ref_arrays, ref_events, ref_states = trajectory(
         DenseBatchPIMScheduler, make_rng, replicas, ports, **config
     )
     for slot, (got, want) in enumerate(zip(arrays, ref_arrays)):
         for name, a, b in zip(("match", "pointers", "sizes", "completed"), got, want):
             assert a.dtype == b.dtype and a.shape == b.shape, (slot, name)
             assert a.tobytes() == b.tobytes(), (slot, name)
+        assert states[slot] == ref_states[slot], (slot, "rng state")
     assert events == ref_events
     assert events, "the probe saw no iteration at all"
+    return kernel
 
 
 @pytest.mark.parametrize("output_capacity", [1, 2])
@@ -127,3 +171,44 @@ def test_coarse_keys_do_tie():
     """Guard the premise: at 1 bit, the winning key of a grant is shared."""
     keys = np.sort(QuantisedKeys(1, 3).random((7, 16, 16)) + 1.0, axis=1)
     assert (keys[:, -1] == keys[:, -2]).any()
+
+
+@pytest.mark.parametrize("accept", ["random", "round_robin"])
+@pytest.mark.parametrize("replicas,ports", [(64, 32), (8, 64)])
+def test_run_to_maximality_jumps_and_matches(replicas, ports, accept):
+    """PIM run to a maximal match (Table 1 / Appendix A): its late
+    rounds hold a handful of requests, so the key draws jump."""
+    kernel = assert_same_trajectory(
+        KEY_SOURCES["numpy"],
+        replicas,
+        ports,
+        kernel_class=JumpCountingPIM,
+        iterations=None,
+        accept=accept,
+    )
+    assert kernel.jumps > 0
+
+
+def _mutant(old, new):
+    """``BatchPIMScheduler`` with one edit to the ``_cube_keys`` source."""
+    source = textwrap.dedent(inspect.getsource(BatchScheduler._cube_keys))
+    assert source.count(old) == 1, f"the key source no longer spells {old!r}"
+    namespace = dict(vars(core_batch))
+    exec(source.replace(old, new), namespace)
+    mutant = type("MutantPIM", (BatchPIMScheduler,), {"_cube_keys": namespace["_cube_keys"]})
+    return type("Mutant", (JumpCounting, mutant), {})
+
+
+def test_the_grid_catches_a_short_jump():
+    """Dropping the jump to the cube's end leaves the stream short: the
+    grid must see it.  The untouched source, rebuilt the same way, passes."""
+    old = "advance(cube - position)"
+    with pytest.raises(AssertionError):
+        assert_same_trajectory(
+            KEY_SOURCES["numpy"], 64, 32, kernel_class=_mutant(old, "pass"),
+            iterations=None,
+        )
+    kernel = assert_same_trajectory(
+        KEY_SOURCES["numpy"], 64, 32, kernel_class=_mutant(old, old), iterations=None
+    )
+    assert kernel.jumps > 0
