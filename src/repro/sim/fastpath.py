@@ -9,7 +9,9 @@ but slow.  This module trades cell identity for speed:
 - the state of **B independent replicas** is a single ``(B, N, N)``
   int array of VOQ occupancy *counts* -- no Cell objects, no deques;
 - arrivals are Bernoulli/uniform, generated vectorized per slot from
-  :class:`repro.sim.rng.RandomStreams`-derived streams;
+  :class:`repro.sim.rng.RandomStreams`-derived streams, and carried as
+  a flat list of VOQ *cells* (the arrival contract of
+  :func:`run_slots`), never as a count cube;
 - all B matchings per slot come from one stateful
   :class:`repro.core.batch.BatchScheduler` kernel call (any registry
   scheduler -- PIM by default).
@@ -50,7 +52,7 @@ from repro.core.batch import BatchScheduler, build_batch_scheduler
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy
 from repro.obs.perf import NULL_PHASE_TIMER
 from repro.sim.flowring import EmptyRing, FlowRing
-from repro.sim.rng import RandomStreams
+from repro.sim.rng import RandomStreams, default_seed
 from repro.sim.stats import FlowStats
 from repro.traffic.flows import arrivals_batch
 
@@ -65,6 +67,23 @@ _ARRIVAL_CHUNK_CELLS = 1 << 16
 #: sits 3.6% over the per-cell path's, against 6.2% at twice the
 #: chunk, and refills are too rare at either size to show in the wall.
 _SCENARIO_CHUNK_CELLS = 1 << 15
+#: The arrivals of a drain slot: no cells.
+NO_CELLS = np.zeros(0, dtype=np.int64)
+NO_CELLS.flags.writeable = False
+
+
+def cube_cells(counts) -> np.ndarray:
+    """The arrival cells of a ``(B, N, N)`` count cube.
+
+    A slot's arrivals travel as a flat int64 array of VOQ indices
+    ``(b * N + i) * N + j``, ascending, one entry per cell (a VOQ that
+    gets two cells is listed twice); ``bincount(cells, minlength=B*N*N)``
+    is the cube again.  The public ``step`` methods take cubes and
+    convert them here, at the door.
+    """
+    flat = np.asarray(counts).reshape(-1)
+    voqs = np.flatnonzero(flat)
+    return np.repeat(voqs, flat.take(voqs))
 
 
 @dataclass
@@ -256,10 +275,20 @@ class FastpathCrossbar:
         ``(bb, ii, jj)`` index arrays: cell k departed input ``ii[k]``
         of replica ``bb[k]`` through output ``jj[k]``.
         """
-        if arrivals is not None:
-            if check and (np.asarray(arrivals) < 0).any():
-                raise ValueError("negative arrival counts")
-            self.occupancy += arrivals
+        if arrivals is None:
+            return self._step(NO_CELLS, check)
+        if check and (np.asarray(arrivals) < 0).any():
+            raise ValueError("negative arrival counts")
+        return self._step(cube_cells(arrivals), check)
+
+    def advance(self, slot: int, arrivals: Sequence, check: bool = False):
+        """:func:`run_slots` stage: one slot of the one-pool switch, its
+        arrivals given as cells."""
+        return (self._step(arrivals[0], check),)
+
+    def _step(self, cells: np.ndarray, check: bool):
+        # The one landing path: a VOQ listed k times gets k cells.
+        np.add.at(self.occupancy.reshape(-1), cells, 1)
         # Unmasked counts: kernels read them at requested cells only.
         match = self.scheduler.schedule(self.occupancy > 0, self.occupancy)
         bb, ii = np.nonzero(match >= 0)
@@ -270,10 +299,6 @@ class FastpathCrossbar:
         if check and (self.occupancy < 0).any():
             raise AssertionError("negative VOQ occupancy")
         return bb, ii, jj
-
-    def advance(self, slot: int, arrivals: Sequence, check: bool = False):
-        """:func:`run_slots` stage: :meth:`step` as a one-pool switch."""
-        return (self.step(arrivals[0], check),)
 
     def trace(self, probe, slot: int, departed) -> None:
         """The slot's events after the kernel's own (``probe`` is enabled)."""
@@ -307,22 +332,18 @@ class _BatchedArrivals:
         self._dest: Optional[np.ndarray] = None
         self._cursor = 0
 
-    def slot_counts(self) -> np.ndarray:
-        """(B, N, N) arrival counts for the next slot."""
+    def slot_cells(self) -> np.ndarray:
+        """The next slot's arrival cells (see :func:`cube_cells`)."""
         if self._active is None or self._cursor >= self._active.shape[0]:
             shape = (self._chunk, self.replicas, self.ports)
             self._active = self._rng.random(shape) < self.load
             self._dest = self._rng.integers(0, self.ports, size=shape)
             self._cursor = 0
-        active = self._active[self._cursor]
-        dest = self._dest[self._cursor]
+        # Lines b * N + i ascend, so their cells do too.
+        lines = self._active[self._cursor].ravel().nonzero()[0]
+        cells = lines * self.ports + self._dest[self._cursor].take(lines)
         self._cursor += 1
-        counts = np.zeros((self.replicas, self.ports, self.ports), dtype=np.int64)
-        bb, ii = np.nonzero(active)
-        # At most one arrival per (replica, input) per slot, so the
-        # target indices are unique and plain assignment suffices.
-        counts[bb, ii, dest[bb, ii]] = 1
-        return counts
+        return cells
 
 
 class _ObjectCompatArrivals:
@@ -333,7 +354,8 @@ class _ObjectCompatArrivals:
     ``random(N)`` per slot, then one destination integer per active
     input -- so a fast-path replica and an object-backend run given the
     same seed see byte-identical offered traffic (the basis of the
-    seed-for-seed parity tests).
+    seed-for-seed parity tests).  A ``None`` seed falls back as
+    UniformTraffic's does, to ``default_seed("traffic/uniform")``.
     """
 
     def __init__(
@@ -342,28 +364,33 @@ class _ObjectCompatArrivals:
         self.ports = ports
         self.replicas = len(arrival_seeds)
         self.load = load
-        self._rngs = [np.random.default_rng(seed) for seed in arrival_seeds]
+        fallback = default_seed("traffic/uniform")
+        self._rngs = [
+            np.random.default_rng(fallback if seed is None else seed)
+            for seed in arrival_seeds
+        ]
 
-    def slot_counts(self) -> np.ndarray:
-        """(B, N, N) arrival counts for the next slot."""
-        counts = np.zeros((self.replicas, self.ports, self.ports), dtype=np.int64)
+    def slot_cells(self) -> np.ndarray:
+        """The next slot's arrival cells (see :func:`cube_cells`)."""
+        n = self.ports
+        cells = []
         for b, rng in enumerate(self._rngs):
-            active = np.nonzero(rng.random(self.ports) < self.load)[0]
+            active = (rng.random(n) < self.load).nonzero()[0]
             if active.size:
-                dest = rng.integers(self.ports, size=active.size)
-                counts[b, active, dest] = 1
-        return counts
+                dest = rng.integers(n, size=active.size)
+                cells.append((active + b * n) * n + dest)
+        return np.concatenate(cells) if cells else NO_CELLS
 
 
 class ScenarioArrivals:
-    """Arrival counts from B arbitrary TrafficSource objects, compiled.
+    """Arrival cells from B arbitrary TrafficSource objects, compiled.
 
     Replica b is driven by ``sources[b]`` (any object implementing the
     protocol -- notably :class:`repro.traffic.flows.FlowTraffic`).
     Arrivals are open-loop, so they are generated ahead of the slot
     loop, a chunk of slots at a time, as flat ``(slot, VOQ, flow)``
     arrays through :func:`repro.traffic.flows.arrivals_batch`; a slot's
-    counts are then one ``bincount`` of its slice.
+    cells are then its slice of the sorted VOQ array, no copy.
 
     Because the fast path is count-based it forgets cell identity at
     arrival, so for flow-aware sources this adapter shadows each VOQ
@@ -497,8 +524,8 @@ class ScenarioArrivals:
 
     # -- the slot loop ---------------------------------------------------
 
-    def slot_counts(self) -> np.ndarray:
-        """(B, N, N) arrival counts for the next slot."""
+    def slot_cells(self) -> np.ndarray:
+        """The next slot's arrival cells (see :func:`cube_cells`)."""
         slot = self._slot
         self._slot += 1
         if slot >= self._chunk_end:
@@ -506,8 +533,6 @@ class ScenarioArrivals:
         lo = self._offsets[slot - self._chunk_start]
         hi = self._offsets[slot - self._chunk_start + 1]
         voq = self._voq[lo:hi]
-        n = self.ports
-        counts = np.bincount(voq, minlength=self.replicas * n * n)
         if self.track_flows and hi > lo:
             flow = self._flow[lo:hi]
             if self._rank is None:
@@ -519,7 +544,7 @@ class ScenarioArrivals:
                 for r in range(int(rank.max()) + 1):
                     turn = rank == r
                     self._enqueue(voq[turn], flow[turn])
-        return counts.reshape(self.replicas, n, n)
+        return voq
 
     def _enqueue(self, voq: np.ndarray, flow: np.ndarray) -> None:
         """One cell per listed flow arrives (VOQBuffer.enqueue).
@@ -599,18 +624,22 @@ def uniform_arrivals(
 class PoolLedger:
     """Measurement-window accounting of one ``(B, N, N)`` buffer pool.
 
-    :func:`run_slots` calls :meth:`update` once per slot >= warmup, so
-    the (B,) counters ``offered``, ``carried`` and ``backlog_integral``
-    (the Little's-law numerator) ignore the slots before it.
+    :func:`run_slots` calls :meth:`update` once per slot >= warmup with
+    the slot's arrival cells (:func:`cube_cells`) and departure triple,
+    so the (B,) counters ``offered``, ``carried`` and
+    ``backlog_integral`` (the Little's-law numerator) ignore the slots
+    before it.  No counter reduces the pool: :meth:`mark` takes the
+    (B,) ``backlog`` once, at the start of slot ``warmup``, and every
+    update moves it by the slot's arrivals minus its departures.
     ``warmup_mode="arrival"`` also keys delay on the *arrival* slot, as
     :class:`repro.sim.stats.DelayStats` does: cells queued at the start
     of slot ``warmup`` are snapshotted per VOQ as ``legacy`` (per-VOQ
     FIFO order, exact when each connection carries one flow, makes them
     depart before anything arriving later), their departures kept out of
-    ``delay_cells`` and their occupancy out of ``delay_integral`` (both
-    None in slot mode).  ``by_port`` adds the (B, N)
-    ``arrivals_by_input`` / ``departures_by_output`` -- only for results
-    that expose them: they cost two more reductions per slot.
+    ``delay_cells`` and their running (B,) total ``legacy_backlog`` out
+    of ``delay_integral`` (both None in slot mode).  ``by_port`` adds
+    the (B, N) ``arrivals_by_input`` / ``departures_by_output`` -- only
+    for results that expose them.
     """
 
     def __init__(self, pool: np.ndarray, warmup_mode: str, by_port: bool = False):
@@ -620,11 +649,13 @@ class PoolLedger:
         self.offered = np.zeros(replicas, dtype=np.int64)
         self.carried = np.zeros(replicas, dtype=np.int64)
         self.backlog_integral = np.zeros(replicas, dtype=np.int64)
+        self.backlog = np.zeros(replicas, dtype=np.int64)
         self.arrivals_by_input = self.departures_by_output = None
         if by_port:
             self.arrivals_by_input = np.zeros((replicas, ports), dtype=np.int64)
             self.departures_by_output = np.zeros((replicas, ports), dtype=np.int64)
         self.legacy: Optional[np.ndarray] = None
+        self.legacy_backlog: Optional[np.ndarray] = None
         self.delay_cells = self.delay_integral = None
         if warmup_mode == "arrival":
             self.delay_cells = np.zeros(replicas, dtype=np.int64)
@@ -632,36 +663,41 @@ class PoolLedger:
 
     def mark(self) -> None:
         """Start of slot ``warmup``: snapshot the cells that predate it."""
+        self.backlog = self.pool.sum(axis=(1, 2))
         if self.delay_cells is not None:
             self.legacy = self.pool.copy()
+            self.legacy_backlog = self.backlog.copy()
 
-    def update(self, counts: Optional[np.ndarray], departed) -> None:
+    def update(self, cells: np.ndarray, departed) -> None:
         """Account one in-window slot: its arrivals, departures, backlog."""
         bb, ii, jj = departed
         replicas, ports, _ = self.pool.shape
-        if counts is not None:
-            if self.arrivals_by_input is None:
-                self.offered += counts.sum(axis=(1, 2))
-            else:
-                # einsum, not sum(axis=2): numpy's short-axis reduce
-                # costs about 3x as much at these shapes.
-                per_input = np.einsum("bij->bi", counts)
-                self.arrivals_by_input += per_input
-                self.offered += per_input.sum(axis=1)
-        self.carried += np.bincount(bb, minlength=replicas)
+        if self.arrivals_by_input is None:
+            offered = np.bincount(cells // (ports * ports), minlength=replicas)
+        else:
+            per_input = np.bincount(cells // ports, minlength=replicas * ports)
+            per_input = per_input.reshape(replicas, ports)
+            self.arrivals_by_input += per_input
+            offered = per_input.sum(axis=1)
+        self.offered += offered
+        carried = np.bincount(bb, minlength=replicas)
+        self.carried += carried
         if self.departures_by_output is not None:
             self.departures_by_output += np.bincount(
                 bb * ports + jj, minlength=replicas * ports
             ).reshape(replicas, ports)
-        self.backlog_integral += self.pool.sum(axis=(1, 2))
+        self.backlog += offered - carried
+        self.backlog_integral += self.backlog
         if self.legacy is not None:
             # At most one departure per (replica, input) of a pool per
             # slot, so the (bb, ii, jj) triples are unique and
             # fancy-indexed decrements are safe.
             was_legacy = self.legacy[bb, ii, jj] > 0
             self.legacy[bb[was_legacy], ii[was_legacy], jj[was_legacy]] -= 1
-            self.delay_cells += np.bincount(bb[~was_legacy], minlength=replicas)
-            self.delay_integral += (self.pool - self.legacy).sum(axis=(1, 2))
+            gone = np.bincount(bb[was_legacy], minlength=replicas)
+            self.legacy_backlog -= gone
+            self.delay_cells += carried - gone
+            self.delay_integral += self.backlog - self.legacy_backlog
 
     @staticmethod
     def pooled_delay(backlog_integral, carried, delay_integral, delay_cells) -> float:
@@ -702,8 +738,9 @@ def run_slots(
     """The slot loop of the crossbar family, run inside the ``run`` span.
 
     One slot is ``arrivals -> [claim] -> match -> depart -> account``:
-    every source yields its pool's ``(B, N, N)`` counts (None in the
-    ``drain_slots`` arrival-free slots after ``slots``); the ledgers
+    every source's ``slot_cells()`` yields its pool's arrival cells
+    (:func:`cube_cells`; :data:`NO_CELLS` in the ``drain_slots``
+    arrival-free slots after ``slots``); the ledgers
     :meth:`~PoolLedger.mark` at slot ``warmup``;
     ``switch.advance(slot, arrivals, check)`` lands the arrivals,
     claims, matches and departs, returning one ``(bb, ii, jj)``
@@ -718,10 +755,10 @@ def run_slots(
     traced = probe is not None and probe.enabled
     if traced:
         switch.scheduler.attach_probe(probe)
-    drained = [None] * len(sources)
+    drained = [NO_CELLS] * len(sources)
     for slot in range(slots + drain_slots):
         with timer.phase("arrivals"):
-            arrivals = [s.slot_counts() for s in sources] if slot < slots else drained
+            arrivals = [s.slot_cells() for s in sources] if slot < slots else drained
         if slot == warmup:
             for ledger in ledgers:
                 ledger.mark()
@@ -731,7 +768,7 @@ def run_slots(
             # occupancy (the object backends' convention).
             probe.begin_slot(
                 slot,
-                arrivals=sum(int(c.sum()) for c in arrivals if c is not None),
+                arrivals=sum(cells.size for cells in arrivals),
                 backlog=sum(int(ledger.pool.sum()) for ledger in ledgers),
             )
         with timer.phase("kernel"):
@@ -743,8 +780,8 @@ def run_slots(
         if slot < warmup:
             continue
         with timer.phase("update"):
-            for ledger, counts, cells in zip(ledgers, arrivals, departed):
-                ledger.update(counts, cells)
+            for ledger, cells, served in zip(ledgers, arrivals, departed):
+                ledger.update(cells, served)
     if traced:
         switch.scheduler.attach_probe(None)
     return (
@@ -802,7 +839,8 @@ def run_fastpath(
         When given (length B), replica b's arrivals replicate
         ``UniformTraffic(ports, load, seed=arrival_seeds[b])`` draw for
         draw instead of using the batched stream -- the seed-for-seed
-        parity mode.
+        parity mode (a ``None`` entry too: both fall back to
+        ``default_seed("traffic/uniform")``).
     sources:
         Scenario mode (mutually exclusive with ``arrival_seeds``): a
         length-B sequence of TrafficSource objects; replica b's
@@ -845,7 +883,7 @@ def run_fastpath(
         Optional :class:`repro.obs.perf.PhaseTimer`.  When enabled the
         run is profiled under a ``run`` root span with ``run/compile``
         (scheduler + arrival-source construction), ``run/arrivals``
-        (drawing slot counts), ``run/kernel`` (the batched matching
+        (drawing slot cells), ``run/kernel`` (the batched matching
         step) and ``run/update`` (counter accumulation) children; the
         end-of-run breakdown is also emitted through an enabled probe
         as a ``phase_profile`` event.  Disabled (the default) it costs

@@ -55,10 +55,12 @@ from repro.core.batch import BatchScheduler, build_batch_scheduler
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy
 from repro.obs.perf import NULL_PHASE_TIMER
 from repro.sim.fastpath import (
+    NO_CELLS,
     PoolLedger,
     ScenarioArrivals,
     check_switch_shape,
     check_window,
+    cube_cells,
     run_slots,
     uniform_arrivals,
 )
@@ -169,6 +171,9 @@ class IntegratedFastpath:
         self.cbr_buffer_bound = cbr_buffer_bound
         self.cbr = np.zeros((replicas, ports, ports), dtype=np.int64)
         self.vbr = np.zeros((replicas, ports, ports), dtype=np.int64)
+        # Per-input CBR occupancy, ``cbr.sum(axis=2)`` kept by arrivals
+        # and claims: the Appendix B check reads it every slot.
+        self.cbr_per_input = np.zeros((replicas, ports), dtype=np.int64)
         self.cbr_slots_used = np.zeros(replicas, dtype=np.int64)
         self.cbr_slots_donated = np.zeros(replicas, dtype=np.int64)
         self.peak_cbr_buffer = np.zeros(replicas, dtype=np.int64)
@@ -193,6 +198,9 @@ class IntegratedFastpath:
     ]:
         """Advance one slot; returns per-class departure index arrays.
 
+        ``cbr_arrivals`` / ``vbr_arrivals`` are the slot's (B, N, N)
+        non-negative arrival counts per class, or None for none.
+
         Returns ``((bb_c, ii_c, jj_c), (bb_v, ii_v, jj_v))``: CBR cell
         k departed input ``ii_c[k]`` of replica ``bb_c[k]`` through
         output ``jj_c[k]``, likewise for VBR.
@@ -200,15 +208,24 @@ class IntegratedFastpath:
         Raises :class:`CBRBufferOverflow` when a per-input CBR
         occupancy exceeds the bound after this slot's arrivals land.
         """
-        if cbr_arrivals is not None:
-            if check and (np.asarray(cbr_arrivals) < 0).any():
-                raise ValueError("negative CBR arrival counts")
-            self.cbr += cbr_arrivals
-        if vbr_arrivals is not None:
-            if check and (np.asarray(vbr_arrivals) < 0).any():
-                raise ValueError("negative VBR arrival counts")
-            self.vbr += vbr_arrivals
-        per_input = np.einsum("bij->bi", self.cbr)  # 3x sum(axis=2)'s speed
+        cells = []
+        for counts, name in ((cbr_arrivals, "CBR"), (vbr_arrivals, "VBR")):
+            if counts is None:
+                cells.append(NO_CELLS)
+                continue
+            if check and (np.asarray(counts) < 0).any():
+                raise ValueError(f"negative {name} arrival counts")
+            cells.append(cube_cells(counts))
+        return self.advance(slot, cells, check)
+
+    def advance(self, slot: int, arrivals: Sequence, check: bool = False):
+        """:func:`run_slots` stage: one slot of the (CBR, VBR) pools, their
+        arrivals given as cells; returns and raises as :meth:`step`."""
+        cbr_cells, vbr_cells = arrivals
+        np.add.at(self.cbr.reshape(-1), cbr_cells, 1)
+        np.add.at(self.vbr.reshape(-1), vbr_cells, 1)
+        per_input = self.cbr_per_input
+        np.add.at(per_input.reshape(-1), cbr_cells // self.ports, 1)
         np.maximum(self.peak_cbr_buffer, per_input.max(axis=1), out=self.peak_cbr_buffer)
         if self.cbr_buffer_bound is not None:
             over = per_input > self.cbr_buffer_bound
@@ -235,6 +252,7 @@ class IntegratedFastpath:
             # claimed (b, i, j) triples are unique per replica and a
             # fancy-indexed decrement is safe.
             self.cbr[bb_c, ii_c, jj_c] -= 1
+            per_input[bb_c, ii_c] -= 1
             used = have.sum(axis=1)
             self.cbr_slots_used += used
             self.cbr_slots_donated += res_in.size - used
@@ -260,10 +278,6 @@ class IntegratedFastpath:
         if check and ((self.cbr < 0).any() or (self.vbr < 0).any()):
             raise AssertionError("negative VOQ occupancy")
         return (bb_c, ii_c, jj_c), (bb_v, ii_v, jj_v)
-
-    def advance(self, slot: int, arrivals: Sequence, check: bool = False):
-        """:func:`run_slots` stage: :meth:`step` on the (CBR, VBR) pools."""
-        return self.step(slot, *arrivals, check=check)
 
     def trace(self, probe, slot: int, departed) -> None:
         """The slot's events after the kernel's own (``probe`` is enabled)."""
@@ -409,22 +423,27 @@ class _FramePattern:
     """The deterministic CBR emission pattern as an arrival source.
 
     The pattern consumes no randomness, so every replica sees the same
-    counts: a slot's arrivals are a zero-stride ``(B, N, N)`` view of
-    one frame position of :func:`compile_cbr_pattern`, no copy.
+    arrivals.  Each frame position of :func:`compile_cbr_pattern` is
+    compiled once into its arrival cells: the position's VOQs, each
+    repeated by its count, tiled across the B replicas.  A slot's
+    arrivals are then that read-only array, no copy.
     """
 
     def __init__(self, pattern: np.ndarray, replicas: int):
-        frame_slots, ports, _ = pattern.shape
-        self._frames = np.broadcast_to(
-            pattern[:, None], (frame_slots, replicas, ports, ports)
-        )
+        _, ports, _ = pattern.shape
+        replica_base = np.arange(replicas)[:, None] * (ports * ports)
+        self._cells = []
+        for counts in pattern:
+            cells = (replica_base + cube_cells(counts)).reshape(-1)
+            cells.flags.writeable = False
+            self._cells.append(cells)
         self._slot = 0
 
-    def slot_counts(self) -> np.ndarray:
-        """(B, N, N) arrival counts for the next slot."""
-        counts = self._frames[self._slot % self._frames.shape[0]]
+    def slot_cells(self) -> np.ndarray:
+        """The next slot's arrival cells (see :func:`cube_cells`)."""
+        cells = self._cells[self._slot % len(self._cells)]
         self._slot += 1
-        return counts
+        return cells
 
 
 def run_fastpath_cbr(

@@ -439,8 +439,8 @@ class _SplitLedger(PoolLedger):
         self._matcher = matcher
         self.stat_cells = np.zeros(matcher.replicas, dtype=np.int64)
 
-    def update(self, counts, departed) -> None:
-        super().update(counts, departed)
+    def update(self, cells, departed) -> None:
+        super().update(cells, departed)
         self.stat_cells += self._matcher.stat_cells
 
 

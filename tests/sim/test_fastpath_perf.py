@@ -1,12 +1,19 @@
-"""Perf smoke test: fastpath must beat the object backend by >= 5x.
+"""Perf tests of the crossbar fast path.
 
-Marked ``slow``; deselect with ``pytest -m "not slow"``.  The full
-perf trajectory lives in ``benchmarks/perf/bench_fastpath.py`` (run
-via ``make bench-fastpath``); this is the regression floor asserted in
-CI at the acceptance config N=16, B=256.
+The wall-clock smoke test -- the fast path beats the object backend by
+>= 5x at the acceptance config N=16, B=256 -- is marked ``slow``;
+deselect it with ``pytest -m "not slow"``.  The full perf trajectory
+lives in ``benchmarks/perf/bench_fastpath.py`` (run via ``make
+bench-fastpath``).
+
+The memory test is exact and runs in tier-1: arrivals travel as flat
+VOQ cells, so a slot allocates no ``(B, N, N)`` count cube outside the
+pool and the kernel, and the run's ``tracemalloc`` peak stays under a
+fixed number of int64 cubes.
 """
 
 import time
+import tracemalloc
 
 import pytest
 
@@ -50,3 +57,21 @@ def test_fastpath_at_least_5x_object_backend():
         f"fastpath regressed: only {speedup:.1f}x object backend "
         f"({fast_sps:.0f} vs {object_sps:.0f} slots/s)"
     )
+
+
+def test_wide_run_allocates_no_arrival_cubes():
+    """At N=32, B=256 one int64 cube is 2 MiB.  The pool is one; the
+    kernel's working set, the arrival chunk and the slot's temporaries
+    make up the rest: 3.2 cubes (6.7 MB) in all, against 5.2 (10.8 MB)
+    when every slot built, added and reduced count cubes."""
+    ports, replicas = 32, 256
+    run_fastpath(ports, LOAD, 5, replicas=replicas, seed=0)  # warm caches
+    tracemalloc.start()
+    try:
+        baseline = tracemalloc.get_traced_memory()[0]
+        run_fastpath(ports, LOAD, 60, replicas=replicas, seed=0)
+        peak = tracemalloc.get_traced_memory()[1] - baseline
+    finally:
+        tracemalloc.stop()
+    cube = replicas * ports * ports * 8
+    assert peak <= 3.5 * cube, f"peak {peak / cube:.2f} int64 cubes"
