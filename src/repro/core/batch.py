@@ -41,8 +41,10 @@ a registry name):
   wavefront.  Of a cube the kernel reads only the keys at its edges
   (:meth:`BatchScheduler._cube_keys`): the numbers a dense
   ``random((B, N, N))`` would have put there.  On a PCG64
-  ``Generator`` a sparse round jumps the stream over the cells no
-  request holds instead of generating them.
+  ``Generator`` only a dense round generates the cube: a sparse one
+  jumps the stream from key to key, a mid-density one computes every
+  key from the LCG's closed form in one vectorized pass, and both then
+  leave the stream at the cube's end.
 - **Stream bank**: a kernel handed a *sequence* of K generators as
   ``rng`` schedules K independent switches in one call
   (:class:`StreamBank`).  Its replica axis is K equal blocks, block k
@@ -106,12 +108,37 @@ __all__ = [
 #: ``scheduler=`` parameters and the CLI ``--scheduler`` flags).
 BATCH_SCHEDULERS = ("pim", "islip", "lqf", "wavefront", "qps")
 
-#: A PCG64 stream jumps to each wanted key of a cube, rather than
-#: drawing the cube, while fewer than ``cube_cells / _JUMP_BREAK_EVEN``
-#: keys are wanted.  Measured on a 2-vCPU x86-64 host with NumPy 2.x: a
-#: dense uniform costs 2.3-2.7 ns per cell, a jumped key (one
-#: ``advance`` plus one scalar ``random()``) about 1.05 us.
+#: What each way of reading a cube's keys off a PCG64 stream costs, in
+#: dense cells: drawing the cube costs its cells, the scalar jump
+#: ``_JUMP_BREAK_EVEN`` per key, the vectorized jump
+#: ``_VECTOR_PER_KEY`` per key plus ``_VECTOR_FIXED``; the cheapest
+#: runs.  Measured on a 2-vCPU x86-64 host with NumPy 2.x, as per-call
+#: wall inside N = 32, B = 256 PIM-4 runs, each over that run's dense
+#: cost per cell: a scalar-jumped key (one ``advance`` plus one scalar
+#: ``random()``) costs 450-600 cells, a vectorized call 18-20k cells
+#: plus 7-8 per key up to about 16k keys and more beyond, as its
+#: temporaries outgrow the cache -- so 17 per key, which puts the
+#: vector/dense edge of a 262,144-cell cube at 14k keys, below that
+#: knee.  The fixed cost keeps a 16,384-cell cube (N = 16, B = 64) off
+#: the vectorized jump, which costs about what its dense draw does.
 _JUMP_BREAK_EVEN = 450
+_VECTOR_PER_KEY = 17
+_VECTOR_FIXED = 22_000
+
+#: PCG64's 128-bit LCG multiplier (NumPy's ``PCG_DEFAULT_MULTIPLIER_128``).
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK64 = (1 << 64) - 1
+_MASK128 = (1 << 128) - 1
+#: The jump tables split k steps as k = q * _JUMP_LOW + r, r < _JUMP_LOW.
+_JUMP_BITS = 8
+_JUMP_LOW = 1 << _JUMP_BITS
+# Every operand of the 128-bit arithmetic is a uint64: mixed with an
+# int64 it would promote to float64.
+_U11 = np.uint64(11)
+_U32 = np.uint64(32)
+_U58 = np.uint64(58)
+_U63 = np.uint64(63)
+_LOW32 = np.uint64(0xFFFFFFFF)
 
 
 def as_request_batch(requests: np.ndarray) -> np.ndarray:
@@ -234,6 +261,90 @@ class StreamBank:
         return self._keys
 
 
+def _words(x: int) -> Tuple[int, int, int, int]:
+    """A 128-bit number as its high and low 64-bit halves, then the
+    low half's low and high 32 bits."""
+    lo = x & _MASK64
+    return x >> 64, lo, lo & 0xFFFFFFFF, lo >> 32
+
+
+def _pcg64_tables(inc: int, cube: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Jump tables of the PCG64 stream with increment ``inc``.
+
+    k steps of the LCG map a state s to ``A_k * s + C_k`` mod 2**128,
+    with ``A_k = M**k`` and ``C_k = inc * (M**(k-1) + ... + M + 1)``.
+    Returns ``(low, high)``: the maps of k = r for r < ``_JUMP_LOW`` and
+    of k = q * ``_JUMP_LOW`` for q <= ``cube // _JUMP_LOW``, each a
+    ``(6, count)`` uint64 array whose rows are ``_words(A_k)`` then
+    ``C_k``'s high and low halves.
+    """
+
+    def maps(mult: int, add: int, count: int):
+        # Row by row: a list of ``count`` tuples of big ints would leave
+        # its object memory resident after the build.
+        table, a, c = np.empty((count, 6), dtype=np.uint64), 1, 0
+        for row in table:
+            row[:] = _words(a) + (c >> 64, c & _MASK64)
+            a, c = a * mult & _MASK128, (c * mult + add) & _MASK128
+        return table.T.copy(), a, c
+
+    low, a, c = maps(_PCG64_MULTIPLIER, inc, _JUMP_LOW)
+    return low, maps(a, c, cube // _JUMP_LOW + 1)[0]
+
+
+def _mul_add(a, x) -> Tuple[np.ndarray, np.ndarray]:
+    """``A * x + C`` mod 2**128 for the maps ``a`` (rows as in
+    :func:`_pcg64_tables`) and the numbers ``x`` (rows as ``_words``).
+
+    Returns the high and low uint64 halves.  The low halves' full
+    product is built from 32-bit limbs; the high halves only meet the
+    low ones, mod 2**64.
+    """
+    a_hi, a_lo, a0, a1, c_hi, c_lo = a
+    x_hi, x_lo, x0, x1 = x
+    low = a0 * x0
+    mid = a1 * x0
+    mid += low >> _U32
+    cross = a0 * x1
+    cross += mid & _LOW32
+    hi = a1 * x1
+    hi += mid >> _U32
+    hi += cross >> _U32
+    hi += a_hi * x_lo
+    hi += a_lo * x_hi
+    hi += c_hi
+    lo = a_lo * x_lo
+    lo += c_lo
+    hi += lo < c_lo  # the carry out of the low half
+    return hi, lo
+
+
+def _pcg64_keys(state: int, cells: np.ndarray, tables) -> np.ndarray:
+    """The doubles PCG64's ``random()`` returns ``cells + 1`` steps past
+    ``state``, in one vectorized pass.
+
+    ``state`` is the 128-bit LCG state, ``cells`` ascending int64 cube
+    indices and ``tables`` :func:`_pcg64_tables` of the stream's
+    increment and a cube that holds the cells.  A step applies the LCG
+    and outputs XSL-RR of the new state -- its halves XORed, rotated
+    right by its top 6 bits -- and ``random()`` keeps the top 53 bits.
+    Cell c's state is ``high[q]`` applied to ``low[r](state)``, with
+    c + 1 = q * ``_JUMP_LOW`` + r.
+    """
+    low, high = tables
+    hi, lo = _mul_add(low, np.array(_words(state), dtype=np.uint64))
+    starts = (hi, lo, lo & _LOW32, lo >> _U32)
+    steps = cells + 1
+    q, r = steps >> _JUMP_BITS, steps & (_JUMP_LOW - 1)
+    hi, lo = _mul_add([row.take(q) for row in high], [row.take(r) for row in starts])
+    rot = hi >> _U58
+    hi ^= lo
+    out = hi >> rot
+    out |= hi << (-rot & _U63)
+    out >>= _U11
+    return out * (1.0 / 9007199254740992.0)
+
+
 def resolve_generator(
     seed: Optional[int], rng, component: str
 ) -> Tuple[object, Tuple[str, object]]:
@@ -315,6 +426,9 @@ class BatchScheduler:
         self.ports = ports
         self.output_capacity = output_capacity
         self._probe = None
+        # ((stream increment, cube cells), _pcg64_tables) of the last
+        # vectorized jump: the tables depend on nothing else.
+        self._jump_tables = (None, None)
 
     def attach_probe(self, probe) -> None:
         """Attach a :class:`repro.obs.probe.Probe` (None detaches)."""
@@ -360,32 +474,46 @@ class BatchScheduler:
         leaves every generator where that call would; ``cells`` are
         ascending flat cube indices (row 0 of a C-ordered edge list).
         A :class:`StreamBank` is armed on ``cells`` and draws its armed
-        blocks.  A PCG64 ``Generator`` with no buffered 32-bit half,
-        asked for fewer than ``cube / _JUMP_BREAK_EVEN`` keys, skips the
-        cells between them with ``advance``: ``random`` spends one
-        64-bit output per double and ``advance(k)`` moves the state by
-        k outputs.  Every other source draws the whole cube.
+        blocks.  A PCG64 ``Generator`` with no buffered 32-bit half
+        reads the keys the cheapest of three ways (module constants):
+        draw the cube; the *scalar jump*, which skips the cells between
+        keys with ``advance`` (``random`` spends one 64-bit output per
+        double and ``advance(k)`` moves the state by k outputs); or the
+        *vectorized jump*, which computes every key from the LCG's
+        closed form (:func:`_pcg64_keys`, over jump tables cached per
+        stream increment and cube size) and then advances the whole
+        cube.  Every other source draws the whole cube.
         """
         rng = self._rng
         shape = (self.replicas, self.ports, self.ports)
         cube = self.replicas * self.ports * self.ports
+        jump = cells.size * _JUMP_BREAK_EVEN
+        vector = cells.size * _VECTOR_PER_KEY + _VECTOR_FIXED
         if self._bank is not None:
             self._bank.arm(cells)
         elif (
-            cells.size * _JUMP_BREAK_EVEN < cube
+            (jump < cube or vector < cube)
             and rng.__class__ is np.random.Generator
             and rng.bit_generator.__class__ is np.random.PCG64
-            and not rng.bit_generator.state["has_uint32"]
+            and not (state := rng.bit_generator.state)["has_uint32"]
         ):
-            advance, draw = rng.bit_generator.advance, rng.random
-            keys = []
-            position = 0
-            for cell in cells.tolist():
-                advance(cell - position)
-                keys.append(draw())
-                position = cell + 1
-            advance(cube - position)
-            return np.array(keys)
+            if jump <= vector:
+                advance, draw = rng.bit_generator.advance, rng.random
+                keys = []
+                position = 0
+                for cell in cells.tolist():
+                    advance(cell - position)
+                    keys.append(draw())
+                    position = cell + 1
+                advance(cube - position)
+                return np.array(keys)
+            stream = state["state"]
+            key = (stream["inc"], cube)
+            if self._jump_tables[0] != key:
+                self._jump_tables = (key, _pcg64_tables(*key))
+            keys = _pcg64_keys(stream["state"], cells, self._jump_tables[1])
+            rng.bit_generator.advance(cube)
+            return keys
         return rng.random(shape).take(cells)
 
     def schedule(

@@ -15,19 +15,19 @@ decides the matching.
 
 With the ``numpy`` (PCG64) source the grid also compares the
 generator's state after every slot: sparse rounds jump the stream over
-the cells no request holds (:meth:`BatchScheduler._cube_keys`), and a
-jump that lands short shows up there even when no later draw reads it.
+the cells no request holds, one key at a time or all of a round's keys
+in one vectorized pass (:meth:`BatchScheduler._cube_keys`), and a jump
+that lands short shows up there even when no later draw reads it.
+Source-level mutants of both jumps must fail the grid.
 """
 
 import inspect
 import json
-import textwrap
 
 import numpy as np
 import pytest
 
 from repro.core import batch as core_batch
-from repro.core.batch import BatchScheduler
 from repro.core.pim import BatchPIMScheduler
 from repro.hardware.random_select import lfsr_pim_rng
 from repro.obs.probe import Probe
@@ -52,30 +52,39 @@ class QuantisedKeys:
 
 
 class Cells(np.ndarray):
-    """Flat cell indices that remember whether the jump loop listed them
-    (the only reader of ``_cube_keys``'s cells that calls ``tolist``)."""
+    """Flat cell indices that record which way ``_cube_keys`` read them:
+    the scalar jump is the only reader that lists them (``tolist``), the
+    vectorized jump the only one that computes with them (a ufunc).
+    ``"dense"`` means neither did: the cube was drawn."""
 
-    listed = False
+    way = "dense"
 
     def tolist(self):
-        self.listed = True
+        self.way = "scalar"
         return super().tolist()
+
+    def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+        for x in inputs:
+            if isinstance(x, Cells):
+                x.way = "vector"
+        inputs = [x.view(np.ndarray) if isinstance(x, Cells) else x for x in inputs]
+        return getattr(ufunc, method)(*inputs, **kwargs)
 
 
 class JumpCounting:
-    """Kernel mixin: counts the key draws that jumped."""
+    """Kernel mixin: records the way of every key read, in order."""
 
-    jumps = 0
+    ways = ()
 
     def _cube_keys(self, cells):
         cells = cells.view(Cells)
         keys = super()._cube_keys(cells)
-        self.jumps += cells.listed
+        self.ways += (cells.way,)
         return keys
 
 
 class JumpCountingPIM(JumpCounting, BatchPIMScheduler):
-    """``BatchPIMScheduler`` that counts the key draws that jumped."""
+    """``BatchPIMScheduler`` that records the way of every key read."""
 
 
 KEY_SOURCES = {
@@ -177,7 +186,9 @@ def test_coarse_keys_do_tie():
 @pytest.mark.parametrize("replicas,ports", [(64, 32), (8, 64)])
 def test_run_to_maximality_jumps_and_matches(replicas, ports, accept):
     """PIM run to a maximal match (Table 1 / Appendix A): its late
-    rounds hold a handful of requests, so the key draws jump."""
+    rounds hold a handful of requests, so the key draws jump -- at
+    (64, 32) both ways: the scalar jump for the last few keys, the
+    vectorized one for the mid-density rounds."""
     kernel = assert_same_trajectory(
         KEY_SOURCES["numpy"],
         replicas,
@@ -186,16 +197,20 @@ def test_run_to_maximality_jumps_and_matches(replicas, ports, accept):
         iterations=None,
         accept=accept,
     )
-    assert kernel.jumps > 0
+    assert "scalar" in kernel.ways
+    if (replicas, ports) == (64, 32):
+        assert "vector" in kernel.ways
 
 
 def _mutant(old, new):
-    """``BatchPIMScheduler`` with one edit to the ``_cube_keys`` source."""
-    source = textwrap.dedent(inspect.getsource(BatchScheduler._cube_keys))
+    """``BatchPIMScheduler`` whose ``_cube_keys`` runs a copy of the
+    ``core.batch`` source with one edit, helpers included."""
+    source = inspect.getsource(core_batch)
     assert source.count(old) == 1, f"the key source no longer spells {old!r}"
-    namespace = dict(vars(core_batch))
+    namespace = {"__name__": "mutant_batch"}
     exec(source.replace(old, new), namespace)
-    mutant = type("MutantPIM", (BatchPIMScheduler,), {"_cube_keys": namespace["_cube_keys"]})
+    keys = namespace["BatchScheduler"]._cube_keys
+    mutant = type("MutantPIM", (BatchPIMScheduler,), {"_cube_keys": keys})
     return type("Mutant", (JumpCounting, mutant), {})
 
 
@@ -211,4 +226,33 @@ def test_the_grid_catches_a_short_jump():
     kernel = assert_same_trajectory(
         KEY_SOURCES["numpy"], 64, 32, kernel_class=_mutant(old, old), iterations=None
     )
-    assert kernel.jumps > 0
+    assert "scalar" in kernel.ways
+
+
+#: Edits to the vectorized jump the grid must catch.
+VECTOR_MUTANTS = {
+    # The closing advance dropped: the stream is left short.
+    "short": ("rng.bit_generator.advance(cube)", "pass"),
+    # The carry out of the low 64 bits of a 128-bit sum.
+    "carry": ("hi += lo < c_lo", "pass"),
+    # The rotation's left shift is by (-rot) mod 64; unmasked, -rot
+    # wraps to 2**64 - rot, and NumPy shifts by 64 or more to 0.
+    "rotation_mask": ("-rot & _U63", "-rot"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VECTOR_MUTANTS))
+def test_the_grid_catches_a_broken_vector_jump(name):
+    """Each edit leaves a wrong key or a wrong stream position, and the
+    grid must see it.  The untouched source, rebuilt the same way,
+    passes and takes the vectorized jump."""
+    old, new = VECTOR_MUTANTS[name]
+    with pytest.raises(AssertionError):
+        assert_same_trajectory(
+            KEY_SOURCES["numpy"], 64, 32, kernel_class=_mutant(old, new),
+            iterations=None,
+        )
+    kernel = assert_same_trajectory(
+        KEY_SOURCES["numpy"], 64, 32, kernel_class=_mutant(old, old), iterations=None
+    )
+    assert "vector" in kernel.ways
