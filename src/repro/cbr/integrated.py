@@ -34,12 +34,11 @@ import numpy as np
 
 from repro.cbr.reservations import ReservationTable
 from repro.core.pim import PIMScheduler
-from repro.sim.stats import DelayStats, ThroughputCounter
 from repro.switch.buffers import VOQBuffer
 from repro.switch.cell import Cell, ServiceClass
 from repro.switch.fabric import CrossbarFabric, Fabric
 from repro.switch.results import SwitchResult
-from repro.switch.switch import reset_traffic
+from repro.switch.switch import SlotSwitch
 
 __all__ = [
     "IntegratedSwitch",
@@ -111,22 +110,14 @@ def resolve_cbr_buffer_bound(
 class IntegratedResult(SwitchResult):
     """SwitchResult plus separate CBR and VBR delay statistics."""
 
-    def __init__(self, base: SwitchResult, cbr_delay: DelayStats, vbr_delay: DelayStats,
-                 cbr_slots_used: int, cbr_slots_donated: int, peak_cbr_buffer: int,
+    def __init__(self, base: SwitchResult, cbr_slots_used: int,
+                 cbr_slots_donated: int, peak_cbr_buffer: int,
                  cbr_buffer_bound: Optional[Tuple[int, ...]] = None):
-        super().__init__(
-            delay=base.delay,
-            counter=base.counter,
-            ports=base.ports,
-            slots=base.slots,
-            connection_cells=base.connection_cells,
-            backlog=base.backlog,
-            dropped=base.dropped,
-        )
+        super().__init__(**vars(base))
         #: Delay statistics for CBR cells only.
-        self.cbr_delay = cbr_delay
+        self.cbr_delay = base.delay_by_service[ServiceClass.CBR]
         #: Delay statistics for VBR cells only.
-        self.vbr_delay = vbr_delay
+        self.vbr_delay = base.delay_by_service[ServiceClass.VBR]
         #: Reserved slots actually used by CBR cells.
         self.cbr_slots_used = cbr_slots_used
         #: Reserved slots donated to VBR because the CBR flow was idle.
@@ -139,7 +130,7 @@ class IntegratedResult(SwitchResult):
         self.cbr_buffer_bound = cbr_buffer_bound
 
 
-class IntegratedSwitch:
+class IntegratedSwitch(SlotSwitch):
     """Input-buffered switch carrying pre-scheduled CBR plus PIM'd VBR.
 
     Parameters
@@ -155,8 +146,8 @@ class IntegratedSwitch:
         Appendix B static CBR buffer sizing, enforced per input every
         slot; an overflow raises :class:`CBRBufferOverflow`.  ``"auto"``
         (default) derives ``2 x input_committed(i)`` from the
-        reservation table at first use; a scalar applies to every
-        input, a length-N vector is used as-is, ``None`` disables
+        reservation table at every :meth:`reset`; a scalar applies to
+        every input, a length-N vector is used as-is, ``None`` disables
         enforcement.
     """
 
@@ -175,44 +166,39 @@ class IntegratedSwitch:
         if self.fabric.ports != self.ports:
             raise ValueError("fabric size does not match switch size")
         self.cbr_buffer_bound = cbr_buffer_bound
-        self._bound_vector: Optional[np.ndarray] = None
-        self._bound_resolved = False
-        self.cbr_buffers: List[VOQBuffer] = []
-        self.vbr_buffers: List[VOQBuffer] = []
-        self.cbr_slots_used = 0
-        self.cbr_slots_donated = 0
-        self.peak_cbr_buffer = 0
         self.reset()
 
     def reset(self) -> None:
-        """Discard buffered cells and zero the per-run counters.
+        """Empty both buffer pools, zero the counters, rewind the scheduler.
 
-        Called at the start of every :meth:`run` so repeated runs on
-        one switch start from a clean slate instead of accumulating the
-        previous run's counters and leftover backlog.  The VBR
-        scheduler's random stream and round-robin pointers are *not*
-        reset (they are cross-run state by design, as in
-        :class:`repro.switch.switch.CrossbarSwitch`).
+        :meth:`run` starts here, so repeated runs on one switch replay
+        the same trajectory instead of accumulating the previous run's
+        counters and leftover backlog.  The ``"auto"`` CBR bound is
+        derived from the reservation table as it stands now.
         """
+        self.scheduler.reset()
+        self._bound = resolve_cbr_buffer_bound(
+            self.cbr_buffer_bound, self.reservations.reserved_matrix()
+        )
         self.cbr_buffers = [VOQBuffer(self.ports) for _ in range(self.ports)]
         self.vbr_buffers = [VOQBuffer(self.ports) for _ in range(self.ports)]
         self.cbr_slots_used = 0
         self.cbr_slots_donated = 0
         self.peak_cbr_buffer = 0
 
-    def _resolved_bound(self) -> Optional[np.ndarray]:
-        """The per-input bound vector, resolving ``"auto"`` on first use."""
-        if not self._bound_resolved:
-            self._bound_vector = resolve_cbr_buffer_bound(
-                self.cbr_buffer_bound, self.reservations.reserved_matrix()
-            )
-            self._bound_resolved = True
-        return self._bound_vector
-
     def _vbr_requests(self) -> np.ndarray:
         matrix = np.zeros((self.ports, self.ports), dtype=bool)
         for i, buffer in enumerate(self.vbr_buffers):
             matrix[i] = buffer.request_vector()
+        return matrix
+
+    def occupancy_matrix(self) -> np.ndarray:
+        """Queued-cell counts per (input, output), CBR plus VBR."""
+        matrix = np.zeros((self.ports, self.ports), dtype=np.int64)
+        for pool in (self.cbr_buffers, self.vbr_buffers):
+            for i, buffer in enumerate(pool):
+                for j in range(self.ports):
+                    matrix[i, j] += buffer.occupancy_for(j)
         return matrix
 
     def step(self, slot: int, arrivals: Sequence[Tuple[int, Cell]], probe=None) -> List[Cell]:
@@ -223,7 +209,7 @@ class IntegratedSwitch:
             pool[input_port].enqueue(cell)
         occupancies = [len(b) for b in self.cbr_buffers]
         self.peak_cbr_buffer = max(self.peak_cbr_buffer, max(occupancies))
-        bound = self._resolved_bound()
+        bound = self._bound
         if bound is not None:
             for i, occupancy in enumerate(occupancies):
                 if occupancy > bound[i]:
@@ -274,75 +260,25 @@ class IntegratedSwitch:
         """Cells buffered in both pools."""
         return sum(len(b) for b in self.cbr_buffers) + sum(len(b) for b in self.vbr_buffers)
 
-    def run(self, traffic, slots: int, warmup: int = 0, probe=None) -> IntegratedResult:
+    def run(self, traffic, slots: int, warmup: int = 0, probe=None,
+            phase_timer=None) -> IntegratedResult:
         """Simulate; returns combined plus per-class statistics.
 
         ``traffic`` may be a single source or a sequence of sources
         (e.g. a :class:`repro.traffic.cbr_source.CBRSource` plus a VBR
-        background); all must agree on ``ports``.  Each call starts
-        from a clean switch (:meth:`reset`): counters and both buffer
-        pools are per-run, so back-to-back runs do not leak the
-        previous run's backlog or slot counters into the next result.
-
-        When a :class:`repro.obs.probe.Probe` is supplied, every slot
-        emits ``SlotBegin``, ``CbrSlot`` (the reserved/used/donated
-        anatomy plus per-pool backlog) and ``CrossbarTransfer`` events,
-        each departure emits ``CellDeparture``, and sampled slots emit
-        the VBR scheduler's per-iteration PIM anatomy.
+        background); all must agree on ``ports``.  The slot loop is
+        :meth:`repro.switch.switch.SlotSwitch.run`.  When a
+        :class:`repro.obs.probe.Probe` is supplied, every slot also
+        emits a ``CbrSlot`` event (the reserved/used/donated anatomy
+        plus per-pool backlog).
         """
-        sources = traffic if isinstance(traffic, (list, tuple)) else [traffic]
-        for source in sources:
-            if source.ports != self.ports:
-                raise ValueError("traffic/switch port mismatch")
-        self.reset()
-        for source in sources:
-            reset_traffic(source)
-        bound = self._resolved_bound()
-        traced = probe is not None and probe.enabled
-        if traced and hasattr(self.scheduler, "attach_probe"):
-            self.scheduler.attach_probe(probe)
-        delay = DelayStats(warmup=warmup)
-        cbr_delay = DelayStats(warmup=warmup)
-        vbr_delay = DelayStats(warmup=warmup)
-        counter = ThroughputCounter(warmup=warmup)
-        for slot in range(slots):
-            arrivals: List[Tuple[int, Cell]] = []
-            for source in sources:
-                arrivals.extend(source.arrivals(slot))
-            counter.record_arrival(slot, len(arrivals))
-            if traced:
-                probe.begin_slot(slot, arrivals=len(arrivals), backlog=self.backlog())
-                departures = self.step(slot, arrivals, probe=probe)
-            else:
-                departures = self.step(slot, arrivals)
-            counter.record_departure(slot, len(departures))
-            for cell in departures:
-                delay.record(cell.arrival_slot, slot)
-                if cell.service is ServiceClass.CBR:
-                    cbr_delay.record(cell.arrival_slot, slot)
-                else:
-                    vbr_delay.record(cell.arrival_slot, slot)
-                if traced:
-                    probe.departure(
-                        -1, cell.output, slot - cell.arrival_slot,
-                        flow_id=cell.flow_id,
-                    )
-        if traced and hasattr(self.scheduler, "attach_probe"):
-            self.scheduler.attach_probe(None)
-        base = SwitchResult(
-            delay=delay,
-            counter=counter,
-            ports=self.ports,
-            slots=slots,
-            backlog=self.backlog(),
-            dropped=0,
-        )
+        base = super().run(traffic, slots, warmup, probe=probe, phase_timer=phase_timer)
         return IntegratedResult(
             base,
-            cbr_delay,
-            vbr_delay,
             self.cbr_slots_used,
             self.cbr_slots_donated,
             self.peak_cbr_buffer,
-            cbr_buffer_bound=tuple(int(b) for b in bound) if bound is not None else None,
+            cbr_buffer_bound=(
+                tuple(int(b) for b in self._bound) if self._bound is not None else None
+            ),
         )

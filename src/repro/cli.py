@@ -220,12 +220,9 @@ def cmd_delay(args: argparse.Namespace) -> int:
         )
         return 2
     traffic = _build_traffic(args.workload, args.ports, args.load, args.seed + 1)
-    extra = {}
-    if probe is not None:
-        extra["probe"] = probe
-    if timer is not None:
-        extra["phase_timer"] = timer
-    result = switch.run(traffic, slots=args.slots, warmup=args.warmup, **extra)
+    result = switch.run(
+        traffic, slots=args.slots, warmup=args.warmup, probe=probe, phase_timer=timer
+    )
     print(result.summary())
     _print_profile()
     _finish_probe(probe)
@@ -416,10 +413,7 @@ def cmd_cbr(args: argparse.Namespace) -> int:
             seed=derive_seed(args.seed, "cli/cbr-vbr"),
         ),
     ]
-    if probe is not None:
-        result = switch.run(traffic, slots=args.slots, warmup=args.warmup, probe=probe)
-    else:
-        result = switch.run(traffic, slots=args.slots, warmup=args.warmup)
+    result = switch.run(traffic, slots=args.slots, warmup=args.warmup, probe=probe)
     print(result.summary())
     print(
         f"  cbr: {result.cbr_delay.count} cells, mean delay "
@@ -489,10 +483,7 @@ def cmd_statistical(args: argparse.Namespace) -> int:
     traffic = UniformTraffic(
         args.ports, load=args.load, seed=derive_seed(args.seed, "cli/stat-traffic")
     )
-    if probe is not None:
-        result = switch.run(traffic, slots=args.slots, warmup=args.warmup, probe=probe)
-    else:
-        result = switch.run(traffic, slots=args.slots, warmup=args.warmup)
+    result = switch.run(traffic, slots=args.slots, warmup=args.warmup, probe=probe)
     print(result.summary())
     _finish_probe(probe)
     return 0

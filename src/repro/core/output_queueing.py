@@ -16,19 +16,17 @@ from __future__ import annotations
 
 from typing import List, Sequence, Tuple
 
-from repro.sim.stats import DelayStats, ThroughputCounter
 from repro.switch.buffers import OutputQueue
 from repro.switch.cell import Cell
-from repro.switch.results import SwitchResult
-from repro.switch.switch import reset_traffic
+from repro.switch.switch import SlotSwitch
 
 __all__ = ["OutputQueuedSwitch"]
 
 
-class OutputQueuedSwitch:
+class OutputQueuedSwitch(SlotSwitch):
     """The perfect-output-queueing switch model.
 
-    Runs the same ``step``/``run`` protocol as
+    Runs the same slot loop as
     :class:`repro.switch.switch.CrossbarSwitch`, so benches can sweep
     the three Figure-3 algorithms with identical driver code.
     """
@@ -37,7 +35,11 @@ class OutputQueuedSwitch:
         if ports <= 0:
             raise ValueError(f"ports must be positive, got {ports}")
         self.ports = ports
-        self.queues = [OutputQueue() for _ in range(ports)]
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the output queues."""
+        self.queues = [OutputQueue() for _ in range(self.ports)]
 
     def step(self, slot: int, arrivals: Sequence[Tuple[int, Cell]]) -> List[Cell]:
         """Deliver all arrivals to their output queues, depart one each."""
@@ -56,30 +58,3 @@ class OutputQueuedSwitch:
     def backlog(self) -> int:
         """Cells currently waiting in output queues."""
         return sum(len(q) for q in self.queues)
-
-    def run(self, traffic, slots: int, warmup: int = 0) -> SwitchResult:
-        """Simulate ``slots`` slots of ``traffic`` and collect statistics."""
-        if traffic.ports != self.ports:
-            raise ValueError(
-                f"traffic is for {traffic.ports} ports, switch has {self.ports}"
-            )
-        reset_traffic(traffic)
-        # Rerun contract: every run starts from empty output queues.
-        self.queues = [OutputQueue() for _ in range(self.ports)]
-        delay = DelayStats(warmup=warmup)
-        counter = ThroughputCounter(warmup=warmup)
-        for slot in range(slots):
-            arrivals = traffic.arrivals(slot)
-            counter.record_arrival(slot, len(arrivals))
-            departures = self.step(slot, arrivals)
-            counter.record_departure(slot, len(departures))
-            for cell in departures:
-                delay.record(cell.arrival_slot, slot)
-        return SwitchResult(
-            delay=delay,
-            counter=counter,
-            ports=self.ports,
-            slots=slots,
-            backlog=self.backlog(),
-            dropped=0,
-        )

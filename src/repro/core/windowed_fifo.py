@@ -24,11 +24,10 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.batch import replay_generator, resolve_generator
-from repro.sim.stats import DelayStats, ThroughputCounter
 from repro.switch.buffers import FIFOInputBuffer
 from repro.switch.cell import Cell
 from repro.switch.fabric import CrossbarFabric
-from repro.switch.results import SwitchResult
+from repro.switch.switch import SlotSwitch
 
 __all__ = ["WindowedFIFOScheduler", "WindowedFIFOSwitch"]
 
@@ -103,7 +102,7 @@ class WindowedFIFOScheduler:
         self._rng = replay_generator(self._rng, self._rng_token)
 
 
-class WindowedFIFOSwitch:
+class WindowedFIFOSwitch(SlotSwitch):
     """FIFO-input switch scheduled by the windowed contention protocol.
 
     The winning cell may sit behind blocked cells in its queue; it is
@@ -116,8 +115,13 @@ class WindowedFIFOSwitch:
             raise ValueError(f"ports must be positive, got {ports}")
         self.ports = ports
         self.scheduler = scheduler
-        self.buffers = [FIFOInputBuffer() for _ in range(ports)]
         self.fabric = CrossbarFabric(ports)
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the input FIFOs and rewind the tie-break stream."""
+        self.scheduler.reset()
+        self.buffers = [FIFOInputBuffer() for _ in range(self.ports)]
 
     def step(self, slot: int, arrivals: Sequence[Tuple[int, Cell]]) -> List[Cell]:
         """Advance one slot; returns departed cells."""
@@ -142,28 +146,3 @@ class WindowedFIFOSwitch:
     def backlog(self) -> int:
         """Cells currently buffered."""
         return sum(len(b) for b in self.buffers)
-
-    def run(self, traffic, slots: int, warmup: int = 0) -> SwitchResult:
-        """Simulate and collect statistics."""
-        if traffic.ports != self.ports:
-            raise ValueError(
-                f"traffic is for {traffic.ports} ports, switch has {self.ports}"
-            )
-        self.scheduler.reset()
-        delay = DelayStats(warmup=warmup)
-        counter = ThroughputCounter(warmup=warmup)
-        for slot in range(slots):
-            arrivals = traffic.arrivals(slot)
-            counter.record_arrival(slot, len(arrivals))
-            departures = self.step(slot, arrivals)
-            counter.record_departure(slot, len(departures))
-            for cell in departures:
-                delay.record(cell.arrival_slot, slot)
-        return SwitchResult(
-            delay=delay,
-            counter=counter,
-            ports=self.ports,
-            slots=slots,
-            backlog=self.backlog(),
-            dropped=0,
-        )

@@ -13,8 +13,6 @@ reproduction:
   perturb each other's randomness,
 - :mod:`repro.sim.stats` -- delay/throughput accumulators with warm-up
   discarding and batch-means confidence intervals,
-- :mod:`repro.sim.engine` -- a minimal slotted event loop for composing
-  multiple components (used by the network simulator),
 - :mod:`repro.sim.fastpath` -- the count-based, batch-vectorized
   fast-path simulator for multi-replica Monte-Carlo sweeps, and the
   one slot loop (``run_slots``) and accounting class (``PoolLedger``)
@@ -24,7 +22,6 @@ reproduction:
   :mod:`repro.sim.fastpath_network` keeps its own per-flow loop.
 """
 
-from repro.sim.engine import SimulationEngine, SlotProcess
 from repro.sim.fastpath import FastpathCrossbar, FastpathResult, run_fastpath
 from repro.sim.fastpath_cbr import CbrFastpathResult, IntegratedFastpath, run_fastpath_cbr
 from repro.sim.fastpath_network import (
@@ -42,8 +39,6 @@ from repro.sim.rng import RandomStreams
 from repro.sim.stats import DelayStats, RunningMeanVar, ThroughputCounter, batch_means_ci
 
 __all__ = [
-    "SimulationEngine",
-    "SlotProcess",
     "FastpathCrossbar",
     "FastpathResult",
     "run_fastpath",

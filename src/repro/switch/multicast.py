@@ -26,9 +26,9 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Deque, Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
-import numpy as np
-
+from repro.core.batch import replay_generator, resolve_generator
 from repro.sim.stats import DelayStats, ThroughputCounter
+from repro.switch.switch import reset_traffic
 
 __all__ = ["MulticastCell", "MulticastPIMScheduler", "MulticastSwitch"]
 
@@ -71,13 +71,9 @@ class MulticastPIMScheduler:
         if iterations < 1:
             raise ValueError(f"iterations must be >= 1, got {iterations}")
         self.iterations = iterations
-        if seed is not None:
-            self._rng = np.random.default_rng(seed)
-        else:
-            # Deterministic fallback (repro.sim.rng default-seed policy).
-            from repro.sim.rng import default_generator
-
-            self._rng = default_generator("multicast_pim")
+        # Deterministic seed=None fallback (repro.sim.rng default-seed
+        # policy); the token lets reset() rewind the stream.
+        self._rng, self._rng_token = resolve_generator(seed, None, "multicast_pim")
 
     def schedule(self, heads: Sequence[Optional[Set[int]]], ports: int) -> List[Set[int]]:
         """Choose the output set each input transmits to this slot.
@@ -105,7 +101,8 @@ class MulticastPIMScheduler:
         return granted
 
     def reset(self) -> None:
-        """No cross-slot state."""
+        """Rewind the grant stream to its as-constructed state."""
+        self._rng = replay_generator(self._rng, self._rng_token)
 
 
 class MulticastSwitch:
@@ -120,7 +117,12 @@ class MulticastSwitch:
             raise ValueError(f"ports must be positive, got {ports}")
         self.ports = ports
         self.scheduler = scheduler if scheduler is not None else MulticastPIMScheduler(seed=0)
-        self.queues: List[Deque[MulticastCell]] = [deque() for _ in range(ports)]
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the input queues, zero the copy count, rewind the scheduler."""
+        self.scheduler.reset()
+        self.queues: List[Deque[MulticastCell]] = [deque() for _ in range(self.ports)]
         self.copies_delivered = 0
 
     def step(self, slot: int, arrivals: Sequence[Tuple[int, MulticastCell]]) -> List[MulticastCell]:
@@ -162,10 +164,13 @@ class MulticastSwitch:
 
         ``traffic`` needs ``ports`` and ``arrivals(slot)`` returning
         (input, MulticastCell) pairs.  Delay is measured to the cell's
-        *completion* (last copy delivered).
+        *completion* (last copy delivered).  Each run starts from
+        :meth:`reset` and a rewound source, so a rerun replays the first.
         """
         if traffic.ports != self.ports:
             raise ValueError("traffic/switch port mismatch")
+        self.reset()
+        reset_traffic(traffic)
         delay = DelayStats(warmup=warmup)
         counter = ThroughputCounter(warmup=warmup)
         for slot in range(slots):

@@ -20,17 +20,16 @@ random-access input buffering.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
-from repro.sim.stats import DelayStats, ThroughputCounter
 from repro.switch.buffers import OutputQueue
 from repro.switch.cell import Cell
-from repro.switch.results import SwitchResult
+from repro.switch.switch import SlotSwitch
 
 __all__ = ["ReplicatedOutputSwitch"]
 
 
-class ReplicatedOutputSwitch:
+class ReplicatedOutputSwitch(SlotSwitch):
     """Output-buffered switch with fabric replication factor k.
 
     Parameters
@@ -44,20 +43,12 @@ class ReplicatedOutputSwitch:
         Capacity r of the re-circulating queue (0 disables it).  Up to
         r cells that lost the knockout are fed back and contend again
         next slot alongside fresh arrivals; cells losing with a full
-        re-circulation queue are dropped.
-    seed:
-        Unused at present (knockout losers are chosen by arrival
-        order, as in the hardware's fixed concentrator tree); kept for
-        interface symmetry with the other switches.
+        re-circulation queue are dropped.  Knockout losers are chosen
+        by arrival order, as in the hardware's fixed concentrator tree;
+        ``result.dropped`` counts the run's losses.
     """
 
-    def __init__(
-        self,
-        ports: int,
-        replication: int,
-        recirculation_ports: int = 0,
-        seed: Optional[int] = None,
-    ):
+    def __init__(self, ports: int, replication: int, recirculation_ports: int = 0):
         if ports <= 0:
             raise ValueError(f"ports must be positive, got {ports}")
         if replication < 1:
@@ -67,7 +58,11 @@ class ReplicatedOutputSwitch:
         self.ports = ports
         self.replication = replication
         self.recirculation_ports = recirculation_ports
-        self.queues = [OutputQueue() for _ in range(ports)]
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the output and re-circulating queues; zero the drops."""
+        self.queues = [OutputQueue() for _ in range(self.ports)]
         self._recirculating: List[Cell] = []
         self.dropped_cells = 0
 
@@ -77,7 +72,7 @@ class ReplicatedOutputSwitch:
         # Re-circulated cells contend first (they are older).
         for cell in self._recirculating:
             contenders.setdefault(cell.output, []).append(cell)
-        self._recirculating = []
+        self._recirculating.clear()
         for _, cell in arrivals:
             if not 0 <= cell.output < self.ports:
                 raise ValueError(f"cell output {cell.output} out of range")
@@ -103,28 +98,3 @@ class ReplicatedOutputSwitch:
     def backlog(self) -> int:
         """Cells in output queues plus the re-circulating queue."""
         return sum(len(q) for q in self.queues) + len(self._recirculating)
-
-    def run(self, traffic, slots: int, warmup: int = 0) -> SwitchResult:
-        """Simulate; ``result.dropped`` counts knockout losses."""
-        if traffic.ports != self.ports:
-            raise ValueError(
-                f"traffic is for {traffic.ports} ports, switch has {self.ports}"
-            )
-        delay = DelayStats(warmup=warmup)
-        counter = ThroughputCounter(warmup=warmup)
-        dropped_before = self.dropped_cells
-        for slot in range(slots):
-            arrivals = traffic.arrivals(slot)
-            counter.record_arrival(slot, len(arrivals))
-            departures = self.step(slot, arrivals)
-            counter.record_departure(slot, len(departures))
-            for cell in departures:
-                delay.record(cell.arrival_slot, slot)
-        return SwitchResult(
-            delay=delay,
-            counter=counter,
-            ports=self.ports,
-            slots=slots,
-            backlog=self.backlog(),
-            dropped=self.dropped_cells - dropped_before,
-        )

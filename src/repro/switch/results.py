@@ -11,6 +11,7 @@ from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
 from repro.sim.stats import DelayStats, FlowStats, ThroughputCounter
+from repro.switch.cell import ServiceClass
 
 __all__ = ["SwitchResult"]
 
@@ -51,6 +52,8 @@ class SwitchResult:
         Per-flow completion-time statistics, populated only when the
         traffic source is flow-aware (exposes ``flow_records()``, see
         :mod:`repro.traffic.flows`); ``None`` for cell-level sources.
+    delay_by_service:
+        ``delay`` split by the cells' :class:`repro.switch.cell.ServiceClass`.
     """
 
     delay: DelayStats
@@ -63,6 +66,7 @@ class SwitchResult:
     arrivals_by_input: Tuple[int, ...] = ()
     departures_by_output: Tuple[int, ...] = ()
     fct: Optional[FlowStats] = None
+    delay_by_service: Dict[ServiceClass, DelayStats] = field(default_factory=dict)
 
     @property
     def mean_delay(self) -> float:

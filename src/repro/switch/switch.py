@@ -8,6 +8,10 @@ never drops a cell and never reorders a flow.
 :class:`FIFOSwitch` is the Section 2.4 baseline: one FIFO per input,
 only head cells contend, head-of-line blocking and all.
 
+Both, and every other single-switch object model (output queueing,
+windowed FIFO, the k-replicated switch, the integrated CBR + VBR
+switch), run the one slot loop of :class:`SlotSwitch`.
+
 Timing convention (uniform across all models so the Figure 3/4/5 curves
 are comparable): arrivals land at the start of a slot, the scheduler
 then computes the matching from the post-arrival queue state, matched
@@ -25,7 +29,7 @@ from repro.core.matching import Matching
 from repro.obs.perf import NULL_PHASE_TIMER
 from repro.sim.stats import DelayStats, FlowStats, ThroughputCounter
 from repro.switch.buffers import FIFOInputBuffer, OutputQueue, VOQBuffer
-from repro.switch.cell import Cell
+from repro.switch.cell import Cell, ServiceClass
 from repro.switch.fabric import CrossbarFabric, Fabric
 from repro.switch.results import SwitchResult
 
@@ -33,6 +37,7 @@ __all__ = [
     "MatchScheduler",
     "TrafficSource",
     "reset_traffic",
+    "SlotSwitch",
     "CrossbarSwitch",
     "FIFOSwitch",
     "SwitchResult",
@@ -78,20 +83,204 @@ def reset_traffic(traffic) -> None:
 
 
 class _OrderChecker:
-    """Asserts per-flow FIFO order at departure (Section 3.1 guarantee)."""
+    """Asserts per-flow FIFO order at departure (Section 3.1 guarantee).
+
+    A flow is keyed by ``(service, flow_id)``: CBR flow ids are chosen by
+    the caller and may coincide with a VBR source's ids.
+    """
 
     def __init__(self) -> None:
-        self._last_seqno: Dict[int, int] = {}
+        self._last_seqno: Dict[Tuple[ServiceClass, int], int] = {}
         self.violations = 0
 
     def observe(self, cell: Cell) -> None:
-        last = self._last_seqno.get(cell.flow_id)
+        key = (cell.service, cell.flow_id)
+        last = self._last_seqno.get(key)
         if last is not None and cell.seqno <= last:
             self.violations += 1
-        self._last_seqno[cell.flow_id] = cell.seqno
+        self._last_seqno[key] = cell.seqno
 
 
-class CrossbarSwitch:
+class SlotSwitch:
+    """The one slot loop shared by every single-switch object model.
+
+    Every model is the same recursion, Q <- Q + A - S, with its own
+    buffers and arbiter.  A subclass validates its configuration in
+    ``__init__`` and then calls :meth:`reset`, the only method that
+    assigns its mutable state (buffers, queues, counters) and that
+    rewinds its scheduler, if it has one.  :meth:`run` starts with
+    ``reset()``, so rerunning the same (switch, traffic) pair replays
+    the same trajectory by construction.
+
+    A subclass supplies ``ports``, ``step(slot, arrivals)`` returning the
+    cells that departed, and ``backlog()``; a traceable one also accepts
+    ``step(..., probe=probe)`` and supplies ``occupancy_matrix()``.  A
+    lossy switch counts its losses in ``dropped_cells``.
+    """
+
+    #: Cells the switch dropped this run; lossless models keep 0.
+    dropped_cells = 0
+
+    def reset(self) -> None:
+        """Empty the switch and rewind its scheduler."""
+        raise NotImplementedError
+
+    def run(
+        self,
+        traffic,
+        slots: int,
+        warmup: int = 0,
+        probe=None,
+        phase_timer=None,
+    ) -> SwitchResult:
+        """Simulate ``slots`` slots of ``traffic`` and collect statistics.
+
+        ``traffic`` is one :class:`TrafficSource` or a list of them (e.g.
+        a CBR source plus a VBR background); each slot's arrivals are
+        theirs in list order.  Observations from cells arriving before
+        ``warmup`` are discarded, per the paper's transient elimination.
+        Raises ``ValueError`` if a source's port count mismatches, and
+        ``AssertionError`` if a flow's cells depart out of order (flows
+        are keyed by service class and flow id).
+
+        Parameters
+        ----------
+        probe:
+            Optional :class:`repro.obs.probe.Probe` (traceable switches
+            only).  When enabled, every slot emits ``SlotBegin``
+            (offered arrivals + pre-arrival backlog), the events of the
+            switch's ``step`` (``CrossbarTransfer`` at least), and
+            per-cell ``CellDeparture`` events; slots the probe samples
+            additionally emit the PIM per-iteration anatomy (when the
+            scheduler supports ``attach_probe``) and a ``VoqSnapshot``.
+            The default disabled probe adds one attribute check per
+            slot -- the tier-1 overhead test holds it under 5%.
+        phase_timer:
+            Optional :class:`repro.obs.perf.PhaseTimer`; profiles the
+            run under the shared taxonomy (``run`` root with
+            ``run/arrivals``, ``run/kernel`` the per-slot step, and
+            ``run/update`` departure accounting).  The disabled default
+            costs one attribute read per span.
+        """
+        sources = list(traffic) if isinstance(traffic, (list, tuple)) else [traffic]
+        for source in sources:
+            if source.ports != self.ports:
+                raise ValueError(
+                    f"traffic is for {source.ports} ports, switch has "
+                    f"{self.ports} (port mismatch)"
+                )
+        timer = (
+            phase_timer
+            if phase_timer is not None and phase_timer.enabled
+            else NULL_PHASE_TIMER
+        )
+        scheduler = getattr(self, "scheduler", None)
+        attach = getattr(scheduler, "attach_probe", None)
+        with timer.phase("run"):
+            self.reset()
+            for source in sources:
+                reset_traffic(source)
+            traced = probe is not None and probe.enabled
+            if traced and attach is not None:
+                attach(probe)
+            delay = DelayStats(warmup=warmup)
+            delay_by_service = {
+                service: DelayStats(warmup=warmup) for service in ServiceClass
+            }
+            counter = ThroughputCounter(warmup=warmup)
+            connection: Dict[Tuple[int, int], int] = {}
+            order = _OrderChecker()
+            input_of_cell: Dict[int, int] = {}
+            arrivals_by_input = [0] * self.ports
+            departures_by_output = [0] * self.ports
+            flow_records = [
+                source.flow_records
+                for source in sources
+                if callable(getattr(source, "flow_records", None))
+            ]
+            departed_of_flow: Dict[int, int] = {}
+            last_departure_slot: Dict[int, int] = {}
+
+            for slot in range(slots):
+                with timer.phase("arrivals"):
+                    arrivals = [
+                        pair for source in sources for pair in source.arrivals(slot)
+                    ]
+                counter.record_arrival(slot, len(arrivals))
+                for input_port, cell in arrivals:
+                    input_of_cell[cell.uid] = input_port
+                    if slot >= warmup:
+                        arrivals_by_input[input_port] += 1
+                if traced:
+                    probe.begin_slot(
+                        slot, arrivals=len(arrivals), backlog=self.backlog()
+                    )
+                with timer.phase("kernel"):
+                    if traced:
+                        departures = self.step(slot, arrivals, probe=probe)
+                    else:
+                        departures = self.step(slot, arrivals)
+                with timer.phase("update"):
+                    counter.record_departure(slot, len(departures))
+                    for cell in departures:
+                        delay.record(cell.arrival_slot, slot)
+                        delay_by_service[cell.service].record(cell.arrival_slot, slot)
+                        order.observe(cell)
+                        if flow_records:
+                            fid = cell.flow_id
+                            departed_of_flow[fid] = departed_of_flow.get(fid, 0) + 1
+                            last_departure_slot[fid] = slot
+                        if slot >= warmup:
+                            departures_by_output[cell.output] += 1
+                        src = input_of_cell.pop(cell.uid, None)
+                        if traced:
+                            probe.departure(
+                                src if src is not None else -1,
+                                cell.output,
+                                slot - cell.arrival_slot,
+                                flow_id=cell.flow_id,
+                            )
+                        if src is not None and cell.arrival_slot >= warmup:
+                            key = (src, cell.output)
+                            connection[key] = connection.get(key, 0) + 1
+                if traced and probe.sampling:
+                    probe.voq_snapshot(self.occupancy_matrix(), replica=0)
+
+        if traced and attach is not None:
+            attach(None)
+        if traced and timer.enabled:
+            probe.phase_profile(timer, slots=slots)
+        if order.violations:
+            raise AssertionError(
+                f"{order.violations} per-flow order violations -- switch bug"
+            )
+        fct = None
+        if flow_records:
+            fct = FlowStats(warmup=warmup)
+            for records in flow_records:
+                for fid, record in records().items():
+                    if departed_of_flow.get(fid, 0) >= record.size:
+                        fct.record(
+                            record.size, record.start_slot, last_departure_slot[fid]
+                        )
+                    else:
+                        fct.incomplete += 1
+        return SwitchResult(
+            delay=delay,
+            counter=counter,
+            ports=self.ports,
+            slots=slots,
+            connection_cells=connection,
+            backlog=self.backlog(),
+            dropped=self.dropped_cells,
+            arrivals_by_input=tuple(arrivals_by_input),
+            departures_by_output=tuple(departures_by_output),
+            fct=fct,
+            delay_by_service=delay_by_service,
+        )
+
+
+class CrossbarSwitch(SlotSwitch):
     """Input-buffered switch with random-access buffers (the AN2 model).
 
     Parameters
@@ -137,8 +326,15 @@ class CrossbarSwitch:
         if self.fabric.ports != ports:
             raise ValueError("fabric size does not match switch size")
         self.speedup = speedup
-        self.buffers = [VOQBuffer(ports) for _ in range(ports)]
-        self.output_queues = [OutputQueue() for _ in range(ports)] if speedup > 1 else None
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the input buffers and output queues; rewind the scheduler."""
+        self.scheduler.reset()
+        self.buffers = [VOQBuffer(self.ports) for _ in range(self.ports)]
+        self.output_queues = (
+            [OutputQueue() for _ in range(self.ports)] if self.speedup > 1 else None
+        )
 
     def request_matrix(self) -> np.ndarray:
         """Boolean N x N occupancy snapshot the scheduler sees."""
@@ -215,144 +411,8 @@ class CrossbarSwitch:
             total += sum(len(q) for q in self.output_queues)
         return total
 
-    def run(
-        self,
-        traffic: TrafficSource,
-        slots: int,
-        warmup: int = 0,
-        probe=None,
-        phase_timer=None,
-    ) -> SwitchResult:
-        """Simulate ``slots`` slots of ``traffic`` and collect statistics.
 
-        Observations from cells arriving before ``warmup`` are
-        discarded, per the paper's transient elimination.  Raises
-        ``ValueError`` if the traffic source's port count mismatches.
-
-        Parameters
-        ----------
-        probe:
-            Optional :class:`repro.obs.probe.Probe`.  When enabled,
-            every slot emits ``SlotBegin`` (offered arrivals +
-            pre-arrival backlog), ``CrossbarTransfer``, and per-cell
-            ``CellDeparture`` events; slots the probe samples
-            additionally emit the PIM per-iteration anatomy (when the
-            scheduler supports ``attach_probe``) and a ``VoqSnapshot``.
-            The default disabled probe adds one attribute check per
-            slot -- the tier-1 overhead test holds it under 5%.
-        phase_timer:
-            Optional :class:`repro.obs.perf.PhaseTimer`; profiles the
-            run under the shared taxonomy (``run`` root with
-            ``run/arrivals``, ``run/kernel`` the per-slot step, and
-            ``run/update`` departure accounting).  The disabled default
-            costs one attribute read per span.
-        """
-        if traffic.ports != self.ports:
-            raise ValueError(
-                f"traffic is for {traffic.ports} ports, switch has {self.ports}"
-            )
-        timer = (
-            phase_timer
-            if phase_timer is not None and phase_timer.enabled
-            else NULL_PHASE_TIMER
-        )
-        with timer.phase("run"):
-            self.scheduler.reset()
-            reset_traffic(traffic)
-            # The other half of the rerun contract: a run starts from an
-            # empty switch, so rerunning the same (switch, traffic) pair
-            # replays the same trajectory instead of draining leftovers.
-            self.buffers = [VOQBuffer(self.ports) for _ in range(self.ports)]
-            if self.output_queues is not None:
-                self.output_queues = [OutputQueue() for _ in range(self.ports)]
-            traced = probe is not None and probe.enabled
-            if traced and hasattr(self.scheduler, "attach_probe"):
-                self.scheduler.attach_probe(probe)
-            delay = DelayStats(warmup=warmup)
-            counter = ThroughputCounter(warmup=warmup)
-            connection: Dict[Tuple[int, int], int] = {}
-            order = _OrderChecker()
-            input_of_cell: Dict[int, int] = {}
-            arrivals_by_input = [0] * self.ports
-            departures_by_output = [0] * self.ports
-            flow_records = getattr(traffic, "flow_records", None)
-            track_fct = callable(flow_records)
-            departed_of_flow: Dict[int, int] = {}
-            last_departure_slot: Dict[int, int] = {}
-
-            for slot in range(slots):
-                with timer.phase("arrivals"):
-                    arrivals = traffic.arrivals(slot)
-                counter.record_arrival(slot, len(arrivals))
-                for input_port, cell in arrivals:
-                    input_of_cell[cell.uid] = input_port
-                    if slot >= warmup:
-                        arrivals_by_input[input_port] += 1
-                if traced:
-                    probe.begin_slot(
-                        slot, arrivals=len(arrivals), backlog=self.backlog()
-                    )
-                with timer.phase("kernel"):
-                    if traced:
-                        departures = self.step(slot, arrivals, probe=probe)
-                    else:
-                        departures = self.step(slot, arrivals)
-                with timer.phase("update"):
-                    counter.record_departure(slot, len(departures))
-                    for cell in departures:
-                        delay.record(cell.arrival_slot, slot)
-                        order.observe(cell)
-                        if track_fct:
-                            fid = cell.flow_id
-                            departed_of_flow[fid] = departed_of_flow.get(fid, 0) + 1
-                            last_departure_slot[fid] = slot
-                        if slot >= warmup:
-                            departures_by_output[cell.output] += 1
-                        src = input_of_cell.pop(cell.uid, None)
-                        if traced:
-                            probe.departure(
-                                src if src is not None else -1,
-                                cell.output,
-                                slot - cell.arrival_slot,
-                                flow_id=cell.flow_id,
-                            )
-                        if src is not None and cell.arrival_slot >= warmup:
-                            key = (src, cell.output)
-                            connection[key] = connection.get(key, 0) + 1
-                if traced and probe.sampling:
-                    probe.voq_snapshot(self.occupancy_matrix(), replica=0)
-
-        if traced and hasattr(self.scheduler, "attach_probe"):
-            self.scheduler.attach_probe(None)
-        if traced and timer.enabled:
-            probe.phase_profile(timer, slots=slots)
-        if order.violations:
-            raise AssertionError(
-                f"{order.violations} per-flow order violations -- switch bug"
-            )
-        fct = None
-        if track_fct:
-            fct = FlowStats(warmup=warmup)
-            for fid, record in flow_records().items():
-                if departed_of_flow.get(fid, 0) >= record.size:
-                    fct.record(record.size, record.start_slot, last_departure_slot[fid])
-                else:
-                    fct.incomplete += 1
-        return SwitchResult(
-            delay=delay,
-            counter=counter,
-            ports=self.ports,
-            slots=slots,
-            connection_cells=connection,
-            backlog=self.backlog(),
-            dropped=0,
-            arrivals_by_input=tuple(arrivals_by_input),
-            departures_by_output=tuple(departures_by_output),
-            fct=fct,
-        )
-
-
-class FIFOSwitch:
+class FIFOSwitch(SlotSwitch):
     """FIFO-input-buffered switch baseline (Section 2.4).
 
     One FIFO per input; only head cells contend for outputs.  Output
@@ -368,8 +428,13 @@ class FIFOSwitch:
             raise ValueError(f"ports must be positive, got {ports}")
         self.ports = ports
         self.scheduler = scheduler
-        self.buffers = [FIFOInputBuffer() for _ in range(ports)]
         self.fabric = CrossbarFabric(ports)
+        self.reset()
+
+    def reset(self) -> None:
+        """Empty the input FIFOs and rewind the arbiter."""
+        self.scheduler.reset()
+        self.buffers = [FIFOInputBuffer() for _ in range(self.ports)]
 
     def step(self, slot: int, arrivals: Sequence[Tuple[int, Cell]]) -> List[Cell]:
         """Advance one slot; returns departed cells."""
@@ -389,42 +454,6 @@ class FIFOSwitch:
     def backlog(self) -> int:
         """Cells currently buffered at the inputs."""
         return sum(len(b) for b in self.buffers)
-
-    def run(self, traffic: TrafficSource, slots: int, warmup: int = 0) -> SwitchResult:
-        """Simulate and collect statistics; mirrors CrossbarSwitch.run."""
-        if traffic.ports != self.ports:
-            raise ValueError(
-                f"traffic is for {traffic.ports} ports, switch has {self.ports}"
-            )
-        self.scheduler.reset()
-        reset_traffic(traffic)
-        self.buffers = [FIFOInputBuffer() for _ in range(self.ports)]
-        delay = DelayStats(warmup=warmup)
-        counter = ThroughputCounter(warmup=warmup)
-        arrivals_by_input = [0] * self.ports
-        departures_by_output = [0] * self.ports
-        for slot in range(slots):
-            arrivals = traffic.arrivals(slot)
-            counter.record_arrival(slot, len(arrivals))
-            if slot >= warmup:
-                for input_port, _ in arrivals:
-                    arrivals_by_input[input_port] += 1
-            departures = self.step(slot, arrivals)
-            counter.record_departure(slot, len(departures))
-            for cell in departures:
-                delay.record(cell.arrival_slot, slot)
-                if slot >= warmup:
-                    departures_by_output[cell.output] += 1
-        return SwitchResult(
-            delay=delay,
-            counter=counter,
-            ports=self.ports,
-            slots=slots,
-            backlog=self.backlog(),
-            dropped=0,
-            arrivals_by_input=tuple(arrivals_by_input),
-            departures_by_output=tuple(departures_by_output),
-        )
 
 
 class HeadArbiter(Protocol):

@@ -145,6 +145,30 @@ class TestRunStateReset:
         assert second.cbr_delay.count == first.cbr_delay.count
         assert second.throughput == first.throughput
 
+    def test_vbr_counters_do_not_accumulate_across_runs(self):
+        """With VBR cells the PIM stream matters: run() rewinds it too."""
+        switch = IntegratedSwitch(
+            build_switch(flows=self._flows())[1], scheduler=PIMScheduler(seed=3)
+        )
+
+        def run():
+            return switch.run(
+                [CBRSource(4, self._flows(), frame_slots=10),
+                 UniformTraffic(4, load=0.6, seed=1)],
+                slots=400,
+            )
+
+        first, second = run(), run()
+        assert first.vbr_delay.count > 0
+        for result in (first, second):
+            assert result.backlog > 0
+        assert second.counter.carried == first.counter.carried
+        assert second.cbr_slots_used == first.cbr_slots_used
+        assert second.cbr_slots_donated == first.cbr_slots_donated
+        assert second.peak_cbr_buffer == first.peak_cbr_buffer
+        assert second.cbr_delay.mean == first.cbr_delay.mean
+        assert second.vbr_delay.mean == first.vbr_delay.mean
+
     def test_reset_discards_queued_cells_and_counters(self):
         switch, _ = build_switch(flows=[cbr_flow(1, 0, 2, 10)])
         # Two cells in one slot: one departs (every slot is reserved for

@@ -11,7 +11,7 @@ different trajectory anyway).
 
 One parametrized test drives every scheduler in ``repro.core`` through
 its own interface (``schedule`` for crossbar matchers, ``arbitrate``
-for the FIFO pair) and asserts rerun determinism after reset().
+for the FIFO pair, ``schedule(heads, ports)`` for multicast PIM) and asserts rerun determinism after reset().
 
 The batched kernels -- the registry's and the statistical matcher, fill
 on and off -- are also checked to leave their ``requests`` /
@@ -39,6 +39,7 @@ from repro.core import (
 )
 from repro.core.batch import BATCH_SCHEDULERS, build_batch_scheduler
 from repro.sim.fastpath_statistical import BatchStatisticalMatcher
+from repro.switch.multicast import MulticastPIMScheduler
 
 _ALLOC = np.array(
     [[2, 1, 0, 1], [0, 2, 2, 0], [1, 0, 2, 1], [1, 1, 0, 2]], dtype=int
@@ -83,6 +84,19 @@ def _drive_windowed(scheduler, slots=60, ports=4, traffic_seed=11):
     return out
 
 
+def _drive_multicast(scheduler, slots=60, ports=4, traffic_seed=11):
+    """Trajectory of MulticastPIMScheduler through ``schedule(heads, ports)``."""
+    rng = np.random.default_rng(traffic_seed)
+    out = []
+    for _ in range(slots):
+        heads = [
+            set(int(j) for j in np.flatnonzero(rng.random(ports) < 0.5)) or None
+            for _ in range(ports)
+        ]
+        out.append([sorted(granted) for granted in scheduler.schedule(heads, ports)])
+    return out
+
+
 REGISTRY = [
     ("pim", lambda: PIMScheduler(iterations=2, seed=3), _drive_schedule),
     ("pim-inf", lambda: PIMScheduler(iterations=None, seed=3), _drive_schedule),
@@ -104,6 +118,7 @@ REGISTRY = [
         lambda: WindowedFIFOScheduler(window=2, seed=3),
         _drive_windowed,
     ),
+    ("multicast_pim", lambda: MulticastPIMScheduler(seed=3), _drive_multicast),
 ]
 
 

@@ -158,12 +158,3 @@ class TestBatchSchedulerProbe:
         probe.begin_slot(0)
         scheduler.schedule(np.zeros((2, 4, 4), dtype=bool))
         assert sink.of_kind("pim_iteration") == []
-
-    def test_engine_emits_slot_begin(self):
-        from repro.sim.engine import SimulationEngine
-
-        sink = InMemorySink()
-        engine = SimulationEngine(probe=Probe(sink))
-        engine.run(5)
-        assert [e.slot for e in sink.of_kind("slot_begin")] == [0, 1, 2, 3, 4]
-        assert engine.probe is not None
