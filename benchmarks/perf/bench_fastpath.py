@@ -3,8 +3,7 @@
 Measures simulation throughput (replica-slots per wall second, i.e.
 ``replicas * slots / elapsed``) for the count-based vectorized
 fast-path simulator and the per-cell object model across switch sizes
-N and batch sizes B, plus the grant/accept compact-draw micro-delta in
-:func:`repro.core.pim.pim_match`.  Results are recorded through
+N and batch sizes B.  Results are recorded through
 :func:`repro.obs.store.record_result`: the human-facing
 ``BENCH_fastpath.json`` snapshot, plus an append to the perf-history
 store (``benchmarks/perf/history/fastpath.jsonl``) that ``repro-an2
@@ -28,9 +27,7 @@ from __future__ import annotations
 import argparse
 import time
 
-import numpy as np
-
-from repro.core.pim import PIMScheduler, pim_match
+from repro.core.pim import PIMScheduler
 from repro.obs.perf import PhaseTimer
 from repro.obs.store import DEFAULT_HISTORY_DIR, record_result
 from repro.sim.fastpath import run_fastpath
@@ -59,32 +56,6 @@ def time_fastpath_backend(ports: int, replicas: int, slots: int, seed: int = 0) 
     )
     elapsed = time.perf_counter() - start
     return replicas * slots / elapsed
-
-
-def time_compact_draw_delta(
-    ports: int = 128, matrices: int = 200, seed: int = 0
-) -> dict:
-    """Micro-bench: pim_match with compact vs legacy full-N*N key draws.
-
-    Measured at a switch size where the compact path is engaged (it
-    gates itself off below ``pim._COMPACT_MIN_PORTS`` because the
-    submatrix bookkeeping would cost more than the N*N uniforms it
-    saves), with a sparse request probability so most grant/accept
-    rounds run over a nearly-empty active matrix -- the case the
-    compact draw optimizes (the satellite perf micro-fix).
-    """
-    rng = np.random.default_rng(seed)
-    batch = rng.random((matrices, ports, ports)) < 0.05
-    results = {}
-    for compact in (True, False):
-        run_rng = np.random.default_rng(seed + 1)
-        start = time.perf_counter()
-        for matrix in batch:
-            pim_match(matrix, run_rng, iterations=None, compact_draws=compact)
-        elapsed = time.perf_counter() - start
-        results["compact" if compact else "full"] = matrices / elapsed
-    results["speedup_compact_vs_full"] = results["compact"] / results["full"]
-    return results
 
 
 def main() -> None:
@@ -143,12 +114,6 @@ def main() -> None:
                 f"replica-slots/s  ({speedup:.1f}x object)"
             )
 
-    micro = time_compact_draw_delta()
-    print(
-        f"pim_match compact draws: {micro['compact']:.0f} vs full "
-        f"{micro['full']:.0f} matches/s ({micro['speedup_compact_vs_full']:.2f}x)"
-    )
-
     headline_n, headline_b = grid_n[-1], grid_b[-1]
     timer = PhaseTimer()
     profiled = run_fastpath(
@@ -175,7 +140,6 @@ def main() -> None:
             "object_baseline_slots_per_sec": {
                 str(n): sps for n, sps in object_baseline.items()
             },
-            "micro_pim_match_draws": micro,
         },
         phases=phase_report.to_dict(),
         snapshot=args.out,

@@ -4,7 +4,8 @@ The figure walks a 4x4 example: five requests are made, three granted,
 two accepted in iteration 1; the remaining unmatched-input-to-
 unmatched-output request is made, granted, and accepted in iteration 2,
 after which no pairing can be added.  We replay a request pattern with
-that structure, trace the request/grant/accept phases, and verify the
+that structure, read the request/grant/accept counts of each phase
+from the kernel's ``pim_iteration`` probe events, and verify the
 narrative quantitatively over many random seeds.
 """
 
@@ -12,7 +13,9 @@ import numpy as np
 import pytest
 
 from repro.core.matching import is_maximal
-from repro.core.pim import pim_match
+from repro.core.pim import PIMScheduler
+from repro.obs.probe import Probe
+from repro.obs.sinks import InMemorySink
 
 from _common import print_table, trace_probe
 
@@ -31,34 +34,33 @@ def figure2_requests():
 
 
 def compute_fig2(trials=2000, seed=0):
-    # With REPRO_TRACE set, every trial's request/grant/accept anatomy
-    # lands in $REPRO_TRACE/fig2.jsonl (one "slot" per trial) so the
-    # figure is auditable via `repro-an2 trace summarize`.
-    probe = trace_probe("fig2")
-    rng = np.random.default_rng(seed)
+    # Every trial is one probed slot; its PimIteration events carry the
+    # request/grant/accept anatomy.  With REPRO_TRACE set they also land
+    # in $REPRO_TRACE/fig2.jsonl (one "slot" per trial) so the figure is
+    # auditable via `repro-an2 trace summarize`.
+    trace = trace_probe("fig2")
+    probe = Probe(InMemorySink())
+    scheduler = PIMScheduler(iterations=None, rng=np.random.default_rng(seed))
+    scheduler.attach_probe(probe)
     requests = figure2_requests()
     iteration_counts = {}
     first_iteration_sizes = []
     grant_counts = []
     for trial in range(trials):
-        result = pim_match(requests, rng, iterations=None, keep_trace=True)
+        probe.begin_slot(trial, arrivals=int(requests.sum()))
+        matching = scheduler.schedule(requests)
+        result = scheduler.last_result
         assert result.completed
-        assert is_maximal(result.matching, requests)
+        assert is_maximal(matching, requests)
         iterations = result.iterations
         iteration_counts[iterations] = iteration_counts.get(iterations, 0) + 1
         first_iteration_sizes.append(result.cumulative_sizes[0])
-        grant_counts.append(int(result.trace[0].grants.sum()))
-        if probe.enabled:
-            probe.begin_slot(trial, arrivals=int(requests.sum()))
-            for index, phase in enumerate(result.trace):
-                probe.pim_iteration(
-                    index + 1,
-                    requests=int(phase.requests.sum()),
-                    grants=int(phase.grants.sum()),
-                    accepts=len(phase.accepted),
-                    matched=int(result.cumulative_sizes[index]),
-                )
-    probe.close()
+        grant_counts.append(probe.sink.of_kind("pim_iteration")[0].grants)
+        if trace.enabled:
+            for event in probe.sink.events:
+                trace.sink.write(event)
+        probe.sink.clear()
+    trace.close()
     return {
         "iterations_histogram": iteration_counts,
         "mean_first_iteration_matches": float(np.mean(first_iteration_sizes)),

@@ -19,11 +19,9 @@ divergent (slot, series, index) with both values.
 - :func:`fabric_parity` / :func:`network_parity` -- the multi-switch
   network, per flow and per switch.
 
-The projections are where an oracle says what must agree.  Two are
-deliberately weaker than slot-exact, and say so where they are built:
-PIM's object and fast matching streams are independent, so PIM parity
-compares arrivals per slot and *drained totals* rather than matches per
-slot; and scenario delay sums are compared only on drained runs with
+The projections are where an oracle says what must agree.  One is
+deliberately weaker than slot-exact, and says so where it is built:
+scenario delay sums are compared only on drained runs with
 ``warmup == 0``.
 
 Two metamorphic checks compare a backend with itself:
@@ -185,14 +183,11 @@ def _event_series(sink: InMemorySink, kind: str, fields: Sequence[str]) -> Serie
     return series
 
 
-def _crossbar_series(sink: InMemorySink, slot_exact: bool) -> Series:
-    """A crossbar run: arrivals per slot, matches per slot when the two
-    backends' matching streams are seed-matched, and cells carried."""
+def _crossbar_series(sink: InMemorySink) -> Series:
+    """A crossbar run: arrivals per slot, matches per slot, and cells carried."""
     series = _event_series(sink, "slot_begin", ("arrivals",))
-    matched = _event_series(sink, "crossbar_transfer", ("cells",))
-    if slot_exact:
-        series.update(matched)
-    series["carried"] = [matched["crossbar_transfer.cells"].sum()]
+    series.update(_event_series(sink, "crossbar_transfer", ("cells",)))
+    series["carried"] = [series["crossbar_transfer.cells"].sum()]
     return series
 
 
@@ -231,15 +226,13 @@ def backend_parity(
     so lossless switches drained to empty carry exactly what was offered.
 
     ``scheduler`` picks the batched kernel by registry name
-    (``repro.core.BATCH_SCHEDULERS``).  For PIM the object and fast
-    matching streams are independent, so the projection is the classic
-    one: arrivals on every slot, and equal drained totals.  For every
-    other kernel the object side is built as the *seed-matched twin* of
-    the fast path's kernel (same stream the fast path derives
-    internally: ``derive_seed(fast_match_seed, "fastpath/<name>")``), and
-    the B=1 parity convention upgrades the projection to matched cells
-    on every slot.  With ``output_capacity > 1`` the object switch runs
-    on a replicated fabric with a matching ``speedup``.
+    (``repro.core.BATCH_SCHEDULERS``).  The object side is built as the
+    *seed-matched twin* of the fast path's kernel (same stream the fast
+    path derives internally: ``derive_seed(fast_match_seed,
+    "fastpath/<name>")``), and the B=1 parity convention makes the
+    projection arrivals and matched cells on every slot.  With
+    ``output_capacity > 1`` the object switch runs on a replicated
+    fabric with a matching ``speedup``.
 
     ``phase_timer``, when given an enabled
     :class:`repro.obs.perf.PhaseTimer`, profiles the check under a
@@ -257,25 +250,17 @@ def backend_parity(
     )
     traffic_seed = derive_seed(seed, "check/traffic")
     fast_match_seed = derive_seed(seed, "check/fast-match")
-    if scheduler == "pim":
-        object_scheduler = PIMScheduler(
-            iterations=iterations,
-            seed=derive_seed(seed, "check/object-match"),
-            accept=accept,
-            output_capacity=output_capacity,
-        )
-    else:
-        # Reconstruct the exact stream run_fastpath will inject
-        # (RandomStreams(fast_match_seed).get("fastpath/<name>")) so the
-        # object twin consumes draw-for-draw the same uniforms.
-        object_scheduler = build_object_scheduler(
-            scheduler,
-            iterations=iterations,
-            accept=accept,
-            seed=derive_seed(fast_match_seed, f"fastpath/{scheduler}"),
-            output_capacity=output_capacity,
-            ports=ports,
-        )
+    # Reconstruct the exact stream run_fastpath will inject
+    # (RandomStreams(fast_match_seed).get("fastpath/<name>")) so the
+    # object twin consumes draw-for-draw the same uniforms.
+    object_scheduler = build_object_scheduler(
+        scheduler,
+        iterations=iterations,
+        accept=accept,
+        seed=derive_seed(fast_match_seed, f"fastpath/{scheduler}"),
+        output_capacity=output_capacity,
+        ports=ports,
+    )
     fabric = (
         ReplicatedBanyanFabric(ports, copies=output_capacity)
         if output_capacity > 1
@@ -309,9 +294,7 @@ def backend_parity(
                 probe=Probe(sinks[1]),
                 phase_timer=timer,
             )
-        object_series, fast_series = (
-            _crossbar_series(sink, slot_exact=scheduler != "pim") for sink in sinks
-        )
+        object_series, fast_series = (_crossbar_series(sink) for sink in sinks)
         name = (
             f"backend-parity(N={ports}, load={load}, sched={scheduler}, "
             f"iter={iterations}, accept={accept}, cap={output_capacity}, "
@@ -320,8 +303,7 @@ def backend_parity(
         diff_series("backend-parity", name, object_series, fast_series)
     detail = (
         f"{slots + drain_slots} slots, arrivals identical per slot, "
-        + ("drained totals equal" if scheduler == "pim" else "matches identical per slot")
-        + f" ({int(fast_series['carried'][0])} cells carried)"
+        f"matches identical per slot ({int(fast_series['carried'][0])} cells carried)"
     )
     return DifferentialReport(name=name, ok=True, detail=detail)
 
@@ -362,19 +344,13 @@ def scenario_parity(
     trace-identical), so the offered traffic is byte-identical: arrivals
     per slot and per input, and offered totals, are always compared.
 
-    For the non-PIM kernels the object scheduler is the seed-matched
-    twin of the batched kernel (the B=1 slot-exact parity convention),
-    so the *whole trajectory* coincides and the projection adds, all as
-    exact integers: matched cells per slot, carried totals, per-output
-    departure counts, delay sums (over a drained run with ``warmup`` 0
-    -- see the inline note), and the full per-flow (size, FCT) sample
-    list plus incomplete counts.
-
-    For PIM the matching streams are independent, so the projection is
-    the drained-totals one: over a drained run equal carried totals,
-    per-output departures (when ``warmup`` is 0) and an identical
-    *number* of completed and incomplete flows (FCT values legitimately
-    differ).
+    The object scheduler is the seed-matched twin of the batched kernel
+    (the B=1 slot-exact parity convention), so the *whole trajectory*
+    coincides and the projection adds, all as exact integers: matched
+    cells per slot, carried totals, per-output departure counts, delay
+    sums (over a drained run with ``warmup`` 0 -- see the inline note),
+    and the full per-flow (size, FCT) sample list plus incomplete
+    counts.
 
     Raises :class:`InvariantViolation` on any mismatch; returns a
     :class:`ScenarioParityReport` carrying both results so callers can
@@ -391,16 +367,13 @@ def scenario_parity(
         f"scenario-parity({scenario}, sched={scheduler}, slots={slots}, "
         f"warmup={warmup}, seed={seed})"
     )
-    pim = scheduler == "pim"
     n = ports if ports is not None else spec.ports
     object_scheduler = build_object_scheduler(
         scheduler,
         iterations=iterations,
-        # A non-PIM twin reconstructs the exact stream run_fastpath
-        # injects into the batched kernel: draw-for-draw identical.
-        seed=derive_seed(seed, "check/object-match")
-        if pim
-        else derive_seed(fast_match_seed, f"fastpath/{scheduler}"),
+        # The twin reconstructs the exact stream run_fastpath injects
+        # into the batched kernel: draw-for-draw identical.
+        seed=derive_seed(fast_match_seed, f"fastpath/{scheduler}"),
         ports=n,
     )
     sinks = InMemorySink(), InMemorySink()
@@ -429,26 +402,13 @@ def scenario_parity(
     drained = (
         object_result.backlog == 0 and int(fast_result.final_backlog.sum()) == 0
     )
-    if pim and not drained:
-        raise InvariantViolation(
-            "scenario-parity",
-            f"{name}: run did not drain (object backlog "
-            f"{object_result.backlog}, fastpath "
-            f"{int(fast_result.final_backlog.sum())}); raise drain_slots",
-        )
 
     def project(sink, offered, by_input, carried, by_output, delay, fct) -> Series:
-        series = _crossbar_series(sink, slot_exact=not pim)
+        series = _crossbar_series(sink)
         series["offered cells"] = [offered]
         series["arrivals by input"] = [by_input]
         series["carried cells"] = [carried]
-        if not pim or warmup == 0:
-            series["departures by output"] = [by_output]
-        if pim:
-            # Drained runs complete the same set of flows even though the
-            # independent matching randomness shifts individual FCTs.
-            series["completed/incomplete flows"] = [[fct.count, fct.incomplete]]
-            return series
+        series["departures by output"] = [by_output]
         if drained and warmup == 0:
             # At warmup 0 the per-cell delay sum equals the occupancy
             # integral regardless of intra-VOQ service order, so the
@@ -487,21 +447,15 @@ def scenario_parity(
         ),
     )
     carried, fct = object_result.counter.carried, fast_result.fct
-    if pim:
-        detail = (
-            f"drained totals exact ({carried} cells, "
-            f"{object_result.fct.count} flows); {fct.summary()}"
+    detail = (
+        f"slot-exact ({carried} cells"
+        + (
+            ", drained delay sums match"
+            if drained and warmup == 0
+            else (", drained" if drained else ", undrained")
         )
-    else:
-        detail = (
-            f"slot-exact ({carried} cells"
-            + (
-                ", drained delay sums match"
-                if drained and warmup == 0
-                else (", drained" if drained else ", undrained")
-            )
-            + f"); {fct.summary()}"
-        )
+        + f"); {fct.summary()}"
+    )
     return ScenarioParityReport(
         name=name,
         ok=True,
@@ -653,11 +607,10 @@ def statistical_parity(
 ) -> DifferentialReport:
     """Object vs fast path on the statistically-matched switch.
 
-    Unlike PIM's :func:`backend_parity` (where the two backends'
-    matching randomness is independent and only totals are compared),
-    the statistical fast path consumes the object matcher's generator
-    draw for draw at B = 1 (see :mod:`repro.sim.fastpath_statistical`),
-    so the comparison here is **slot-exact**: with a shared
+    As in :func:`backend_parity`, the statistical fast path consumes
+    the object matcher's generator draw for draw at B = 1 (see
+    :mod:`repro.sim.fastpath_statistical`), so the comparison here is
+    **slot-exact**: with a shared
     ``match_seed`` every grant/virtual-grant/accept lottery -- and
     therefore every matching, transfer, and queue trajectory -- must
     coincide.

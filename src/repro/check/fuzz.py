@@ -73,7 +73,7 @@ __all__ = [
 PATTERNS = ("uniform", "bursty", "clientserver")
 SCHEDULERS = ("pim", "islip", "rrm", "statistical", "lqf", "wavefront", "qps")
 #: Registry kernels with a batched fast-path twin: these cases also run
-#: the cross-backend differential stage (slot-exact for non-PIM).
+#: the cross-backend differential stage (slot-exact).
 DIFFERENTIAL_SCHEDULERS = ("pim", "islip", "lqf", "wavefront", "qps")
 
 
@@ -141,9 +141,8 @@ def _run_switch(
 ) -> None:
     """Every invariant checker on one scheduler, then cross-backend parity.
 
-    PIM compares drained totals (independent matching streams); every
-    other registry kernel with a batched twin runs against its
-    seed-matched object twin and must agree slot for slot.
+    Every registry kernel runs against its seed-matched object twin and
+    must agree slot for slot.
     """
     switch = CrossbarSwitch(
         ports, CheckingScheduler(_build_scheduler(seed, ports, scheduler, iterations))

@@ -253,13 +253,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_table1(args: argparse.Namespace) -> int:
     """Regenerate Table 1 at a chosen sample size."""
-    from repro.core.pim import pim_match_batch
+    from repro.core.pim import BatchPIMScheduler
 
     rng = np.random.default_rng(args.seed)
     print(f"{'p':>5}  K=1     K=2     K=3     K=4    ({args.patterns} patterns each)")
     for p in (0.10, 0.25, 0.50, 0.75, 1.0):
         batch = rng.random((args.patterns, args.ports, args.ports)) < p
-        cumulative = pim_match_batch(batch, rng)
+        kernel = BatchPIMScheduler(args.patterns, args.ports, iterations=None, rng=rng)
+        kernel.schedule(batch)
+        cumulative = kernel.last_cumulative_sizes
         total = cumulative[:, -1].sum()
         row = []
         for k in range(4):

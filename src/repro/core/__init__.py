@@ -33,7 +33,7 @@ from repro.core.batch import (
     build_object_scheduler,
 )
 from repro.core.matching import Matching, greedy_maximal_match, is_maximal
-from repro.core.pim import BatchPIMScheduler, PIMScheduler, pim_match, pim_match_batch
+from repro.core.pim import BatchPIMScheduler, PIMScheduler, pim_match
 from repro.core.statistical import StatisticalMatcher
 from repro.core.fifo import FIFOScheduler
 from repro.core.islip import BatchISLIPScheduler, ISLIPScheduler
@@ -56,7 +56,6 @@ __all__ = [
     "BatchLQFScheduler",
     "BatchQPSScheduler",
     "BatchWavefrontScheduler",
-    "pim_match_batch",
     "RRMScheduler",
     "WindowedFIFOScheduler",
     "WindowedFIFOSwitch",

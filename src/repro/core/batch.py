@@ -67,14 +67,13 @@ a registry name):
   kernels with per-slot iteration structure feed the
   ``pim.iterations`` histogram via ``probe.slot_iterations``.
 
-**B = 1 parity convention.**  Each batched kernel is draw-for-draw and
-pointer-for-pointer identical to its object scheduler at ``B == 1``
-with a shared seed: numpy ``Generator`` streams consume by element
-count, so a ``(1, N, N)`` uniform draw yields the same numbers as the
-object kernel's ``(N, N)`` draw.  The differential harness
+**B = 1 parity convention.**  Each object scheduler is its batched
+kernel called at ``B == 1`` (QPS-r's shares the kernel's rounds), so
+with a shared seed the two are draw-for-draw and pointer-for-pointer
+identical.  The differential harness
 (:func:`repro.check.differential.backend_parity`) exploits this to
 demand *slot-exact* trace equality between the object backend and the
-fast path for every non-PIM kernel.
+fast path for every kernel.
 
 :func:`build_batch_scheduler` / :func:`build_object_scheduler` are the
 name registry the fast paths, the CLI and the differential harness

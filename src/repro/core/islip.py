@@ -20,7 +20,7 @@ no randomness, so there is no stream to keep aligned.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -73,7 +73,7 @@ def islip_match(
     accept_pointers: np.ndarray,
     iterations: int = 1,
 ) -> Matching:
-    """One slot of iSLIP.
+    """One slot of iSLIP: the B = 1 call of :class:`BatchISLIPScheduler`.
 
     Parameters
     ----------
@@ -96,44 +96,13 @@ def islip_match(
         raise ValueError(f"iterations must be >= 1, got {iterations}")
     validate_pointer_array(grant_pointers, n, "grant_pointers")
     validate_pointer_array(accept_pointers, n, "accept_pointers")
-    input_matched = np.zeros(n, dtype=bool)
-    output_matched = np.zeros(n, dtype=bool)
-    pairs: List[Tuple[int, int]] = []
-
-    for iteration in range(iterations):
-        active = matrix & ~input_matched[:, None] & ~output_matched[None, :]
-        if not active.any():
-            break
-        # Grant: each unmatched output picks the first requesting input
-        # at/after its pointer.
-        grants_to: List[Optional[int]] = [None] * n
-        for j in range(n):
-            if output_matched[j]:
-                continue
-            requesters = np.nonzero(active[:, j])[0]
-            if requesters.size == 0:
-                continue
-            offsets = (requesters - grant_pointers[j]) % n
-            grants_to[j] = int(requesters[offsets.argmin()])
-        # Accept: each input picks the first granting output at/after
-        # its pointer.
-        for i in range(n):
-            if input_matched[i]:
-                continue
-            granting = np.array([j for j in range(n) if grants_to[j] == i], dtype=np.int64)
-            if granting.size == 0:
-                continue
-            offsets = (granting - accept_pointers[i]) % n
-            j = int(granting[offsets.argmin()])
-            pairs.append((i, j))
-            input_matched[i] = True
-            output_matched[j] = True
-            if iteration == 0:
-                # The iSLIP pointer rule: advance only on first-iteration
-                # accepts; this is what desynchronizes the arbiters.
-                grant_pointers[j] = (i + 1) % n
-                accept_pointers[i] = (j + 1) % n
-    return Matching.from_pairs(pairs)
+    if n == 0:  # no ports (the kernel needs N >= 1)
+        return Matching.empty()
+    kernel = BatchISLIPScheduler(1, n, iterations)
+    # Views: the kernel advances the caller's pointers in place.
+    kernel._grant_pointers = grant_pointers[None]
+    kernel._accept_pointers = accept_pointers[None]
+    return Matching.from_match_array(kernel.schedule(matrix[None])[0])
 
 
 class ISLIPScheduler:
@@ -191,22 +160,21 @@ class BatchISLIPScheduler(BatchScheduler):
 
     Implements the :class:`repro.core.batch.BatchScheduler` protocol
     with per-(replica, port) grant and accept pointer arrays.  The
-    kernel is fully deterministic, so at B = 1 it is pointer-for-
-    pointer and match-for-match identical to
-    :func:`islip_match` driven by :class:`ISLIPScheduler`:
+    kernel is fully deterministic; at B = 1 it is :func:`islip_match`,
+    which :class:`ISLIPScheduler` calls each slot:
 
     - **grant**: each output with capacity left picks the requesting
       input with the smallest offset ``(i - grant_ptr) % N`` -- the
       winner of its output line under the key ``N - offset`` over the
-      unresolved edges (:func:`repro.core.batch.line_winners`), exactly
-      the object kernel's first-at/after-pointer scan;
+      unresolved edges (:func:`repro.core.batch.line_winners`), the
+      first requester at/after the pointer;
     - **accept**: each granted input symmetrically picks the smallest
       ``(j - accept_ptr) % N`` among its grants (the same helper over
       input lines);
     - **pointer rule**: pointers advance one past the accepted port,
       only for pairs accepted in the *first* iteration (the
-      desynchronization rule), matching the object update order because
-      grants never collide within an iteration.
+      desynchronization rule); grants never collide within an
+      iteration, so the order of the updates does not matter.
 
     Parameters
     ----------
@@ -218,7 +186,7 @@ class BatchISLIPScheduler(BatchScheduler):
         unresolved request accepts at least one pair).
     output_capacity:
         Matches each output may take per slot (k-grant generalization;
-        the object kernel corresponds to k = 1).
+        :func:`islip_match` is k = 1).
     """
 
     name = "islip_batch"

@@ -17,7 +17,7 @@ simpler request wire per VOQ.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -39,37 +39,29 @@ def lqf_match(occupancy: np.ndarray, rng: np.random.Generator) -> Matching:
     ``occupancy[i, j]`` is the number of queued cells for (i, j); ties
     are broken uniformly at random (equal keys, which only a coarse
     ``rng`` produces, go to the first cell).  The result is maximal
-    over the positive-occupancy pairs.
+    over the positive-occupancy pairs.  The B = 1 call of
+    :class:`BatchLQFScheduler`: ``rng`` moves by one ``(1, N, N)`` cube.
     """
     matrix = np.asarray(occupancy)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"occupancy must be square, got shape {matrix.shape}")
-    if (matrix < 0).any():
-        raise ValueError("occupancy must be non-negative")
-    n = matrix.shape[0]
-    # Random keys break ties uniformly while keeping one sort.
-    keys = matrix.astype(np.float64) + rng.random(matrix.shape)
-    # Stable on the negated keys: (key descending, cell ascending), the
-    # batched kernel's order -- a tie goes to the first cell.
-    order = np.argsort(-keys, axis=None, kind="stable")
-    row_free = np.ones(n, dtype=bool)
-    col_free = np.ones(n, dtype=bool)
-    pairs: List[Tuple[int, int]] = []
-    for flat in order:
-        i, j = divmod(int(flat), n)
-        if matrix[i, j] <= 0:
-            break  # remaining entries are empty queues
-        if row_free[i] and col_free[j]:
-            pairs.append((i, j))
-            row_free[i] = False
-            col_free[j] = False
-    return Matching.from_pairs(pairs)
+    if matrix.shape[0] == 0:  # no ports (the kernel needs N >= 1)
+        return Matching.empty()
+    return _lqf_slot(BatchLQFScheduler(1, matrix.shape[0], rng=rng), matrix)
+
+
+def _lqf_slot(kernel: BatchLQFScheduler, occupancy: np.ndarray) -> Matching:
+    """One slot of a one-replica ``kernel`` on an N x N ``occupancy``
+    (the kernel rejects negative counts)."""
+    match = kernel.schedule(occupancy[None] > 0, occupancy[None])
+    return Matching.from_match_array(match[0])
 
 
 class LQFScheduler:
     """Occupancy-aware scheduler for :class:`CrossbarSwitch`.
 
-    Sets ``needs_occupancy`` so the switch passes the cell counts per
+    Each slot is one call of a one-replica :class:`BatchLQFScheduler`
+    drawing from this scheduler's stream.  Sets ``needs_occupancy`` so the switch passes the cell counts per
     VOQ instead of just the boolean request matrix.
     """
 
@@ -80,13 +72,19 @@ class LQFScheduler:
         # Deterministic seed=None fallback (repro.sim.rng default-seed
         # policy); the token lets reset() rewind the stream.
         self._rng, self._rng_token = resolve_generator(seed, rng, "lqf")
+        # The one-replica kernel on ``_rng``, built at the first slot
+        # (that fixes N) and again after reset() or a change of N.
+        self._kernel: Optional[BatchLQFScheduler] = None
 
     def schedule(self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None) -> Matching:
         """Return this slot's matching from the occupancy matrix."""
         if occupancy is None:
             # Degrade gracefully to boolean occupancy (plain maximal).
             occupancy = as_request_matrix(requests).astype(np.int64)
-        return lqf_match(occupancy, self._rng)
+        matrix = np.asarray(occupancy)
+        if self._kernel is None or self._kernel.ports != len(matrix):
+            self._kernel = BatchLQFScheduler(1, len(matrix), rng=self._rng)
+        return _lqf_slot(self._kernel, matrix)
 
     def reset(self) -> None:
         """Rewind the tie-break RNG to its as-constructed state.
@@ -99,6 +97,7 @@ class LQFScheduler:
         contract of PRs 4-5.
         """
         self._rng = replay_generator(self._rng, self._rng_token)
+        self._kernel = None
 
     def __repr__(self) -> str:
         return "LQFScheduler()"
@@ -108,26 +107,24 @@ class BatchLQFScheduler(BatchScheduler):
     """Longest-queue-first vectorized over B independent replicas.
 
     Implements the :class:`repro.core.batch.BatchScheduler` protocol
-    over the request graph's edge list.  Instead of the object kernel's
-    flat sort + sequential greedy scan, the batch kernel repeatedly
-    selects every **locally dominant** edge -- the winner of both its
-    input line and its output line among the unresolved edges
+    over the request graph's edge list.  Instead of a flat sort and a
+    sequential greedy scan, the kernel repeatedly selects every
+    **locally dominant** edge -- the winner of both its input line and
+    its output line among the unresolved edges
     (:func:`repro.core.batch.line_winners`, key ``occupancy + jitter``)
     -- and drops the edges of matched inputs and exhausted outputs.
     This computes exactly the matching of sequential greedy in (key
-    descending, cell ascending) order -- :func:`lqf_match`'s order --
-    because the first remaining edge of that order is always locally
-    dominant and greedy decisions commute when they share no row or
-    column.  Ties (possible with a coarse injected ``rng``) therefore
+    descending, cell ascending) order, because the first remaining edge
+    of that order is always locally dominant and greedy decisions
+    commute when they share no row or column.  Ties (possible with a coarse injected ``rng``) therefore
     go to the first cell and the result stays maximal.  At most N
     rounds run.
 
-    **Stream contract / B = 1 draw parity**: the tie-break uniforms are
-    the keys at the edges of one *full* ``(B, N, N)`` cube per slot
-    (:meth:`~repro.core.batch.BatchScheduler._cube_keys`) -- the same
-    element count as :func:`lqf_match`'s ``rng.random(matrix.shape)``
-    -- so with a shared seed the batch kernel at B = 1 consumes the
-    stream identically and returns the identical matching.
+    **Stream contract**: the tie-break uniforms are the keys at the
+    edges of one *full* ``(B, N, N)`` cube per slot
+    (:meth:`~repro.core.batch.BatchScheduler._cube_keys`).  At B = 1
+    the kernel is :func:`lqf_match`, which :class:`LQFScheduler` calls
+    each slot.
 
     ``needs_occupancy``: the fast paths pass queue-depth counts along
     with the request mask; entries outside the mask get zero weight

@@ -77,6 +77,15 @@ class Matching:
         return matching
 
     @classmethod
+    def from_match_array(
+        cls, match: np.ndarray, validate_outputs: bool = True
+    ) -> "Matching":
+        """The pairs ``(i, match[i])`` of a kernel's per-input match
+        array (-1: input i unmatched), as :meth:`from_pairs` builds them."""
+        pairs = [(i, j) for i, j in enumerate(match.tolist()) if j >= 0]
+        return cls.from_pairs(pairs, validate_outputs)
+
+    @classmethod
     def empty(cls) -> "Matching":
         """The matching with no pairs."""
         return cls(())

@@ -21,16 +21,17 @@ is maximal when run to completion.
 
 The module provides:
 
-- :func:`pim_match` -- one slot's matching for a single request matrix,
-  with a per-iteration trace (used for Table 1 / Figure 2),
 - :class:`BatchPIMScheduler` -- stateful PIM vectorized over B
   independent replicas at once; the matching kernel of the fast-path
   simulator (:mod:`repro.sim.fastpath`),
-- :func:`pim_match_batch` -- stateless one-shot wrapper around
-  :class:`BatchPIMScheduler` (used to regenerate Table 1 at the
-  paper's sample sizes),
+- :func:`pim_match` -- one slot's matching for a single request matrix,
+  with its per-iteration match sizes,
 - :class:`PIMScheduler` -- the stateful scheduler object plugged into
   :class:`repro.switch.switch.CrossbarSwitch`.
+
+The last two are B = 1 calls of the first: one implementation, so the
+object and fast-path backends make the same matches from the same
+stream.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ import numpy as np
 
 from repro.core.batch import (
     BatchScheduler,
-    as_request_batch,
     line_winners,
     replay_generator,
     request_edges,
@@ -52,9 +52,7 @@ from repro.core.matching import Matching, as_request_matrix
 
 __all__ = [
     "PIMResult",
-    "PIMIterationTrace",
     "pim_match",
-    "pim_match_batch",
     "PIMScheduler",
     "BatchPIMScheduler",
 ]
@@ -63,26 +61,6 @@ AcceptPolicy = Literal["random", "round_robin"]
 
 #: Iteration count of the AN2 prototype (Section 3.2).
 AN2_ITERATIONS = 4
-
-#: Smallest switch size at which the compact grant/accept key draw
-#: pays for itself.  Below this, numpy per-call overhead of extracting
-#: the active submatrix exceeds the cost of just drawing N*N uniforms
-#: (measured crossover ~N=64; clear win from N=128 up).
-_COMPACT_MIN_PORTS = 64
-
-
-@dataclass(frozen=True)
-class PIMIterationTrace:
-    """What happened in one request/grant/accept iteration.
-
-    Attributes are N x N boolean matrices (requests, grants) and a list
-    of accepted (input, output) pairs; useful for rendering Figure 2's
-    anatomy and for the Appendix A resolution-rate checks.
-    """
-
-    requests: np.ndarray
-    grants: np.ndarray
-    accepted: Tuple[Tuple[int, int], ...]
 
 
 @dataclass(frozen=True)
@@ -103,18 +81,14 @@ class PIMResult:
         True when the final matching is maximal (the algorithm stopped
         because no unresolved request remained rather than because the
         iteration budget ran out).
-    trace:
-        Per-iteration traces when requested, else empty.
     iterations_run:
-        Request/grant/accept rounds actually executed.  ``None`` (legacy
-        constructions) falls back to ``len(cumulative_sizes)``.
+        Request/grant/accept rounds actually executed.
     """
 
     matching: Matching
     cumulative_sizes: Tuple[int, ...]
     completed: bool
-    trace: Tuple[PIMIterationTrace, ...] = ()
-    iterations_run: Optional[int] = None
+    iterations_run: int
 
     @property
     def iterations(self) -> int:
@@ -124,97 +98,7 @@ class PIMResult:
         matrix, where no iteration runs but ``cumulative_sizes`` still
         holds the sentinel ``(0,)``.
         """
-        if self.iterations_run is not None:
-            return self.iterations_run
-        return len(self.cumulative_sizes)
-
-
-def _grant_phase(
-    active: np.ndarray, rng: np.random.Generator, compact: bool = True
-) -> np.ndarray:
-    """Each output with pending requests grants one uniformly at random.
-
-    ``active`` is the N x N matrix of unresolved requests.  Returns an
-    N x N boolean grant matrix with at most one True per column.
-    Choosing the argmax of i.i.d. uniform keys over the requesting
-    inputs is a uniform choice among them.
-
-    With ``compact`` (the default) random keys are drawn only over the
-    submatrix of rows/columns that still carry a request; in later PIM
-    iterations ``active`` is nearly empty, so this avoids generating
-    N*N uniforms to resolve a handful of cells.  The compact path only
-    engages from ``_COMPACT_MIN_PORTS`` up -- on small matrices the
-    submatrix bookkeeping costs more than the uniforms it saves.
-    ``compact=False`` forces the legacy full-matrix draw (same
-    distribution, different random-stream consumption); the perf
-    harness reports the delta.
-    """
-    grants = np.zeros_like(active)
-    if compact and active.shape[0] >= _COMPACT_MIN_PORTS:
-        rows = np.nonzero(active.any(axis=1))[0]
-        cols = np.nonzero(active.any(axis=0))[0]
-        if cols.size == 0:
-            return grants
-        sub = active[np.ix_(rows, cols)]
-        # Adding the bool mask lifts requesting keys into [1, 2) above
-        # non-requesting [0, 1): same argmax winner as masking with
-        # -1.0, without the np.where temporary.  Every retained column
-        # has at least one requester, so the argmax row is always a
-        # genuine request.
-        keys = rng.random(sub.shape)
-        keys += sub
-        grants[rows[keys.argmax(axis=0)], cols] = True
-        return grants
-    keys = np.where(active, rng.random(active.shape), -1.0)
-    chosen = keys.argmax(axis=0)
-    granted = keys.max(axis=0) >= 0.0
-    cols = np.nonzero(granted)[0]
-    grants[chosen[cols], cols] = True
-    return grants
-
-
-def _accept_random(
-    grants: np.ndarray, rng: np.random.Generator, compact: bool = True
-) -> List[Tuple[int, int]]:
-    """Each input with grants accepts one uniformly at random.
-
-    ``compact`` draws keys only over rows/columns that carry a grant,
-    from ``_COMPACT_MIN_PORTS`` up (see :func:`_grant_phase`).
-    """
-    if compact and grants.shape[0] >= _COMPACT_MIN_PORTS:
-        rows = np.nonzero(grants.any(axis=1))[0]
-        cols = np.nonzero(grants.any(axis=0))[0]
-        if rows.size == 0:
-            return []
-        sub = grants[np.ix_(rows, cols)]
-        keys = rng.random(sub.shape)
-        keys += sub
-        chosen = keys.argmax(axis=1)
-        return [(int(i), int(cols[c])) for i, c in zip(rows, chosen)]
-    keys = np.where(grants, rng.random(grants.shape), -1.0)
-    chosen = keys.argmax(axis=1)
-    has_grant = keys.max(axis=1) >= 0.0
-    return [(i, int(chosen[i])) for i in np.nonzero(has_grant)[0]]
-
-
-def _accept_round_robin(grants: np.ndarray, pointers: np.ndarray) -> List[Tuple[int, int]]:
-    """Each input accepts the first granted output at/after its pointer.
-
-    The pointer advances one past the accepted output, giving the
-    "round-robin or other fair fashion" accept of Section 3.4.
-    ``pointers`` is mutated in place.
-    """
-    n = grants.shape[0]
-    accepted = []
-    for i in range(n):
-        row = np.nonzero(grants[i])[0]
-        if row.size == 0:
-            continue
-        offsets = (row - pointers[i]) % n
-        j = int(row[offsets.argmin()])
-        accepted.append((i, j))
-        pointers[i] = (j + 1) % n
-    return accepted
+        return self.iterations_run
 
 
 def pim_match(
@@ -224,10 +108,12 @@ def pim_match(
     accept: AcceptPolicy = "random",
     accept_pointers: Optional[np.ndarray] = None,
     output_capacity: int = 1,
-    keep_trace: bool = False,
-    compact_draws: bool = True,
 ) -> PIMResult:
     """Run parallel iterative matching on one request matrix.
+
+    The B = 1 call of :class:`BatchPIMScheduler`, so ``rng`` moves as
+    that kernel's stream does: one ``(1, N, N)`` cube per grant and per
+    random accept of every executed iteration.
 
     Parameters
     ----------
@@ -235,7 +121,8 @@ def pim_match(
         N x N boolean matrix; ``requests[i, j]`` means input i has at
         least one queued cell for output j.
     rng:
-        Random generator for the grant (and random-accept) choices.
+        Random generator for the grant (and random-accept) choices; it
+        only needs a numpy-compatible ``random(shape)``.
     iterations:
         Iteration budget; ``None`` runs to completion (until maximal).
         The AN2 prototype uses 4 (Section 3.2).
@@ -252,14 +139,6 @@ def pim_match(
         grant per slot.  With k > 1 the result is a legal *b-matching*
         on the output side and is returned as plain pairs rather than a
         :class:`Matching`-validated object only when k == 1.
-    keep_trace:
-        Record per-iteration request/grant/accept matrices.
-    compact_draws:
-        Draw grant/accept random keys only over the rows/columns still
-        in play (default).  ``False`` restores the legacy full-N*N
-        draws per iteration -- identical distribution, but a different
-        (and for sparse iterations much larger) random-stream
-        consumption; kept for perf comparison in the bench harness.
 
     Returns a :class:`PIMResult`.  With ``output_capacity == 1`` the
     matching is always legal, and maximal whenever ``completed``.  An
@@ -268,57 +147,36 @@ def pim_match(
     """
     matrix = as_request_matrix(requests)
     n = matrix.shape[0]
-    if output_capacity < 1:
-        raise ValueError(f"output_capacity must be >= 1, got {output_capacity}")
-    if iterations is not None and iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if accept == "round_robin" and accept_pointers is None:
-        accept_pointers = np.zeros(n, dtype=np.int64)
+    if n == 0:  # no ports (the kernel needs N >= 1)
+        return PIMResult(Matching.empty(), (0,), True, 0)
+    kernel = BatchPIMScheduler(
+        1, n, iterations, accept, output_capacity=output_capacity, rng=rng
+    )
+    return _pim_slot(kernel, matrix, accept_pointers)
 
-    input_matched = np.zeros(n, dtype=bool)
-    output_slots = np.full(n, output_capacity, dtype=np.int64)
-    pairs: List[Tuple[int, int]] = []
-    sizes: List[int] = []
-    traces: List[PIMIterationTrace] = []
-    completed = False
 
-    executed = 0
-    while iterations is None or executed < iterations:
-        active = matrix & ~input_matched[:, None] & (output_slots > 0)[None, :]
-        if not active.any():
-            completed = True
-            break
-        executed += 1
-        grants = _grant_phase(active, rng, compact=compact_draws)
-        if accept == "random":
-            accepted = _accept_random(grants, rng, compact=compact_draws)
-        elif accept == "round_robin":
-            assert accept_pointers is not None
-            accepted = _accept_round_robin(grants, accept_pointers)
-        else:
-            raise ValueError(f"unknown accept policy: {accept!r}")
-        for i, j in accepted:
-            pairs.append((i, j))
-            input_matched[i] = True
-            output_slots[j] -= 1
-        sizes.append(len(pairs))
-        if keep_trace:
-            traces.append(PIMIterationTrace(active, grants, tuple(accepted)))
+def _pim_slot(
+    kernel: BatchPIMScheduler, matrix: np.ndarray, accept_pointers
+) -> PIMResult:
+    """One slot of a one-replica ``kernel`` on an N x N ``matrix``.
 
-    if not sizes:
-        # No iteration ran (empty request matrix): keep the (0,)
-        # sentinel so cumulative_sizes is never empty, with the
-        # explicit iterations_run == 0 convention.
-        sizes.append(0)
-    if not completed:
-        # Budget exhausted; check whether we happen to be maximal anyway.
-        active = matrix & ~input_matched[:, None] & (output_slots > 0)[None, :]
-        completed = not active.any()
-
-    # k > 1 legitimately matches an output up to k times (a b-matching
-    # on the output side), which the default validator forbids.
-    matching = Matching.from_pairs(pairs, validate_outputs=output_capacity == 1)
-    return PIMResult(matching, tuple(sizes), completed, tuple(traces), executed)
+    ``accept_pointers``, when given, replace the kernel's round-robin
+    pointers by a view, so the kernel advances them in place.
+    """
+    if accept_pointers is not None:
+        kernel._pointers = accept_pointers[None]
+    match = kernel.schedule(matrix[None])[0]
+    sizes = tuple(kernel.last_cumulative_sizes[0].tolist())
+    return PIMResult(
+        # k > 1 legitimately matches an output up to k times (a
+        # b-matching on the output side), which the default validator
+        # forbids.
+        Matching.from_match_array(match, kernel.output_capacity == 1),
+        sizes,
+        bool(kernel.last_completed[0]),
+        # One size per round; an empty matrix runs none and keeps (0,).
+        len(sizes) if matrix.any() else 0,
+    )
 
 
 class BatchPIMScheduler(BatchScheduler):
@@ -329,9 +187,8 @@ class BatchPIMScheduler(BatchScheduler):
     replica -- carried as one edge list of unresolved requests, so a
     round costs array work per request, not per cell of the cube.  This
     is the matching kernel of the fast-path simulator
-    (:mod:`repro.sim.fastpath`) and the generalization of the one-shot
-    :func:`pim_match_batch` helper; it carries the same cross-slot
-    state as :class:`PIMScheduler`:
+    (:mod:`repro.sim.fastpath`), and at B = 1 the whole of
+    :func:`pim_match` and :class:`PIMScheduler`.  Its cross-slot state:
 
     - an **iteration budget** per slot (AN2 uses 4; ``None`` runs each
       slot to maximality, which needs at most N rounds since every
@@ -517,46 +374,11 @@ class BatchPIMScheduler(BatchScheduler):
         )
 
 
-def pim_match_batch(
-    requests: np.ndarray,
-    rng: np.random.Generator,
-    max_iterations: int = 32,
-) -> np.ndarray:
-    """Vectorized one-shot PIM over a batch of request matrices.
-
-    Runs random-grant/random-accept PIM simultaneously on ``B`` request
-    matrices until every one is maximal or ``max_iterations`` is hit.
-    Stateless convenience wrapper over :class:`BatchPIMScheduler`.
-
-    Parameters
-    ----------
-    requests:
-        (B, N, N) boolean array of request matrices.
-    rng:
-        Random generator.
-    max_iterations:
-        Safety cap; maximality is virtually always reached far sooner
-        (Appendix A: expected O(log N) iterations).
-
-    Returns
-    -------
-    (B, K) int array of cumulative matching sizes, where K is the
-    number of iterations executed; column k holds each pattern's
-    matching size after iteration k+1.  The last column is the
-    run-to-completion ("100%") size used as Table 1's denominator.
-    """
-    b, n, _ = as_request_batch(requests).shape
-    scheduler = BatchPIMScheduler(
-        replicas=b, ports=n, iterations=max_iterations, accept="random", rng=rng
-    )
-    scheduler.schedule(requests)
-    return scheduler.last_cumulative_sizes
-
-
 class PIMScheduler:
     """Stateful PIM scheduler for the slot-clocked switch model.
 
-    Iteration-count convention: ``last_result.iterations`` counts
+    Each slot is one call of a one-replica :class:`BatchPIMScheduler`
+    drawing from this scheduler's stream.  Iteration-count convention: ``last_result.iterations`` counts
     request/grant/accept rounds actually executed, so a slot whose
     request matrix is empty reports ``iterations == 0`` (no round ran)
     even though ``cumulative_sizes`` keeps its ``(0,)`` sentinel --
@@ -606,6 +428,9 @@ class PIMScheduler:
         # back to the repro.sim.rng default-seed policy.
         self._rng, self._rng_token = resolve_generator(seed, rng, "pim")
         self._pointers: Optional[np.ndarray] = None
+        # The one-replica kernel on ``_rng``, built at the first slot
+        # (that fixes N) and again after reset() or a change of N.
+        self._kernel: Optional[BatchPIMScheduler] = None
         self.last_result: Optional[PIMResult] = None
         self._probe = None
 
@@ -613,16 +438,17 @@ class PIMScheduler:
         """Attach a :class:`repro.obs.probe.Probe` for per-iteration
         telemetry.
 
-        On slots the probe samples, scheduling runs with
-        ``keep_trace=True`` and emits one ``PimIteration`` event per
-        request/grant/accept round (the Figure 2 anatomy); every slot
-        additionally feeds the ``pim.iterations`` histogram.  The
-        iteration-count convention is :func:`pim_match`'s: an empty
-        request matrix runs zero iterations, so it contributes 0 to
-        the histogram and emits no ``PimIteration`` events.  Pass
-        ``None`` to detach.
+        On slots the probe samples, the kernel emits one
+        ``PimIteration`` event per request/grant/accept round (the
+        Figure 2 anatomy); every slot additionally feeds the
+        ``pim.iterations`` histogram.  The iteration-count convention
+        is :func:`pim_match`'s: an empty request matrix runs zero
+        iterations, so it contributes 0 to the histogram and emits no
+        ``PimIteration`` events.  Pass ``None`` to detach.
         """
         self._probe = probe
+        if self._kernel is not None:
+            self._kernel.attach_probe(probe)
 
     def schedule(self, requests: np.ndarray) -> Matching:
         """Compute the matching for one slot from the request matrix."""
@@ -631,30 +457,18 @@ class PIMScheduler:
         if self.accept == "round_robin":
             if self._pointers is None or self._pointers.shape[0] != n:
                 self._pointers = np.zeros(n, dtype=np.int64)
-        probe = self._probe
-        keep_trace = probe is not None and probe.enabled and probe.sampling
-        result = pim_match(
-            matrix,
-            self._rng,
-            iterations=self.iterations,
-            accept=self.accept,
-            accept_pointers=self._pointers,
-            output_capacity=self.output_capacity,
-            keep_trace=keep_trace,
-        )
-        self.last_result = result
-        if probe is not None:
-            probe.slot_iterations(result.iterations)
-            if keep_trace:
-                for index, phase in enumerate(result.trace):
-                    probe.pim_iteration(
-                        index + 1,
-                        requests=int(phase.requests.sum()),
-                        grants=int(phase.grants.sum()),
-                        accepts=len(phase.accepted),
-                        matched=int(result.cumulative_sizes[index]),
-                    )
-        return result.matching
+        if self._kernel is None or self._kernel.ports != n:
+            self._kernel = BatchPIMScheduler(
+                1,
+                n,
+                self.iterations,
+                self.accept,
+                output_capacity=self.output_capacity,
+                rng=self._rng,
+            )
+            self._kernel.attach_probe(self._probe)
+        self.last_result = _pim_slot(self._kernel, matrix, self._pointers)
+        return self.last_result.matching
 
     def reset(self) -> None:
         """Restore all cross-slot state (pointers and the RNG stream).
@@ -670,6 +484,7 @@ class PIMScheduler:
         """
         self._pointers = None
         self._rng = replay_generator(self._rng, self._rng_token)
+        self._kernel = None
         self.last_result = None
 
     def __repr__(self) -> str:

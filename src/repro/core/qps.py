@@ -39,7 +39,7 @@ differential parity checks rely on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -140,10 +140,7 @@ def qps_match(
         pointers = accept_pointers[None, :]  # view: in-place mutation flows back
     edges, weights = occupancy_edges((matrix > 0)[None], matrix[None])
     match, _ = _qps_rounds(edges, weights, rng, pointers, rounds, 1)
-    pairs: List[Tuple[int, int]] = [
-        (i, int(j)) for i, j in enumerate(match[0]) if j >= 0
-    ]
-    return Matching.from_pairs(pairs)
+    return Matching.from_match_array(match[0])
 
 
 class QPSScheduler:
@@ -207,8 +204,7 @@ class QPSScheduler:
         )
         if self._probe is not None:
             self._probe.slot_iterations(executed)
-        pairs = [(i, int(j)) for i, j in enumerate(match[0]) if j >= 0]
-        return Matching.from_pairs(pairs)
+        return Matching.from_match_array(match[0])
 
     def reset(self) -> None:
         """Restore pointers and rewind the sampling stream."""

@@ -14,7 +14,7 @@ pass, at the cost of O(N) sequential diagonal steps.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -36,24 +36,18 @@ def wavefront_match(requests: np.ndarray, start_diagonal: int = 0) -> Matching:
     Numeric request matrices must be non-negative (matching
     :func:`repro.core.lqf.lqf_match`'s validation): a negative entry
     would bool-cast to a *true* request, silently inventing traffic.
+    The B = 1 call of :class:`BatchWavefrontScheduler`.
     """
     raw = np.asarray(requests)
     if raw.dtype != bool and np.issubdtype(raw.dtype, np.number) and (raw < 0).any():
         raise ValueError("requests must be non-negative")
     matrix = as_request_matrix(requests)
     n = matrix.shape[0]
-    row_free = np.ones(n, dtype=bool)
-    col_free = np.ones(n, dtype=bool)
-    pairs: List[Tuple[int, int]] = []
-    for step in range(n):
-        d = (start_diagonal + step) % n
-        for i in range(n):
-            j = (d - i) % n
-            if matrix[i, j] and row_free[i] and col_free[j]:
-                pairs.append((i, j))
-                row_free[i] = False
-                col_free[j] = False
-    return Matching.from_pairs(pairs)
+    if n == 0:  # no ports (the kernel needs N >= 1)
+        return Matching.empty()
+    kernel = BatchWavefrontScheduler(1, n)
+    kernel._start = start_diagonal
+    return Matching.from_match_array(kernel.schedule(matrix[None])[0])
 
 
 class WavefrontScheduler:
@@ -108,8 +102,8 @@ class BatchWavefrontScheduler(BatchScheduler):
     take-if-row-and-column-free update across the whole batch; the
     rotating start diagonal is slot-driven (one rotation per
     ``schedule`` call), hence a single scalar shared by every replica
-    -- exactly the object scheduler's state, so parity at any B is
-    structural (the kernel is deterministic).
+    -- the state :class:`WavefrontScheduler` keeps for the B = 1 call,
+    :func:`wavefront_match`.
     """
 
     name = "wavefront_batch"

@@ -3,11 +3,13 @@
 The runner turns an expanded spec (:func:`repro.fleet.spec.expand_cells`)
 into completed :mod:`repro.fleet.store` records:
 
-- **Sharding.**  Pending cells go through a ``multiprocessing`` pool
+- **Sharding.**  Pending cells go through a process pool
   (``pool=1`` runs inline, which is also the debugger-friendly path).
   Workers append their own records straight to the sweep store -- one
   atomic-append line per cell -- so a killed sweep keeps everything
-  that finished.
+  that finished.  A worker that dies mid-cell breaks the pool; every
+  cell without a record then gets an error record, and the sweep
+  returns instead of waiting on the dead worker.
 - **Determinism.**  A cell's outputs depend only on its derived seed
   (``derive_seed(spec.seed, cell_key)``) and parameters, never on
   which worker ran it or how many workers there were, so pool sizes 1
@@ -42,6 +44,8 @@ from __future__ import annotations
 import multiprocessing
 import time
 import traceback
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple, Union
@@ -456,9 +460,12 @@ def run_sweep(
 ) -> SweepOutcome:
     """Run (or resume) a spec's sweep against its results store.
 
-    ``pool`` > 1 shards pending cells over a ``multiprocessing.Pool``;
-    workers append records directly, so killing the sweep at any point
-    loses only in-flight cells.  Already-``done`` cells are skipped.
+    ``pool`` > 1 shards pending cells over a process pool of the
+    default start method; workers append records directly, so killing
+    the sweep at any point loses only in-flight cells.  A worker that
+    dies mid-cell breaks the pool: each cell left without a record gets
+    an error record (appended here), so it reruns on resume.
+    Already-``done`` cells are skipped.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
@@ -490,8 +497,21 @@ def run_sweep(
             if record["status"] != "done":
                 errors.append(record)
     else:
-        with multiprocessing.Pool(processes=min(pool, len(tasks))) as workers:
-            for record in workers.imap_unordered(_run_and_append, tasks):
+        with ProcessPoolExecutor(
+            max_workers=min(pool, len(tasks)),
+            mp_context=multiprocessing.get_context(),
+        ) as workers:
+            futures = {workers.submit(_run_and_append, task): task for task in tasks}
+            for future in as_completed(futures):
+                try:
+                    record = future.result()
+                except BrokenProcessPool as exc:
+                    record = cell_record(
+                        futures[future]["cell"],
+                        status="error",
+                        error=f"BrokenProcessPool: {exc}",
+                    )
+                    store.append(record)
                 _note(emit, record)
                 if record["status"] != "done":
                     errors.append(record)

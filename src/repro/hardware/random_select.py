@@ -129,9 +129,12 @@ def lfsr_pim_rng(seed: int = 0xACE1, ports: int = 16) -> "LFSRRandomAdapter":
 class LFSRRandomAdapter:
     """Duck-typed stand-in for numpy Generator backed by LFSRs.
 
-    For a 2-D request of shape (N, M), column j is drawn from register
-    j mod bank-size -- modelling the per-port arbiter registers.
-    Scalars and 1-D draws round-robin through the bank.
+    For a request of two or more axes, (..., M), column j of the last
+    axis is drawn from register j mod bank-size -- modelling the
+    per-port arbiter registers -- and the leading axes are rows, so the
+    ``(1, N, N)`` cube of a one-replica PIM kernel holds what an
+    ``(N, N)`` draw would.  Scalars and 1-D draws round-robin through
+    the bank.
     """
 
     def __init__(self, registers: List[LFSRGenerator]):
@@ -151,14 +154,15 @@ class LFSRRandomAdapter:
             return self._next_register().step() / 65536.0
         if np.isscalar(shape):
             shape = (int(shape),)
-        if len(shape) == 2:
-            rows, cols = shape
+        if len(shape) >= 2:
+            cols = shape[-1]
+            rows = int(np.prod(shape[:-1]))
             values = np.empty((rows, cols), dtype=np.float64)
             for j in range(cols):
                 register = self._registers[j % len(self._registers)]
                 for i in range(rows):
                     values[i, j] = register.step() / 65536.0
-            return values
+            return values.reshape(shape)
         size = int(np.prod(shape))
         values = np.array(
             [self._next_register().step() for _ in range(size)], dtype=np.float64

@@ -86,9 +86,22 @@ def test_backend_parity(fault):
     _names(message, fault.slot, "crossbar_transfer.cells")
 
 
+def test_backend_parity_pim(fault):
+    """PIM's oracle holds matches per slot too, so it names the slot."""
+    message = _fires(backend_parity, 4, 0.8, 60, seed=0, scheduler="pim")
+    _names(message, fault.slot, "crossbar_transfer.cells")
+
+
 def test_scenario_parity(fault):
     message = _fires(
         scenario_parity, "websearch-incast", scheduler="islip", slots=120, seed=0
+    )
+    _names(message, fault.slot, "crossbar_transfer.cells")
+
+
+def test_scenario_parity_pim(fault):
+    message = _fires(
+        scenario_parity, "websearch-incast", scheduler="pim", slots=120, seed=0
     )
     _names(message, fault.slot, "crossbar_transfer.cells")
 

@@ -16,7 +16,9 @@ fast paths run, not on the object scheduler.
   iterations up to and including the last that added a pair.
 - **Test.**  H0: E[C] > log2 N + 4/3, one-sided.  H0 is rejected, and
   the test passes, when the 99.9 % upper confidence bound on the mean,
-  ``mean + 3.090 * s / sqrt(2048)``, lies below log2 N + 4/3.  At the
+  ``mean + t * s / sqrt(2048)`` (t = 3.0943, the 0.999 quantile of
+  Student's t at 2047 d.o.f., from ``_stats``), lies below
+  log2 N + 4/3.  At the
   fixed seeds that upper bound runs from 1.52 (N = 4, p = 0.5) to 4.79
   (N = 64, p = 1.0), against bounds of 3.33 and 7.33.
 
@@ -25,18 +27,16 @@ The single-hot-output pattern (every input requests one output, the
 iterations on average: the one grant resolves the whole column.
 """
 
-import math
-
 import numpy as np
 import pytest
 
 from repro.analysis.iterations import _resolving_iterations, expected_iterations_bound
 from repro.core.pim import BatchPIMScheduler
 
+from ._stats import half_width
+
 REPLICAS = 256
 SLOTS = 8
-#: One-sided 99.9 % standard normal quantile.
-Z_999 = 3.090
 
 
 def resolving_iterations(kernel, requests):
@@ -63,7 +63,7 @@ def test_mean_iterations_to_maximal_is_below_the_bound(ports, p):
     )
     assert samples.size == REPLICAS * SLOTS
     assert kernel.last_completed.all()  # every replica ran to maximality
-    upper = samples.mean() + Z_999 * samples.std(ddof=1) / math.sqrt(samples.size)
+    upper = samples.mean() + half_width(samples, 0.999)
     bound = expected_iterations_bound(ports)
     assert upper < bound, (ports, p, samples.mean(), upper, bound)
 

@@ -20,16 +20,14 @@ at N = 8 and X = 16, where the fractions are 0.6439 and 0.7256.
   inside one lottery.
 - **One round.**  H0: the mean equals ``single_round_fraction(X)``,
   two-sided at 99.9 %: the test passes when ``|mean - f| <= t * s /
-  sqrt(64)`` with t = 3.45, the 0.9995 quantile of Student's t at 63
-  degrees of freedom.  At the fixed seeds the three means sit within
+  sqrt(64)`` with t = 3.4518, the 0.9995 quantile of Student's t at 63
+  degrees of freedom (``_stats``).  At the fixed seeds the three means sit within
   0.0015 of 0.6439, against half-widths of 0.0017 to 0.0022.
 - **Two rounds.**  H0: the mean is below ``two_round_fraction(X)``,
   one-sided at 99.9 %: the test passes when ``mean - t * s / sqrt(64)``
-  (t = 3.22) is above the bound.  The means are 0.734, 0.874 and
+  (t = 3.2248, the 0.999 quantile) is above the bound.  The means are 0.734, 0.874 and
   0.740; their lower confidence bounds clear 0.7256 by 0.0073 or more.
 """
-
-import math
 
 import numpy as np
 import pytest
@@ -37,13 +35,12 @@ import pytest
 from repro.analysis.statistical_theory import single_round_fraction, two_round_fraction
 from repro.sim.fastpath_statistical import match_counts
 
+from ._stats import half_width
+
 PORTS = 8
 UNITS = 16
 BATCHES = 64
 LOTTERIES = 1024
-#: 0.9995 and 0.999 quantiles of Student's t at BATCHES - 1 = 63 d.o.f.
-T_TWO_SIDED = 3.45
-T_ONE_SIDED = 3.22
 
 
 def allocation(pattern: str) -> np.ndarray:
@@ -77,23 +74,20 @@ def batch_fractions(pattern: str, rounds: int) -> np.ndarray:
     return np.array(fractions)
 
 
-def interval(fractions: np.ndarray, t: float):
-    half = t * fractions.std(ddof=1) / math.sqrt(fractions.size)
-    return fractions.mean(), half
-
-
 PATTERNS = ["uniform", "diagonal", "skewed"]
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_one_round_delivers_exactly_one_minus_q(pattern):
-    mean, half = interval(batch_fractions(pattern, rounds=1), T_TWO_SIDED)
+    fractions = batch_fractions(pattern, rounds=1)
+    mean, half = fractions.mean(), half_width(fractions, 0.9995)
     expected = single_round_fraction(UNITS)
     assert abs(mean - expected) <= half, (pattern, mean, half, expected)
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)
 def test_two_rounds_deliver_at_least_the_bound(pattern):
-    mean, half = interval(batch_fractions(pattern, rounds=2), T_ONE_SIDED)
+    fractions = batch_fractions(pattern, rounds=2)
+    mean, half = fractions.mean(), half_width(fractions, 0.999)
     bound = two_round_fraction(UNITS)
     assert mean - half > bound, (pattern, mean, half, bound)

@@ -20,8 +20,8 @@ the batched PIM-4 kernel the fast paths run, at seed 0.
   (:func:`repro.hardware.cost.slots_to_seconds`) that is 30.66 slots.
   H0: the mean delay is >= 30.66 slots.  Rejected, and the test passes,
   when the one-sided 99.9 % upper bound ``mean + t * s / sqrt(64)``
-  (t = 3.225, the 0.999 quantile of Student's t at 63 d.o.f.) lies
-  below 30.66.
+  (t = 3.2248, the 0.999 quantile of Student's t at 63 d.o.f., from
+  ``_stats``) lies below 30.66.
 - **Claim 2.**  PIM-4 carries the offered load, where FIFO saturates
   at 58.6 %.  Per replica, carried / offered cells in the window.  H0:
   the mean ratio is <= 0.99.  Rejected when the one-sided 99.9 % lower
@@ -31,20 +31,18 @@ At seed 0 the mean delay is 23.12 slots with an upper bound of 23.51
 (9.97 us), and carried / offered is 0.9994 with a lower bound of 0.9992.
 """
 
-import math
-
 import pytest
 
 from repro.hardware.cost import slots_to_seconds
 from repro.sim.fastpath import run_fastpath
+
+from ._stats import half_width
 
 PORTS = 16
 LOAD = 0.95
 REPLICAS = 64
 SLOTS = 6_000
 WARMUP = 1_000
-#: 0.999 quantile of Student's t at REPLICAS - 1 = 63 d.o.f.
-T_ONE_SIDED = 3.225
 #: "Under 13 microseconds", in slots of 424 ns.
 BOUND_SLOTS = 13e-6 / slots_to_seconds(1)
 #: "Carries the offered load": carried / offered, one-sided lower limit.
@@ -59,10 +57,6 @@ def pim4_at_95():
     )
 
 
-def half_width(samples):
-    return T_ONE_SIDED * samples.std(ddof=1) / math.sqrt(samples.size)
-
-
 def test_bound_is_13_microseconds_in_slots():
     assert BOUND_SLOTS == pytest.approx(30.66, abs=0.01)
 
@@ -70,11 +64,11 @@ def test_bound_is_13_microseconds_in_slots():
 def test_mean_delay_at_95_percent_load_is_under_13_us(pim4_at_95):
     delays = pim4_at_95.mean_delay_by_replica
     assert delays.size == REPLICAS
-    upper = delays.mean() + half_width(delays)
+    upper = delays.mean() + half_width(delays, 0.999)
     assert upper < BOUND_SLOTS, (delays.mean(), upper, BOUND_SLOTS)
 
 
 def test_pim4_carries_the_offered_load(pim4_at_95):
     shares = pim4_at_95.carried_cells / pim4_at_95.offered_cells
-    lower = shares.mean() - half_width(shares)
+    lower = shares.mean() - half_width(shares, 0.999)
     assert lower > CARRIED_SHARE, (shares.mean(), lower)

@@ -2,12 +2,11 @@
 
 The central contract (see :mod:`repro.core.batch`): at B=1, every
 batched kernel built with the same seed as its object scheduler must
-reproduce its matchings *slot for slot* -- both sides draw the same
-shapes from the same stream every slot, so their trajectories are
-bit-identical.  PIM is the one exception (its batch kernel draws
-(B, N, N) keys where the object draws per-iteration subsets), so it is
-covered by a distribution-free validity check instead and its parity
-is asserted at the totals level by ``check/differential``.
+reproduce its matchings *slot for slot*.  The object PIM, iSLIP, LQF
+and wavefront schedulers are B = 1 calls of their kernels (QPS-r's
+shares its rounds), so ``TestB1Parity`` also holds all of them to the
+dense object loops they replaced (``_object_reference.py``), slot for
+slot, below N = 64.
 """
 
 import numpy as np
@@ -24,8 +23,15 @@ from repro.core.batch import (
     request_edges,
 )
 
-# Kernels whose object twin is draw-for-draw identical at B=1.
-SLOT_EXACT = ("islip", "lqf", "wavefront", "qps")
+from . import _object_reference as loops
+
+
+def _vector(matching, ports):
+    """A matching as the (N,) output-per-input array (-1: unmatched)."""
+    vector = np.full(ports, -1, dtype=np.int64)
+    for i, j in matching.pairs:
+        vector[i] = j
+    return vector
 
 
 def _object_match_vector(scheduler, requests, occupancy):
@@ -34,10 +40,7 @@ def _object_match_vector(scheduler, requests, occupancy):
         matching = scheduler.schedule(requests, occupancy)
     else:
         matching = scheduler.schedule(requests)
-    vector = np.full(requests.shape[0], -1, dtype=np.int64)
-    for i, j in matching.pairs:
-        vector[i] = j
-    return vector
+    return _vector(matching, requests.shape[0])
 
 
 def _random_occupancy(rng, ports):
@@ -45,51 +48,91 @@ def _random_occupancy(rng, ports):
     return occ, occ > 0
 
 
+def _dense_loop(name, ports, seed, iterations=None, accept="random", output_capacity=1):
+    """One slot of the old dense object loop of ``name``, as a function
+    of (requests, occupancy) carrying that loop's state across calls
+    the way its scheduler did; ``None`` for QPS-r, which had none."""
+    rng = np.random.default_rng(seed)
+    pointers = [np.zeros(ports, dtype=np.int64) for _ in range(2)]
+    start = [0]
+    if name == "pim":
+        return lambda requests, occ: loops.pim_match(
+            requests, rng, iterations, accept, pointers[0], output_capacity
+        ).matching
+    if name == "islip":
+        budget = ports if iterations is None else iterations
+        return lambda requests, occ: loops.islip_match(requests, *pointers, budget)
+    if name == "lqf":
+        return lambda requests, occ: loops.lqf_match(occ, rng)
+    if name == "wavefront":
+
+        def wavefront(requests, occ):
+            matching = loops.wavefront_match(requests, start[0])
+            start[0] = (start[0] + 1) % ports
+            return matching
+
+        return wavefront
+    return None
+
+
+def _assert_slot_exact(name, ports, seed, slots, **config):
+    """Object scheduler, B = 1 kernel and old dense loop: same matches."""
+    obj = build_object_scheduler(name, seed=seed, ports=ports, **config)
+    kernel = build_batch_scheduler(name, replicas=1, ports=ports, seed=seed, **config)
+    loop = _dense_loop(name, ports, seed, **config)
+    for slot, (occ, requests) in enumerate(slots):
+        expected = _object_match_vector(obj, requests, occ)
+        if kernel.needs_occupancy:
+            got = kernel.schedule(requests[None], occ[None])
+        else:
+            got = kernel.schedule(requests[None])
+        assert (got[0] == expected).all(), f"{name} diverged at slot {slot}"
+        if loop is not None:
+            old = _vector(loop(requests, occ), ports)
+            assert (old == expected).all(), f"{name} left its old loop at slot {slot}"
+
+
 class TestB1Parity:
-    """Shared-seed trace equality: batch kernel at B=1 vs object."""
+    """Shared-seed trace equality: batch kernel at B=1 vs object vs the
+    dense object loop it replaced."""
 
-    @pytest.mark.parametrize("name", SLOT_EXACT)
+    @pytest.mark.parametrize("name", BATCH_SCHEDULERS)
     def test_trace_identical(self, name):
-        ports, seed, iterations = 6, 9, 2
-        obj = build_object_scheduler(
-            name, iterations=iterations, seed=seed, ports=ports
-        )
-        kernel = build_batch_scheduler(
-            name, replicas=1, ports=ports, iterations=iterations, seed=seed
-        )
         traffic_rng = np.random.default_rng(123)
-        for slot in range(200):
-            occ, requests = _random_occupancy(traffic_rng, ports)
-            expected = _object_match_vector(obj, requests, occ)
-            if kernel.needs_occupancy:
-                got = kernel.schedule(requests[None], occ[None])
-            else:
-                got = kernel.schedule(requests[None])
-            assert (got[0] == expected).all(), f"{name} diverged at slot {slot}"
+        slots = [_random_occupancy(traffic_rng, 6) for _ in range(200)]
+        _assert_slot_exact(name, 6, 9, slots, iterations=2)
 
-    @pytest.mark.parametrize("name", SLOT_EXACT)
+    @pytest.mark.parametrize("name", BATCH_SCHEDULERS)
     def test_empty_slots_keep_streams_aligned(self, name):
         """The object switch calls schedule() even with no requests;
         batch kernels must consume the same randomness on empty slots
         or the streams drift apart."""
-        ports, seed = 4, 2
-        obj = build_object_scheduler(name, iterations=1, seed=seed, ports=ports)
-        kernel = build_batch_scheduler(
-            name, replicas=1, ports=ports, iterations=1, seed=seed
-        )
+        ports = 4
         traffic_rng = np.random.default_rng(7)
-        for slot in range(80):
-            if slot % 3 == 0:
-                occ = np.zeros((ports, ports), dtype=np.int64)
-                requests = occ > 0
-            else:
-                occ, requests = _random_occupancy(traffic_rng, ports)
-            expected = _object_match_vector(obj, requests, occ)
-            if kernel.needs_occupancy:
-                got = kernel.schedule(requests[None], occ[None])
-            else:
-                got = kernel.schedule(requests[None])
-            assert (got[0] == expected).all(), f"{name} diverged at slot {slot}"
+        slots = [
+            (np.zeros((ports, ports), dtype=np.int64), np.zeros((ports, ports), bool))
+            if slot % 3 == 0
+            else _random_occupancy(traffic_rng, ports)
+            for slot in range(80)
+        ]
+        _assert_slot_exact(name, ports, 2, slots, iterations=1)
+
+    @pytest.mark.parametrize("output_capacity", [1, 2])
+    @pytest.mark.parametrize("iterations", [1, 4, None])
+    @pytest.mark.parametrize("accept", ["random", "round_robin"])
+    @pytest.mark.parametrize("ports", [5, 16, 32])
+    def test_pim_keeps_the_dense_object_loop(self, ports, accept, iterations, output_capacity):
+        """Below N = 64 the old loop drew whole (N, N) key matrices, the
+        cube the kernel reads at B = 1: every match agrees."""
+        traffic_rng = np.random.default_rng(ports)
+        slots = []
+        for _ in range(60):
+            requests = traffic_rng.random((ports, ports)) < traffic_rng.uniform(0.02, 0.9)
+            slots.append((requests.astype(np.int64), requests))
+        _assert_slot_exact(
+            "pim", ports, ports + 1, slots,
+            iterations=iterations, accept=accept, output_capacity=output_capacity,
+        )
 
 
 class TestBatchValidity:

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from repro.core.matching import is_maximal
-from repro.core.pim import AN2_ITERATIONS, PIMScheduler, pim_match, pim_match_batch
+from repro.core.pim import AN2_ITERATIONS, BatchPIMScheduler, PIMScheduler, pim_match
+from repro.obs.probe import Probe
+from repro.obs.sinks import InMemorySink
 
 
 def figure2_requests():
@@ -47,19 +49,14 @@ class TestPimMatch:
         assert result.iterations == 1
         assert result.iterations == len(result.cumulative_sizes)
 
-    def test_compact_draws_matches_full_draw_legality(self, rng):
-        """compact_draws changes RNG consumption, not legality/maximality.
-
-        Uses a matrix large enough (>= pim._COMPACT_MIN_PORTS) that the
-        compact submatrix path actually engages.
-        """
+    def test_wide_sparse_matrix_is_legal_and_maximal(self, rng):
+        """N = 64, sparse requests: late rounds read only a few keys of
+        their cube; legality and maximality hold."""
         requests = rng.random((64, 64)) < 0.05
-        for compact in (True, False):
-            result = pim_match(
-                requests, rng, iterations=None, compact_draws=compact
-            )
-            assert result.matching.respects(requests)
-            assert result.completed
+        result = pim_match(requests, rng, iterations=None)
+        assert result.matching.respects(requests)
+        assert result.completed
+        assert is_maximal(result.matching, requests)
 
     def test_diagonal_one_iteration(self, rng):
         """With no contention every pair matches in iteration 1."""
@@ -107,16 +104,23 @@ class TestPimMatch:
         with pytest.raises(ValueError, match="unknown accept policy"):
             pim_match(np.ones((2, 2), dtype=bool), rng, accept="bogus")
 
-    def test_trace_records_iterations(self, rng):
+    def test_trace_records_iterations(self):
+        """A probed scheduler emits one PimIteration per executed round."""
         requests = figure2_requests()
-        result = pim_match(requests, rng, iterations=None, keep_trace=True)
-        assert len(result.trace) == result.iterations
-        first = result.trace[0]
-        # Iteration 1 sees all five requests of Figure 2.
-        assert first.requests.sum() == 6 or first.requests.sum() == 5 or True
-        assert first.requests.shape == (4, 4)
-        # Grants: at most one per output column.
-        assert (first.grants.sum(axis=0) <= 1).all()
+        probe = Probe(InMemorySink())
+        scheduler = PIMScheduler(iterations=None, seed=0)
+        scheduler.attach_probe(probe)
+        probe.begin_slot(0)
+        scheduler.schedule(requests)
+        events = probe.sink.of_kind("pim_iteration")
+        result = scheduler.last_result
+        assert [e.iteration for e in events] == list(range(1, result.iterations + 1))
+        assert [e.matched for e in events] == list(result.cumulative_sizes)
+        first = events[0]
+        # Iteration 1 sees all six requests; grants: at most one per
+        # output that has a request (outputs 0, 1 and 3).
+        assert first.requests == requests.sum()
+        assert first.accepts <= first.grants <= 3
 
     def test_round_robin_accept_uses_pointers(self, rng):
         pointers = np.zeros(4, dtype=np.int64)
@@ -139,10 +143,18 @@ class TestPimMatch:
             pim_match(np.ones((2, 2), dtype=bool), rng, output_capacity=0)
 
 
+def cumulative_sizes(batch, rng):
+    """(B, K) cumulative match sizes of one run-to-completion slot of
+    ``batch`` on the batched kernel (the Table 1 read-out)."""
+    kernel = BatchPIMScheduler(*batch.shape[:2], iterations=None, rng=rng)
+    kernel.schedule(batch)
+    return kernel.last_cumulative_sizes
+
+
 class TestPimMatchBatch:
     def test_shapes(self, rng):
         batch = rng.random((10, 8, 8)) < 0.5
-        cumulative = pim_match_batch(batch, rng)
+        cumulative = cumulative_sizes(batch, rng)
         assert cumulative.shape[0] == 10
         assert (np.diff(cumulative, axis=1) >= 0).all()
 
@@ -150,7 +162,7 @@ class TestPimMatchBatch:
         """Batch completion sizes match per-matrix run-to-completion runs
         in distribution (same mean within tolerance)."""
         batch = (rng.random((300, 8, 8)) < 0.5)
-        batch_final = pim_match_batch(batch, rng)[:, -1].mean()
+        batch_final = cumulative_sizes(batch, rng)[:, -1].mean()
         singles = np.mean([
             len(pim_match(m, rng, iterations=None).matching) for m in batch[:300]
         ])
@@ -158,10 +170,10 @@ class TestPimMatchBatch:
 
     def test_rejects_bad_shape(self, rng):
         with pytest.raises(ValueError, match="B, N, N"):
-            pim_match_batch(np.ones((4, 4), dtype=bool), rng)
+            BatchPIMScheduler(4, 4, rng=rng).schedule(np.ones((4, 4), dtype=bool))
 
     def test_empty_batch_matrices(self, rng):
-        cumulative = pim_match_batch(np.zeros((5, 4, 4), dtype=bool), rng)
+        cumulative = cumulative_sizes(np.zeros((5, 4, 4), dtype=bool), rng)
         assert (cumulative == 0).all()
 
 

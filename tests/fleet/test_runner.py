@@ -1,6 +1,12 @@
 """The fleet runner: cell execution, sharding, resume, and recording."""
 
 import dataclasses
+import multiprocessing
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
@@ -14,17 +20,21 @@ from repro.fleet.spec import expand_cells, parse_spec
 from repro.fleet.store import SweepStore
 from repro.obs.store import PerfStore, gate
 
+REPO_SRC = Path(__file__).resolve().parents[2] / "src"
+
+
+#: A tiny but real delay sweep (4 cells, fast path, small slots).
+MINI = {
+    "name": "mini",
+    "kind": "delay",
+    "grid": {"scheduler": ["pim", "islip"], "load": [0.5, 0.9]},
+    "defaults": {"ports": 4, "slots": 30, "replicas": 2, "iterations": 1},
+}
+
 
 def make_spec(**overrides):
-    """A tiny but real delay sweep (4 cells, fast path, small slots)."""
-    document = {
-        "name": "mini",
-        "kind": "delay",
-        "grid": {"scheduler": ["pim", "islip"], "load": [0.5, 0.9]},
-        "defaults": {"ports": 4, "slots": 30, "replicas": 2, "iterations": 1},
-    }
-    document.update(overrides)
-    return parse_spec(document)
+    """The MINI sweep with top-level keys overridden."""
+    return parse_spec({**MINI, **overrides})
 
 
 def metrics_by_key(records):
@@ -181,6 +191,51 @@ class TestRunSweep:
     def test_rejects_bad_pool(self, tmp_path):
         with pytest.raises(ValueError, match="pool"):
             run_sweep(make_spec(), tmp_path / "r.jsonl", pool=0)
+
+    def test_a_worker_that_dies_mid_cell_becomes_error_records(self, tmp_path):
+        """A worker killed mid-cell breaks the pool; the sweep must
+        return with an error record for each unfinished cell, not wait
+        on the dead worker forever.  The sweep runs in a subprocess with
+        a timeout, so a hang fails this test instead of stalling the
+        suite."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the dying cell runner reaches workers by fork")
+        store = tmp_path / "r.jsonl"
+        script = textwrap.dedent(
+            f"""
+            import os
+            from repro.fleet import runner
+            from repro.fleet.spec import parse_spec
+
+            delay = runner._KIND_RUNNERS["delay"]
+
+            def dies_on_cell_1(cell):
+                if cell.index == 1:
+                    os._exit(3)
+                return delay(cell)
+
+            runner._KIND_RUNNERS["delay"] = dies_on_cell_1
+            spec = parse_spec({MINI!r})
+            outcome = runner.run_sweep(spec, {str(store)!r}, pool=2)
+            print(outcome.ran, len(outcome.records), len(outcome.errors))
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        ran, finished, errors = map(int, done.stdout.split())
+        assert ran == 4 and finished + errors == 4 and errors >= 1
+        records = SweepStore(store).load()
+        broken = [r for r in records if r["status"] == "error"]
+        assert len(broken) == errors
+        assert all("BrokenProcessPool" in r["error"] for r in broken)
+        assert 1 in {r["index"] for r in broken}
+        again = run_sweep(make_spec(), store)
+        assert again.ok and again.ran == errors  # the error cells rerun
 
 
 class TestSweepRecording:

@@ -82,6 +82,15 @@ class TestLFSRAdapter:
         scalar = rng.random()
         assert 0 <= scalar < 1
 
+    def test_one_replica_cube_keeps_one_register_per_port(self):
+        """PIM draws (1, N, N) cubes: column j must still come from
+        register j, as in an (N, N) draw, not from the flat round-robin
+        path of 1-D draws."""
+        cube = lfsr_pim_rng().random((1, 8, 8))
+        matrix = lfsr_pim_rng().random((8, 8))
+        assert cube.shape == (1, 8, 8)
+        assert cube[0].tobytes() == matrix.tobytes()
+
     def test_integers(self):
         rng = lfsr_pim_rng()
         for _ in range(100):

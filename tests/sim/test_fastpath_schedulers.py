@@ -2,10 +2,9 @@
 
 ``run_fastpath``/``run_fastpath_cbr``/``run_fastpath_network`` take a
 ``scheduler=`` registry name; every kernel must conserve cells on every
-backend, and the four kernels with draw-for-draw object twins must
-pass the *slot-exact* backend parity check (seed-matched twins produce
-bit-identical matched-cell series -- ``check.differential`` raises on
-the first divergent slot).
+backend and pass the *slot-exact* backend parity check (seed-matched
+object twins produce bit-identical matched-cell series --
+``check.differential`` raises on the first divergent slot).
 """
 
 import numpy as np
@@ -22,9 +21,8 @@ from repro.sim.fastpath_network import run_fastpath_network
 from repro.switch.cell import ServiceClass
 from repro.switch.flow import Flow
 
-# Kernels whose object twin replays the same RNG stream at B=1, making
-# the per-slot matched-cell series bit-identical (PIM's batch kernel
-# draws different shapes, so it is held to the totals invariant only).
+# Kernels checked at iterations=2 below; PIM runs at its AN2 budget in
+# test_pim_totals_parity.
 SLOT_EXACT = ("islip", "lqf", "wavefront", "qps")
 
 
@@ -61,6 +59,7 @@ class TestSlotExactParity:
         assert report.ok
 
     def test_pim_totals_parity(self):
+        """PIM-4 on the same oracle: matched cells equal on every slot."""
         assert backend_parity(6, 0.6, 200, seed=3, scheduler="pim").ok
 
 
