@@ -1,7 +1,8 @@
 """Closed-form results from the paper's appendices, as checkable code.
 
-- :mod:`repro.analysis.iterations` -- Appendix A: the 3/4 resolution
-  lemma and the E[C] <= log2(N) + 4/3 iteration bound,
+- :mod:`repro.analysis.iterations` -- Appendix A: the E[C] <= log2(N)
+  + 4/3 iteration bound (it and the 3/4 resolution lemma are tier-1
+  claims in ``tests/claims/test_appendix_a.py``),
 - :mod:`repro.analysis.statistical_theory` -- Appendix C: the 63% / 72%
   statistical-matching throughput fractions,
 - :mod:`repro.analysis.hol` -- Karol's 2 - sqrt(2) head-of-line
@@ -14,11 +15,7 @@
   named-scenario runs.
 """
 
-from repro.analysis.iterations import (
-    expected_iterations_bound,
-    measure_iterations,
-    measure_unresolved_decay,
-)
+from repro.analysis.iterations import expected_iterations_bound
 from repro.analysis.statistical_theory import (
     single_round_fraction,
     two_round_fraction,
@@ -76,8 +73,6 @@ __all__ = [
     "bar_chart",
     "line_chart",
     "expected_iterations_bound",
-    "measure_iterations",
-    "measure_unresolved_decay",
     "single_round_fraction",
     "two_round_fraction",
     "SINGLE_ROUND_LIMIT",

@@ -7,25 +7,17 @@ unresolved while both its input and output are unmatched), from which
     E[C] <= log2(N) + 4/3
 
 iterations to reach a maximal match, independent of the request
-pattern.  The functions here measure both facts empirically so the
-Appendix A bench can put measured numbers next to the bound.
+pattern.  Both facts are tier-1 statistical claims on the batched PIM
+kernel (``tests/claims/test_appendix_a.py``); this module holds the
+bound and the convention that reads C off a slot's matching sizes.
 """
 
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+from typing import Tuple
 
-import numpy as np
-
-from repro.core.matching import as_request_matrix
-from repro.core.pim import pim_match
-
-__all__ = [
-    "expected_iterations_bound",
-    "measure_iterations",
-    "measure_unresolved_decay",
-]
+__all__ = ["expected_iterations_bound"]
 
 
 def expected_iterations_bound(ports: int) -> float:
@@ -35,36 +27,9 @@ def expected_iterations_bound(ports: int) -> float:
     return math.log2(ports) + 4.0 / 3.0
 
 
-def measure_iterations(
-    ports: int,
-    request_probability: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> Tuple[float, int]:
-    """Empirical (mean, max) iterations for PIM to reach maximality.
-
-    Each trial draws an i.i.d. Bernoulli request matrix and runs PIM to
-    completion; the count is the number of iterations that added at
-    least one pair, plus the final confirming iteration -- matching
-    Appendix A's C, "the step on which the last request is resolved".
-    """
-    if trials < 1:
-        raise ValueError("need at least one trial")
-    if not 0.0 <= request_probability <= 1.0:
-        raise ValueError(f"probability must be in [0, 1], got {request_probability}")
-    total = 0.0
-    worst = 0
-    for _ in range(trials):
-        requests = rng.random((ports, ports)) < request_probability
-        result = pim_match(requests, rng, iterations=None)
-        iterations = _resolving_iterations(result.cumulative_sizes)
-        total += iterations
-        worst = max(worst, iterations)
-    return total / trials, worst
-
-
 def _resolving_iterations(cumulative_sizes: Tuple[int, ...]) -> int:
-    """Number of iterations up to and including the last that added a pair."""
+    """Number of iterations up to and including the last that added a pair
+    -- Appendix A's C, "the step on which the last request is resolved"."""
     last_useful = 0
     previous = 0
     for index, size in enumerate(cumulative_sizes, start=1):
@@ -72,53 +37,3 @@ def _resolving_iterations(cumulative_sizes: Tuple[int, ...]) -> int:
             last_useful = index
         previous = size
     return last_useful
-
-
-def measure_unresolved_decay(
-    ports: int,
-    request_probability: float,
-    trials: int,
-    rng: np.random.Generator,
-) -> List[float]:
-    """Mean unresolved-request counts after each iteration.
-
-    Appendix A's lemma implies the sequence should decay by a factor of
-    at least 4 per iteration on average.  Returns the mean counts
-    (index 0 is before any iteration).
-    """
-    sums: List[float] = []
-    for _ in range(trials):
-        requests = as_request_matrix(rng.random((ports, ports)) < request_probability)
-        counts = _unresolved_trajectory(requests, rng)
-        for index, count in enumerate(counts):
-            if index == len(sums):
-                sums.append(0.0)
-            sums[index] += count
-    return [s / trials for s in sums]
-
-
-def _unresolved_trajectory(requests: np.ndarray, rng: np.random.Generator) -> List[int]:
-    """Unresolved request counts before/after each PIM iteration."""
-    n = requests.shape[0]
-    input_matched = np.zeros(n, dtype=bool)
-    output_matched = np.zeros(n, dtype=bool)
-    counts = [int(requests.sum())]
-    while True:
-        active = requests & ~input_matched[:, None] & ~output_matched[None, :]
-        if not active.any():
-            break
-        keys = np.where(active, rng.random(active.shape), -1.0)
-        grant_input = keys.argmax(axis=0)
-        has_request = keys.max(axis=0) >= 0.0
-        grants = np.zeros_like(active)
-        cols = np.nonzero(has_request)[0]
-        grants[grant_input[cols], cols] = True
-        keys2 = np.where(grants, rng.random(grants.shape), -1.0)
-        accept_output = keys2.argmax(axis=1)
-        has_grant = keys2.max(axis=1) >= 0.0
-        rows = np.nonzero(has_grant)[0]
-        input_matched[rows] = True
-        output_matched[accept_output[rows]] = True
-        active = requests & ~input_matched[:, None] & ~output_matched[None, :]
-        counts.append(int(active.sum()))
-    return counts

@@ -43,7 +43,7 @@ class FlowSpec:
 
     ``rate`` is the cells-per-slot injection rate; ``rate >= 1`` makes
     the flow *greedy* (always has a cell ready -- the saturated sources
-    of Figure 9).
+    of Figure 9), ``inf`` included.  A negative or NaN rate is rejected.
     """
 
     flow_id: int
@@ -52,8 +52,10 @@ class FlowSpec:
     rate: float
 
     def __post_init__(self) -> None:
-        if self.rate < 0:
-            raise ValueError(f"rate must be non-negative, got {self.rate}")
+        if not self.rate >= 0:  # NaN compares false
+            raise ValueError(
+                f"flow {self.flow_id}: rate must be non-negative, got {self.rate}"
+            )
 
 
 class HostSource:

@@ -12,20 +12,30 @@ switch-stacked arrays (no Cell objects, no per-switch containers):
 - ``ring (R, S + 1, B, F)``: cells in flight, by landing slot modulo
   R = longest link latency + 1 and by the switch they land at (index S:
   the flow's destination host);
-- ``pending (H, B, M)``: cells waiting at each source host for each of
-  its (up to M) flows; a greedy flow's count never runs out;
+- ``pending (H * B, M)``: cells waiting at each source host in each
+  replica for each of its (up to M) flows; a greedy flow's count never
+  runs out;
 - one :class:`repro.sim.flowring.FlowRing` row per (VOQ that several
-  flows share, replica): the flows with cells queued there, in
+  flows share, replica): the queues of its flows with cells there, in
   :class:`repro.switch.buffers.VOQBuffer`'s round-robin order.  A VOQ
   with a single flow (the common case) needs none.
 
+The slot loop reads and writes all of it through 1-D views and flat
+indices -- a queue ``(s * B + b) * F + f``, a VOQ cell ``(s * B + b) *
+P * P + voq``, a host lane ``(h * B + b) * M + m``, a ledger ``b * F +
+f`` -- and looks the plan up in tables spread over the replicas
+(:class:`_Lanes`), so each step of the delivery, injection and
+transfer passes is a 1-D gather (``take``), mask or scatter
+(``flat[idx] += 1``) -- no 2-D or 3-D fancy indexing.
+
 A slot is one kernel call per *turn* between three whole-fabric passes:
 
-1. *delivery*: one ``nonzero`` over the landing ring slice completes
-   the cells that reached their host, one more buffers every arriving
-   cell at every switch;
+1. *delivery*: one ``nonzero`` over the landing slot's plane of the
+   ring; its host part completes cells end to end, the rest buffers
+   every arriving cell at every switch;
 2. *injection*: all hosts at once -- credit check, Bernoulli arrivals
-   from per-(host, replica) uniform pools, round-robin flow pick;
+   from per-(host, replica) pools of pre-drawn outcomes, round-robin
+   flow pick;
 3. *kernel*: a turn is a compile-time group of T equal-width switches
    that one :class:`repro.core.batch.BatchScheduler` call (any registry
    scheduler, PIM by default) schedules over their stacked
@@ -111,7 +121,7 @@ class _HostPlan:
     """Injection tables of the H source hosts, stacked.
 
     Hosts with a stochastic flow come first (``stochastic`` of them), so
-    the uniform pools and their cursors cover a leading slice.  M is the
+    the draw pools and their cursors cover a leading slice.  M is the
     largest number of flows on one host; a host with fewer pads its row
     with columns that never have a cell (rate 0, not greedy).
     """
@@ -154,6 +164,64 @@ class _FabricPlan:
     turns: Tuple[np.ndarray, ...]  # switches scheduled together, in turn order
     ring_slots: int  # R: longest link latency + 1
     hosts: _HostPlan
+
+
+class _Lanes(NamedTuple):
+    """The plan's tables spread over the B replicas, so that the slot loop
+    reads each with one ``take`` of a flat index.
+
+    ``_run`` keeps its state 1-D over four flat index spaces:
+
+    - a *queue* ``(s * B + b) * F + f``: flow f's cells at switch s in
+      replica b (``queued``); with s = S, the flow's destination host,
+      it is also the flow's place in one slot's plane of the in-flight
+      ring;
+    - a *VOQ cell* ``(s * B + b) * P * P + voq`` (``occ``);
+    - a *host lane* ``(h * B + b) * M + m``: host h's column m in
+      replica b (``pending``);
+    - a *ledger* ``b * F + f`` (the per-flow counters).
+
+    A ``*_hop`` entry is ``latency * plane + q``, q the queue the cell
+    lands in and ``plane`` = (S + 1) * B * F: added to the current
+    slot's plane offset, modulo the ring, it is the cell's place in the
+    in-flight ring.  Entries of a flow at a switch it does not cross,
+    or of a VOQ no flow uses, are never read.
+    """
+
+    queue_cell: np.ndarray  # by queue: the VOQ cell its arrivals buffer in
+    queue_hop: np.ndarray  # by queue: where its departures land
+    cell_queue: np.ndarray  # by VOQ cell: the queue of its sole flow, else -1
+    cell_row: np.ndarray  # by VOQ cell: its FlowRing row if shared, else -1
+    lane_ledger: np.ndarray  # by host lane: the flow's ledger index
+    lane_hop: np.ndarray  # by host lane: where its injections land
+    lane_next: np.ndarray  # by host lane: rr_offsets row once it has sent
+
+
+def _spread(plan: _FabricPlan, B: int, F: int) -> _Lanes:
+    """The :class:`_Lanes` of ``plan`` for B replicas of F flows."""
+    S, PP, hosts = len(plan.ports), plan.width**2, plan.hosts
+    M = hosts.flows.shape[1]
+    plane = (S + 1) * B * F
+    b = np.arange(B)[:, None]
+    switch = np.arange(S)[:, None, None]
+    sb = switch * B + b  # (S, B, 1)
+    sf = switch * F + np.arange(F)  # (S, 1, F)
+    sv = switch * PP + np.arange(PP)  # (S, 1, P * P)
+    sole, ring = plan.voq_flow[sv], plan.voq_ring[sv]
+    host = np.arange(hosts.flows.shape[0])[:, None, None]
+    flows = hosts.flows[:, None, :]  # (H, 1, M)
+    spread = _Lanes(
+        queue_cell=sb * PP + plan.flow_voq[sf],
+        queue_hop=plan.next_lat[sf] * plane + (plan.next_hop[sf] * B + b) * F + sf % F,
+        cell_queue=np.where(sole >= 0, sb * F + sole, -1),
+        cell_row=np.where(ring >= 0, ring * B + b, -1),
+        lane_ledger=b * F + flows,
+        lane_hop=(hosts.latency[:, None, None] * plane)
+        + (hosts.dest[:, None, None] * B + b) * F
+        + flows,
+        lane_next=((host * M + hosts.rr_next[:, None, :]) * M).repeat(B, axis=1),
+    )
+    return _Lanes(*(table.ravel() for table in spread))
 
 
 @dataclass
@@ -546,6 +614,7 @@ class NetworkFastpath:
             limit = self.buffer_limit
             names = self._switch_names
             replica = np.arange(B)
+            lanes = _spread(plan, B, F)
 
             occ = np.zeros((S, B, P, P), dtype=np.int64)
             occ_flat = occ.reshape(-1)
@@ -554,6 +623,7 @@ class NetworkFastpath:
             queued_flat = queued.reshape(-1)
             ring = np.zeros((R, S + 1, B, F), dtype=bool)
             ring_flat = ring.reshape(-1)
+            plane = (S + 1) * BF
             eligible = FlowRing(plan.ring_switch.size * B, plan.ring_width)
 
             # One kernel per turn, over its switches' sched:{switch} streams.
@@ -596,9 +666,10 @@ class NetworkFastpath:
                     )
                 )
             gated = np.flatnonzero((hosts.dest < S) & (limit is not None))
-            gate_rows = (hosts.dest[gated, None] * B + replica) * P + hosts.port[
-                gated, None
-            ]
+            gate_lanes = (gated[:, None] * B + replica).ravel()
+            gate_rows = (
+                (hosts.dest[gated, None] * B + replica) * P + hosts.port[gated, None]
+            ).ravel()
 
             # Hosts: replica 0 consumes the object simulator's host:{h}
             # stream; extra replicas get independent derived streams.
@@ -611,8 +682,15 @@ class NetworkFastpath:
                 ]
                 for name in hosts.names[:stochastic]
             ]
+            # The pools hold each uniform's outcome (u < the rate of the
+            # flow it is drawn for), not the uniform: the draws are the
+            # same, the pool is an eighth of the size.
             pool_len = hosts.draws[:stochastic, None] * _HOST_CHUNK_SLOTS
-            pools = np.zeros((stochastic, B, int(pool_len.max(initial=0))))
+            pool_rates = np.zeros((stochastic, int(pool_len.max(initial=0))))
+            for h in range(stochastic):
+                drawn = hosts.rates[h][~hosts.greedy[h]][: hosts.draws[h]]
+                pool_rates[h, : pool_len[h, 0]] = np.tile(drawn, _HOST_CHUNK_SLOTS)
+            pools = np.zeros((stochastic, B, pool_rates.shape[1]), dtype=bool)
             pools_flat = pools.reshape(-1)
             # Where in pools_flat each (host, replica, flow) reads once
             # the (host, replica) cursor is added.
@@ -623,21 +701,24 @@ class NetworkFastpath:
             )
             pool_cursor = np.broadcast_to(pool_len, (stochastic, B)).copy()
             draws_per_slot = hosts.draws[:stochastic, None]
-            arrival_rates = hosts.rates[:stochastic, None, :]
-            pending = np.where(hosts.greedy, _ALWAYS_PENDING, 0)[:, None, :].repeat(
-                B, axis=1
-            )
-            rr_cursor = np.zeros((H, B), dtype=np.int64)
-            host_col = np.arange(H)[:, None]
+            drawing = hosts.rates[:stochastic, None, :] > 0  # greedy and padding: no draw
+            # (H * B, M): row h * B + b is host h in replica b.
+            pending = np.where(hosts.greedy, _ALWAYS_PENDING, 0).repeat(B, axis=0)
+            pending_flat = pending.reshape(-1)
+            rr_offsets = hosts.rr_offsets.reshape(-1)
+            rr_row = np.arange(H).repeat(B) * M * M  # cursor 0's row of rr_offsets
+            column = np.arange(M)
             free = np.ones((H, B), dtype=bool)
+            free_flat = free.reshape(-1)
 
-        injected = np.zeros((B, F), dtype=np.int64)
-        delivered_total = np.zeros((B, F), dtype=np.int64)
-        delivered_window = np.zeros((B, F), dtype=np.int64)
-        delay_cells = np.zeros((B, F), dtype=np.int64)
-        delay_integral = np.zeros((B, F), dtype=np.int64)
-        in_system_warm = np.zeros((B, F), dtype=np.int64)
-        cold_outstanding = np.zeros((B, F), dtype=np.int64)
+        # Ledgers, flat over (replica, flow): b * F + f.
+        injected = np.zeros(BF, dtype=np.int64)
+        delivered_total = np.zeros(BF, dtype=np.int64)
+        delivered_window = np.zeros(BF, dtype=np.int64)
+        delay_cells = np.zeros(BF, dtype=np.int64)
+        delay_integral = np.zeros(BF, dtype=np.int64)
+        in_system_warm = np.zeros(BF, dtype=np.int64)
+        cold_outstanding = np.zeros(BF, dtype=np.int64)
 
         if record_series:
             series_inj = np.zeros((slots, F), dtype=np.int64)
@@ -646,79 +727,78 @@ class NetworkFastpath:
             series_backlog = np.zeros((slots, S), dtype=np.int64)
 
         for t in range(slots):
+            now = t % R * plane  # this slot's plane of ring_flat
             # -- 1. Link deliveries land: host arrivals complete end to
             #       end, switch arrivals buffer.
             with timer.phase("delivery"):
-                landing = ring[t % R]
+                landing = ring_flat[now : now + plane]
+                at = landing.nonzero()[0]
+                landing[:] = False
+                # The host plane comes last: its cells are b * F + f on.
+                home = at.searchsorted(S * BF)
+                done = at[home:] - S * BF
+                at = at[:home]  # the queue each arrival buffers in
                 if record_series:
-                    series_del[t] = landing[S, 0]
-                bb, ff = landing[S].nonzero()
-                if bb.size:
-                    delivered_total[bb, ff] += 1
-                    if t >= warmup:
-                        delivered_window[bb, ff] += 1
-                    cold = cold_outstanding[bb, ff] > 0
-                    cold_outstanding[bb[cold], ff[cold]] -= 1
-                    warm_b, warm_f = bb[~cold], ff[~cold]
-                    delay_cells[warm_b, warm_f] += 1
-                    in_system_warm[warm_b, warm_f] -= 1
+                    series_del[t][done[done < F]] = 1
+                delivered_total[done] += 1
+                if t >= warmup:
+                    delivered_window[done] += 1
+                cold = cold_outstanding.take(done) > 0
+                cold_outstanding[done[cold]] -= 1
+                warm = done[~cold]
+                delay_cells[warm] += 1
+                in_system_warm[warm] -= 1
                 # One cell per link direction per slot means at most one
                 # arrival per (switch, replica, input): every index below
                 # is unique and plain fancy updates are safe.
-                at = landing[:S].ravel().nonzero()[0]  # flat (switch, replica, flow)
-                if at.size:
-                    sb, ff = np.divmod(at, F)
-                    sf = sb // B * F + ff
-                    occ_flat[sb * PP + plan.flow_voq[sf]] += 1
-                    before = queued_flat[at]
-                    queued_flat[at] = before + 1
-                    # Empty -> non-empty in a shared VOQ: becomes eligible.
-                    shared_voq = plan.flow_ring[sf]
-                    joins = ((shared_voq >= 0) & (before == 0)).nonzero()[0]
-                    eligible.append(
-                        shared_voq[joins] * B + sb[joins] % B, ff[joins]
-                    )
-                landing[:] = False
+                cell = lanes.queue_cell.take(at)
+                occ_flat[cell] += 1
+                before = queued_flat.take(at)
+                queued_flat[at] = before + 1
+                # Empty -> non-empty in a shared VOQ: becomes eligible.
+                row = lanes.cell_row.take(cell)
+                joins = ((row >= 0) & (before == 0)).nonzero()[0]
+                eligible.append(row.take(joins), at.take(joins))
 
             # -- 2. Hosts inject one cell each (credit-checked first;
             #       a blocked host consumes no draws, like the object).
             arrivals_span = timer.phase("arrivals")
             arrivals_span.__enter__()
             if gated.size:
-                free[gated] = occ_rows[gate_rows].sum(axis=2) < limit
+                free_flat[gate_lanes] = occ_rows[gate_rows].sum(axis=1) < limit
             spent = pool_cursor >= pool_len
             if spent.any():
                 for h, b in np.argwhere(spent).tolist():
                     length = int(pool_len[h, 0])
-                    pools[h, b, :length] = host_gens[h][b].random(length)
+                    uniforms = host_gens[h][b].random(length)
+                    pools[h, b, :length] = uniforms < pool_rates[h, :length]
                     pool_cursor[h, b] = 0
-            arrived = pools_flat[pool_at + pool_cursor[:, :, None]] < arrival_rates
+            arrived = pools_flat.take(pool_at + pool_cursor[:, :, None])
+            arrived &= drawing
             arrived &= free[:stochastic, :, None]
-            pending[:stochastic] += arrived
+            pending[: stochastic * B] += arrived.reshape(-1, M)
             pool_cursor += free[:stochastic] * draws_per_slot
             ready = pending > 0
-            ready &= free[:, :, None]
+            ready &= free_flat[:, None]
             # Round-robin over the host's stable flow list: the first
-            # ready flow at or after the cursor.
-            score = np.where(ready, hosts.rr_offsets[host_col, rr_cursor], M)
-            pick = score.argmin(axis=2)
-            hh, bb = ready.any(axis=2).nonzero()
-            if hh.size:
-                pick = pick[hh, bb]
-                rr_cursor[hh, bb] = hosts.rr_next[hh, pick]
-                pending[hh, bb, pick] -= 1
-                fsel = hosts.flows[hh, pick]
-                injected[bb, fsel] += 1
-                if t >= warmup:
-                    in_system_warm[bb, fsel] += 1
-                else:
-                    cold_outstanding[bb, fsel] += 1
-                landing_slot = (t + hosts.latency[hh]) % R
-                ring_flat[
-                    (landing_slot * (S + 1) + hosts.dest[hh]) * BF + bb * F + fsel
-                ] = True
-                if record_series:
-                    series_inj[t, fsel[bb == 0]] = 1
+            # ready flow at or after the cursor, i.e. the ready lane of
+            # least offset.  Offsets of one host's flows are distinct and
+            # below M, so ``initial`` only keeps a row with no ready lane
+            # (all M) from matching its own minimum.
+            score = np.where(ready, rr_offsets.take(rr_row[:, None] + column), M)
+            first = score.min(axis=1, keepdims=True, initial=M - 1)
+            lane = (score == first).ravel().nonzero()[0]
+            rr_row[lane // M] = lanes.lane_next.take(lane)
+            pending_flat[lane] -= 1
+            sent = lanes.lane_ledger.take(lane)
+            injected[sent] += 1
+            if t >= warmup:
+                in_system_warm[sent] += 1
+            else:
+                cold_outstanding[sent] += 1
+            ring_flat[(lanes.lane_hop.take(lane) + now) % ring.size] = True
+            if record_series:
+                series_inj[t][sent[sent < F]] = 1
             arrivals_span.__exit__(None, None, None)
 
             # -- 3. Switches schedule, a turn per kernel call; its matched
@@ -736,7 +816,7 @@ class NetworkFastpath:
                 # Depths are read at requests only; no request left, no draw.
                 match = sched.schedule(wants, depth).ravel()
                 matched = (match >= 0).nonzero()[0]
-                cells = rows[matched] + match[matched]  # flat occ index
+                cells = rows.take(matched) + match.take(matched)  # flat occ index
                 occ_flat[cells] -= 1
                 departed.append(cells)
             if departed:
@@ -744,36 +824,28 @@ class NetworkFastpath:
                 if check and (occ_flat[cells] < 0).any():
                     at = cells[occ_flat[cells].argmin()] // (B * PP)
                     raise AssertionError(f"negative VOQ occupancy at {names[at]}")
-                sb, voq = np.divmod(cells, PP)
-                ss = sb // B
-                sv = ss * PP + voq
-                # The departing flow: the VOQ's only one, or the front of
-                # its round-robin ring.
-                flow = plan.voq_flow[sv]
-                shared = (flow < 0).nonzero()[0]
-                ring_rows = plan.voq_ring[sv[shared]] * B + sb[shared] % B
+                # The departing queue: the VOQ's only flow's, or the
+                # front of its round-robin ring.
+                queue = lanes.cell_queue.take(cells)
+                shared = (queue < 0).nonzero()[0]
+                row = lanes.cell_row.take(cells.take(shared))
                 try:
-                    flow[shared] = served = eligible.pop(ring_rows)
+                    queue[shared] = served = eligible.pop(row)
                 except EmptyRing as empty:
                     name = names[plan.ring_switch[empty.row // B]]
                     raise IndexError(
                         f"slot {t}: a cell departed from a shared VOQ of "
                         f"{name} with no eligible flow"
                     ) from None
-                at = sb * F + flow
-                left = queued_flat[at] - 1
-                queued_flat[at] = left
+                left = queued_flat.take(queue) - 1
+                queued_flat[queue] = left
                 # Flow still has cells here: rotate to the back.
-                stays = left[shared] > 0
-                eligible.rejoin(ring_rows[stays], served[stays])
-                sf = ss * F + flow
-                landing_slot = (t + plan.next_lat[sf]) % R
-                # ``at`` is ss * BF + (replica, flow): swap the switch.
-                ring_flat[
-                    (landing_slot * (S + 1) + plan.next_hop[sf] - ss) * BF + at
-                ] = True
+                stays = left.take(shared) > 0
+                eligible.rejoin(row[stays], served[stays])
+                ring_flat[(lanes.queue_hop.take(queue) + now) % ring.size] = True
                 if record_series:
-                    series_xfer[t] = np.bincount(ss[sb % B == 0], minlength=S)
+                    sb = queue // F
+                    series_xfer[t] = np.bincount(sb[sb % B == 0] // B, minlength=S)
             kernel_span.__exit__(None, None, None)
 
             with timer.phase("update"):
@@ -782,7 +854,7 @@ class NetworkFastpath:
                     series_backlog[t] = occ[:, 0].sum(axis=(1, 2))
                 if check:
                     self._check_slot(
-                        t, plan, occ, queued, ring, eligible, pending,
+                        t, plan, lanes, occ, queued, ring, eligible, pending,
                         injected, delivered_total,
                     )
 
@@ -802,22 +874,24 @@ class NetworkFastpath:
             replicas=B,
             slots=slots,
             warmup=warmup,
-            delivered=delivered_window,
-            injected=injected,
-            delay_cells=delay_cells,
-            delay_integral=delay_integral,
+            delivered=delivered_window.reshape(B, F),
+            injected=injected.reshape(B, F),
+            delay_cells=delay_cells.reshape(B, F),
+            delay_integral=delay_integral.reshape(B, F),
             final_backlog=final_backlog,
             series=series,
         )
 
     def _check_slot(
-        self, t, plan, occ, queued, ring, eligible, pending, injected, delivered
+        self, t, plan, lanes, occ, queued, ring, eligible, pending, injected, delivered
     ) -> None:
         """The ``check=True`` invariants at the end of slot ``t``."""
+        S, B, F = queued.shape
         buffered = occ.sum(axis=(0, 2, 3))
         in_flight = ring.sum(axis=(0, 1, 3))
         if not np.array_equal(
-            injected.sum(axis=1), delivered.sum(axis=1) + buffered + in_flight
+            injected.reshape(B, F).sum(axis=1),
+            delivered.reshape(B, F).sum(axis=1) + buffered + in_flight,
         ):
             raise AssertionError(f"cell conservation violated at slot {t}")
         mismatch = (occ.sum(axis=(2, 3)) != queued.sum(axis=2)).any(axis=1)
@@ -826,14 +900,16 @@ class NetworkFastpath:
             raise AssertionError(f"VOQ/per-flow count mismatch at {name}")
         if (pending < 0).any():
             raise AssertionError(f"negative host backlog at slot {t}")
-        # A shared VOQ's ring lists exactly its flows with cells queued.
-        S, B, F = queued.shape
-        row, flow = eligible.entries()
+        # A shared VOQ's ring lists exactly its queues with cells, each
+        # in its own row.
+        row, queue = eligible.entries()
         listed = np.zeros((S, B, F), dtype=bool)
-        listed[plan.ring_switch[row // B], row % B, flow] = True
+        listed.reshape(-1)[queue] = True
         shared = (plan.flow_ring >= 0).reshape(S, 1, F)
-        if listed.sum() != row.size or not np.array_equal(
-            listed, (queued > 0) & shared
+        if (
+            listed.sum() != queue.size
+            or not np.array_equal(listed, (queued > 0) & shared)
+            or (lanes.cell_row.take(lanes.queue_cell.take(queue)) != row).any()
         ):
             raise AssertionError(
                 f"round-robin rings out of step with queued flows at slot {t}"

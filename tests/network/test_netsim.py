@@ -36,6 +36,17 @@ class TestFlowSpec:
         with pytest.raises(ValueError, match="non-negative"):
             FlowSpec(1, "a", "b", -0.5)
 
+    def test_nan_rate_rejected_naming_the_flow(self):
+        """A NaN rate compares false with every threshold, so it used to
+        pass ``rate < 0`` and make a flow that silently never injects."""
+        with pytest.raises(ValueError, match=r"flow 7: .*non-negative, got nan"):
+            FlowSpec(7, "a", "b", float("nan"))
+
+    def test_infinite_rate_is_a_greedy_flow(self):
+        sim = NetworkSimulator(single_switch_topology(), seed=0)
+        sim.add_flow(FlowSpec(1, "a", "sink", float("inf")))
+        assert sim.run(slots=200, warmup=0).delivered[1] >= 195
+
 
 class TestNetworkSimulator:
     def test_single_flow_full_rate(self):

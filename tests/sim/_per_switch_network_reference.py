@@ -1,7 +1,8 @@
 """Test-only oracle: the fabric slot loop with one kernel call per switch.
 
 This is ``NetworkFastpath._run`` (and the ``_Turn`` table it read) as it
-stood before the stacked turns, kept verbatim: every busy switch gets
+stood before the stacked turns, kept verbatim, with the ``_check_slot``
+of that layout (the production loop has since gone flat): every busy switch gets
 its own ``BatchScheduler`` over its own ``sched:{switch}`` generator and
 is scheduled in ``topology.switches()`` order, a switch whose requests
 are all credit-blocked is skipped before any draw.  It pins the
@@ -329,3 +330,32 @@ class PerSwitchNetworkFastpath(NetworkFastpath):
             final_backlog=final_backlog,
             series=series,
         )
+
+    def _check_slot(
+        self, t, plan, occ, queued, ring, eligible, pending, injected, delivered
+    ) -> None:
+        """The ``check=True`` invariants at the end of slot ``t``."""
+        buffered = occ.sum(axis=(0, 2, 3))
+        in_flight = ring.sum(axis=(0, 1, 3))
+        if not np.array_equal(
+            injected.sum(axis=1), delivered.sum(axis=1) + buffered + in_flight
+        ):
+            raise AssertionError(f"cell conservation violated at slot {t}")
+        mismatch = (occ.sum(axis=(2, 3)) != queued.sum(axis=2)).any(axis=1)
+        if mismatch.any():
+            name = self._switch_names[int(np.flatnonzero(mismatch)[0])]
+            raise AssertionError(f"VOQ/per-flow count mismatch at {name}")
+        if (pending < 0).any():
+            raise AssertionError(f"negative host backlog at slot {t}")
+        # A shared VOQ's ring lists exactly its flows with cells queued.
+        S, B, F = queued.shape
+        row, flow = eligible.entries()
+        listed = np.zeros((S, B, F), dtype=bool)
+        listed[plan.ring_switch[row // B], row % B, flow] = True
+        shared = (plan.flow_ring >= 0).reshape(S, 1, F)
+        if listed.sum() != row.size or not np.array_equal(
+            listed, (queued > 0) & shared
+        ):
+            raise AssertionError(
+                f"round-robin rings out of step with queued flows at slot {t}"
+            )

@@ -26,6 +26,7 @@ from repro.core.wavefront import WavefrontScheduler
 from repro.network.netsim import FlowSpec, NetworkSimulator
 from repro.network.topologies import build, mesh
 from repro.sim.fastpath_network import NetworkFastpath, run_fastpath_network
+from repro.sim.rng import RandomStreams
 from . import _per_switch_network_reference as reference
 from .test_fastpath_network import _lopsided_fabric
 
@@ -69,9 +70,10 @@ def _fabric(name):
     return topo, _random_flows(hosts, 8, seed=len(hosts))
 
 
-def _run(cls, module, monkeypatch, topo, flows, **options):
+def _run(cls, module, monkeypatch, topo, flows, slots=SLOTS, flags=True, **options):
     """Result of one run plus {initial state: final state} of every
-    generator the run handed to a kernel."""
+    generator the run handed to a kernel.  ``flags`` turns
+    ``record_series`` and ``check`` on together."""
     generators = []
 
     def recording(*args, rng=None, **kwargs):
@@ -86,7 +88,7 @@ def _run(cls, module, monkeypatch, topo, flows, **options):
     sim = cls(topo, **options)
     for flow in flows:
         sim.add_flow(flow)
-    result = sim.run(SLOTS, warmup=10, record_series=True, check=True)
+    result = sim.run(slots, warmup=10, record_series=flags, check=flags)
     monkeypatch.setattr(module, "build_batch_scheduler", build)
     return result, {first: g.bit_generator.state for first, g in generators}
 
@@ -124,6 +126,53 @@ def test_byte_equal_to_the_per_switch_loop(monkeypatch, fabric, buffer_limit, ke
             assert len(got_streams) == len(topo.switches()), where
             assert got_streams == want_streams, where
             assert int(got.delivered.sum()) > 0, where
+
+
+def test_byte_equal_on_the_path_the_suite_times(monkeypatch):
+    """Every case above runs with ``record_series`` and ``check`` on; the
+    suite's ``fabric-fat-tree-k4`` runs with both off, a loop that takes
+    neither branch.  Pin that path at the suite's shape: the k = 4 fat
+    tree, one flow out of and one into every host (shift 3, rates
+    alternating 1.0 / 0.6), B = 64, 100 slots.  Every result array and
+    the final state of every generator -- each kernel's and each named
+    ``sched:`` / ``host:`` stream -- must be byte-equal to the per-switch
+    loop's."""
+    topo, hosts = build("fat_tree", 4)
+    flows = [
+        FlowSpec(k + 1, host, hosts[(k + 3) % len(hosts)], (1.0, 0.6)[k % 2])
+        for k, host in enumerate(hosts)
+    ]
+    named = []
+    get = RandomStreams.get
+
+    def recording(self, name):
+        named.append((name, get(self, name)))
+        return named[-1][1]
+
+    monkeypatch.setattr(RandomStreams, "get", recording)
+    runs = []
+    for cls, module in (
+        (NetworkFastpath, fastpath_network),
+        (reference.PerSwitchNetworkFastpath, reference),
+    ):
+        named.clear()
+        result, kernels = _run(
+            cls, module, monkeypatch, topo, flows, slots=100, flags=False,
+            replicas=64, seed=3,
+        )
+        streams = {name: g.bit_generator.state for name, g in named}
+        runs.append((result, kernels, streams))
+    (got, got_kernels, got_streams), (want, want_kernels, want_streams) = runs
+    assert got.series is None
+    for name in (
+        "delivered", "injected", "delay_cells", "delay_integral", "final_backlog",
+    ):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert len(got_kernels) == 20 and got_kernels == want_kernels
+    # 20 sched: streams, and the 8 stochastic hosts' streams of 64 replicas.
+    assert len(got_streams) == 20 + 8 * 64 and got_streams == want_streams
+    assert int(got.delivered.sum()) > 0
 
 
 def _blocked_skips(topo, flows, **options):
