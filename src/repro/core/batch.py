@@ -45,6 +45,25 @@ a registry name):
   jumps the stream from key to key, a mid-density one computes every
   key from the LCG's closed form in one vectorized pass, and both then
   leave the stream at the cube's end.
+- **Read-ahead**: inside :func:`repro.sim.fastpath.run_slots` the dense
+  draws leave the critical path (:func:`read_ahead`).  The kernel that
+  ``cube_kernel()`` names (PIM, LQF) gets a :class:`KeyRing` when :func:`in_ahead_window` holds: a
+  single PCG64 ``Generator`` with no buffered 32-bit half (no bank, no
+  LFSR), a cube of ``_AHEAD_MIN_CUBE`` = 4,096 to ``_VECTOR_FIXED``
+  doubles (below, a take costs about what the draw it saves does;
+  above, the in-line reader takes the vectorized jump to most keys,
+  cheaper than a producer could draw them all), and at least two CPUs
+  in the process's affinity mask.  A producer thread then draws whole
+  cubes from a clone of the stream, taken at slot 0, into at most
+  three 512 KiB chunks (``random(out=chunk)`` drops the GIL), and
+  ``_cube_keys`` takes each call's keys from the next cube and
+  advances the kernel's own generator by one cube: after every call
+  it stands where the contract says.  The thread starts before slot 0
+  and is joined on the way out, so none outlives a run.  Every take
+  checks that the kernel's stream stands where the cubes taken so far
+  left it, and each chunk carries the clone's state at its start,
+  checked before the chunk is read: a stream moved behind the ring's
+  back raises at the next take, before a key of a stale cube is used.
 - **Stream bank**: a kernel handed a *sequence* of K generators as
   ``rng`` schedules K independent switches in one call
   (:class:`StreamBank`).  Its replica axis is K equal blocks, block k
@@ -83,7 +102,11 @@ everywhere.
 
 from __future__ import annotations
 
+import contextlib
 import copy
+import os
+import queue
+import threading
 from typing import Optional, Tuple
 
 import numpy as np
@@ -91,12 +114,14 @@ import numpy as np
 __all__ = [
     "BATCH_SCHEDULERS",
     "BatchScheduler",
+    "KeyRing",
     "StreamBank",
     "as_request_batch",
     "build_batch_scheduler",
     "build_object_scheduler",
     "line_winners",
     "occupancy_edges",
+    "read_ahead",
     "replay_generator",
     "request_edges",
     "resolve_generator",
@@ -138,6 +163,21 @@ _U32 = np.uint64(32)
 _U58 = np.uint64(58)
 _U63 = np.uint64(63)
 _LOW32 = np.uint64(0xFFFFFFFF)
+
+#: The smallest (B, N, N) key cube :func:`read_ahead` draws ahead, in
+#: doubles.  Its largest is ``_VECTOR_FIXED``: up to there the in-line
+#: reader never takes the vectorized jump, so it draws every cube but
+#: the sparsest densely, which is the work the producer moves off the
+#: critical path; above it the in-line reader jumps to most keys
+#: cheaper than a producer could draw them all.  The smallest is the
+#: least cube where the ring was measured to pay (see DESIGN.md): a
+#: ``take`` reads the kernel's state and advances it, about two
+#: scalar-jumped keys, which at B = 1, N = 16 (256 doubles) is more
+#: than the dense draw it replaces.
+_AHEAD_MIN_CUBE = 4_096
+#: Doubles per read-ahead chunk (512 KiB), and chunks per ring.
+_AHEAD_CHUNK = 1 << 16
+_AHEAD_CHUNKS = 3
 
 
 def as_request_batch(requests: np.ndarray) -> np.ndarray:
@@ -258,6 +298,153 @@ class StreamBank:
         for k in self._armed:
             self.generators[k].random(out=self._blocks[k])
         return self._keys
+
+
+def _fill(generator, chunk: np.ndarray) -> None:
+    """Fill ``chunk`` with uniforms; NumPy drops the GIL while it draws."""
+    generator.random(out=chunk)
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on (1 where the OS cannot say)."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return 1
+
+
+def _lcg_map(inc: int, steps: int) -> Tuple[int, int]:
+    """``(A, C)``: ``steps`` steps of the PCG64 stream with increment
+    ``inc`` map its LCG state s to ``A * s + C`` mod 2**128."""
+    a, c, mult, add = 1, 0, _PCG64_MULTIPLIER, inc
+    while steps:
+        if steps & 1:
+            a, c = a * mult & _MASK128, (c * mult + add) & _MASK128
+        mult, add = mult * mult & _MASK128, (add * mult + add) & _MASK128
+        steps >>= 1
+    return a, c
+
+
+class KeyRing:
+    """Whole key cubes of one PCG64 stream, drawn ahead on a thread.
+
+    A producer thread draws from a clone of ``rng`` into a ring of
+    ``_AHEAD_CHUNKS`` chunks of whole ``cells``-double cubes, in stream
+    order, each chunk tagged with the clone's LCG state at its start.
+    :meth:`take` reads the next cube at the given cells and advances
+    ``rng`` over it, so ``rng`` stands where a dense draw would have
+    left it.  Every take first checks that ``rng`` stands where the
+    cubes taken so far left it, and a chunk's tag must equal that
+    state before its first cube is read: a stream that something else
+    moved, or a producer out of step, raises before any key of a stale
+    cube is returned.
+    """
+
+    def __init__(self, rng, cells: int):
+        self._rng = rng
+        self._cells = cells
+        self._free = queue.SimpleQueue()
+        self._full = queue.SimpleQueue()
+        for _ in range(_AHEAD_CHUNKS):
+            self._free.put(np.empty((_AHEAD_CHUNK // cells, cells)))
+        clone = copy.deepcopy(rng)
+        stream = rng.bit_generator.state["state"]
+        # The LCG state the next take must find, and the map of a cube.
+        self._next = stream["state"]
+        self._step = _lcg_map(stream["inc"], cells)
+        self._closed = False
+        # The chunk being read and the cubes read from it.
+        self._chunk: Optional[np.ndarray] = None
+        self._read = 0
+        self._thread = threading.Thread(
+            target=self._produce, args=(clone,), name="key-ring", daemon=True
+        )
+        self._thread.start()
+
+    def _produce(self, clone) -> None:
+        error = None
+        try:
+            while (chunk := self._free.get()) is not None and not self._closed:
+                start = clone.bit_generator.state["state"]["state"]
+                _fill(clone, chunk)
+                self._full.put((start, chunk))
+        except Exception as exc:  # the reader raises it
+            error = exc
+        finally:  # a reader waiting on a dead producer would wait forever
+            self._full.put((error, None))
+
+    def take(self, cells: np.ndarray) -> np.ndarray:
+        """The next cube's keys at ``cells``; the stream moves one cube."""
+        if self._rng.bit_generator.state["state"]["state"] != self._next:
+            raise RuntimeError(
+                "key read-ahead out of step: something else moved the "
+                "kernel's stream"
+            )
+        if self._chunk is None:
+            start, self._chunk = self._full.get()
+            if self._chunk is None:
+                raise RuntimeError("the key read-ahead failed") from start
+            if start != self._next:
+                raise RuntimeError("key read-ahead out of step with its producer")
+            self._read = 0
+        keys = self._chunk[self._read].take(cells)
+        self._read += 1
+        if self._read == len(self._chunk):
+            self._free.put(self._chunk)
+            self._chunk = None
+        self._rng.bit_generator.advance(self._cells)
+        a, c = self._step
+        self._next = (a * self._next + c) & _MASK128
+        return keys
+
+    def close(self) -> None:
+        """Stop and join the producer."""
+        self._closed = True
+        self._free.put(None)
+        self._thread.join()
+
+
+@contextlib.contextmanager
+def read_ahead(scheduler: "BatchScheduler"):
+    """Draw ``scheduler``'s key cubes on a second core while inside.
+
+    The read-ahead (a :class:`KeyRing` on the kernel
+    ``scheduler.cube_kernel()`` names) runs only where it pays, which
+    :func:`in_ahead_window` decides from the kernel and the process's
+    affinity mask.  The producer is stopped and joined on the way out,
+    however the body ends.
+    """
+    kernel = scheduler.cube_kernel()
+    if kernel is None or not in_ahead_window(kernel):
+        yield
+        return
+    ring = kernel._ring = KeyRing(
+        kernel._rng, kernel.replicas * kernel.ports * kernel.ports
+    )
+    try:
+        yield
+    finally:
+        kernel._ring = None
+        ring.close()
+
+
+def in_ahead_window(kernel: "BatchScheduler") -> bool:
+    """Whether :func:`read_ahead` draws ``kernel``'s cubes ahead.
+
+    It does for a single PCG64 ``Generator`` with no buffered 32-bit
+    half (not a :class:`StreamBank`, not the LFSR adapter), a cube of
+    ``_AHEAD_MIN_CUBE`` to ``_VECTOR_FIXED`` doubles, and a process
+    free to use two CPUs.
+    """
+    rng = kernel._rng
+    cube = kernel.replicas * kernel.ports * kernel.ports
+    return (
+        _AHEAD_MIN_CUBE <= cube <= _VECTOR_FIXED
+        and rng.__class__ is np.random.Generator
+        and rng.bit_generator.__class__ is np.random.PCG64
+        and not rng.bit_generator.state["has_uint32"]
+        and _usable_cpus() >= 2
+    )
 
 
 def _words(x: int) -> Tuple[int, int, int, int]:
@@ -428,10 +615,23 @@ class BatchScheduler:
         # ((stream increment, cube cells), _pcg64_tables) of the last
         # vectorized jump: the tables depend on nothing else.
         self._jump_tables = (None, None)
+        # The KeyRing drawing this kernel's cubes ahead, inside read_ahead.
+        self._ring: Optional[KeyRing] = None
 
     def attach_probe(self, probe) -> None:
         """Attach a :class:`repro.obs.probe.Probe` (None detaches)."""
         self._probe = probe
+
+    def cube_kernel(self) -> Optional["BatchScheduler"]:
+        """The kernel reading this scheduler's key cubes, if any.
+
+        The kernel whose every draw is a :meth:`_cube_keys` call (PIM
+        and LQF return themselves), which :func:`read_ahead` may draw
+        ahead; None for a kernel that draws no cubes or draws anything
+        else, and for the statistical matcher, whose PIM fill was
+        measured slower with its cubes drawn ahead.
+        """
+        return None
 
     def _resolve_streams(self, seed: Optional[int], rng, component: str) -> None:
         """Set ``_rng`` / ``_rng_token`` by the ``(seed, rng)`` convention.
@@ -481,8 +681,11 @@ class BatchScheduler:
         *vectorized jump*, which computes every key from the LCG's
         closed form (:func:`_pcg64_keys`, over jump tables cached per
         stream increment and cube size) and then advances the whole
-        cube.  Every other source draws the whole cube.
+        cube.  Every other source draws the whole cube.  Inside
+        :func:`read_ahead` the cube is the :class:`KeyRing`'s next.
         """
+        if self._ring is not None:
+            return self._ring.take(cells)
         rng = self._rng
         shape = (self.replicas, self.ports, self.ports)
         cube = self.replicas * self.ports * self.ports

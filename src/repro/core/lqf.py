@@ -146,6 +146,9 @@ class BatchLQFScheduler(BatchScheduler):
         super().__init__(replicas, ports, output_capacity=output_capacity)
         self._resolve_streams(seed, rng, "lqf")
 
+    def cube_kernel(self) -> "BatchLQFScheduler":
+        return self
+
     def schedule(
         self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
     ) -> np.ndarray:

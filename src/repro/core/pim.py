@@ -278,6 +278,9 @@ class BatchPIMScheduler(BatchScheduler):
         """
         self._probe = probe
 
+    def cube_kernel(self) -> "BatchPIMScheduler":
+        return self
+
     def schedule(
         self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
     ) -> np.ndarray:

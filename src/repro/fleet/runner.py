@@ -9,7 +9,11 @@ into completed :mod:`repro.fleet.store` records:
   atomic-append line per cell -- so a killed sweep keeps everything
   that finished.  A worker that dies mid-cell breaks the pool; every
   cell without a record then gets an error record, and the sweep
-  returns instead of waiting on the dead worker.
+  returns instead of waiting on the dead worker.  A pool with at least
+  as many workers as the process has CPUs pins each worker to one CPU
+  of its own (round-robin), so no worker's slot loop also starts the
+  key read-ahead thread (:func:`repro.core.batch.read_ahead`) on CPUs
+  its siblings already keep busy.
 - **Determinism.**  A cell's outputs depend only on its derived seed
   (``derive_seed(spec.seed, cell_key)``) and parameters, never on
   which worker ran it or how many workers there were, so pool sizes 1
@@ -42,6 +46,7 @@ Deterministic outputs land in ``metrics``; wall-clock rates land in
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor, as_completed
@@ -497,9 +502,15 @@ def run_sweep(
             if record["status"] != "done":
                 errors.append(record)
     else:
+        context = multiprocessing.get_context()
+        size = min(pool, len(tasks))
+        cpus = sorted(getattr(os, "sched_getaffinity", lambda pid: ())(0))
+        pinned = size >= len(cpus) > 1
         with ProcessPoolExecutor(
-            max_workers=min(pool, len(tasks)),
-            mp_context=multiprocessing.get_context(),
+            max_workers=size,
+            mp_context=context,
+            initializer=_pin_worker if pinned else None,
+            initargs=(context.Value("i", 0), cpus) if pinned else (),
         ) as workers:
             futures = {workers.submit(_run_and_append, task): task for task in tasks}
             for future in as_completed(futures):
@@ -531,6 +542,14 @@ def run_sweep(
         errors=errors,
         records=records,
     )
+
+
+def _pin_worker(counter, cpus: List[int]) -> None:
+    """Pool initializer: pin this worker to the next CPU of ``cpus``."""
+    with counter.get_lock():
+        k = counter.value
+        counter.value += 1
+    os.sched_setaffinity(0, {cpus[k % len(cpus)]})
 
 
 def _note(emit: Callable[[str], None], record: Dict[str, Any]) -> None:

@@ -48,13 +48,13 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler, build_batch_scheduler
+from repro.core.batch import BatchScheduler, build_batch_scheduler, read_ahead
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy
 from repro.obs.perf import NULL_PHASE_TIMER
 from repro.sim.flowring import EmptyRing, FlowRing
 from repro.sim.rng import RandomStreams, default_seed
 from repro.sim.stats import FlowStats
-from repro.traffic.flows import arrivals_batch
+from repro.traffic.flows import WindowedSource, arrivals_batch
 
 __all__ = ["FastpathCrossbar", "FastpathResult", "run_fastpath"]
 
@@ -409,10 +409,21 @@ class ScenarioArrivals:
     """
 
     def __init__(self, ports: int, sources: Sequence, slots: int):
+        first: Dict[int, int] = {}
         for b, src in enumerate(sources):
             if src.ports != ports:
                 raise ValueError(
                     f"sources[{b}] is for {src.ports} ports, fastpath has {ports}"
+                )
+            # One stateful source compiled for two replicas would split
+            # its draws between them and count its flows in both.
+            while isinstance(src, WindowedSource):
+                src = src.source
+            a = first.setdefault(id(src), b)
+            if a != b:
+                raise ValueError(
+                    f"sources[{a}] and sources[{b}] are the same source: "
+                    f"give every replica its own"
                 )
         self.ports = ports
         self.replicas = len(sources)
@@ -749,39 +760,45 @@ def run_slots(
     emits the switch's own events; from slot ``warmup`` on each ledger
     accounts its pool.  ``sources[k]`` feeds, and ``ledgers[k]``
     accounts, the k-th pool in the order ``advance`` takes and returns
-    them.  Returns the run's ``(replica-slots, carried cells)``, the
-    totals its ``phase_profile`` event reports once the span is closed.
+    them.  The loop runs under :func:`repro.core.batch.read_ahead`: in
+    its window a thread draws the kernel's key cubes ahead, and it is
+    joined before this returns or raises.  Returns the run's
+    ``(replica-slots, carried cells)``, the totals its
+    ``phase_profile`` event reports once the span is closed.
     """
     traced = probe is not None and probe.enabled
     if traced:
         switch.scheduler.attach_probe(probe)
     drained = [NO_CELLS] * len(sources)
-    for slot in range(slots + drain_slots):
-        with timer.phase("arrivals"):
-            arrivals = [s.slot_cells() for s in sources] if slot < slots else drained
-        if slot == warmup:
-            for ledger in ledgers:
-                ledger.mark()
-        if traced:
-            # Before the kernel, so its per-iteration events see the
-            # right slot and sampling flag; backlog is the pre-arrival
-            # occupancy (the object backends' convention).
-            probe.begin_slot(
-                slot,
-                arrivals=sum(cells.size for cells in arrivals),
-                backlog=sum(int(ledger.pool.sum()) for ledger in ledgers),
-            )
-        with timer.phase("kernel"):
-            departed = switch.advance(slot, arrivals, check)
-        if observer is not None:
-            observer(slot, departed)
-        if traced:
-            switch.trace(probe, slot, departed)
-        if slot < warmup:
-            continue
-        with timer.phase("update"):
-            for ledger, cells, served in zip(ledgers, arrivals, departed):
-                ledger.update(cells, served)
+    with read_ahead(switch.scheduler):
+        for slot in range(slots + drain_slots):
+            with timer.phase("arrivals"):
+                arrivals = (
+                    [s.slot_cells() for s in sources] if slot < slots else drained
+                )
+            if slot == warmup:
+                for ledger in ledgers:
+                    ledger.mark()
+            if traced:
+                # Before the kernel, so its per-iteration events see the
+                # right slot and sampling flag; backlog is the pre-arrival
+                # occupancy (the object backends' convention).
+                probe.begin_slot(
+                    slot,
+                    arrivals=sum(cells.size for cells in arrivals),
+                    backlog=sum(int(ledger.pool.sum()) for ledger in ledgers),
+                )
+            with timer.phase("kernel"):
+                departed = switch.advance(slot, arrivals, check)
+            if observer is not None:
+                observer(slot, departed)
+            if traced:
+                switch.trace(probe, slot, departed)
+            if slot < warmup:
+                continue
+            with timer.phase("update"):
+                for ledger, cells, served in zip(ledgers, arrivals, departed):
+                    ledger.update(cells, served)
     if traced:
         switch.scheduler.attach_probe(None)
     return (

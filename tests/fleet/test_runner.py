@@ -237,6 +237,47 @@ class TestRunSweep:
         again = run_sweep(make_spec(), store)
         assert again.ok and again.ran == errors  # the error cells rerun
 
+    def test_a_pool_as_large_as_the_cpus_pins_each_worker(self, tmp_path):
+        """Two workers on two CPUs: each runs its cells on one CPU, so
+        the key read-ahead (which wants two) stays shut in every worker."""
+        if multiprocessing.get_start_method() != "fork":
+            pytest.skip("the mask-reporting cell runner reaches workers by fork")
+        if len(getattr(os, "sched_getaffinity", lambda pid: ())(0)) < 2:
+            pytest.skip("needs two CPUs in the affinity mask")
+        script = textwrap.dedent(
+            f"""
+            import os
+            from repro.core.batch import in_ahead_window
+            from repro.core.pim import BatchPIMScheduler
+            from repro.fleet import runner
+            from repro.fleet.spec import parse_spec
+
+            os.sched_setaffinity(0, sorted(os.sched_getaffinity(0))[:2])
+            delay = runner._KIND_RUNNERS["delay"]
+
+            def reports_the_mask(cell):
+                resolved, metrics, timing = delay(cell)
+                metrics["cpus"] = sorted(os.sched_getaffinity(0))
+                metrics["ahead"] = in_ahead_window(BatchPIMScheduler(64, 16, seed=0))
+                return resolved, metrics, timing
+
+            runner._KIND_RUNNERS["delay"] = reports_the_mask
+            spec = parse_spec({MINI!r})
+            outcome = runner.run_sweep(spec, {str(tmp_path / "r.jsonl")!r}, pool=2)
+            assert outcome.ok
+            for record in outcome.records:
+                print(len(record["metrics"]["cpus"]), record["metrics"]["ahead"])
+            """
+        )
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO_SRC) + os.pathsep + env.get("PYTHONPATH", "")
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True,
+            text=True, timeout=60,
+        )
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines() == ["1 False"] * 4
+
 
 class TestSweepRecording:
     def test_sweep_entry_flattens_cells(self, tmp_path):
