@@ -1,6 +1,6 @@
 # Convenience targets for the AN2 reproduction.
 
-.PHONY: install test claims check check-full bench bench-fastpath cbr-bench stat-bench network-bench sched-bench scenario-bench bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke bench-full perf-report perf-gate trace-demo examples lint clean
+.PHONY: install test claims check check-full bench bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke bench-full perf-report trace-demo examples lint clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -31,31 +31,6 @@ check-full:
 
 bench:
 	pytest benchmarks/ --benchmark-only -q
-	$(MAKE) bench-fastpath
-
-bench-fastpath:
-	PYTHONPATH=src python benchmarks/perf/bench_fastpath.py --quick --out BENCH_fastpath.json
-
-# Integrated CBR+VBR fast path vs the object backend (asserts the 3x floor).
-cbr-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_cbr_fastpath.py --quick --out BENCH_cbr_fastpath.json
-
-# Statistical-matching fast path vs the object backend (asserts the 3x floor).
-stat-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_stat_fastpath.py --quick --out BENCH_stat_fastpath.json
-
-# Whole-fabric network fast path vs the object backend (asserts the 3x floor).
-network-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_network_fastpath.py --quick --out BENCH_network_fastpath.json
-
-# Every batched kernel vs its object scheduler at the N=16, B=64
-# acceptance point (speedup_vs_object per kernel).
-sched-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_sched_zoo.py --quick --out BENCH_sched_zoo.json
-
-# Named-scenario throughput on both backends (slots/s; no hard floor).
-scenario-bench:
-	PYTHONPATH=src python benchmarks/perf/bench_scenarios.py --quick --out BENCH_scenarios.json
 
 # The repo's benchmark (BENCHMARK.json): eight workloads in absolute
 # units, verified, untraced then traced; results.json + trace.json land
@@ -79,7 +54,8 @@ scenario-smoke:
 
 # Tiny fleet sweep (pim/islip x object/fastpath) through the declarative
 # runner: run (resumable, 2 workers), status, gate on the deterministic
-# throughput metric against the committed fleet_smoke trajectory, and
+# throughput metric against the committed fleet_smoke trajectory (it is
+# seed-exact, so the gate allows no drop at all: --tolerance 0), and
 # write the report table (CI uploads it as an artifact).
 FLEET_SMOKE_SPEC = benchmarks/perf/specs/fleet_smoke.json
 FLEET_SMOKE_STORE = fleet-results/fleet_smoke.jsonl
@@ -89,27 +65,16 @@ fleet-smoke:
 	PYTHONPATH=src python -m repro.cli fleet status $(FLEET_SMOKE_SPEC) \
 		--results $(FLEET_SMOKE_STORE)
 	PYTHONPATH=src python -m repro.cli fleet gate $(FLEET_SMOKE_SPEC) \
-		--results $(FLEET_SMOKE_STORE) --metric throughput
+		--results $(FLEET_SMOKE_STORE) --metric throughput --tolerance 0
 	PYTHONPATH=src python -m repro.cli fleet report $(FLEET_SMOKE_SPEC) \
 		--results $(FLEET_SMOKE_STORE) --out fleet-report.txt
 
 bench-full:
 	REPRO_FULL=1 pytest benchmarks/ --benchmark-only -q
-	PYTHONPATH=src python benchmarks/perf/bench_fastpath.py --out BENCH_fastpath.json
-	PYTHONPATH=src python benchmarks/perf/bench_cbr_fastpath.py --out BENCH_cbr_fastpath.json
-	PYTHONPATH=src python benchmarks/perf/bench_stat_fastpath.py --out BENCH_stat_fastpath.json
-	PYTHONPATH=src python benchmarks/perf/bench_network_fastpath.py --out BENCH_network_fastpath.json
-	PYTHONPATH=src python benchmarks/perf/bench_sched_zoo.py --out BENCH_sched_zoo.json
-	PYTHONPATH=src python benchmarks/perf/bench_scenarios.py --out BENCH_scenarios.json
 
 # Live per-phase wall-time breakdown of the headline fast-path config.
 perf-report:
 	PYTHONPATH=src python -m repro.cli perf report --backend fastpath --replicas 16
-
-# Regression gate over the committed perf history (CI runs this after
-# appending a fresh quick-bench entry to a scratch copy of the history).
-perf-gate:
-	PYTHONPATH=src python -m repro.cli perf gate
 
 # Trace a 16-port PIM run at load 0.9 on both backends, then render
 # the PIM anatomy / backlog summary from the JSONL trace files.

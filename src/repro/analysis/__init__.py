@@ -48,7 +48,6 @@ from repro.analysis.scheduler_study import (
 from repro.analysis.fct_tables import (
     FctRow,
     fct_row,
-    fct_rows_for_record,
     format_fct_table,
 )
 
@@ -62,7 +61,6 @@ __all__ = [
     "run_study",
     "FctRow",
     "fct_row",
-    "fct_rows_for_record",
     "format_fct_table",
     "hol_saturation_limit",
     "output_queueing_delay",

@@ -14,11 +14,11 @@ numbers quoted in the docs come from the same code path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Optional, Sequence
 
 from repro.sim.stats import FlowStats
 
-__all__ = ["FctRow", "fct_row", "format_fct_table", "fct_rows_for_record"]
+__all__ = ["FctRow", "fct_row", "format_fct_table"]
 
 
 @dataclass
@@ -93,27 +93,3 @@ def format_fct_table(rows: Sequence[FctRow]) -> str:
             f"{row.throughput:>7.3f}"
         )
     return "\n".join(lines)
-
-
-def fct_rows_for_record(rows: Sequence[FctRow]) -> List[Dict[str, Any]]:
-    """Flatten FCT rows into ``record_result``-shaped dicts."""
-    out: List[Dict[str, Any]] = []
-    for row in rows:
-        out.append(
-            {
-                "config": {
-                    "scenario": row.scenario,
-                    "scheduler": row.scheduler,
-                    "backend": row.backend,
-                },
-                "flows": row.flows,
-                "incomplete": row.incomplete,
-                "mean_fct": row.mean_fct,
-                "p99_fct": row.p99_fct,
-                "mean_slowdown": row.mean_slowdown,
-                "p99_slowdown": row.p99_slowdown,
-                "mean_delay": row.mean_delay,
-                "throughput": row.throughput,
-            }
-        )
-    return out

@@ -16,10 +16,6 @@ Installed as the ``repro-an2`` console script::
     repro-an2 network --topology mesh --size 4 --backend fastpath --replicas 64
     repro-an2 check --suite network --seeds 10
     repro-an2 perf report --backend fastpath --replicas 16
-    repro-an2 perf report --from-history latest --bench fastpath
-    repro-an2 perf compare prev latest --bench fastpath
-    repro-an2 perf gate --tolerance 0.4
-    repro-an2 perf list
     repro-an2 scenario run --trace run.csv --ports 8 --backend fastpath
     repro-an2 fleet run benchmarks/perf/specs/sched_zoo.json --pool 4
     repro-an2 fleet status benchmarks/perf/specs/sched_zoo.json
@@ -1138,27 +1134,8 @@ def _print_manifest(manifest: dict) -> None:
 
 
 def cmd_perf_report(args: argparse.Namespace) -> int:
-    """Per-phase breakdown: profile a run now, or render a history entry."""
-    from repro.obs.perf import PhaseReport, PhaseTimer, RunManifest
-
-    if args.from_history is not None:
-        store = _history_store(args)
-        try:
-            entry = store.resolve(args.bench, args.from_history)
-        except (LookupError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"bench {entry.bench}, run {entry.run_id}")
-        _print_manifest(entry.manifest)
-        if entry.phases is None:
-            print(
-                f"error: run {entry.run_id} recorded no phase breakdown",
-                file=sys.stderr,
-            )
-            return 1
-        print()
-        print(PhaseReport.from_dict(entry.phases).render())
-        return 0
+    """Per-phase wall-time breakdown of a run profiled now."""
+    from repro.obs.perf import PhaseTimer, RunManifest
 
     timer = PhaseTimer()
     slots_total = args.replicas * args.slots
@@ -1238,89 +1215,6 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_perf_list(args: argparse.Namespace) -> int:
-    """Recorded history entries, per bench."""
-    store = _history_store(args)
-    benches = [args.bench] if args.bench else store.benches()
-    if not benches:
-        print(f"no perf history under {store.root}", file=sys.stderr)
-        return 1
-    status = 0
-    for bench in benches:
-        try:
-            entries = store.load(bench)
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"{bench}: {len(entries)} entries")
-        if not entries and args.bench:
-            status = 1
-        for index, entry in enumerate(entries):
-            sha = entry.manifest.get("git_sha", "unknown")[:12]
-            extra = "  +phases" if entry.phases else ""
-            print(
-                f"  [{index}] {entry.run_id}  git {sha}  "
-                f"{len(entry.results)} results{extra}"
-            )
-    return status
-
-
-def cmd_perf_compare(args: argparse.Namespace) -> int:
-    """Config-by-config diff of two history entries."""
-    from repro.obs.store import compare_entries
-
-    store = _history_store(args)
-    try:
-        entry_a = store.resolve(args.bench, args.run_a)
-        entry_b = store.resolve(args.bench, args.run_b)
-    except (LookupError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    rows = compare_entries(entry_a, entry_b, metric=args.metric)
-    print(f"bench {args.bench}, metric {args.metric}:")
-    print(f"  a = {entry_a.run_id}  (git {entry_a.manifest.get('git_sha', '?')[:12]})")
-    print(f"  b = {entry_b.run_id}  (git {entry_b.manifest.get('git_sha', '?')[:12]})")
-    if not rows:
-        print("  no shared configs carry this metric", file=sys.stderr)
-        return 1
-    for row in rows:
-        print(
-            f"  {row['a']:>12.2f} -> {row['b']:>12.2f}  "
-            f"(x{row['ratio']:.2f})  {row['config']}"
-        )
-    ratios = sorted(row["ratio"] for row in rows)
-    print(f"  ratio b/a: min x{ratios[0]:.2f}, max x{ratios[-1]:.2f}")
-    return 0
-
-
-def cmd_perf_gate(args: argparse.Namespace) -> int:
-    """Gate the newest history entry of each bench against its past."""
-    from repro.obs.store import DEFAULT_TOLERANCE, gate
-
-    store = _history_store(args)
-    tolerance = args.tolerance if args.tolerance is not None else DEFAULT_TOLERANCE
-    benches = [args.bench] if args.bench else store.benches()
-    if not benches:
-        print(f"no perf history under {store.root}", file=sys.stderr)
-        return 1
-    ok = True
-    for bench in benches:
-        try:
-            entries = store.load(bench)
-            if not entries:
-                raise ValueError(f"no history recorded for bench {bench!r}")
-            report = gate(
-                entries, bench=bench, metric=args.metric, tolerance=tolerance
-            )
-        except ValueError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"[{bench}]")
-        print(report.describe())
-        ok = ok and report.ok
-    return 0 if ok else 1
-
-
 def _parse_set(items: Optional[List[str]]) -> dict:
     """Parse repeated ``--set key=value`` flags into a parameter dict.
 
@@ -1381,7 +1275,6 @@ def cmd_fleet_run(args: argparse.Namespace) -> int:
             spec,
             outcome.records,
             history_dir=args.history or DEFAULT_HISTORY_DIR,
-            snapshot=args.snapshot,
         )
         print(f"\nrecorded {entry.bench} run {entry.run_id}")
     return 0
@@ -1425,8 +1318,8 @@ def cmd_fleet_gate(args: argparse.Namespace) -> int:
 
     The sweep store's completed cells become the candidate entry; the
     baseline is every entry recorded for the spec's bench name in the
-    perf history (``fleet run --record`` appends them).  Same median /
-    tolerance policy as ``perf gate``.
+    perf history (``fleet run --record`` appends them).  Each config
+    the two share must reach the baseline median less ``--tolerance``.
     """
     from repro.fleet import SweepStore, sweep_entry
     from repro.obs.store import DEFAULT_TOLERANCE, gate
@@ -1777,15 +1670,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf",
-        help="phase profiles, run manifests, and the perf-history store "
-             "(repro.obs.perf / repro.obs.store)",
+        help="phase profiles and run manifests (repro.obs.perf)",
     )
     perf_sub = perf.add_subparsers(dest="perf_command", required=True)
 
     report = perf_sub.add_parser(
         "report",
-        help="per-phase wall-time breakdown: profile a run now, or render "
-             "the breakdown recorded in a history entry",
+        help="per-phase wall-time breakdown of a run profiled now",
     )
     report.add_argument("--backend", default="fastpath",
                         choices=["fastpath", "cbr", "statistical", "network",
@@ -1798,55 +1689,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--replicas", type=_positive_int, default=8,
                         help="independent replicas (batch backends, default 8)")
     report.add_argument("--seed", type=int, default=0)
-    report.add_argument("--from-history", metavar="REF", default=None,
-                        help="render a recorded entry instead of running: a "
-                             "run id (or unique prefix), an integer index, "
-                             "'latest', or 'prev'")
-    report.add_argument("--bench", default="fastpath",
-                        help="history bench name for --from-history "
-                             "(default fastpath)")
-    report.add_argument("--history", metavar="DIR", default=None,
-                        help="history root (default benchmarks/perf/history)")
     report.set_defaults(func=cmd_perf_report)
-
-    plist = perf_sub.add_parser("list", help="recorded history entries per bench")
-    plist.add_argument("--bench", default=None,
-                       help="one bench only (default: all recorded benches)")
-    plist.add_argument("--history", metavar="DIR", default=None,
-                       help="history root (default benchmarks/perf/history)")
-    plist.set_defaults(func=cmd_perf_list)
-
-    compare = perf_sub.add_parser(
-        "compare", help="config-by-config diff of two history entries"
-    )
-    compare.add_argument("run_a", help="baseline entry: run id (or prefix), "
-                                       "index, 'latest', or 'prev'")
-    compare.add_argument("run_b", help="candidate entry, same references")
-    compare.add_argument("--bench", default="fastpath",
-                         help="history bench name (default fastpath)")
-    compare.add_argument("--metric", default="slots_per_sec",
-                         help="result field to diff (default slots_per_sec)")
-    compare.add_argument("--history", metavar="DIR", default=None,
-                         help="history root (default benchmarks/perf/history)")
-    compare.set_defaults(func=cmd_perf_compare)
-
-    pgate = perf_sub.add_parser(
-        "gate",
-        help="regression gate: newest entry vs the recorded trajectory "
-             "(median of earlier runs, per matching config)",
-    )
-    pgate.add_argument("--bench", default=None,
-                       help="one bench only (default: gate every recorded bench)")
-    pgate.add_argument("--metric", default="speedup_vs_object",
-                       help="result field to gate on (default "
-                            "speedup_vs_object: machine-relative, so a "
-                            "history recorded elsewhere stays meaningful)")
-    pgate.add_argument("--tolerance", type=float, default=None,
-                       help="allowed fractional drop below the baseline "
-                            "median (default 0.4)")
-    pgate.add_argument("--history", metavar="DIR", default=None,
-                       help="history root (default benchmarks/perf/history)")
-    pgate.set_defaults(func=cmd_perf_gate)
 
     fleet = sub.add_parser(
         "fleet",
@@ -1883,9 +1726,6 @@ def build_parser() -> argparse.ArgumentParser:
     frun.add_argument("--history", metavar="DIR", default=None,
                       help="history root for --record "
                            "(default benchmarks/perf/history)")
-    frun.add_argument("--snapshot", metavar="PATH", default=None,
-                      help="also write a human-facing JSON snapshot "
-                           "(with --record)")
     frun.set_defaults(func=cmd_fleet_run)
 
     fstatus = fleet_sub.add_parser(
@@ -1910,7 +1750,8 @@ def build_parser() -> argparse.ArgumentParser:
     fgate = fleet_sub.add_parser(
         "gate",
         help="regression gate: the current sweep store vs the trajectory "
-             "recorded for the spec's bench (same policy as 'perf gate')",
+             "recorded for the spec's bench (per config, against the "
+             "median of the recorded runs)",
     )
     _fleet_common(fgate)
     fgate.add_argument("--metric", default="speedup_vs_object",

@@ -6,8 +6,8 @@ committed spec file (:mod:`repro.fleet.spec`), execution is a
 ``multiprocessing`` pool with per-cell derived seeds
 (:mod:`repro.fleet.runner`), results are an append-only JSONL store
 that resumes across kills (:mod:`repro.fleet.store`), and regression
-gating rides the same :func:`repro.obs.store.gate` trajectory checks
-the perf benches use.  Exposed on the CLI as
+gating checks a sweep against its recorded trajectory with
+:func:`repro.obs.store.gate`.  Exposed on the CLI as
 ``repro-an2 fleet run|status|report|gate``.
 """
 

@@ -37,8 +37,7 @@ network    a multi-switch fabric (``repro.network.topologies.build``)
 
 Every kind accepts ``measure = "run"`` (default: run the configured
 backend once) or ``measure = "speedup"`` (time the object backend and
-the fast path on the same cell and record ``speedup_vs_object`` --
-the ported ``bench_sched_zoo``/``bench_scenarios`` discipline).
+the fast path on the same cell and record ``speedup_vs_object``).
 Deterministic outputs land in ``metrics``; wall-clock rates land in
 ``timing`` and are never part of the resume/determinism contract.
 """
@@ -57,7 +56,6 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.fleet.spec import Cell, FleetSpec, expand_cells
 from repro.fleet.store import SweepStore, cell_record
-from repro.obs.perf import RunManifest
 from repro.obs.store import DEFAULT_HISTORY_DIR, PerfEntry, record_result
 from repro.sim.rng import derive_seed
 
@@ -470,13 +468,15 @@ def run_sweep(
     the sweep at any point loses only in-flight cells.  A worker that
     dies mid-cell breaks the pool: each cell left without a record gets
     an error record (appended here), so it reruns on resume.
-    Already-``done`` cells are skipped.
+    Already-``done`` cells are skipped; a torn trailing record is cut
+    off before any append, so its cell reruns.
     """
     if pool < 1:
         raise ValueError(f"pool must be >= 1, got {pool}")
     emit = progress if progress is not None else (lambda line: None)
     cells = expand_cells(spec, extra_defaults)
     store = SweepStore(store_path)
+    store.drop_torn_tail()
     prior = store.load()
     completed = store.completed(prior)
     pending = [cell for cell in cells if (cell.key, cell.params_hash) not in completed]
@@ -563,52 +563,30 @@ def _note(emit: Callable[[str], None], record: Dict[str, Any]) -> None:
         emit(f"ERROR [{record['index']:>3}] {record['cell_key']}: {first}")
 
 
-def sweep_entry(
-    spec: FleetSpec,
-    records: List[Dict[str, Any]],
-    run_id: Optional[str] = None,
-) -> PerfEntry:
-    """Aggregate a sweep's cell records into one history entry.
+def sweep_entry(spec: FleetSpec, records: List[Dict[str, Any]]) -> PerfEntry:
+    """Aggregate a sweep's cell records into one history entry, unrecorded.
 
     The entry's ``results`` flatten each cell's metrics and timing
     under its recorded config, which is exactly the shape
-    :func:`repro.obs.store.gate` keys on -- so a fleet sweep gates
-    against any trajectory recorded by the legacy benches, provided
-    the spec's ``config_keys`` reproduce their config shape.
+    :func:`repro.obs.store.gate` keys on; ``fleet gate`` checks it as
+    the candidate against the trajectory ``fleet run --record`` wrote.
     """
-    import uuid
-    from datetime import datetime, timezone
-
-    manifest = RunManifest.collect(seed=spec.seed, config=_spec_config(spec))
-    stamp = datetime.now(timezone.utc).strftime("%Y%m%dT%H%M%SZ")
-    return PerfEntry(
-        run_id=run_id or f"{stamp}-{uuid.uuid4().hex[:8]}",
-        bench=spec.bench_name,
-        manifest=manifest.to_dict(),
-        results=[
-            {"config": r["config"], **r["metrics"], **r["timing"]} for r in records
-        ],
-        extras={"spec": spec.name, "kind": spec.kind, "cells": len(records)},
-    )
+    return record_sweep(spec, records, history_dir=None)
 
 
 def record_sweep(
     spec: FleetSpec,
     records: List[Dict[str, Any]],
     history_dir: Optional[Union[str, Path]] = DEFAULT_HISTORY_DIR,
-    snapshot: Optional[Union[str, Path]] = None,
 ) -> PerfEntry:
-    """Record a completed sweep through the single perf write path.
-
-    ``history_dir=None`` writes the snapshot only (no history append).
-    """
+    """Record a completed sweep through the single perf write path
+    (``history_dir=None`` builds the entry without appending it)."""
     return record_result(
         spec.bench_name,
         [{"config": r["config"], **r["metrics"], **r["timing"]} for r in records],
         config=_spec_config(spec),
         seed=spec.seed,
         extras={"spec": spec.name, "kind": spec.kind, "cells": len(records)},
-        snapshot=snapshot,
         history_dir=history_dir,
     )
 

@@ -20,9 +20,9 @@ internals first-class:
 - :mod:`repro.obs.perf` -- the phase profiler (:class:`PhaseTimer`)
   and :class:`RunManifest` provenance stamps threaded through every
   backend's ``run``; **zero overhead when disabled**,
-- :mod:`repro.obs.store` -- the append-only perf-history store all
-  ``benchmarks/perf`` harnesses write through, with the
-  ``repro-an2 perf`` report/compare/gate CLI on top.
+- :mod:`repro.obs.store` -- the append-only perf-history store that
+  ``fleet run --record`` and ``sched-study --record`` write through,
+  and the trajectory gate behind ``repro-an2 fleet gate``.
 
 Quick start::
 

@@ -23,7 +23,7 @@ makes the inside of a run observable:
   (see :meth:`repro.obs.probe.Probe.phase_profile`).
 - :class:`RunManifest` -- who/where/what of a run: git SHA, platform,
   python/numpy versions, root seed, and a stable hash of the config
-  dict.  Attached to every bench result written through
+  dict.  Attached to every history entry written through
   :func:`repro.obs.store.record_result` and (optionally) stamped into
   JSONL traces, so a perf number can always be traced back to the code
   and machine that produced it.

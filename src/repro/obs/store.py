@@ -1,36 +1,31 @@
-"""The unified perf-history store: append-only JSONL + regression gate.
+"""The append-only perf-history store: JSONL entries + regression gate.
 
-Before this module, every perf harness wrote its own one-off
-``BENCH_*.json`` snapshot with a copy-pasted timestamp/platform header
-and asserted a hard-coded 3x floor.  The store replaces that with one
-shared shape:
+Speed is measured by ``benchmarks/suite`` in absolute units; this store
+keeps the *trajectories* that gate a sweep's recorded outputs:
 
-- every bench writes through :func:`record_result`, which stamps a
-  :class:`repro.obs.perf.RunManifest`, keeps the legacy snapshot file
-  for humans, and **appends** one entry per run to
-  ``benchmarks/perf/history/<bench>.jsonl`` -- an append-only history
-  that can be charted, diffed, and gated;
+- :func:`record_result` stamps a :class:`repro.obs.perf.RunManifest`
+  and **appends** one entry per run to
+  ``benchmarks/perf/history/<bench>.jsonl`` (``fleet run --record``,
+  ``sched-study --record``) -- an append-only history that can be
+  charted and gated;
 - :func:`gate` checks the newest entry against the recorded
   *trajectory* (per matching config, against the median of prior
-  runs) with a configurable tolerance, instead of a magic floor;
-- :func:`compare_entries` diffs any two runs config by config.
+  runs) with a configurable tolerance.
 
 Entries are one JSON object per line::
 
-    {"run_id": "...", "bench": "fastpath",
+    {"run_id": "...", "bench": "fleet_smoke",
      "manifest": {git_sha, platform, python_version, numpy_version,
                   seed, config_hash, timestamp, config},
-     "results": [{"config": {...}, "slots_per_sec": ...,
-                  "speedup_vs_object": ...}, ...],
-     "extras": {...},          # bench-specific scalars (baselines, micro-benches)
+     "results": [{"config": {...}, "throughput": ...,
+                  "slots_per_sec": ...}, ...],
+     "extras": {...},          # run-specific scalars (spec, kind, cells)
      "phases": {...} | null}   # optional PhaseReport.to_dict() breakdown
 
 The gate keys results on their *config dict* (canonical JSON), so
 grids can grow or shrink: only configs present in both the candidate
-and the baseline history are checked, and the default metric is the
-machine-relative ``speedup_vs_object`` ratio rather than absolute
-slots/sec, which makes a history recorded on one box meaningful on
-another.
+and the baseline history are checked.  A seed-exact metric such as a
+sweep's ``throughput`` gates machine-independently.
 """
 
 from __future__ import annotations
@@ -42,7 +37,7 @@ import warnings
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Dict, List, Optional, Sequence, Union
 
 from repro.obs.perf import RunManifest
 
@@ -54,14 +49,13 @@ __all__ = [
     "GateCheck",
     "GateReport",
     "gate",
-    "compare_entries",
     "config_key",
     "append_jsonl_line",
     "read_jsonl_records",
 ]
 
 #: Where the repo keeps its committed perf history (relative to the
-#: repo root, where the benches and the CLI run from).
+#: repo root, where the CLI runs from).
 DEFAULT_HISTORY_DIR = os.path.join("benchmarks", "perf", "history")
 
 #: Default gate slack: the candidate may be up to this fraction below
@@ -178,11 +172,6 @@ class PerfEntry:
                 out[config_key(result.get("config", {}))] = float(result[metric])
         return out
 
-    @property
-    def timestamp(self) -> str:
-        """The manifest timestamp ('' when absent)."""
-        return self.manifest.get("timestamp", "")
-
 
 class PerfStore:
     """Append-only JSONL perf history under one directory.
@@ -197,12 +186,6 @@ class PerfStore:
     def path(self, bench: str) -> Path:
         """The history file backing ``bench``."""
         return self.root / f"{bench}.jsonl"
-
-    def benches(self) -> List[str]:
-        """Bench names with recorded history, sorted."""
-        if not self.root.is_dir():
-            return []
-        return sorted(p.stem for p in self.root.glob("*.jsonl"))
 
     def append(self, entry: PerfEntry) -> Path:
         """Append one entry to its bench's history file.
@@ -237,32 +220,6 @@ class PerfStore:
                 raise ValueError(f"{path}: bad history entry: {exc}") from exc
         return entries
 
-    def resolve(self, bench: str, ref: str) -> PerfEntry:
-        """An entry by reference: run id (or unique prefix), ``latest``,
-        ``prev``, or an integer index (negative counts from the end)."""
-        entries = self.load(bench)
-        if not entries:
-            raise LookupError(f"no history recorded for bench {bench!r}")
-        if ref in ("latest", "last", "-1"):
-            return entries[-1]
-        if ref in ("prev", "previous", "-2"):
-            if len(entries) < 2:
-                raise LookupError(f"bench {bench!r} has no previous entry")
-            return entries[-2]
-        try:
-            return entries[int(ref)]
-        except (ValueError, IndexError):
-            pass
-        matches = [e for e in entries if e.run_id.startswith(ref)]
-        if len(matches) == 1:
-            return matches[0]
-        if not matches:
-            raise LookupError(f"no entry of bench {bench!r} matches {ref!r}")
-        raise LookupError(
-            f"{ref!r} is ambiguous for bench {bench!r}: "
-            + ", ".join(e.run_id for e in matches[:5])
-        )
-
 
 def record_result(
     bench: str,
@@ -272,14 +229,13 @@ def record_result(
     seed: Optional[int] = None,
     extras: Optional[Dict[str, Any]] = None,
     phases: Optional[Dict[str, Any]] = None,
-    snapshot: Optional[Union[str, Path]] = None,
     history_dir: Optional[Union[str, Path]] = DEFAULT_HISTORY_DIR,
     manifest: Optional[RunManifest] = None,
 ) -> PerfEntry:
-    """Record one bench run: manifest + snapshot file + history append.
+    """Record one run: stamp a manifest and append it to the history.
 
-    This is the single write path for every ``benchmarks/perf/bench_*``
-    script (it replaces their copy-pasted timestamp/platform headers).
+    This is the single write path of ``fleet run --record`` and
+    ``sched-study --record``.
 
     Parameters
     ----------
@@ -287,23 +243,19 @@ def record_result(
         Store key; history lands in ``<history_dir>/<bench>.jsonl``.
     results:
         Per-grid-point dicts, each with a ``config`` dict plus metric
-        fields (``slots_per_sec``, ``speedup_vs_object``, ...).
+        fields (``throughput``, ``mean_delay``, ``slots_per_sec``, ...).
     config:
         The run's logical configuration, hashed into the manifest.
     seed:
         Root seed recorded in the manifest.
     extras:
-        Bench-specific scalars kept alongside the results (object
-        baselines, micro-bench deltas, floors).
+        Run-specific scalars kept alongside the results.
     phases:
         Optional :meth:`repro.obs.perf.PhaseReport.to_dict` breakdown
-        of a profiled run at the headline grid point.
-    snapshot:
-        When given, also write the human-facing ``BENCH_*.json``
-        snapshot (manifest + extras + results, indented).
+        of a profiled run.
     history_dir:
-        History root; ``None`` skips the history append (snapshots
-        only).
+        History root; ``None`` builds the entry without appending it
+        (the candidate of ``fleet gate``).
     manifest:
         Pre-collected manifest (tests); default collects one now.
 
@@ -320,17 +272,6 @@ def record_result(
         extras=dict(extras or {}),
         phases=phases,
     )
-    if snapshot is not None:
-        payload = {
-            "bench": bench,
-            "run_id": entry.run_id,
-            "manifest": entry.manifest,
-            **entry.extras,
-            "results": entry.results,
-        }
-        if phases is not None:
-            payload["phases"] = phases
-        Path(snapshot).write_text(json.dumps(payload, indent=2) + "\n")
     if history_dir is not None:
         PerfStore(history_dir).append(entry)
     return entry
@@ -433,6 +374,9 @@ def gate(
     but do not fail the gate (grids may grow); with no baseline for any
     of them (first recorded run) nothing can fail either, and the report
     says so as its own outcome, ``ungated``, rather than as a pass.
+    A candidate that carries ``metric`` in none of its results is a
+    :class:`ValueError` naming the fields it does carry: a misspelt or
+    unrecorded metric would otherwise read as ungated.
     """
     if not 0.0 <= tolerance < 1.0:
         raise ValueError(f"tolerance must be in [0, 1), got {tolerance}")
@@ -449,6 +393,14 @@ def gate(
         ok=True,
     )
     candidate_map = candidate.metric_map(metric)
+    if not candidate_map:
+        fields = sorted(
+            {name for result in candidate.results for name in result} - {"config"}
+        )
+        raise ValueError(
+            f"no result of candidate {candidate.run_id} carries metric "
+            f"{metric!r}; its results carry: {', '.join(fields) or 'nothing'}"
+        )
     history_maps = [entry.metric_map(metric) for entry in baseline]
     for key, value in candidate_map.items():
         samples = [m[key] for m in history_maps if key in m]
@@ -471,30 +423,3 @@ def gate(
         )
         report.ok = report.ok and ok
     return report
-
-
-def compare_entries(
-    a: PerfEntry, b: PerfEntry, metric: str = "slots_per_sec"
-) -> List[Dict[str, Any]]:
-    """Config-by-config diff of two entries: value, value, ratio b/a.
-
-    Only configs present in both entries are compared; rows come back
-    in entry-``a`` result order.
-    """
-    map_a = a.metric_map(metric)
-    map_b = b.metric_map(metric)
-    rows = []
-    for result in a.results:
-        key = config_key(result.get("config", {}))
-        if key in map_a and key in map_b:
-            va, vb = map_a[key], map_b[key]
-            rows.append(
-                {
-                    "config": key,
-                    "metric": metric,
-                    "a": va,
-                    "b": vb,
-                    "ratio": vb / va if va else float("inf"),
-                }
-            )
-    return rows

@@ -12,11 +12,16 @@ from tests.conftest import request_matrices
 
 
 def brute_force_maximum(requests):
-    """Exponential reference: try all subsets of edges (tiny n only)."""
+    """Exponential reference: try all subsets of edges (tiny n only).
+
+    A matching has at most ``n`` edges (pigeonhole on the inputs), so
+    the search starts at ``min(n, len(edges))``; no larger subset can
+    be one.
+    """
     n = requests.shape[0]
     edges = [(i, j) for i in range(n) for j in range(n) if requests[i, j]]
     best = 0
-    for k in range(len(edges), 0, -1):
+    for k in range(min(n, len(edges)), 0, -1):
         if k <= best:
             break
         for subset in itertools.combinations(edges, k):

@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from pathlib import Path
 
 import pytest
@@ -162,6 +163,26 @@ class TestRunSweep:
         assert again.skipped == 4 and again.ran == 0
         assert metrics_by_key(again.records) == metrics_by_key(first.records)
 
+    def test_resume_after_a_torn_record_keeps_the_store_loadable(self, tmp_path):
+        # A crash mid-append leaves a fragment with no newline.  A resume
+        # that appended onto it would leave a corrupt interior line that
+        # every later load rejects; the fragment is cut off first and its
+        # cell reruns.
+        spec = make_spec()
+        path = tmp_path / "r.jsonl"
+        full = run_sweep(spec, path)
+        lines = path.read_text().splitlines(keepends=True)
+        path.write_text("".join(lines[:2]) + lines[2][: len(lines[2]) // 2])
+        with pytest.warns(UserWarning, match="torn trailing record dropped"):
+            resumed = run_sweep(spec, path, pool=2)
+        assert resumed.ok
+        assert resumed.skipped == 2 and resumed.ran == 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            records = SweepStore(path).load()
+        assert len(records) == 4
+        assert metrics_by_key(resumed.records) == metrics_by_key(full.records)
+
     def test_changed_params_invalidate_completed_cells(self, tmp_path):
         spec = make_spec()
         path = tmp_path / "r.jsonl"
@@ -303,16 +324,6 @@ class TestSweepRecording:
         report = gate(entries, metric="throughput", tolerance=0.1)
         assert report.ok
         assert len(report.checks) == 4 and not report.skipped
-
-    def test_record_sweep_snapshot_only(self, tmp_path):
-        spec = make_spec()
-        outcome = run_sweep(spec, tmp_path / "r.jsonl")
-        snapshot = tmp_path / "BENCH_mini.json"
-        record_sweep(
-            spec, outcome.records, history_dir=None, snapshot=snapshot
-        )
-        assert snapshot.exists()
-        assert PerfStore(tmp_path).load("mini") == []
 
     def test_reseeded_sweep_changes_metrics(self, tmp_path):
         spec = make_spec()

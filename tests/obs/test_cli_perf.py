@@ -4,26 +4,6 @@ import json
 
 from repro.cli import main
 from repro.obs import read_events
-from repro.obs.store import PerfStore, record_result
-
-
-def seed_history(tmp_path, speedups, bench="fastpath", config=None):
-    """Record one single-result entry per speedup value."""
-    for speedup in speedups:
-        record_result(
-            bench,
-            [
-                {
-                    "config": config or {"ports": 16},
-                    "slots_per_sec": speedup * 1e5,
-                    "speedup_vs_object": speedup,
-                }
-            ],
-            config={"grid": "test"},
-            seed=0,
-            history_dir=tmp_path,
-        )
-    return PerfStore(tmp_path)
 
 
 class TestPerfReport:
@@ -56,141 +36,6 @@ class TestPerfReport:
         out = capsys.readouterr().out
         assert "object/run/kernel" in out
         assert "fastpath/run/kernel" in out
-
-    def test_from_history_renders_recorded_phases(self, tmp_path, capsys):
-        record_result(
-            "fastpath",
-            [{"config": {"ports": 16}, "speedup_vs_object": 9.0}],
-            config={"grid": "test"},
-            history_dir=tmp_path,
-            phases={
-                "phases": [
-                    {"path": "run", "calls": 1, "seconds": 0.2, "share": 0.25},
-                    {"path": "run/kernel", "calls": 9, "seconds": 0.6,
-                     "share": 0.75},
-                ],
-                "wall_seconds": 0.8,
-                "slots": 400,
-                "cells": 100,
-            },
-        )
-        code = main([
-            "perf", "report", "--from-history", "latest",
-            "--bench", "fastpath", "--history", str(tmp_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "bench fastpath, run" in out
-        assert "run/kernel" in out
-        assert "replica-slots/sec" in out
-
-    def test_from_history_without_phases_errors(self, tmp_path, capsys):
-        seed_history(tmp_path, [1.0])
-        code = main([
-            "perf", "report", "--from-history", "latest",
-            "--bench", "fastpath", "--history", str(tmp_path),
-        ])
-        assert code == 1
-        assert "no phase breakdown" in capsys.readouterr().err
-
-    def test_from_history_missing_bench_errors(self, tmp_path, capsys):
-        code = main([
-            "perf", "report", "--from-history", "latest",
-            "--bench", "nope", "--history", str(tmp_path),
-        ])
-        assert code == 1
-        assert "no history" in capsys.readouterr().err
-
-
-class TestPerfList:
-    def test_lists_entries_per_bench(self, tmp_path, capsys):
-        seed_history(tmp_path, [1.0, 2.0])
-        seed_history(tmp_path, [3.0], bench="other")
-        assert main(["perf", "list", "--history", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "fastpath: 2 entries" in out
-        assert "other: 1 entries" in out
-        assert "[0]" in out and "[1]" in out
-
-    def test_empty_history_errors(self, tmp_path, capsys):
-        assert main(["perf", "list", "--history", str(tmp_path)]) == 1
-        assert "no perf history" in capsys.readouterr().err
-
-
-class TestPerfCompare:
-    def test_prev_vs_latest(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0, 12.0])
-        code = main([
-            "perf", "compare", "prev", "latest",
-            "--bench", "fastpath", "--metric", "speedup_vs_object",
-            "--history", str(tmp_path),
-        ])
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "x1.20" in out
-
-    def test_no_shared_metric_errors(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0, 12.0])
-        code = main([
-            "perf", "compare", "prev", "latest",
-            "--bench", "fastpath", "--metric", "no_such_metric",
-            "--history", str(tmp_path),
-        ])
-        assert code == 1
-
-    def test_unknown_ref_errors(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0])
-        code = main([
-            "perf", "compare", "zzz", "latest",
-            "--bench", "fastpath", "--history", str(tmp_path),
-        ])
-        assert code == 1
-        assert "error" in capsys.readouterr().err
-
-
-class TestPerfGate:
-    def test_passes_on_stable_history(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0, 11.0, 10.5])
-        assert main(["perf", "gate", "--history", str(tmp_path)]) == 0
-        assert "gate PASS" in capsys.readouterr().out
-
-    def test_fails_on_synthetic_2x_slowdown(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0, 11.0, 10.5, 5.25])
-        assert main(["perf", "gate", "--history", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "gate FAIL" in out
-        assert "[FAIL]" in out
-
-    def test_first_recorded_run_prints_ungated(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0])
-        assert main(["perf", "gate", "--history", str(tmp_path)]) == 0
-        out = capsys.readouterr().out
-        assert "gate UNGATED" in out and "nothing was checked" in out
-        assert "PASS" not in out
-
-    def test_gates_every_bench_by_default(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0, 10.0])
-        seed_history(tmp_path, [10.0, 4.0], bench="other")
-        assert main(["perf", "gate", "--history", str(tmp_path)]) == 1
-        out = capsys.readouterr().out
-        assert "[fastpath]" in out and "[other]" in out
-
-    def test_custom_tolerance(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0, 8.0])  # -20%
-        assert main([
-            "perf", "gate", "--history", str(tmp_path), "--tolerance", "0.1",
-        ]) == 1
-        assert main([
-            "perf", "gate", "--history", str(tmp_path), "--tolerance", "0.3",
-        ]) == 0
-
-    def test_missing_bench_errors(self, tmp_path, capsys):
-        seed_history(tmp_path, [10.0])
-        code = main([
-            "perf", "gate", "--bench", "nope", "--history", str(tmp_path),
-        ])
-        assert code == 1
-        assert "no history" in capsys.readouterr().err
 
 
 def run_traced_profiled(tmp_path):

@@ -1,6 +1,5 @@
-"""Perf-history store: record_result, resolve, gate, compare."""
+"""Perf-history store: record_result, load, gate."""
 
-import json
 import multiprocessing
 
 import pytest
@@ -11,7 +10,6 @@ from repro.obs.store import (
     PerfStore,
     _median,
     append_jsonl_line,
-    compare_entries,
     config_key,
     gate,
     read_jsonl_records,
@@ -56,17 +54,6 @@ class TestRecordResult:
         ids = {record(tmp_path, 10.0).run_id for _ in range(5)}
         assert len(ids) == 5
 
-    def test_snapshot_file_written(self, tmp_path):
-        snapshot = tmp_path / "BENCH_test.json"
-        entry = record(
-            tmp_path, 10.0, snapshot=snapshot, extras={"floor": 3.0}
-        )
-        payload = json.loads(snapshot.read_text())
-        assert payload["run_id"] == entry.run_id
-        assert payload["floor"] == 3.0
-        assert payload["results"] == entry.results
-        assert payload["manifest"]["config_hash"]
-
     def test_history_none_skips_append(self, tmp_path):
         record_result(
             "fastpath",
@@ -96,12 +83,7 @@ class TestRecordResult:
 class TestPerfStore:
     def test_missing_history_is_empty(self, tmp_path):
         assert PerfStore(tmp_path).load("nope") == []
-        assert PerfStore(tmp_path / "absent").benches() == []
-
-    def test_benches_sorted(self, tmp_path):
-        record(tmp_path, 1.0, bench="zeta")
-        record(tmp_path, 1.0, bench="alpha")
-        assert PerfStore(tmp_path).benches() == ["alpha", "zeta"]
+        assert PerfStore(tmp_path / "absent").load("nope") == []
 
     def test_malformed_interior_line_raises_with_lineno(self, tmp_path):
         # An interior bad line cannot be a torn append: fail loudly.
@@ -126,29 +108,6 @@ class TestPerfStore:
             entries = PerfStore(tmp_path).load("fastpath")
         assert len(entries) == 2
         assert entries[-1].results[0]["speedup_vs_object"] == 2.0
-
-    def test_resolve_references(self, tmp_path):
-        first = record(tmp_path, 1.0)
-        second = record(tmp_path, 2.0)
-        store = PerfStore(tmp_path)
-        assert store.resolve("fastpath", "latest").run_id == second.run_id
-        assert store.resolve("fastpath", "prev").run_id == first.run_id
-        assert store.resolve("fastpath", "0").run_id == first.run_id
-        assert store.resolve("fastpath", first.run_id).run_id == first.run_id
-        # A unique suffix-8 hex prefix of the full id also resolves.
-        assert (
-            store.resolve("fastpath", first.run_id[:-2]).run_id == first.run_id
-        )
-
-    def test_resolve_errors(self, tmp_path):
-        store = PerfStore(tmp_path)
-        with pytest.raises(LookupError, match="no history"):
-            store.resolve("fastpath", "latest")
-        record(tmp_path, 1.0)
-        with pytest.raises(LookupError, match="no previous"):
-            store.resolve("fastpath", "prev")
-        with pytest.raises(LookupError, match="matches"):
-            store.resolve("fastpath", "zzzz")
 
 
 class TestGate:
@@ -194,6 +153,19 @@ class TestGate:
         report = gate(PerfStore(tmp_path).load("fastpath"))
         assert report.ok and report.ungated
         assert report.skipped == [config_key({"ports": 32, "load": 0.8})]
+
+    def test_metric_no_candidate_result_carries_is_an_error(self, tmp_path):
+        # A misspelt or unrecorded metric must not read as UNGATED (0
+        # checks, exit 0): the error names the fields the candidate has.
+        record(tmp_path, 10.0)
+        record(tmp_path, 10.0)
+        entries = PerfStore(tmp_path).load("fastpath")
+        with pytest.raises(
+            ValueError,
+            match="carries metric 'thruput'; its results carry: "
+            "slots_per_sec, speedup_vs_object",
+        ):
+            gate(entries, metric="thruput")
 
     def test_tolerance_validated(self, tmp_path):
         record(tmp_path, 10.0)
@@ -259,20 +231,6 @@ class TestConcurrentAppend:
         assert len(records) == workers * per_worker
         seen = {(r["worker"], r["i"]) for r in records}
         assert len(seen) == workers * per_worker
-
-
-class TestCompare:
-    def test_ratio_per_shared_config(self, tmp_path):
-        a = record(tmp_path, 10.0)
-        b = record(tmp_path, 12.0)
-        rows = compare_entries(a, b, metric="speedup_vs_object")
-        assert len(rows) == 1
-        assert rows[0]["ratio"] == pytest.approx(1.2)
-
-    def test_disjoint_configs_yield_no_rows(self, tmp_path):
-        a = record(tmp_path, 10.0, config={"ports": 8})
-        b = record(tmp_path, 12.0, config={"ports": 32})
-        assert compare_entries(a, b, metric="speedup_vs_object") == []
 
 
 class TestPerfEntry:

@@ -386,6 +386,23 @@ class TestFleetCommands:
         assert "baseline: 0 recorded runs" in out
         assert "gate UNGATED" in out and "PASS" not in out
 
+    def test_fleet_gate_on_a_metric_no_cell_records_errors(self, capsys, tmp_path):
+        # A "run" sweep records no speedup_vs_object (the default metric),
+        # and nothing records "thruput": neither may print UNGATED and
+        # exit 0 without checking anything.
+        spec = self._spec(tmp_path)
+        results = tmp_path / "r.jsonl"
+        main(["fleet", "run", str(spec), "--results", str(results)])
+        capsys.readouterr()
+        for metric in ([], ["--metric", "thruput"]):
+            code = main([
+                "fleet", "gate", str(spec), "--results", str(results),
+                "--history", str(tmp_path / "never-recorded"), *metric,
+            ])
+            assert code == 1
+            err = capsys.readouterr().err
+            assert "carries metric" in err and "throughput" in err
+
     def test_fleet_gate_without_cells_errors(self, capsys, tmp_path):
         spec = self._spec(tmp_path)
         code = main([
