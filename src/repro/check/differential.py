@@ -607,13 +607,13 @@ def statistical_parity(
 ) -> DifferentialReport:
     """Object vs fast path on the statistically-matched switch.
 
-    As in :func:`backend_parity`, the statistical fast path consumes
-    the object matcher's generator draw for draw at B = 1 (see
-    :mod:`repro.sim.fastpath_statistical`), so the comparison here is
-    **slot-exact**: with a shared
-    ``match_seed`` every grant/virtual-grant/accept lottery -- and
-    therefore every matching, transfer, and queue trajectory -- must
-    coincide.
+    The object :class:`StatisticalMatcher` is the B = 1 call of the
+    fast path's kernel, so with a shared ``match_seed`` the two consume
+    the same generator draw for draw by construction, and the
+    comparison here is **slot-exact**: every grant/virtual-grant/accept
+    lottery -- and therefore every matching, transfer, and queue
+    trajectory -- must coincide.  What it checks is the two slot loops
+    around the one kernel.
 
     Builds a random feasible allocation matrix (sum of permutations at
     the requested ``utilization`` of ``units``), runs

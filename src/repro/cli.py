@@ -44,28 +44,17 @@ def _positive_int(text: str) -> int:
 
 
 def _build_scheduler(name: str, ports: int, iterations: int, seed: int):
-    from repro.core.islip import ISLIPScheduler
-    from repro.core.lqf import LQFScheduler
-    from repro.core.maximum import MaximumMatchingScheduler
-    from repro.core.pim import PIMScheduler
-    from repro.core.qps import QPSScheduler
-    from repro.core.wavefront import WavefrontScheduler
+    """The object scheduler ``name`` from the kernel registry, plus the
+    two crossbar schedulers that have no batched kernel of their own."""
+    from repro.core.batch import build_object_scheduler
 
-    if name == "pim":
-        return PIMScheduler(iterations=iterations, seed=seed)
-    if name == "pim-inf":
-        return PIMScheduler(iterations=None, seed=seed)
-    if name == "islip":
-        return ISLIPScheduler(iterations=iterations)
-    if name == "lqf":
-        return LQFScheduler(seed=seed)
-    if name == "qps":
-        return QPSScheduler(rounds=iterations, seed=seed)
-    if name == "wavefront":
-        return WavefrontScheduler()
     if name == "maximum":
+        from repro.core.maximum import MaximumMatchingScheduler
+
         return MaximumMatchingScheduler()
-    raise argparse.ArgumentTypeError(f"unknown scheduler: {name}")
+    if name == "pim-inf":
+        name, iterations = "pim", None
+    return build_object_scheduler(name, iterations=iterations, seed=seed, ports=ports)
 
 
 def _build_traffic(name: str, ports: int, load: float, seed: int):
@@ -1137,6 +1126,13 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
     """Per-phase wall-time breakdown of a run profiled now."""
     from repro.obs.perf import PhaseTimer, RunManifest
 
+    if args.backend != "parity" and not 0 <= args.warmup < args.slots:
+        print(
+            f"error: --warmup must be in [0, {args.slots}) for --slots "
+            f"{args.slots}, got {args.warmup}",
+            file=sys.stderr,
+        )
+        return 2
     timer = PhaseTimer()
     slots_total = args.replicas * args.slots
     cells = None
@@ -1219,7 +1215,7 @@ def _parse_set(items: Optional[List[str]]) -> dict:
     """Parse repeated ``--set key=value`` flags into a parameter dict.
 
     Values parse as JSON when they can (``--set slots=100`` is an int,
-    ``--set measure='"speedup"'`` a string) and fall back to the raw
+    ``--set scheduler='"lqf"'`` a string) and fall back to the raw
     string otherwise, so bare words work without quoting gymnastics.
     """
     out = {}
@@ -1737,7 +1733,7 @@ def build_parser() -> argparse.ArgumentParser:
     freport = fleet_sub.add_parser(
         "report",
         help="aggregate completed cells (median across repeats) into "
-             "delay/FCT/speedup tables",
+             "delay/FCT tables",
     )
     _fleet_common(freport)
     freport.add_argument("--metrics", nargs="+", default=None,
@@ -1754,10 +1750,9 @@ def build_parser() -> argparse.ArgumentParser:
              "median of the recorded runs)",
     )
     _fleet_common(fgate)
-    fgate.add_argument("--metric", default="speedup_vs_object",
-                       help="result field to gate on (default "
-                            "speedup_vs_object; use a deterministic metric "
-                            "like throughput for machine-independent gates)")
+    fgate.add_argument("--metric", default="throughput",
+                       help="result field to gate on (default throughput, "
+                            "which is seed-exact and so machine-independent)")
     fgate.add_argument("--tolerance", type=float, default=None,
                        help="allowed fractional drop below the baseline "
                             "median (default 0.4)")

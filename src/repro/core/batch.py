@@ -8,7 +8,7 @@ kernel was :class:`repro.core.pim.BatchPIMScheduler`; this module
 extracts the contract it implemented so the scheduler zoo (iSLIP, LQF,
 wavefront, QPS-r) can plug into every fast path interchangeably, and
 so Section 5's lottery can be one more kernel
-(:class:`repro.sim.fastpath_statistical.BatchStatisticalMatcher`:
+(:class:`repro.core.statistical.BatchStatisticalMatcher`:
 lottery + masked PIM fill, built from an allocation matrix rather than
 a registry name):
 

@@ -28,20 +28,59 @@ Unlike the Slepian-Duguid frame schedule (Section 4), changing a rate
 here touches only the two ports involved -- the property that makes
 statistical matching suitable for rapidly-changing allocations and for
 fairness enforcement (Figure 8).
+
+One kernel draws the lottery.  :class:`BatchStatisticalMatcher` runs
+**B independent replicas** of it at once on compiled tables, and
+:class:`StatisticalMatcher`, the object scheduler, is its B = 1 call:
+
+- the per-output grant tables are cumulative arrays
+  (:func:`grant_cdf_table`), and one count of ``cdf <= u`` inverts all
+  B * N grant draws of a round at once;
+- the :func:`virtual_grant_pmf` and :func:`binomial_decoy_pmf` tables
+  are stacked into padded cdf-row matrices
+  (:func:`compile_stat_tables`), so virtual-grant counts and
+  imaginary-output decoys are batched draws too;
+- a round works per *grant*, not per cell: the real grants are one
+  flat list, ascending (replica, output); an input's total is a
+  scatter-add over its line, and the accept pick is one stable sort of
+  the grants by line, one running sum of their virtual-grant counts and
+  one binary search per active input (a pick at or past the line's real
+  grants is a decoy win: the input stays unmatched);
+- ``rounds`` independent rounds run per slot, keeping round-2+ pairs
+  only where both endpoints are still unmatched;
+- with ``fill=True`` the residual requests go to a
+  :class:`repro.core.pim.BatchPIMScheduler` with the lottery's ports
+  masked out.
+
+Every round draws four fixed-order uniform passes -- grants by
+ascending output, virtual-grant counts by ascending granted output,
+decoys by ascending under-reserved input, accept picks by ascending
+active input -- flattened row-major over (replica, port).  The fill
+draws from a stream derived as ``derive_seed(seed,
+"statistical/fill")``, so the statistical draws are identical whether
+filling is enabled or not.  At B > 1 the batch consumes one coherent
+stream; replicas are not individually seed-matched to B = 1 runs (the
+PIM fast path's convention).
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import List, Optional, Tuple
 
 import numpy as np
 
+from repro.core.batch import BatchScheduler
 from repro.core.matching import Matching, as_request_matrix
-from repro.core.pim import pim_match
+from repro.core.pim import AN2_ITERATIONS, BatchPIMScheduler
 
 __all__ = [
+    "BatchStatisticalMatcher",
+    "CompiledStatTables",
+    "StatRoundCounts",
     "StatisticalMatcher",
+    "compile_stat_tables",
     "virtual_grant_pmf",
     "binomial_decoy_pmf",
     "cumulative_table",
@@ -142,9 +181,7 @@ def cumulative_table(pmf: np.ndarray) -> np.ndarray:
     then draws from the pmf with one uniform: the final entry is
     exactly 1.0 (the cdf is divided by its last partial sum), so the
     index is always in range, and zero-mass entries -- whose cdf value
-    ties the previous entry -- are never selected.  Both backends draw
-    through tables built by this function, which is what makes their
-    streams comparable draw for draw.
+    ties the previous entry -- are never selected.
     """
     cdf = np.cumsum(np.asarray(pmf, dtype=float))
     if cdf[-1] <= 0.0:
@@ -168,8 +205,355 @@ def grant_cdf_table(allocations: np.ndarray, units: int) -> np.ndarray:
     return tables
 
 
+@dataclass(frozen=True)
+class CompiledStatTables:
+    """The Section 5 'hardware tables' in batched-draw form.
+
+    All cdf rows are produced by :func:`cumulative_table` over this
+    module's pmfs.  The row matrices are padded with ``+inf`` so a
+    vectorized right-searchsorted -- ``(rows <= u[:, None]).sum(axis=1)``
+    -- never counts a padding entry.
+
+    Attributes
+    ----------
+    ports, units:
+        Switch size N and the allocation granularity X.
+    grant_cdf:
+        (N, N+1): row j inverts output j's grant distribution over
+        inputs 0..N-1 plus the imaginary input at index N.
+    virtual_cdf_rows, virtual_row:
+        Stacked virtual-grant cdfs for every distinct positive
+        allocation value; ``virtual_row[i, j]`` is the row index for
+        pair (i, j), -1 where nothing is allocated (such a pair is
+        never granted: its grant-cdf mass is zero).
+    decoy_cdf_rows, decoy_row:
+        Stacked Binomial(slack, 1/X) cdfs for every distinct positive
+        slack; ``decoy_row[i]`` is input i's row, -1 when fully
+        allocated.
+    slack:
+        (N,) imaginary-output units per input, ``X - sum_j X[i, j]``.
+    """
+
+    ports: int
+    units: int
+    grant_cdf: np.ndarray
+    virtual_cdf_rows: np.ndarray
+    virtual_row: np.ndarray
+    decoy_cdf_rows: np.ndarray
+    decoy_row: np.ndarray
+    slack: np.ndarray
+
+
+def _stack_cdf_rows(values, build) -> Tuple[np.ndarray, dict]:
+    """Stack per-value cdfs into one +inf-padded row matrix."""
+    cdfs = {value: build(value) for value in values}
+    width = max((cdf.size for cdf in cdfs.values()), default=1)
+    rows = np.full((max(len(cdfs), 1), width), np.inf)
+    index = {}
+    for row, (value, cdf) in enumerate(sorted(cdfs.items())):
+        rows[row, : cdf.size] = cdf
+        index[value] = row
+    return rows, index
+
+
+def compile_stat_tables(allocations: np.ndarray, units: int) -> CompiledStatTables:
+    """Compile an allocation matrix into batched-draw tables.
+
+    Validates the allocations: square, non-negative, every row and
+    column sum at most ``units``.
+    """
+    if units < 1:
+        raise ValueError(f"units must be >= 1, got {units}")
+    matrix = np.asarray(allocations, dtype=np.int64)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"allocations must be square, got shape {matrix.shape}")
+    if (matrix < 0).any():
+        raise ValueError("allocations must be non-negative")
+    for axis, side in ((1, "input"), (0, "output")):
+        sums = matrix.sum(axis=axis)
+        if (sums > units).any():
+            bad = int(np.argmax(sums > units))
+            raise ValueError(
+                f"{side} {bad} over-allocated: {int(sums[bad])} units > X = {units}"
+            )
+    n = matrix.shape[0]
+
+    grant_cdf = grant_cdf_table(matrix, units)
+    slack = units - matrix.sum(axis=1)
+
+    alloc_values = sorted(int(x) for x in np.unique(matrix[matrix > 0]))
+    virtual_rows, virtual_index = _stack_cdf_rows(
+        alloc_values, lambda x: cumulative_table(virtual_grant_pmf(x, units))
+    )
+    virtual_row = np.full((n, n), -1, dtype=np.int64)
+    for value, row in virtual_index.items():
+        virtual_row[matrix == value] = row
+
+    slack_values = sorted(int(s) for s in np.unique(slack[slack > 0]))
+    decoy_rows, decoy_index = _stack_cdf_rows(
+        slack_values, lambda s: cumulative_table(binomial_decoy_pmf(s, units))
+    )
+    decoy_row = np.full(n, -1, dtype=np.int64)
+    for value, row in decoy_index.items():
+        decoy_row[slack == value] = row
+
+    return CompiledStatTables(
+        ports=n,
+        units=units,
+        grant_cdf=grant_cdf,
+        virtual_cdf_rows=virtual_rows,
+        virtual_row=virtual_row,
+        decoy_cdf_rows=decoy_rows,
+        decoy_row=decoy_row,
+        slack=slack,
+    )
+
+
+@dataclass(frozen=True)
+class StatRoundCounts:
+    """Pooled per-round anatomy of one batched matching round."""
+
+    granted: int
+    virtual: int
+    decoys: int
+    accepted: int
+    kept: int
+    matched: int
+
+
+class BatchStatisticalMatcher(BatchScheduler):
+    """Statistical matching for B replicas at once, on compiled tables.
+
+    A :class:`repro.core.batch.BatchScheduler` kernel, and at B = 1
+    the whole of :class:`StatisticalMatcher` as a switch scheduler:
+    :meth:`schedule` draws the slot's lottery (:meth:`match`: ``rounds``
+    per-grant grant/virtual-grant/accept rounds with the round-2+
+    both-endpoints-unmatched filter, queue-oblivious), drops the
+    matches no request backs (their reserved slot stays idle) and, with
+    ``fill``, hands the ports left idle to a masked
+    :class:`repro.core.pim.BatchPIMScheduler` of ``AN2_ITERATIONS``
+    iterations (Section 5.2).  Draw order and the fill's own stream are
+    as the module docstring sets them out.  An
+    attached probe gets one ``stat_round`` event per round.
+
+    ``stat_cells`` is the (B,) count of the last :meth:`schedule`
+    call's matches that the lottery carried (the rest are the fill's).
+    ``check``, set by ``run_fastpath_statistical(check=True)``, asserts
+    on every call that no zero-allocation pair is granted and no fill
+    match lands on a lottery-taken input or output (tests only).
+    """
+
+    name = "statistical"
+    check = False
+
+    def __init__(
+        self,
+        allocations: np.ndarray,
+        units: int,
+        rounds: int = 2,
+        replicas: int = 1,
+        seed: Optional[int] = None,
+        fill: bool = False,
+    ):
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        self.tables = compile_stat_tables(allocations, units)
+        super().__init__(replicas, self.tables.ports)
+        self.units = self.tables.units
+        self.rounds = rounds
+        # Imported lazily: repro.sim's package init pulls in the
+        # fast-path simulators, which import this module back.
+        from repro.sim.rng import default_seed, derive_seed
+
+        if seed is None:
+            seed = default_seed("statistical")
+        self._seed = seed
+        self._rng = np.random.default_rng(seed)
+        # The fill draws from its own derived stream: the statistical
+        # stream is untouched by the fill phase.
+        self._fill: Optional[BatchPIMScheduler] = None
+        if fill:
+            self._fill = BatchPIMScheduler(
+                replicas, self.ports, iterations=AN2_ITERATIONS,
+                seed=derive_seed(seed, "statistical/fill"), track_sizes=False,
+            )
+        self.stat_cells = np.zeros(replicas, dtype=np.int64)
+        self.set_tables(self.tables)
+
+    def set_tables(self, tables: CompiledStatTables) -> None:
+        """Draw from ``tables`` (same N and X) from the next round on.
+
+        Both generators stay where they are.  The round invariants are
+        derived here: the cdfs are stored entry-major, (entries, 1,
+        ports), so counting ``cdf <= u`` down axis 0 inverts a whole
+        (B, ports) block of draws; a grant's last entry, exactly
+        1.0 > u (the imaginary input), is dropped.  Only inputs with
+        slack draw decoys: ``_decoys`` keeps zeros for the rest.
+        """
+        self.tables = tables
+        n, t = self.ports, tables
+        self._grant_cdf = np.ascontiguousarray(t.grant_cdf[:, :n].T)[:, None, :]
+        self._slack_idx = np.nonzero(t.slack > 0)[0]
+        decoy_cdf = t.decoy_cdf_rows[t.decoy_row[self._slack_idx]]
+        self._decoy_cdf = np.ascontiguousarray(decoy_cdf.T)[:, None, :]
+        self._decoys = np.zeros((self.replicas, n), dtype=np.int64)
+
+    def reset(self) -> None:
+        """Rewind the lottery and fill generators to their as-constructed
+        state and forget the last slot's ``stat_cells``."""
+        self._rng = np.random.default_rng(self._seed)
+        self.stat_cells = np.zeros(self.replicas, dtype=np.int64)
+        if self._fill is not None:
+            self._fill.reset()
+
+    def _one_round(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int, int, int]:
+        """One batched grant / virtual-grant / accept round.
+
+        Returns ``(bb, ii, jj, granted, virtual_total, decoy_total)``:
+        replica/input/output index arrays of the accepted pairs, in
+        ascending (replica, input) order, plus the pooled counts for
+        the ``stat_round`` trace event.
+        """
+        n = self.ports
+        b = self.replicas
+        t = self.tables
+        rng = self._rng
+        # Pass 1: every output grants one input (index N = imaginary).
+        granted = (self._grant_cdf <= rng.random((b, n))).sum(axis=0).reshape(-1)
+        # The real grants, one entry each, ascending (replica, output).
+        # ``line`` is the granted input's line, b * N + i.
+        flat = (granted < n).nonzero()[0]
+        inputs = granted.take(flat)
+        outputs = flat % n
+        line = flat - outputs + inputs
+        # Pass 2: granted inputs re-draw each grant as m virtual grants.
+        u_virtual = rng.random(flat.size)
+        rows = t.virtual_row.reshape(-1).take(inputs * n + outputs)
+        if self.check and (rows < 0).any():
+            raise AssertionError("granted a zero-allocation pair")
+        m = (t.virtual_cdf_rows.T.take(rows, axis=1) <= u_virtual).sum(axis=0)
+        real = np.zeros(b * n, dtype=np.int64)
+        np.add.at(real, line, m)
+        # Pass 3: under-reserved inputs draw Binomial(slack, 1/X)
+        # decoys from their imaginary output (ascending input at B = 1).
+        totals = real
+        decoy_total = 0
+        if self._slack_idx.size:
+            u_decoy = rng.random((b, self._slack_idx.size))
+            self._decoys[:, self._slack_idx] = (self._decoy_cdf <= u_decoy).sum(axis=0)
+            decoy_total = int(self._decoys.sum())
+            totals = real + self._decoys.reshape(-1)
+        # Pass 4: each active input accepts one virtual grant
+        # uniformly; a pick at or past its real grants is a decoy win.
+        active = totals.nonzero()[0]
+        picks = (rng.random(active.size) * totals.take(active)).astype(np.int64)
+        won = (picks < real.take(active)).nonzero()[0]
+        lines = active.take(won)
+        # Sorted by line -- stably, so ascending output within a line --
+        # one running sum of m holds every input's pick table, starting
+        # where the lines before it end; the first entry past start +
+        # pick is the accepted grant, never one with m = 0.
+        order = line.argsort(kind="stable")
+        cum = m.take(order).cumsum()
+        start = real.cumsum()
+        start -= real
+        chosen = cum.searchsorted(start.take(lines) + picks.take(won), side="right")
+        bb, ii = np.divmod(lines, n)
+        jj = outputs.take(order.take(chosen))
+        return bb, ii, jj, flat.size, int(m.sum()), decoy_total
+
+    def match_with_counts(self) -> Tuple[np.ndarray, List[StatRoundCounts]]:
+        """One slot's matching for all replicas, plus per-round counts.
+
+        Returns ``(match, rounds)`` where ``match[b, i]`` is the output
+        matched to input i of replica b (-1 unmatched) and ``rounds``
+        holds one :class:`StatRoundCounts` per round (pooled over
+        replicas) for trace emission and the differential harness.
+        """
+        n = self.ports
+        b = self.replicas
+        match = np.full(b * n, -1, dtype=np.int64)
+        output_free = np.ones(b * n, dtype=bool)
+        matched = 0
+        per_round: List[StatRoundCounts] = []
+        probe = self._probe
+        for index in range(self.rounds):
+            rb, ri, rj, granted, virtual_total, decoy_total = self._one_round()
+            # Keep a round-2+ pair only when both endpoints are still
+            # unmatched (pairs within a round never conflict: each
+            # output grants once and each input accepts once).
+            base = rb * n
+            inputs = base + ri
+            outputs = base + rj
+            free = np.logical_and(
+                match.take(inputs) < 0, output_free.take(outputs)
+            ).nonzero()[0]
+            match[inputs.take(free)] = rj.take(free)
+            output_free[outputs.take(free)] = False
+            matched += free.size
+            per_round.append(
+                StatRoundCounts(
+                    granted=granted,
+                    virtual=virtual_total,
+                    decoys=decoy_total,
+                    accepted=rb.size,
+                    kept=free.size,
+                    matched=matched,
+                )
+            )
+            if probe is not None and probe.enabled:
+                probe.stat_round(index, replicas=b, **vars(per_round[-1]))
+        return match.reshape(b, n), per_round
+
+    def match(self) -> np.ndarray:
+        """(B, N) matched output per input (-1 unmatched) for one slot."""
+        match, _ = self.match_with_counts()
+        return match
+
+    def schedule(
+        self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
+    ) -> np.ndarray:
+        """One slot's lottery, dropped where unbacked, then the PIM fill."""
+        batch = self._validate_batch(requests)
+        match, _ = self.match_with_counts()
+        sb, si = np.nonzero(match >= 0)
+        sj = match[sb, si]
+        backed = batch[sb, si, sj]
+        match[sb, si] = np.where(backed, sj, -1)
+        sb, si, sj = sb[backed], si[backed], sj[backed]
+        self.stat_cells = np.bincount(sb, minlength=self.replicas)
+        if self._fill is None:
+            return match
+        # The lottery's ports are off the table for the fill.
+        residual = batch.copy()
+        residual[sb, si, :] = False
+        residual[sb, :, sj] = False
+        fill = self._fill.schedule(residual)
+        if self.check:
+            if (fill[sb, si] >= 0).any():
+                raise AssertionError("fill matched a statistical-taken input")
+            taken = np.zeros((self.replicas, self.ports), dtype=bool)
+            taken[sb, sj] = True
+            fb, fi = np.nonzero(fill >= 0)
+            if taken[fb, fill[fb, fi]].any():
+                raise AssertionError("fill matched a statistical-taken output")
+        # Lottery-taken inputs were masked, so at most one side of each
+        # entry is matched and the maximum merges the two.
+        return np.maximum(match, fill, out=match)
+
+    def __repr__(self) -> str:
+        return (
+            f"BatchStatisticalMatcher(ports={self.ports}, units={self.units}, "
+            f"rounds={self.rounds}, replicas={self.replicas})"
+        )
+
+
 class StatisticalMatcher:
     """Statistical matching over an integer allocation matrix.
+
+    The object scheduler is the B = 1 call of one
+    :class:`BatchStatisticalMatcher`: every draw, table and the fill's
+    derived stream are the kernel's.
 
     Parameters
     ----------
@@ -195,11 +579,10 @@ class StatisticalMatcher:
         that filling never carries less.
     fill:
         When True, slots and ports left idle by statistical matching
-        are filled with ordinary PIM over the remaining requests
-        (Section 5.2: "Any slot not used by statistical matching can be
-        filled with other traffic by parallel iterative matching").
-    fill_iterations:
-        PIM iteration budget for the fill phase.
+        are filled with ``AN2_ITERATIONS`` of ordinary PIM over the
+        remaining requests (Section 5.2: "Any slot not used by
+        statistical matching can be filled with other traffic by
+        parallel iterative matching").
 
     The matcher can be used standalone (:meth:`match`, no queue state
     needed -- useful for the Appendix C throughput bench) or as a
@@ -216,71 +599,18 @@ class StatisticalMatcher:
         rounds: int = 2,
         seed: Optional[int] = None,
         fill: bool = False,
-        fill_iterations: int = 4,
     ):
-        if units < 1:
-            raise ValueError(f"units must be >= 1, got {units}")
-        if rounds < 1:
-            raise ValueError(f"rounds must be >= 1, got {rounds}")
-        matrix = np.asarray(allocations, dtype=np.int64)
-        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-            raise ValueError(f"allocations must be square, got shape {matrix.shape}")
-        if (matrix < 0).any():
-            raise ValueError("allocations must be non-negative")
-        self._check_feasible(matrix, units)
+        self._alloc = np.array(allocations, dtype=np.int64)
         self.units = units
         self.rounds = rounds
         self.fill = fill
-        self.fill_iterations = fill_iterations
-        if seed is None:
-            # Deterministic fallback (repro.sim.rng default-seed
-            # policy); imported lazily to dodge the sim <-> core cycle.
-            from repro.sim.rng import default_seed
-
-            seed = default_seed("statistical")
-        # The fill phase draws from its own derived stream so that the
-        # statistical draws are a pure function of (seed, slot index),
-        # independent of whether filling is enabled.
-        from repro.sim.rng import derive_seed
-
-        self._seed = seed
-        self._fill_seed = derive_seed(seed, "statistical/fill")
-        self._rng = np.random.default_rng(self._seed)
-        self._fill_rng = np.random.default_rng(self._fill_seed)
-        self._alloc = matrix
-        self._pmf_cache: Dict[int, np.ndarray] = {}
-        self._virtual_cdf_cache: Dict[int, np.ndarray] = {}
-        self._decoy_cdf_cache: Dict[int, np.ndarray] = {}
-        self._probe = None
-        self._rebuild_tables()
-
-    @staticmethod
-    def _check_feasible(matrix: np.ndarray, units: int) -> None:
-        rows = matrix.sum(axis=1)
-        cols = matrix.sum(axis=0)
-        if (rows > units).any():
-            bad = int(np.argmax(rows > units))
-            raise ValueError(
-                f"input {bad} over-allocated: {int(rows[bad])} units > X = {units}"
+        self._kernel: Optional[BatchStatisticalMatcher] = None
+        if self._alloc.size:
+            self._kernel = BatchStatisticalMatcher(
+                self._alloc, units, rounds=rounds, seed=seed, fill=fill
             )
-        if (cols > units).any():
-            bad = int(np.argmax(cols > units))
-            raise ValueError(
-                f"output {bad} over-allocated: {int(cols[bad])} units > X = {units}"
-            )
-
-    def _rebuild_tables(self) -> None:
-        """Precompute the hardware 'table lookup' distributions.
-
-        ``_grant_cdf`` row j is the inverse-transform table for output
-        j's grant draw; ``_slack`` caches each input's imaginary-output
-        units.  The fast-path backend compiles its tables through the
-        same module functions, so the two backends invert bitwise
-        identical arrays.
-        """
-        n = self._alloc.shape[0]
-        self._grant_cdf = grant_cdf_table(self._alloc, self.units)
-        self._slack = self.units - self._alloc.sum(axis=1)
+        else:  # no ports, nothing to draw (the kernel needs N >= 1)
+            compile_stat_tables(self._alloc, units)
 
     @property
     def ports(self) -> int:
@@ -297,99 +627,17 @@ class StatisticalMatcher:
 
         This is the operation statistical matching makes cheap: "only
         the input and output ports used by a flow need be informed of a
-        change in its rate" (Section 5.2).
+        change in its rate" (Section 5.2).  The kernel's tables are
+        recompiled in place; an infeasible change raises before
+        anything changes, and both streams stay where they are.
         """
         if allocation_units < 0:
             raise ValueError("allocation must be non-negative")
         trial = self._alloc.copy()
         trial[input_port, output_port] = allocation_units
-        self._check_feasible(trial, self.units)
+        tables = compile_stat_tables(trial, self.units)
         self._alloc = trial
-        self._rebuild_tables()
-
-    def _pmf(self, x_ij: int) -> np.ndarray:
-        if x_ij not in self._pmf_cache:
-            self._pmf_cache[x_ij] = virtual_grant_pmf(x_ij, self.units)
-        return self._pmf_cache[x_ij]
-
-    def _virtual_cdf(self, x_ij: int) -> np.ndarray:
-        """Inverse-transform table for the virtual-grant draw."""
-        if x_ij not in self._virtual_cdf_cache:
-            self._virtual_cdf_cache[x_ij] = cumulative_table(self._pmf(x_ij))
-        return self._virtual_cdf_cache[x_ij]
-
-    def _decoy_cdf(self, slack: int) -> np.ndarray:
-        """Inverse-transform table for the imaginary-output decoy draw."""
-        if slack not in self._decoy_cdf_cache:
-            self._decoy_cdf_cache[slack] = cumulative_table(
-                binomial_decoy_pmf(slack, self.units)
-            )
-        return self._decoy_cdf_cache[slack]
-
-    def _one_round(self) -> Tuple[List[Tuple[int, int]], int, int, int]:
-        """One grant / virtual-grant / accept round.
-
-        Returns ``(pairs, granted, virtual_total, decoys)`` where
-        ``pairs`` are the accepted (input, output) matches and the
-        counts feed the per-round ``stat_round`` trace event.
-
-        Every random decision is a plain uniform inverted through a
-        precompiled cumulative table, drawn in four fixed-order vector
-        passes (grants by ascending output, virtual-grant counts by
-        ascending granted output, decoys by ascending under-reserved
-        input, accept picks by ascending active input).  The batched
-        fast path (:mod:`repro.sim.fastpath_statistical`) consumes its
-        generator in exactly this order with (B, ...) draws, so at
-        B = 1 with a shared seed the two backends agree draw for draw
-        -- the contract the differential harness checks.
-        """
-        n = self.ports
-        rng = self._rng
-        # Pass 1: each output grants one input (or, at index N, its
-        # imaginary input -- nobody).
-        u_grant = rng.random(n)
-        granted_input = [
-            int(np.searchsorted(self._grant_cdf[j], u_grant[j], side="right"))
-            for j in range(n)
-        ]
-        # Pass 2: granted inputs re-draw each grant as m virtual grants.
-        real_outputs = [j for j in range(n) if granted_input[j] < n]
-        u_virtual = rng.random(len(real_outputs))
-        virtual: List[Dict[int, int]] = [dict() for _ in range(n)]
-        virtual_total = 0
-        for k, j in enumerate(real_outputs):
-            i = granted_input[j]
-            x_ij = int(self._alloc[i, j])
-            m = int(np.searchsorted(self._virtual_cdf(x_ij), u_virtual[k], side="right"))
-            if m > 0:
-                virtual[i][j] = m
-                virtual_total += m
-        # Pass 3: under-reserved inputs draw Binomial(slack, 1/X)
-        # virtual grants from their imaginary output (decoys).
-        slack_inputs = [i for i in range(n) if self._slack[i] > 0]
-        u_decoy = rng.random(len(slack_inputs))
-        imaginary = [0] * n
-        for k, i in enumerate(slack_inputs):
-            imaginary[i] = int(
-                np.searchsorted(
-                    self._decoy_cdf(int(self._slack[i])), u_decoy[k], side="right"
-                )
-            )
-        # Pass 4: each input accepts one virtual grant uniformly; a
-        # pick falling in the imaginary decoys leaves it unmatched.
-        totals = [sum(virtual[i].values()) + imaginary[i] for i in range(n)]
-        active_inputs = [i for i in range(n) if totals[i] > 0]
-        u_pick = rng.random(len(active_inputs))
-        pairs: List[Tuple[int, int]] = []
-        for k, i in enumerate(active_inputs):
-            pick = int(u_pick[k] * totals[i])
-            for j, m in virtual[i].items():  # insertion order: ascending j
-                if pick < m:
-                    pairs.append((i, j))
-                    break
-                pick -= m
-            # Falling through means the imaginary output won: unmatched.
-        return pairs, len(real_outputs), virtual_total, sum(imaginary)
+        self._kernel.set_tables(tables)
 
     def match(self) -> Matching:
         """Compute one slot's statistical matching (no queue state).
@@ -399,30 +647,9 @@ class StatisticalMatcher:
         round-2 conflict with an *imaginary* match does not discard the
         round-2 pair (imaginary matches leave the port physically idle).
         """
-        matched_inputs: Dict[int, int] = {}
-        matched_outputs: Dict[int, int] = {}
-        probe = self._probe
-        for round_index in range(self.rounds):
-            pairs, granted, virtual_total, decoys = self._one_round()
-            kept = 0
-            for i, j in pairs:
-                if i in matched_inputs or j in matched_outputs:
-                    continue
-                matched_inputs[i] = j
-                matched_outputs[j] = i
-                kept += 1
-            if probe is not None and probe.enabled:
-                probe.stat_round(
-                    round_index,
-                    granted=granted,
-                    virtual=virtual_total,
-                    decoys=decoys,
-                    accepted=len(pairs),
-                    kept=kept,
-                    matched=len(matched_inputs),
-                    replicas=1,
-                )
-        return Matching.from_pairs(matched_inputs.items())
+        if self._kernel is None:
+            return Matching.empty()
+        return Matching.from_match_array(self._kernel.match()[0])
 
     def schedule(self, requests: np.ndarray) -> Matching:
         """Switch-scheduler entry point.
@@ -437,42 +664,29 @@ class StatisticalMatcher:
                 f"request matrix is {matrix.shape[0]}x{matrix.shape[0]}, "
                 f"allocations are {self.ports}x{self.ports}"
             )
-        pairs = [(i, j) for i, j in self.match() if matrix[i, j]]
-        if not self.fill:
-            return Matching.from_pairs(pairs)
-        taken_inputs = {i for i, _ in pairs}
-        taken_outputs = {j for _, j in pairs}
-        residual = matrix.copy()
-        for i in taken_inputs:
-            residual[i, :] = False
-        for j in taken_outputs:
-            residual[:, j] = False
-        fill_result = pim_match(residual, self._fill_rng, iterations=self.fill_iterations)
-        return Matching.from_pairs(pairs + list(fill_result.matching.pairs))
+        if self._kernel is None:
+            return Matching.empty()
+        return Matching.from_match_array(self._kernel.schedule(matrix[None])[0])
 
     def attach_probe(self, probe) -> None:
         """Attach a :class:`repro.obs.probe.Probe` for per-round
         telemetry.
 
-        While enabled, :meth:`match` emits one ``stat_round`` event per
+        While enabled, every slot emits one ``stat_round`` event per
         grant/accept round (granted outputs, virtual-grant and decoy
         totals, accepted and kept pairs) -- the series the differential
         harness diffs against the fast-path backend.  Pass ``None`` to
         detach.
         """
-        self._probe = probe
+        if self._kernel is not None:
+            self._kernel.attach_probe(probe)
 
     def reset(self) -> None:
-        """Restore both random streams to their as-constructed state.
-
-        The matcher's only cross-slot state is its two generators (the
-        statistical grant/accept stream and the derived PIM fill
-        stream); re-deriving them from the stored seeds makes a rerun
-        of the same matcher replay the first run draw for draw, the
-        same contract ``PIMScheduler.reset()`` honors.
-        """
-        self._rng = np.random.default_rng(self._seed)
-        self._fill_rng = np.random.default_rng(self._fill_seed)
+        """Restore both random streams to their as-constructed state, so
+        a rerun of the same matcher replays the first run draw for
+        draw (the contract ``PIMScheduler.reset()`` honors too)."""
+        if self._kernel is not None:
+            self._kernel.reset()
 
     def __repr__(self) -> str:
         return (

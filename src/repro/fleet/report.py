@@ -39,7 +39,7 @@ DEFAULT_METRICS: Dict[str, List[str]] = {
 }
 
 #: Timing columns appended (in this order) when present in any cell.
-_TIMING_METRICS = ("slots_per_sec", "object_slots_per_sec", "speedup_vs_object")
+_TIMING_METRICS = ("slots_per_sec",)
 
 
 def sweep_status(

@@ -35,9 +35,9 @@ network    a multi-switch fabric (``repro.network.topologies.build``)
            with random routed flows on either backend
 =========  ==========================================================
 
-Every kind accepts ``measure = "run"`` (default: run the configured
-backend once) or ``measure = "speedup"`` (time the object backend and
-the fast path on the same cell and record ``speedup_vs_object``).
+Every kind runs the configured backend once.  The ``measure`` parameter
+takes only ``"run"``; it stays a parameter because a committed spec
+the benchmark suite runs (``benchmarks/suite/specs/zoo.json``) sets it.
 Deterministic outputs land in ``metrics``; wall-clock rates land in
 ``timing`` and are never part of the resume/determinism contract.
 """
@@ -56,7 +56,12 @@ from typing import Any, Callable, Dict, List, Optional, Tuple, Union
 
 from repro.fleet.spec import Cell, FleetSpec, expand_cells
 from repro.fleet.store import SweepStore, cell_record
-from repro.obs.store import DEFAULT_HISTORY_DIR, PerfEntry, record_result
+from repro.obs.store import (
+    DEFAULT_HISTORY_DIR,
+    PerfEntry,
+    drop_torn_tail,
+    record_result,
+)
 from repro.sim.rng import derive_seed
 
 __all__ = ["SweepOutcome", "run_sweep", "run_cell", "sweep_entry", "record_sweep"]
@@ -90,7 +95,7 @@ def _check_choice(cell: Cell, name: str, value: Any, choices: Tuple[str, ...]) -
 
 
 def _run_delay_cell(cell: Cell) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
-    """Uniform-traffic delay point: fastpath and/or object backend."""
+    """Uniform-traffic delay point on the fastpath or the object backend."""
     from repro.core.batch import BATCH_SCHEDULERS, build_object_scheduler
     from repro.sim.fastpath import run_fastpath
     from repro.switch.switch import CrossbarSwitch
@@ -101,11 +106,20 @@ def _run_delay_cell(cell: Cell) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[st
         "warmup": 0, "iterations": 4, "replicas": 64,
         "backend": "fastpath", "measure": "run",
     })
-    _check_choice(cell, "measure", p["measure"], ("run", "speedup"))
+    _check_choice(cell, "measure", p["measure"], ("run",))
     _check_choice(cell, "backend", p["backend"], ("fastpath", "object"))
     _check_choice(cell, "scheduler", p["scheduler"], tuple(BATCH_SCHEDULERS))
 
-    def object_run() -> Tuple[Any, float]:
+    if p["backend"] == "fastpath":
+        replicas = p["replicas"]
+        start = time.perf_counter()
+        result = run_fastpath(
+            p["ports"], p["load"], p["slots"], replicas=replicas,
+            warmup=p["warmup"], iterations=p["iterations"],
+            scheduler=p["scheduler"], seed=cell.seed,
+        )
+    else:
+        replicas = 1
         scheduler = build_object_scheduler(
             p["scheduler"], iterations=p["iterations"],
             seed=cell.seed, ports=p["ports"],
@@ -117,37 +131,8 @@ def _run_delay_cell(cell: Cell) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[st
         )
         start = time.perf_counter()
         result = switch.run(traffic, slots=p["slots"], warmup=p["warmup"])
-        return result, time.perf_counter() - start
-
-    def fastpath_run() -> Tuple[Any, float]:
-        start = time.perf_counter()
-        result = run_fastpath(
-            p["ports"], p["load"], p["slots"], replicas=p["replicas"],
-            warmup=p["warmup"], iterations=p["iterations"],
-            scheduler=p["scheduler"], seed=cell.seed,
-        )
-        return result, time.perf_counter() - start
-
-    if p["measure"] == "speedup":
-        object_result, object_wall = object_run()
-        fast_result, fast_wall = fastpath_run()
-        metrics = _delay_metrics(fast_result)
-        object_sps = p["slots"] / object_wall
-        fast_sps = p["replicas"] * p["slots"] / fast_wall
-        timing = {
-            "object_slots_per_sec": object_sps,
-            "slots_per_sec": fast_sps,
-            "speedup_vs_object": fast_sps / object_sps,
-        }
-    elif p["backend"] == "fastpath":
-        result, wall = fastpath_run()
-        metrics = _delay_metrics(result)
-        timing = {"slots_per_sec": p["replicas"] * p["slots"] / wall}
-    else:
-        result, wall = object_run()
-        metrics = _delay_metrics(result)
-        timing = {"slots_per_sec": p["slots"] / wall}
-    return p, metrics, timing
+    wall = time.perf_counter() - start
+    return p, _delay_metrics(result), {"slots_per_sec": replicas * p["slots"] / wall}
 
 
 def _delay_metrics(result) -> Dict[str, Any]:
@@ -176,7 +161,7 @@ def _run_scenario_cell(
     })
     if not p["scenario"]:
         raise ValueError(f"cell {cell.label()}: scenario kind needs a 'scenario'")
-    _check_choice(cell, "measure", p["measure"], ("run", "speedup"))
+    _check_choice(cell, "measure", p["measure"], ("run",))
     _check_choice(cell, "backend", p["backend"], ("fastpath", "object"))
     _check_choice(cell, "scheduler", p["scheduler"], tuple(BATCH_SCHEDULERS))
     scenario = get_scenario(p["scenario"])
@@ -193,7 +178,18 @@ def _run_scenario_cell(
             load=p["load"],
         )
 
-    def object_run() -> Tuple[Any, float]:
+    if p["backend"] == "fastpath":
+        replicas = p["replicas"]
+        sources = [build_source(b) for b in range(replicas)]
+        start = time.perf_counter()
+        result = run_fastpath(
+            p["ports"], p["load"], p["slots"], replicas=replicas,
+            warmup=p["warmup"], iterations=p["iterations"],
+            scheduler=p["scheduler"], seed=cell.seed, sources=sources,
+            drain_slots=p["drain"], warmup_mode="arrival",
+        )
+    else:
+        replicas = 1
         scheduler = build_object_scheduler(
             p["scheduler"], iterations=p["iterations"],
             seed=cell.seed, ports=p["ports"],
@@ -202,39 +198,8 @@ def _run_scenario_cell(
         source = WindowedSource(build_source(), p["slots"])
         start = time.perf_counter()
         result = switch.run(source, slots=total, warmup=p["warmup"])
-        return result, time.perf_counter() - start
-
-    def fastpath_run() -> Tuple[Any, float]:
-        sources = [build_source(b) for b in range(p["replicas"])]
-        start = time.perf_counter()
-        result = run_fastpath(
-            p["ports"], p["load"], p["slots"], replicas=p["replicas"],
-            warmup=p["warmup"], iterations=p["iterations"],
-            scheduler=p["scheduler"], seed=cell.seed, sources=sources,
-            drain_slots=p["drain"], warmup_mode="arrival",
-        )
-        return result, time.perf_counter() - start
-
-    if p["measure"] == "speedup":
-        object_result, object_wall = object_run()
-        fast_result, fast_wall = fastpath_run()
-        metrics = _scenario_metrics(fast_result)
-        object_sps = total / object_wall
-        fast_sps = p["replicas"] * total / fast_wall
-        timing = {
-            "object_slots_per_sec": object_sps,
-            "slots_per_sec": fast_sps,
-            "speedup_vs_object": fast_sps / object_sps,
-        }
-    elif p["backend"] == "fastpath":
-        result, wall = fastpath_run()
-        metrics = _scenario_metrics(result)
-        timing = {"slots_per_sec": p["replicas"] * total / wall}
-    else:
-        result, wall = object_run()
-        metrics = _scenario_metrics(result)
-        timing = {"slots_per_sec": total / wall}
-    return p, metrics, timing
+    wall = time.perf_counter() - start
+    return p, _scenario_metrics(result), {"slots_per_sec": replicas * total / wall}
 
 
 def _scenario_metrics(result) -> Dict[str, Any]:
@@ -275,7 +240,7 @@ def _run_network_cell(
         "slots": 2000, "warmup": 200, "replicas": 8, "scheduler": "pim",
         "buffer_limit": 0, "backend": "fastpath", "measure": "run",
     })
-    _check_choice(cell, "measure", p["measure"], ("run", "speedup"))
+    _check_choice(cell, "measure", p["measure"], ("run",))
     _check_choice(cell, "backend", p["backend"], ("fastpath", "object"))
     _check_choice(cell, "topology", p["topology"], tuple(TOPOLOGIES))
 
@@ -331,17 +296,7 @@ def _run_network_cell(
             ),
         }, wall
 
-    if p["measure"] == "speedup":
-        object_metrics, object_wall = object_run()
-        metrics, fast_wall = fastpath_run()
-        object_sps = p["slots"] / object_wall
-        fast_sps = p["replicas"] * p["slots"] / fast_wall
-        timing = {
-            "object_slots_per_sec": object_sps,
-            "slots_per_sec": fast_sps,
-            "speedup_vs_object": fast_sps / object_sps,
-        }
-    elif p["backend"] == "fastpath":
+    if p["backend"] == "fastpath":
         metrics, wall = fastpath_run()
         timing = {"slots_per_sec": p["replicas"] * p["slots"] / wall}
     else:
@@ -476,7 +431,7 @@ def run_sweep(
     emit = progress if progress is not None else (lambda line: None)
     cells = expand_cells(spec, extra_defaults)
     store = SweepStore(store_path)
-    store.drop_torn_tail()
+    drop_torn_tail(store.path)
     prior = store.load()
     completed = store.completed(prior)
     pending = [cell for cell in cells if (cell.key, cell.params_hash) not in completed]

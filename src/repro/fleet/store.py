@@ -78,31 +78,6 @@ class SweepStore:
         self.path.parent.mkdir(parents=True, exist_ok=True)
         append_jsonl_line(self.path, record)
 
-    def drop_torn_tail(self) -> None:
-        """Cut a torn trailing record off the file, with a warning.
-
-        Every append writes one whole line, newline last, so whatever
-        follows the last newline is a record cut short by a crash.  Left
-        in place, the next append would be glued onto it and turn the
-        torn tail into a corrupt interior line; a resumed sweep calls
-        this once, before any worker appends.
-        """
-        if not self.path.exists():
-            return
-        with open(self.path, "rb+") as handle:
-            data = handle.read()
-            if not data or data.endswith(b"\n"):
-                return
-            keep = data.rfind(b"\n") + 1
-            handle.truncate(keep)
-        lines = data.count(b"\n")
-        warnings.warn(
-            f"{self.path}: torn trailing record dropped "
-            f"({len(data) - keep} bytes after line {lines})",
-            UserWarning,
-            stacklevel=2,
-        )
-
     def load(self) -> List[Dict[str, Any]]:
         """All well-formed records, oldest first.
 

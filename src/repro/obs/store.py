@@ -51,6 +51,7 @@ __all__ = [
     "gate",
     "config_key",
     "append_jsonl_line",
+    "drop_torn_tail",
     "read_jsonl_records",
 ]
 
@@ -60,8 +61,9 @@ DEFAULT_HISTORY_DIR = os.path.join("benchmarks", "perf", "history")
 
 #: Default gate slack: the candidate may be up to this fraction below
 #: the baseline median before the gate fails.  0.4 tolerates the
-#: run-to-run noise of wall-clock speedup ratios on shared boxes while
-#: still catching a 2x slowdown outright.
+#: run-to-run noise of a wall-clock rate on shared boxes while still
+#: catching a 2x slowdown outright; a seed-exact metric such as
+#: ``throughput`` can be gated at 0.
 DEFAULT_TOLERANCE = 0.4
 
 
@@ -84,6 +86,32 @@ def append_jsonl_line(path: Union[str, Path], record: Dict[str, Any]) -> None:
     line = json.dumps(record, separators=(",", ":"))
     with open(path, "a", encoding="utf-8") as handle:
         handle.write(line + "\n")
+
+
+def drop_torn_tail(path: Union[str, Path]) -> None:
+    """Cut a torn trailing record off a JSONL file, with a warning.
+
+    Every append writes one whole line, newline last, so whatever
+    follows the last newline is a record cut short by a crash.  Left in
+    place, the next append would be glued onto it and turn the torn
+    tail into a corrupt interior line that fails every later read.
+    """
+    path = Path(path)
+    if not path.exists():
+        return
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        if not data or data.endswith(b"\n"):
+            return
+        keep = data.rfind(b"\n") + 1
+        handle.truncate(keep)
+    lines = data.count(b"\n")
+    warnings.warn(
+        f"{path}: torn trailing record dropped "
+        f"({len(data) - keep} bytes after line {lines})",
+        UserWarning,
+        stacklevel=2,
+    )
 
 
 def read_jsonl_records(path: Union[str, Path]) -> List[Dict[str, Any]]:
@@ -191,12 +219,13 @@ class PerfStore:
         """Append one entry to its bench's history file.
 
         The entry lands as one ``write()`` call (see
-        :func:`append_jsonl_line`), so concurrent appenders -- fleet
-        workers recording cells in parallel -- cannot tear each
-        other's lines.
+        :func:`append_jsonl_line`), so concurrent appenders cannot tear
+        each other's lines; a record torn by an earlier crash is cut
+        off first (:func:`drop_torn_tail`).
         """
         self.root.mkdir(parents=True, exist_ok=True)
         path = self.path(entry.bench)
+        drop_torn_tail(path)
         append_jsonl_line(path, entry.to_record())
         return path
 
@@ -362,7 +391,7 @@ def _median(values: Sequence[float], what: str = "sample list") -> float:
 def gate(
     entries: Sequence[PerfEntry],
     bench: str = "",
-    metric: str = "speedup_vs_object",
+    metric: str = "throughput",
     tolerance: float = DEFAULT_TOLERANCE,
 ) -> GateReport:
     """Check the newest entry against the recorded trajectory.

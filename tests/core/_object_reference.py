@@ -1,26 +1,35 @@
-"""Test-only oracles: the dense object loops of PIM, iSLIP, LQF and wavefront.
+"""Test-only oracles: the dense object loops of PIM, iSLIP, LQF, wavefront
+and the statistical-matching lottery.
 
 These are ``pim_match`` (with its grant and accept phases),
-``islip_match``, ``lqf_match`` and ``wavefront_match`` as they stood
-before the object schedulers became B = 1 calls of the batched
-kernels, kept verbatim apart from PIM's per-iteration trace option,
-which nothing reads any more.  Each resolves one N x N request matrix
-with whole-matrix masks and a Python loop over ports.
-``TestB1Parity`` in ``test_batch_schedulers.py`` pins the object
+``islip_match``, ``lqf_match``, ``wavefront_match`` and
+``StatisticalMatcher`` as they stood before the object schedulers
+became B = 1 calls of the batched kernels, kept verbatim apart from
+PIM's per-iteration trace option, which nothing reads any more, and the
+lottery's PIM fill, which calls the ``pim_match`` below.  Each resolves
+one N x N request matrix with whole-matrix masks and a Python loop over
+ports.  ``TestB1Parity`` in ``test_batch_schedulers.py`` pins the object
 schedulers and the B = 1 kernels to them slot for slot below N = 64,
 where PIM's draws are whole ``(N, N)`` matrices; from N = 64 up the
 loop below draws compact submatrices, which the kernels never did.
-Not a second production path: nothing under ``src/`` imports this
-module.
+``test_statistical_oracle.py`` pins the object ``StatisticalMatcher``
+to the lottery here draw for draw.  Not a second production path:
+nothing under ``src/`` imports this module.
 """
 
-from typing import List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.islip import validate_pointer_array
 from repro.core.matching import Matching, as_request_matrix
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy, PIMResult
+from repro.core.statistical import (
+    binomial_decoy_pmf,
+    cumulative_table,
+    grant_cdf_table,
+    virtual_grant_pmf,
+)
 
 
 #: Smallest switch size at which the compact grant/accept key draw
@@ -348,3 +357,316 @@ def wavefront_match(requests: np.ndarray, start_diagonal: int = 0) -> Matching:
                 row_free[i] = False
                 col_free[j] = False
     return Matching.from_pairs(pairs)
+
+
+class StatisticalMatcher:
+    """Statistical matching over an integer allocation matrix.
+
+    Parameters
+    ----------
+    allocations:
+        N x N non-negative integer matrix; ``allocations[i, j]`` is the
+        number of bandwidth units reserved from input i to output j.
+    units:
+        X, the number of units each link's allocatable bandwidth is
+        divided into.  Every row and column of ``allocations`` must sum
+        to at most ``units``.
+    rounds:
+        Independent grant/accept rounds per slot (the paper shows 2
+        captures nearly all the benefit).
+    seed:
+        Seed for this matcher's private random streams.  ``None``
+        falls back to the deterministic :mod:`repro.sim.rng` policy so
+        identical configs are replayable.  The statistical
+        grant/accept draws and the PIM fill phase consume *separate*
+        streams derived from this seed: the statistical draws of a
+        ``fill=True`` matcher are therefore identical, draw for draw,
+        to those of a ``fill=False`` matcher with the same seed -- the
+        coupling behind the differential harness's metamorphic check
+        that filling never carries less.
+    fill:
+        When True, slots and ports left idle by statistical matching
+        are filled with ordinary PIM over the remaining requests
+        (Section 5.2: "Any slot not used by statistical matching can be
+        filled with other traffic by parallel iterative matching").
+    fill_iterations:
+        PIM iteration budget for the fill phase.
+
+    The matcher can be used standalone (:meth:`match`, no queue state
+    needed -- useful for the Appendix C throughput bench) or as a
+    switch scheduler (:meth:`schedule`, which drops statistical matches
+    that have no queued cell and then PIM-fills).
+    """
+
+    name = "statistical"
+
+    def __init__(
+        self,
+        allocations: np.ndarray,
+        units: int,
+        rounds: int = 2,
+        seed: Optional[int] = None,
+        fill: bool = False,
+        fill_iterations: int = 4,
+    ):
+        if units < 1:
+            raise ValueError(f"units must be >= 1, got {units}")
+        if rounds < 1:
+            raise ValueError(f"rounds must be >= 1, got {rounds}")
+        matrix = np.asarray(allocations, dtype=np.int64)
+        if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+            raise ValueError(f"allocations must be square, got shape {matrix.shape}")
+        if (matrix < 0).any():
+            raise ValueError("allocations must be non-negative")
+        self._check_feasible(matrix, units)
+        self.units = units
+        self.rounds = rounds
+        self.fill = fill
+        self.fill_iterations = fill_iterations
+        if seed is None:
+            # Deterministic fallback (repro.sim.rng default-seed
+            # policy); imported lazily to dodge the sim <-> core cycle.
+            from repro.sim.rng import default_seed
+
+            seed = default_seed("statistical")
+        # The fill phase draws from its own derived stream so that the
+        # statistical draws are a pure function of (seed, slot index),
+        # independent of whether filling is enabled.
+        from repro.sim.rng import derive_seed
+
+        self._seed = seed
+        self._fill_seed = derive_seed(seed, "statistical/fill")
+        self._rng = np.random.default_rng(self._seed)
+        self._fill_rng = np.random.default_rng(self._fill_seed)
+        self._alloc = matrix
+        self._pmf_cache: Dict[int, np.ndarray] = {}
+        self._virtual_cdf_cache: Dict[int, np.ndarray] = {}
+        self._decoy_cdf_cache: Dict[int, np.ndarray] = {}
+        self._probe = None
+        self._rebuild_tables()
+
+    @staticmethod
+    def _check_feasible(matrix: np.ndarray, units: int) -> None:
+        rows = matrix.sum(axis=1)
+        cols = matrix.sum(axis=0)
+        if (rows > units).any():
+            bad = int(np.argmax(rows > units))
+            raise ValueError(
+                f"input {bad} over-allocated: {int(rows[bad])} units > X = {units}"
+            )
+        if (cols > units).any():
+            bad = int(np.argmax(cols > units))
+            raise ValueError(
+                f"output {bad} over-allocated: {int(cols[bad])} units > X = {units}"
+            )
+
+    def _rebuild_tables(self) -> None:
+        """Precompute the hardware 'table lookup' distributions.
+
+        ``_grant_cdf`` row j is the inverse-transform table for output
+        j's grant draw; ``_slack`` caches each input's imaginary-output
+        units.  The fast-path backend compiles its tables through the
+        same module functions, so the two backends invert bitwise
+        identical arrays.
+        """
+        n = self._alloc.shape[0]
+        self._grant_cdf = grant_cdf_table(self._alloc, self.units)
+        self._slack = self.units - self._alloc.sum(axis=1)
+
+    @property
+    def ports(self) -> int:
+        """Switch size N."""
+        return self._alloc.shape[0]
+
+    @property
+    def allocations(self) -> np.ndarray:
+        """Copy of the allocation matrix."""
+        return self._alloc.copy()
+
+    def set_allocation(self, input_port: int, output_port: int, allocation_units: int) -> None:
+        """Change one connection's rate.
+
+        This is the operation statistical matching makes cheap: "only
+        the input and output ports used by a flow need be informed of a
+        change in its rate" (Section 5.2).
+        """
+        if allocation_units < 0:
+            raise ValueError("allocation must be non-negative")
+        trial = self._alloc.copy()
+        trial[input_port, output_port] = allocation_units
+        self._check_feasible(trial, self.units)
+        self._alloc = trial
+        self._rebuild_tables()
+
+    def _pmf(self, x_ij: int) -> np.ndarray:
+        if x_ij not in self._pmf_cache:
+            self._pmf_cache[x_ij] = virtual_grant_pmf(x_ij, self.units)
+        return self._pmf_cache[x_ij]
+
+    def _virtual_cdf(self, x_ij: int) -> np.ndarray:
+        """Inverse-transform table for the virtual-grant draw."""
+        if x_ij not in self._virtual_cdf_cache:
+            self._virtual_cdf_cache[x_ij] = cumulative_table(self._pmf(x_ij))
+        return self._virtual_cdf_cache[x_ij]
+
+    def _decoy_cdf(self, slack: int) -> np.ndarray:
+        """Inverse-transform table for the imaginary-output decoy draw."""
+        if slack not in self._decoy_cdf_cache:
+            self._decoy_cdf_cache[slack] = cumulative_table(
+                binomial_decoy_pmf(slack, self.units)
+            )
+        return self._decoy_cdf_cache[slack]
+
+    def _one_round(self) -> Tuple[List[Tuple[int, int]], int, int, int]:
+        """One grant / virtual-grant / accept round.
+
+        Returns ``(pairs, granted, virtual_total, decoys)`` where
+        ``pairs`` are the accepted (input, output) matches and the
+        counts feed the per-round ``stat_round`` trace event.
+
+        Every random decision is a plain uniform inverted through a
+        precompiled cumulative table, drawn in four fixed-order vector
+        passes (grants by ascending output, virtual-grant counts by
+        ascending granted output, decoys by ascending under-reserved
+        input, accept picks by ascending active input).  The batched
+        fast path (:mod:`repro.sim.fastpath_statistical`) consumes its
+        generator in exactly this order with (B, ...) draws, so at
+        B = 1 with a shared seed the two backends agree draw for draw
+        -- the contract the differential harness checks.
+        """
+        n = self.ports
+        rng = self._rng
+        # Pass 1: each output grants one input (or, at index N, its
+        # imaginary input -- nobody).
+        u_grant = rng.random(n)
+        granted_input = [
+            int(np.searchsorted(self._grant_cdf[j], u_grant[j], side="right"))
+            for j in range(n)
+        ]
+        # Pass 2: granted inputs re-draw each grant as m virtual grants.
+        real_outputs = [j for j in range(n) if granted_input[j] < n]
+        u_virtual = rng.random(len(real_outputs))
+        virtual: List[Dict[int, int]] = [dict() for _ in range(n)]
+        virtual_total = 0
+        for k, j in enumerate(real_outputs):
+            i = granted_input[j]
+            x_ij = int(self._alloc[i, j])
+            m = int(np.searchsorted(self._virtual_cdf(x_ij), u_virtual[k], side="right"))
+            if m > 0:
+                virtual[i][j] = m
+                virtual_total += m
+        # Pass 3: under-reserved inputs draw Binomial(slack, 1/X)
+        # virtual grants from their imaginary output (decoys).
+        slack_inputs = [i for i in range(n) if self._slack[i] > 0]
+        u_decoy = rng.random(len(slack_inputs))
+        imaginary = [0] * n
+        for k, i in enumerate(slack_inputs):
+            imaginary[i] = int(
+                np.searchsorted(
+                    self._decoy_cdf(int(self._slack[i])), u_decoy[k], side="right"
+                )
+            )
+        # Pass 4: each input accepts one virtual grant uniformly; a
+        # pick falling in the imaginary decoys leaves it unmatched.
+        totals = [sum(virtual[i].values()) + imaginary[i] for i in range(n)]
+        active_inputs = [i for i in range(n) if totals[i] > 0]
+        u_pick = rng.random(len(active_inputs))
+        pairs: List[Tuple[int, int]] = []
+        for k, i in enumerate(active_inputs):
+            pick = int(u_pick[k] * totals[i])
+            for j, m in virtual[i].items():  # insertion order: ascending j
+                if pick < m:
+                    pairs.append((i, j))
+                    break
+                pick -= m
+            # Falling through means the imaginary output won: unmatched.
+        return pairs, len(real_outputs), virtual_total, sum(imaginary)
+
+    def match(self) -> Matching:
+        """Compute one slot's statistical matching (no queue state).
+
+        Round 2 (and later) matches are kept only when both endpoints
+        were left unmatched by earlier rounds; per Appendix C, a
+        round-2 conflict with an *imaginary* match does not discard the
+        round-2 pair (imaginary matches leave the port physically idle).
+        """
+        matched_inputs: Dict[int, int] = {}
+        matched_outputs: Dict[int, int] = {}
+        probe = self._probe
+        for round_index in range(self.rounds):
+            pairs, granted, virtual_total, decoys = self._one_round()
+            kept = 0
+            for i, j in pairs:
+                if i in matched_inputs or j in matched_outputs:
+                    continue
+                matched_inputs[i] = j
+                matched_outputs[j] = i
+                kept += 1
+            if probe is not None and probe.enabled:
+                probe.stat_round(
+                    round_index,
+                    granted=granted,
+                    virtual=virtual_total,
+                    decoys=decoys,
+                    accepted=len(pairs),
+                    kept=kept,
+                    matched=len(matched_inputs),
+                    replicas=1,
+                )
+        return Matching.from_pairs(matched_inputs.items())
+
+    def schedule(self, requests: np.ndarray) -> Matching:
+        """Switch-scheduler entry point.
+
+        Statistical matches lacking a queued cell are released (the
+        reserved slot is idle), and -- when ``fill`` is on -- idle
+        ports are handed to PIM over the remaining requests.
+        """
+        matrix = as_request_matrix(requests)
+        if matrix.shape[0] != self.ports:
+            raise ValueError(
+                f"request matrix is {matrix.shape[0]}x{matrix.shape[0]}, "
+                f"allocations are {self.ports}x{self.ports}"
+            )
+        pairs = [(i, j) for i, j in self.match() if matrix[i, j]]
+        if not self.fill:
+            return Matching.from_pairs(pairs)
+        taken_inputs = {i for i, _ in pairs}
+        taken_outputs = {j for _, j in pairs}
+        residual = matrix.copy()
+        for i in taken_inputs:
+            residual[i, :] = False
+        for j in taken_outputs:
+            residual[:, j] = False
+        fill_result = pim_match(residual, self._fill_rng, iterations=self.fill_iterations)
+        return Matching.from_pairs(pairs + list(fill_result.matching.pairs))
+
+    def attach_probe(self, probe) -> None:
+        """Attach a :class:`repro.obs.probe.Probe` for per-round
+        telemetry.
+
+        While enabled, :meth:`match` emits one ``stat_round`` event per
+        grant/accept round (granted outputs, virtual-grant and decoy
+        totals, accepted and kept pairs) -- the series the differential
+        harness diffs against the fast-path backend.  Pass ``None`` to
+        detach.
+        """
+        self._probe = probe
+
+    def reset(self) -> None:
+        """Restore both random streams to their as-constructed state.
+
+        The matcher's only cross-slot state is its two generators (the
+        statistical grant/accept stream and the derived PIM fill
+        stream); re-deriving them from the stored seeds makes a rerun
+        of the same matcher replay the first run draw for draw, the
+        same contract ``PIMScheduler.reset()`` honors.
+        """
+        self._rng = np.random.default_rng(self._seed)
+        self._fill_rng = np.random.default_rng(self._fill_seed)
+
+    def __repr__(self) -> str:
+        return (
+            f"StatisticalMatcher(ports={self.ports}, units={self.units}, "
+            f"rounds={self.rounds}, fill={self.fill})"
+        )

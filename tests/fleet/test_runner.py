@@ -74,19 +74,18 @@ class TestRunCell:
         assert record["status"] == "error"
         assert "unknown parameter(s) warp" in record["error"]
 
-    def test_speedup_measure_times_both_backends(self):
+    @pytest.mark.parametrize(
+        "kind, defaults",
+        [("delay", {}), ("scenario", {"scenario": "hotspot"}), ("network", {})],
+    )
+    def test_measure_takes_only_run(self, kind, defaults):
         spec = make_spec(
             grid={"scheduler": ["pim"]},
-            defaults={
-                "ports": 4, "slots": 30, "replicas": 2, "iterations": 1,
-                "measure": "speedup",
-            },
+            defaults={**defaults, "measure": "speedup"},
         )
-        record = run_cell(expand_cells(spec)[0], "delay")
-        assert record["status"] == "done"
-        assert set(record["timing"]) == {
-            "object_slots_per_sec", "slots_per_sec", "speedup_vs_object",
-        }
+        record = run_cell(expand_cells(spec)[0], kind)
+        assert record["status"] == "error"
+        assert "measure must be one of run, got 'speedup'" in record["error"]
 
     def test_object_backend(self):
         spec = make_spec(

@@ -52,9 +52,9 @@ class TestDynamicAllocation:
         other outputs' grant tables are bit-identical before/after."""
         alloc = np.diag([4, 4, 4, 4])
         matcher = StatisticalMatcher(alloc, units=8, seed=1)
-        before = matcher._grant_cdf.copy()
+        before = matcher._kernel.tables.grant_cdf.copy()
         matcher.set_allocation(0, 0, 6)
-        after = matcher._grant_cdf
+        after = matcher._kernel.tables.grant_cdf
         # Output 0's table changed; outputs 1-3 untouched.
         assert not np.array_equal(before[0], after[0])
         for j in (1, 2, 3):

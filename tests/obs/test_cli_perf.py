@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro.cli import main
 from repro.obs import read_events
 
@@ -124,3 +126,22 @@ class TestTraceSummarizeJson:
         summary = json.loads(capsys.readouterr().out)
         assert summary["csv"]["path"] == csv_path
         assert summary["csv"]["rows"] == 300
+
+
+@pytest.mark.parametrize(
+    "backend", ["fastpath", "cbr", "statistical", "network", "object"]
+)
+@pytest.mark.parametrize("warmup", ["200", "100", "-1"])
+def test_perf_report_rejects_a_warmup_outside_the_run(backend, warmup, capsys):
+    # The default --warmup 200 over --slots 100 used to escape as a
+    # ValueError traceback (or, on the object backend, time a run whose
+    # window was empty).
+    args = ["perf", "report", "--backend", backend, "--slots", "100"]
+    if warmup != "200":
+        args += ["--warmup", warmup]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: --warmup must be in [0, 100) for --slots 100, got {warmup}\n"
+    )

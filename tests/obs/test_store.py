@@ -17,15 +17,15 @@ from repro.obs.store import (
 )
 
 
-def record(tmp_path, speedup, bench="fastpath", config=None, **kwargs):
+def record(tmp_path, value, bench="fastpath", config=None, **kwargs):
     """One history entry with a single result row."""
     return record_result(
         bench,
         [
             {
                 "config": config or {"ports": 16, "load": 0.8},
-                "slots_per_sec": speedup * 1e5,
-                "speedup_vs_object": speedup,
+                "slots_per_sec": value * 1e5,
+                "throughput": value,
             }
         ],
         config={"grid": "test"},
@@ -41,8 +41,8 @@ class TestRecordResult:
         record(tmp_path, 11.0)
         entries = PerfStore(tmp_path).load("fastpath")
         assert len(entries) == 2
-        assert entries[0].results[0]["speedup_vs_object"] == 10.0
-        assert entries[1].results[0]["speedup_vs_object"] == 11.0
+        assert entries[0].results[0]["throughput"] == 10.0
+        assert entries[1].results[0]["throughput"] == 11.0
 
     def test_entry_carries_manifest(self, tmp_path):
         entry = record(tmp_path, 10.0)
@@ -57,7 +57,7 @@ class TestRecordResult:
     def test_history_none_skips_append(self, tmp_path):
         record_result(
             "fastpath",
-            [{"config": {}, "speedup_vs_object": 1.0}],
+            [{"config": {}, "throughput": 1.0}],
             history_dir=None,
         )
         assert PerfStore(tmp_path).load("fastpath") == []
@@ -107,21 +107,34 @@ class TestPerfStore:
         with pytest.warns(UserWarning, match="torn trailing"):
             entries = PerfStore(tmp_path).load("fastpath")
         assert len(entries) == 2
-        assert entries[-1].results[0]["speedup_vs_object"] == 2.0
+        assert entries[-1].results[0]["throughput"] == 2.0
+
+    def test_append_after_a_torn_line_keeps_the_history_loadable(self, tmp_path):
+        # The next record used to be glued onto the torn fragment, and
+        # the history then failed with "bad history line" for good.
+        record(tmp_path, 1.0)
+        path = PerfStore(tmp_path).path("fastpath")
+        with open(path, "a") as handle:
+            handle.write('{"run_id": "torn')
+        with pytest.warns(UserWarning, match="torn trailing record dropped"):
+            record(tmp_path, 2.0)
+        entries = PerfStore(tmp_path).load("fastpath")
+        assert [e.results[0]["throughput"] for e in entries] == [1.0, 2.0]
+        assert path.read_bytes().count(b"\n") == 2
 
 
 class TestGate:
     def test_passes_on_stable_history(self, tmp_path):
-        for speedup in (10.0, 11.0, 10.5):
-            record(tmp_path, speedup)
+        for value in (10.0, 11.0, 10.5):
+            record(tmp_path, value)
         report = gate(PerfStore(tmp_path).load("fastpath"))
         assert report.ok
         assert len(report.checks) == 1
         assert report.checks[0].baseline == pytest.approx(10.5)
 
     def test_fails_on_synthetic_2x_slowdown(self, tmp_path):
-        for speedup in (10.0, 11.0, 10.5):
-            record(tmp_path, speedup)
+        for value in (10.0, 11.0, 10.5):
+            record(tmp_path, value)
         record(tmp_path, 5.25)  # half the median: a 2x regression
         report = gate(PerfStore(tmp_path).load("fastpath"))
         assert not report.ok
@@ -163,7 +176,7 @@ class TestGate:
         with pytest.raises(
             ValueError,
             match="carries metric 'thruput'; its results carry: "
-            "slots_per_sec, speedup_vs_object",
+            "slots_per_sec, throughput",
         ):
             gate(entries, metric="thruput")
 

@@ -14,6 +14,7 @@ at 200 and at 400 slots.
 """
 
 import cProfile
+import gc
 
 from repro.core.pim import PIMScheduler
 from repro.obs.perf import NULL_PHASE_TIMER, PhaseTimer
@@ -28,11 +29,22 @@ SLOTS = 200
 
 
 def _calls(fn, *args):
-    """Every Python and C call ``fn(*args)`` makes, counted by cProfile."""
-    profile = cProfile.Profile()
-    profile.enable()
-    fn(*args)
-    profile.disable()
+    """Every Python and C call ``fn(*args)`` makes, counted by cProfile.
+
+    The garbage collector is held off while counting: a collection that
+    lands inside the window runs every ``gc.callbacks`` hook (Hypothesis
+    installs one that calls ``time.perf_counter``), calls that belong to
+    no slot and that come or go with the allocation count's phase.
+    """
+    gc.collect()
+    gc.disable()
+    try:
+        profile = cProfile.Profile()
+        profile.enable()
+        fn(*args)
+        profile.disable()
+    finally:
+        gc.enable()
     return sum(entry.callcount for entry in profile.getstats())
 
 

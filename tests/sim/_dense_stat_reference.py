@@ -15,7 +15,7 @@ from typing import Tuple
 
 import numpy as np
 
-from repro.sim.fastpath_statistical import BatchStatisticalMatcher
+from repro.core.statistical import BatchStatisticalMatcher
 
 _EMPTY = np.zeros(0, dtype=np.int64)
 

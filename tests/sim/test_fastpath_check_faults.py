@@ -12,8 +12,8 @@ later one.
 import numpy as np
 import pytest
 
+from repro.core import statistical
 from repro.core.batch import BatchScheduler
-from repro.sim import fastpath_statistical
 from repro.sim.fastpath import FastpathCrossbar
 from repro.sim.fastpath_cbr import IntegratedFastpath, run_fastpath_cbr
 from repro.sim.fastpath_statistical import (
@@ -199,7 +199,7 @@ class TestStatisticalKernel:
             matcher.match()
 
     def test_run_threads_check_to_the_kernel(self, monkeypatch):
-        monkeypatch.setattr(fastpath_statistical, "BatchPIMScheduler", _Identity)
+        monkeypatch.setattr(statistical, "BatchPIMScheduler", _Identity)
         with pytest.raises(AssertionError, match="statistical-taken"):
             run_fastpath_statistical(ALLOC, 4, 1.0, 50, replicas=B, check=True)
         # Unchecked, the kernel's own assertions stay quiet.

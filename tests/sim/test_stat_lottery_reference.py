@@ -17,14 +17,15 @@ grant is real at all.
 """
 
 import cProfile
+import gc
 import inspect
 import textwrap
 
 import numpy as np
 import pytest
 
-from repro.sim import fastpath_statistical
-from repro.sim.fastpath_statistical import BatchStatisticalMatcher
+from repro.core import statistical
+from repro.core.statistical import BatchStatisticalMatcher
 
 from ._dense_stat_reference import DenseBatchStatisticalMatcher
 
@@ -134,7 +135,7 @@ def _mutant(old, new):
     """``BatchStatisticalMatcher`` with one edit to its ``_one_round`` source."""
     source = textwrap.dedent(inspect.getsource(BatchStatisticalMatcher._one_round))
     assert source.count(old) == 1, f"the round no longer spells {old!r}"
-    namespace = dict(vars(fastpath_statistical))
+    namespace = dict(vars(statistical))
     exec(source.replace(old, new), namespace)
     return type(
         "Mutant", (BatchStatisticalMatcher,), {"_one_round": namespace["_one_round"]}
@@ -171,10 +172,17 @@ def _numpy_calls(ports):
         _permutation_sum(ports, 3), 4, rounds=2, replicas=8, seed=3
     )
     matcher.match()  # warm-up: lazy imports, caches
-    profile = cProfile.Profile()
-    profile.enable()
-    matcher.match()
-    profile.disable()
+    # No collection inside the window: it would count the builtins the
+    # ``gc.callbacks`` hooks call (Hypothesis installs one).
+    gc.collect()
+    gc.disable()
+    try:
+        profile = cProfile.Profile()
+        profile.enable()
+        matcher.match()
+        profile.disable()
+    finally:
+        gc.enable()
     return sum(
         entry.callcount
         for entry in profile.getstats()

@@ -122,6 +122,89 @@ class TestCommands:
         assert "all invariants held" in out
 
 
+_STAT_HEADER = (
+    "16x16 statistical matching, X=16 units (192 allocated), rounds 2, "
+    "fill {}, load 0.8\n"
+)
+
+#: Byte-exact stdout of seeded runs.  The ``statistical`` lines pin the
+#: lottery's draws through the backlog and the carried split; the
+#: ``delay`` lines pin each crossbar scheduler the CLI builds.  Without
+#: ``--warmup`` the default 1,000-slot warm-up swallows a 300-slot run,
+#: so those lines read 0.000 and only the backlog carries the draws.
+GOLDEN_OUTPUT = {
+    "fairness --slots 2000": (
+        "Figure 8 with PIM: output 1 split ['0.295', '0.322', '0.325', "
+        "'0.059'] jain=0.836\n"
+        "With statistical matching:       ['0.271', '0.262', '0.254', "
+        "'0.214'] jain=0.993\n"
+    ),
+    "statistical --backend object --slots 300": _STAT_HEADER.format("on") + (
+        "16x16 switch, 300 slots: offered 0.000, carried 0.000 per link, "
+        "mean delay 0.00 slots, backlog 44\n"
+    ),
+    "statistical --backend object --slots 300 --warmup 100": (
+        _STAT_HEADER.format("on")
+        + "16x16 switch, 300 slots: offered 0.796, carried 0.794 per link, "
+        "mean delay 3.50 slots, backlog 44\n"
+    ),
+    "statistical --backend object --slots 300 --warmup 100 --no-fill": (
+        _STAT_HEADER.format("off")
+        + "16x16 switch, 300 slots: offered 0.796, carried 0.360 per link, "
+        "mean delay 27.91 slots, backlog 2191\n"
+    ),
+    "statistical --backend fastpath --slots 300 --warmup 100": (
+        _STAT_HEADER.format("on")
+        + "16x16 fastpath x1 replicas, 300+0 slots: offered 0.797, carried "
+        "0.796 per link, mean delay 3.55 slots, backlog 55, statistical 361 "
+        "/ fill 2186 cells\n"
+    ),
+    "delay --scheduler pim --slots 300": (
+        "16x16 switch, 300 slots: offered 0.000, carried 0.000 per link, "
+        "mean delay 0.00 slots, backlog 125\n"
+    ),
+    "delay --scheduler pim --slots 300 --warmup 100": (
+        "16x16 switch, 300 slots: offered 0.894, carried 0.882 per link, "
+        "mean delay 7.96 slots, backlog 125\n"
+    ),
+    **{
+        f"delay --scheduler {name} --ports 8 --slots 300 --warmup 50": (
+            f"8x8 switch, 300 slots: offered 0.891, carried {line}\n"
+        )
+        for name, line in [
+            ("pim", "0.875 per link, mean delay 5.99 slots, backlog 62"),
+            ("pim-inf", "0.875 per link, mean delay 5.99 slots, backlog 62"),
+            ("islip", "0.874 per link, mean delay 6.91 slots, backlog 68"),
+            ("lqf", "0.879 per link, mean delay 5.32 slots, backlog 55"),
+            ("wavefront", "0.872 per link, mean delay 7.41 slots, backlog 77"),
+            ("qps", "0.875 per link, mean delay 6.09 slots, backlog 67"),
+            ("maximum", "0.880 per link, mean delay 3.49 slots, backlog 44"),
+        ]
+    },
+    **{
+        f"delay --scheduler {name} --iterations 1 --ports 8 --slots 300 "
+        "--warmup 50": f"8x8 switch, 300 slots: offered 0.891, carried {line}\n"
+        for name, line in [
+            ("pim", "0.654 per link, mean delay 43.81 slots, backlog 571"),
+            ("islip", "0.834 per link, mean delay 19.74 slots, backlog 190"),
+            ("qps", "0.653 per link, mean delay 48.75 slots, backlog 585"),
+        ]
+    },
+    "sweep --loads 0.5 0.9 --ports 8 --slots 300 --warmup 50": (
+        "  load                  fifo                   pim       output-queueing\n"
+        "  0.50           2.08 (0.52)           0.79 (0.52)           0.50 (0.52)\n"
+        "  0.90          52.81 (0.64)           7.34 (0.89)           3.63 (0.90)\n"
+    ),
+}
+
+
+class TestGoldenOutput:
+    @pytest.mark.parametrize("command", sorted(GOLDEN_OUTPUT))
+    def test_stdout_is_byte_exact(self, command, capsys):
+        assert main(command.split()) == 0
+        assert capsys.readouterr().out == GOLDEN_OUTPUT[command]
+
+
 class TestScenarioCommands:
     def test_scenario_list(self, capsys):
         assert main(["scenario", "list"]) == 0
@@ -387,21 +470,20 @@ class TestFleetCommands:
         assert "gate UNGATED" in out and "PASS" not in out
 
     def test_fleet_gate_on_a_metric_no_cell_records_errors(self, capsys, tmp_path):
-        # A "run" sweep records no speedup_vs_object (the default metric),
-        # and nothing records "thruput": neither may print UNGATED and
-        # exit 0 without checking anything.
+        # Nothing records "thruput": the gate may not print UNGATED and
+        # exit 0 without checking anything.  The default metric,
+        # throughput, is one every cell records.
         spec = self._spec(tmp_path)
         results = tmp_path / "r.jsonl"
         main(["fleet", "run", str(spec), "--results", str(results)])
         capsys.readouterr()
-        for metric in ([], ["--metric", "thruput"]):
-            code = main([
-                "fleet", "gate", str(spec), "--results", str(results),
-                "--history", str(tmp_path / "never-recorded"), *metric,
-            ])
-            assert code == 1
-            err = capsys.readouterr().err
-            assert "carries metric" in err and "throughput" in err
+        never = str(tmp_path / "never-recorded")
+        gate = ["fleet", "gate", str(spec), "--results", str(results), "--history", never]
+        assert main([*gate, "--metric", "thruput"]) == 1
+        err = capsys.readouterr().err
+        assert "carries metric" in err and "throughput" in err
+        assert main(gate) == 0
+        assert "gate UNGATED" in capsys.readouterr().out
 
     def test_fleet_gate_without_cells_errors(self, capsys, tmp_path):
         spec = self._spec(tmp_path)
