@@ -13,10 +13,11 @@ test:
 claims:
 	PYTHONPATH=src python -m pytest tests/claims -q
 
-# Bounded randomized invariant/differential sweeps (the CI smoke stage):
-# VBR-only parity, integrated CBR+VBR parity, and Slepian-Duguid churn.
+# Bounded randomized invariant/differential sweeps, one line per fuzz
+# family (CI's smoke stage runs this target): switch, integrated
+# CBR+VBR parity, Slepian-Duguid churn, statistical, network, scenario.
 check:
-	PYTHONPATH=src python -m repro.cli check --seeds 25 --budget 60s
+	PYTHONPATH=src python -m repro.cli check --suite switch --seeds 25 --budget 60s
 	PYTHONPATH=src python -m repro.cli check --suite cbr --seeds 8 --budget 60s
 	PYTHONPATH=src python -m repro.cli check --suite churn --seeds 25 --budget 30s
 	PYTHONPATH=src python -m repro.cli check --suite statistical --seeds 8 --budget 60s
@@ -88,12 +89,14 @@ trace-demo:
 	PYTHONPATH=src python -m repro.cli trace summarize trace_fastpath.jsonl
 
 examples:
-	python examples/quickstart.py
-	python examples/hol_blocking_demo.py
-	python examples/multimedia_cbr.py
-	python examples/fairness_statistical.py
-	python examples/network_clientserver.py
-	python examples/multicast_videowall.py
+	PYTHONPATH=src python examples/quickstart.py
+	PYTHONPATH=src python examples/hol_blocking_demo.py
+	PYTHONPATH=src python examples/multimedia_cbr.py
+	PYTHONPATH=src python examples/fairness_statistical.py
+	PYTHONPATH=src python examples/network_clientserver.py
+	PYTHONPATH=src python examples/multicast_videowall.py
+	PYTHONPATH=src python examples/scenario_study.py
+	PYTHONPATH=src python examples/scheduler_zoo_study.py
 
 clean:
 	find . -name __pycache__ -type d -exec rm -rf {} + 2>/dev/null || true

@@ -130,8 +130,9 @@ def _maximality_guaranteed(scheduler, ports: int) -> bool:
     - PIM: when run to convergence (``iterations is None``) -- the
       bounded-iteration case is handled per slot via the scheduler's
       ``completed`` flag instead;
-    - iSLIP / RRM: with at least N iterations (each round matches at
-      least one pair of any remaining augmentable request);
+    - iSLIP / RRM: with at least N iterations or run to convergence
+      (each round matches at least one pair of any remaining
+      augmentable request);
     - statistical matching: never (reserved slots can go idle).
     """
     name = getattr(scheduler, "name", "")
@@ -141,7 +142,7 @@ def _maximality_guaranteed(scheduler, ports: int) -> bool:
         return getattr(scheduler, "iterations", 0) is None
     if name in ("islip", "rrm"):
         iterations = getattr(scheduler, "iterations", 0)
-        return iterations is not None and iterations >= ports
+        return iterations is None or iterations >= ports
     return False
 
 

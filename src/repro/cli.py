@@ -153,9 +153,25 @@ def _finish_probe(probe) -> None:
         print(probe.metrics.render())
 
 
+def _warmup_outside(warmup: int, slots: int) -> bool:
+    """Whether ``--warmup`` leaves no slot of the run to measure; if so,
+    say so on stderr (the command then exits 2)."""
+    if 0 <= warmup < slots:
+        return False
+    print(
+        f"error: --warmup must be in [0, {slots}) for --slots {slots}, "
+        f"got {warmup}",
+        file=sys.stderr,
+    )
+    return True
+
+
 def cmd_delay(args: argparse.Namespace) -> int:
     """One (scheduler, workload, load) point, on either backend."""
     from repro.obs.perf import PhaseTimer
+
+    if _warmup_outside(args.warmup, args.slots):
+        return 2
 
     probe = _build_probe(args)
     timer = PhaseTimer() if args.profile else None
@@ -218,6 +234,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """Delay vs load for FIFO / PIM-4 / output queueing (Figures 3-4)."""
     from repro.traffic.trace import TraceRecorder
 
+    if _warmup_outside(args.warmup, args.slots):
+        return 2
     names = ["fifo", "pim", "output-queueing"]
     print(f"{'load':>6}" + "".join(f"{name:>22}" for name in names))
     for load in args.loads:
@@ -354,6 +372,8 @@ def _build_reservations(ports: int, frame_slots: int, utilization: float, seed: 
 
 def cmd_cbr(args: argparse.Namespace) -> int:
     """Integrated CBR+VBR switch (Section 4), on either backend."""
+    if _warmup_outside(args.warmup, args.slots):
+        return 2
     probe = _build_probe(args)
     table = _build_reservations(args.ports, args.frame, args.utilization, args.seed)
     reserved = int(table.reserved_matrix().sum())
@@ -425,6 +445,8 @@ def cmd_statistical(args: argparse.Namespace) -> int:
     from repro.check.differential import _random_allocations
     from repro.sim.rng import derive_seed
 
+    if _warmup_outside(args.warmup, args.slots):
+        return 2
     probe = _build_probe(args)
     rng = np.random.default_rng(derive_seed(args.seed, "cli/stat-allocations"))
     allocations = _random_allocations(
@@ -482,6 +504,8 @@ def cmd_network(args: argparse.Namespace) -> int:
     from repro.network.topologies import build
     from repro.sim.rng import derive_seed
 
+    if _warmup_outside(args.warmup, args.slots):
+        return 2
     topo, hosts = build(args.topology, args.size, latency=args.latency)
     if len(hosts) < 2:
         print(
@@ -657,6 +681,8 @@ def _run_trace_replay(args: argparse.Namespace) -> int:
         print(f"error: {args.trace}: trace is empty", file=sys.stderr)
         return 2
     warmup = args.warmup if args.warmup is not None else 0
+    if _warmup_outside(warmup, slots):
+        return 2
     drain = args.drain if args.drain is not None else max(600, 2 * slots)
     load = traffic.total_cells / (ports * slots) if slots else 0.0
     print(
@@ -730,6 +756,8 @@ def cmd_scenario_run(args: argparse.Namespace) -> int:
         warmup = min(spec.warmup, slots // 5)
     else:
         warmup = spec.warmup
+    if _warmup_outside(warmup, slots):
+        return 2
     drain = args.drain if args.drain is not None else max(600, 2 * slots)
     ports = args.ports if args.ports is not None else spec.ports
     load = args.load if args.load is not None else spec.load
@@ -840,6 +868,8 @@ def cmd_scenario_smoke(args: argparse.Namespace) -> int:
     from repro.core.batch import BATCH_SCHEDULERS
     from repro.traffic.scenarios import SCENARIOS
 
+    if _warmup_outside(args.warmup, args.slots):
+        return 2
     names = list(SCENARIOS)
     rows = []
     failures = []
@@ -1126,12 +1156,7 @@ def cmd_perf_report(args: argparse.Namespace) -> int:
     """Per-phase wall-time breakdown of a run profiled now."""
     from repro.obs.perf import PhaseTimer, RunManifest
 
-    if args.backend != "parity" and not 0 <= args.warmup < args.slots:
-        print(
-            f"error: --warmup must be in [0, {args.slots}) for --slots "
-            f"{args.slots}, got {args.warmup}",
-            file=sys.stderr,
-        )
+    if args.backend != "parity" and _warmup_outside(args.warmup, args.slots):
         return 2
     timer = PhaseTimer()
     slots_total = args.replicas * args.slots

@@ -86,24 +86,34 @@ a registry name):
   kernels with per-slot iteration structure feed the
   ``pim.iterations`` histogram via ``probe.slot_iterations``.
 
-**B = 1 parity convention.**  Each object scheduler is its batched
-kernel called at ``B == 1`` (QPS-r's shares the kernel's rounds), so
-with a shared seed the two are draw-for-draw and pointer-for-pointer
-identical.  The differential harness
-(:func:`repro.check.differential.backend_parity`) exploits this to
-demand *slot-exact* trace equality between the object backend and the
-fast path for every kernel.
+**B = 1 parity convention.**  Every object scheduler -- PIM, iSLIP,
+LQF, wavefront, QPS-r and the lottery -- is one :class:`ObjectScheduler`
+around its batched kernel called at ``B == 1``, so with a shared seed
+the two are draw-for-draw and pointer-for-pointer identical.  The
+adapter validates the N x N input, builds the one-replica kernel at
+construction (rebuilt at the N the first slot fixes), returns the empty matching at N = 0, forwards
+``reset`` and ``attach_probe`` and turns the kernel's row into a
+:class:`~repro.core.matching.Matching`; whatever else a scheduler
+exposes (PIM's ``last_result``, the lottery's tables) is the kernel's.
+One size rule holds for all of them: the first slot fixes N, and a
+matrix of another size raises until ``reset()``.  The differential
+harness (:func:`repro.check.differential.backend_parity`) exploits the
+convention to demand *slot-exact* trace equality between the object
+backend and the fast path for every kernel, ``output_capacity``
+included.
 
-:func:`build_batch_scheduler` / :func:`build_object_scheduler` are the
-name registry the fast paths, the CLI and the differential harness
-share, so "the same scheduler on both backends" is spelled identically
-everywhere.
+:func:`build_batch_scheduler` is the name registry the fast paths, the
+CLI and the differential harness share, and
+:func:`build_object_scheduler` is the adapter around its
+``replicas=1`` call, so "the same scheduler on both backends" is
+spelled once.
 """
 
 from __future__ import annotations
 
 import contextlib
 import copy
+import functools
 import os
 import queue
 import threading
@@ -111,10 +121,13 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from repro.core.matching import Matching, as_request_matrix
+
 __all__ = [
     "BATCH_SCHEDULERS",
     "BatchScheduler",
     "KeyRing",
+    "ObjectScheduler",
     "StreamBank",
     "as_request_batch",
     "build_batch_scheduler",
@@ -735,6 +748,30 @@ class BatchScheduler:
         )
 
 
+def _kernel_class(name: str) -> type:
+    """The kernel class a registry name builds (see ``BATCH_SCHEDULERS``)."""
+    if name not in BATCH_SCHEDULERS:
+        raise ValueError(
+            f"unknown batch scheduler {name!r}; known: {', '.join(BATCH_SCHEDULERS)}"
+        )
+    # Imported lazily to avoid module-level cycles (the kernels import
+    # this module for the base class).
+    from repro.core.islip import BatchISLIPScheduler
+    from repro.core.lqf import BatchLQFScheduler
+    from repro.core.pim import BatchPIMScheduler
+    from repro.core.qps import BatchQPSScheduler
+    from repro.core.wavefront import BatchWavefrontScheduler
+
+    classes = (
+        BatchPIMScheduler,
+        BatchISLIPScheduler,
+        BatchLQFScheduler,
+        BatchWavefrontScheduler,
+        BatchQPSScheduler,
+    )
+    return classes[BATCH_SCHEDULERS.index(name)]
+
+
 def build_batch_scheduler(
     name: str,
     replicas: int,
@@ -758,60 +795,154 @@ def build_batch_scheduler(
     generator or, for a kernel that draws, a list of K of them: a
     :class:`StreamBank` over K equal blocks of the replica axis.
     """
-    # Imported lazily to avoid module-level cycles (the kernels import
-    # this module for the base class).
-    if name == "pim":
-        from repro.core.pim import BatchPIMScheduler
+    kernel = _kernel_class(name)
+    stream = {"seed": seed, "rng": rng}
+    options = {
+        "pim": dict(
+            iterations=iterations, accept=accept, track_sizes=track_sizes, **stream
+        ),
+        "islip": dict(iterations=iterations),
+        "lqf": stream,
+        "wavefront": {},
+        "qps": dict(rounds=iterations, **stream),
+    }[name]
+    return kernel(replicas, ports, output_capacity=output_capacity, **options)
 
-        return BatchPIMScheduler(
-            replicas=replicas,
-            ports=ports,
-            iterations=iterations,
-            accept=accept,
-            seed=seed,
-            rng=rng,
-            output_capacity=output_capacity,
-            track_sizes=track_sizes,
-        )
-    if name == "islip":
-        from repro.core.islip import BatchISLIPScheduler
 
-        return BatchISLIPScheduler(
-            replicas=replicas,
-            ports=ports,
-            iterations=iterations,
-            output_capacity=output_capacity,
-        )
-    if name == "lqf":
-        from repro.core.lqf import BatchLQFScheduler
+class ObjectScheduler:
+    """One switch's scheduler: the B = 1 call of a batched kernel.
 
-        return BatchLQFScheduler(
-            replicas=replicas,
-            ports=ports,
-            seed=seed,
-            rng=rng,
-            output_capacity=output_capacity,
-        )
-    if name == "wavefront":
-        from repro.core.wavefront import BatchWavefrontScheduler
+    The object model's schedulers -- :class:`repro.core.pim.PIMScheduler`,
+    its zoo and :class:`repro.core.statistical.StatisticalMatcher` -- are
+    this class around their kernels, and :func:`build_object_scheduler`
+    builds it by registry name.  Each slot it
 
-        return BatchWavefrontScheduler(
-            replicas=replicas, ports=ports, output_capacity=output_capacity
-        )
-    if name == "qps":
-        from repro.core.qps import BatchQPSScheduler
+    - validates the N x N request matrix (square; a numeric one must be
+      non-negative, or a negative entry would cast to a request) and
+      hands it to the kernel as a one-replica batch, with the N x N
+      ``occupancy`` for a kernel that ``needs_occupancy``;
+    - returns the empty matching at N = 0, where no kernel can exist;
+    - builds the kernel at construction -- at ``ports``, or at one
+      port until the first slot fixes N, when it is rebuilt at N
+      (building draws nothing, so the stream does not move; bad options
+      raise at once and the configuration reads on a fresh scheduler):
+      ``build_batch_scheduler(name, 1, N, ...)`` on the stream of
+      ``(seed, rng)``, where ``seed=None`` falls back to the default
+      seed of the scheduler's own ``name`` (``"pim"``, not the kernel's
+      ``"pim_batch"``), or ``kernel(N)`` for a kernel outside the
+      registry;
+    - returns the kernel's row as a :class:`Matching`, validated on both
+      sides when ``output_capacity == 1`` (a b-matching on the output
+      side otherwise).
 
-        return BatchQPSScheduler(
-            replicas=replicas,
-            ports=ports,
-            rounds=iterations,
-            seed=seed,
-            rng=rng,
-            output_capacity=output_capacity,
+    **Size rule**: ``ports`` fixes N for good; otherwise the first slot
+    fixes it until ``reset()``.  A matrix of any other size raises
+    ``ValueError``: carrying pointers or a rotation over to a new N
+    would corrupt them silently.  ``reset()`` resets the kernel --
+    pointers, rotation and stream back to their state at the first
+    slot -- and forgets a learned N, so a rerun replays the first run.
+    ``attach_probe`` reaches the kernel and every kernel built later.
+    Any other attribute is the kernel's: the configuration
+    (``iterations``, ``accept``, ``rounds``, ``fill``), PIM's
+    ``last_result``, the lottery's ``tables``.
+    """
+
+    needs_occupancy = False
+
+    def __init__(
+        self,
+        name: str,
+        *,
+        iterations: Optional[int] = None,
+        accept: str = "random",
+        seed: Optional[int] = None,
+        rng=None,
+        output_capacity: int = 1,
+        ports: Optional[int] = None,
+        kernel=None,
+    ):
+        if kernel is None:
+            self.needs_occupancy = _kernel_class(name).needs_occupancy
+            if seed is None and rng is None:
+                from repro.sim.rng import default_seed  # lazily: see resolve_generator
+
+                seed = default_seed(name)
+            kernel = functools.partial(
+                build_batch_scheduler,
+                name,
+                1,
+                iterations=iterations,
+                accept=accept,
+                seed=seed,
+                rng=rng,
+                output_capacity=output_capacity,
+                track_sizes=True,  # PIM's last_result
+            )
+        self.name = name
+        self._build = kernel
+        self._validate_outputs = output_capacity == 1
+        self._fixed_ports = ports
+        self.ports = ports
+        self._probe = None
+        # ports=0 is the one size with no kernel.
+        self._kernel: Optional[BatchScheduler] = (
+            None if ports == 0 else kernel(1 if ports is None else ports)
         )
-    raise ValueError(
-        f"unknown batch scheduler {name!r}; known: {', '.join(BATCH_SCHEDULERS)}"
-    )
+
+    def __getattr__(self, attribute: str):
+        # Reached only for names this object lacks: the kernel's state.
+        kernel = self.__dict__.get("_kernel")
+        if kernel is None:
+            raise AttributeError(attribute)
+        return getattr(kernel, attribute)
+
+    def schedule(
+        self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
+    ) -> Matching:
+        """One slot's matching of an N x N request matrix."""
+        raw = np.asarray(requests)
+        matrix = as_request_matrix(raw)
+        numeric = raw.dtype != bool and np.issubdtype(raw.dtype, np.number)
+        if numeric and (raw < 0).any():
+            raise ValueError("requests must be non-negative")
+        n = len(matrix)
+        if self.ports is not None and n != self.ports:
+            raise ValueError(
+                f"request matrix is {n}x{n} but the {self.name} scheduler is "
+                f"sized for {self.ports} ports"
+                + (
+                    ""
+                    if self._fixed_ports is not None
+                    else "; a mid-run size change would silently corrupt its "
+                    "state -- call reset() first if the change is intended"
+                )
+            )
+        if n and self._kernel.ports != n:
+            kernel = self._build(n)
+            kernel.attach_probe(self._probe)
+            self._kernel = kernel
+        self.ports = n  # only once the kernel is built: a failed slot fixes nothing
+        if not n:
+            return Matching.empty()
+        if occupancy is not None:
+            occupancy = np.asarray(occupancy)[None]
+        match = self._kernel.schedule(matrix[None], occupancy)[0]
+        return Matching.from_match_array(match, self._validate_outputs)
+
+    def attach_probe(self, probe) -> None:
+        """Attach a :class:`repro.obs.probe.Probe` to the kernel (None detaches)."""
+        self._probe = probe
+        if self._kernel is not None:
+            self._kernel.attach_probe(probe)
+
+    def reset(self) -> None:
+        """Reset the kernel and forget an N the first slot fixed."""
+        if self._kernel is not None:
+            self._kernel.reset()
+        self.ports = self._fixed_ports
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.name!r}, kernel={self._kernel!r})"
 
 
 def build_object_scheduler(
@@ -823,46 +954,22 @@ def build_object_scheduler(
     rng=None,
     output_capacity: int = 1,
     ports: Optional[int] = None,
-):
-    """Build the object-model twin of a registry kernel.
+) -> ObjectScheduler:
+    """The object-model twin of a registry kernel: an
+    :class:`ObjectScheduler` around ``build_batch_scheduler(name,
+    replicas=1, ...)``.
 
     With the same ``seed`` (or an identically-positioned ``rng``) as
-    the batched kernel, the returned scheduler is draw-for-draw
-    identical to the B = 1 batch -- the pairing the slot-exact
-    differential parity checks are built on.  ``ports`` is only needed
-    to resolve ``iterations=None`` for iSLIP (the object scheduler
-    wants a concrete budget; N iterations always reach convergence).
+    the batched kernel it is draw-for-draw identical to the B = 1
+    batch -- the pairing the slot-exact differential parity checks are
+    built on.  ``ports`` fixes N up front.
     """
-    if name == "pim":
-        from repro.core.pim import PIMScheduler
-
-        return PIMScheduler(
-            iterations=iterations,
-            accept=accept,
-            seed=seed,
-            rng=rng,
-            output_capacity=output_capacity,
-        )
-    if name == "islip":
-        from repro.core.islip import ISLIPScheduler
-
-        if iterations is None:
-            if ports is None:
-                raise ValueError("islip with iterations=None needs ports")
-            iterations = ports
-        return ISLIPScheduler(iterations=iterations)
-    if name == "lqf":
-        from repro.core.lqf import LQFScheduler
-
-        return LQFScheduler(seed=seed, rng=rng)
-    if name == "wavefront":
-        from repro.core.wavefront import WavefrontScheduler
-
-        return WavefrontScheduler()
-    if name == "qps":
-        from repro.core.qps import QPSScheduler
-
-        return QPSScheduler(rounds=iterations, seed=seed, rng=rng)
-    raise ValueError(
-        f"unknown scheduler {name!r}; known: {', '.join(BATCH_SCHEDULERS)}"
+    return ObjectScheduler(
+        name,
+        iterations=iterations,
+        accept=accept,
+        seed=seed,
+        rng=rng,
+        output_capacity=output_capacity,
+        ports=ports,
     )

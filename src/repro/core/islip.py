@@ -24,13 +24,16 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler, line_winners, request_edges
-from repro.core.matching import Matching, as_request_matrix
+from repro.core.batch import (
+    BatchScheduler,
+    ObjectScheduler,
+    line_winners,
+    request_edges,
+)
 
 __all__ = [
     "BatchISLIPScheduler",
     "ISLIPScheduler",
-    "islip_match",
     "validate_pointer_array",
 ]
 
@@ -38,14 +41,15 @@ __all__ = [
 def validate_pointer_array(pointers: np.ndarray, n: int, name: str) -> np.ndarray:
     """Validate a round-robin pointer array that will be mutated in place.
 
-    The pointer-carrying matchers (iSLIP, RRM) advance caller-provided
-    arrays in place so a stateful scheduler carries desynchronization
-    state across slots.  Writing ``(i + 1) % n`` into an array of the
-    wrong dtype silently truncates or rounds (float arrays accept the
-    store but corrupt later modular arithmetic on mixed types), so
-    anything that is not an int64 array of shape ``(n,)`` with values
-    in ``[0, n)`` is rejected outright -- a silent copy-convert would
-    break the in-place mutation contract instead.
+    The pointer-carrying matcher :func:`repro.core.rrm.rrm_match`
+    advances caller-provided arrays in place so a stateful scheduler
+    carries desynchronization state across slots.  Writing
+    ``(i + 1) % n`` into an array of the wrong dtype silently truncates
+    or rounds (float arrays accept the store but corrupt later modular
+    arithmetic on mixed types), so anything that is not an int64 array
+    of shape ``(n,)`` with values in ``[0, n)`` is rejected outright --
+    a silent copy-convert would break the in-place mutation contract
+    instead.
 
     Returns the validated array unchanged.
     """
@@ -67,92 +71,22 @@ def validate_pointer_array(pointers: np.ndarray, n: int, name: str) -> np.ndarra
     return array
 
 
-def islip_match(
-    requests: np.ndarray,
-    grant_pointers: np.ndarray,
-    accept_pointers: np.ndarray,
-    iterations: int = 1,
-) -> Matching:
-    """One slot of iSLIP: the B = 1 call of :class:`BatchISLIPScheduler`.
-
-    Parameters
-    ----------
-    requests:
-        N x N boolean request matrix.
-    grant_pointers, accept_pointers:
-        Per-output and per-input round-robin pointers; **mutated in
-        place** according to the iSLIP update rule (advance one past the
-        chosen port, only on an accepted grant, only in iteration 1).
-        Must be int64 arrays of shape ``(N,)`` with values in
-        ``[0, N)``; anything else is rejected with ``ValueError``
-        rather than silently mutated (see
-        :func:`validate_pointer_array`).
-    iterations:
-        Request/grant/accept rounds per slot.
-    """
-    matrix = as_request_matrix(requests)
-    n = matrix.shape[0]
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    validate_pointer_array(grant_pointers, n, "grant_pointers")
-    validate_pointer_array(accept_pointers, n, "accept_pointers")
-    if n == 0:  # no ports (the kernel needs N >= 1)
-        return Matching.empty()
-    kernel = BatchISLIPScheduler(1, n, iterations)
-    # Views: the kernel advances the caller's pointers in place.
-    kernel._grant_pointers = grant_pointers[None]
-    kernel._accept_pointers = accept_pointers[None]
-    return Matching.from_match_array(kernel.schedule(matrix[None])[0])
-
-
-class ISLIPScheduler:
+class ISLIPScheduler(ObjectScheduler):
     """Stateful iSLIP scheduler (pointers persist across slots).
 
-    The pointer arrays are sized by the first request matrix seen.  A
-    *different*-sized matrix later in the run raises ``ValueError``:
-    silently reallocating zeroed pointers mid-run (the old behaviour)
-    corrupts the desynchronization state that iSLIP's throughput rests
-    on, and does so invisibly.  Call :meth:`reset` first when a size
-    change is genuinely intended.
+    The :class:`~repro.core.batch.ObjectScheduler` around a one-replica
+    :class:`BatchISLIPScheduler`, with ``iterations`` rounds per slot
+    (``None``: to convergence).  ``ports`` sizes the pointers up front;
+    otherwise the first request matrix does.  A *different*-sized
+    matrix later in the run raises ``ValueError``: silently
+    reallocating zeroed pointers mid-run (the old behaviour) corrupts
+    the desynchronization state that iSLIP's throughput rests on, and
+    does so invisibly.  Call :meth:`reset` first when a size change is
+    genuinely intended.
     """
 
-    name = "islip"
-
-    def __init__(self, iterations: int = 1, ports: Optional[int] = None):
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        self.iterations = iterations
-        self._grant_pointers: Optional[np.ndarray] = None
-        self._accept_pointers: Optional[np.ndarray] = None
-        if ports is not None:
-            self._allocate(ports)
-
-    def _allocate(self, n: int) -> None:
-        self._grant_pointers = np.zeros(n, dtype=np.int64)
-        self._accept_pointers = np.zeros(n, dtype=np.int64)
-
-    def schedule(self, requests: np.ndarray) -> Matching:
-        """Return this slot's matching and advance the pointers."""
-        matrix = as_request_matrix(requests)
-        n = matrix.shape[0]
-        if self._grant_pointers is None:
-            self._allocate(n)
-        elif self._grant_pointers.shape[0] != n:
-            raise ValueError(
-                f"request matrix is {n}x{n} but pointers were sized for "
-                f"{self._grant_pointers.shape[0]} ports; a mid-run size "
-                f"change would silently reset iSLIP's pointer state -- "
-                f"call reset() first if the change is intended"
-            )
-        return islip_match(matrix, self._grant_pointers, self._accept_pointers, self.iterations)
-
-    def reset(self) -> None:
-        """Return all pointers to zero."""
-        self._grant_pointers = None
-        self._accept_pointers = None
-
-    def __repr__(self) -> str:
-        return f"ISLIPScheduler(iterations={self.iterations})"
+    def __init__(self, iterations: Optional[int] = 1, ports: Optional[int] = None):
+        super().__init__("islip", iterations=iterations, ports=ports)
 
 
 class BatchISLIPScheduler(BatchScheduler):
@@ -160,8 +94,8 @@ class BatchISLIPScheduler(BatchScheduler):
 
     Implements the :class:`repro.core.batch.BatchScheduler` protocol
     with per-(replica, port) grant and accept pointer arrays.  The
-    kernel is fully deterministic; at B = 1 it is :func:`islip_match`,
-    which :class:`ISLIPScheduler` calls each slot:
+    kernel is fully deterministic; at B = 1 it is
+    :class:`ISLIPScheduler`:
 
     - **grant**: each output with capacity left picks the requesting
       input with the smallest offset ``(i - grant_ptr) % N`` -- the
@@ -185,8 +119,7 @@ class BatchISLIPScheduler(BatchScheduler):
         to convergence (at most N rounds -- every round with an
         unresolved request accepts at least one pair).
     output_capacity:
-        Matches each output may take per slot (k-grant generalization;
-        :func:`islip_match` is k = 1).
+        Matches each output may take per slot (k-grant generalization).
     """
 
     name = "islip_batch"

@@ -23,12 +23,12 @@ import numpy as np
 
 from repro.core.batch import (
     BatchScheduler,
+    ObjectScheduler,
     line_winners,
     occupancy_edges,
     replay_generator,
-    resolve_generator,
 )
-from repro.core.matching import Matching, as_request_matrix
+from repro.core.matching import Matching
 
 __all__ = ["BatchLQFScheduler", "LQFScheduler", "lqf_match"]
 
@@ -39,68 +39,26 @@ def lqf_match(occupancy: np.ndarray, rng: np.random.Generator) -> Matching:
     ``occupancy[i, j]`` is the number of queued cells for (i, j); ties
     are broken uniformly at random (equal keys, which only a coarse
     ``rng`` produces, go to the first cell).  The result is maximal
-    over the positive-occupancy pairs.  The B = 1 call of
-    :class:`BatchLQFScheduler`: ``rng`` moves by one ``(1, N, N)`` cube.
+    over the positive-occupancy pairs.  One slot of a fresh
+    :class:`LQFScheduler` on ``rng``, which moves by one ``(1, N, N)``
+    cube.
     """
-    matrix = np.asarray(occupancy)
-    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
-        raise ValueError(f"occupancy must be square, got shape {matrix.shape}")
-    if matrix.shape[0] == 0:  # no ports (the kernel needs N >= 1)
-        return Matching.empty()
-    return _lqf_slot(BatchLQFScheduler(1, matrix.shape[0], rng=rng), matrix)
+    return LQFScheduler(rng=rng).schedule(np.asarray(occupancy) > 0, occupancy)
 
 
-def _lqf_slot(kernel: BatchLQFScheduler, occupancy: np.ndarray) -> Matching:
-    """One slot of a one-replica ``kernel`` on an N x N ``occupancy``
-    (the kernel rejects negative counts)."""
-    match = kernel.schedule(occupancy[None] > 0, occupancy[None])
-    return Matching.from_match_array(match[0])
-
-
-class LQFScheduler:
+class LQFScheduler(ObjectScheduler):
     """Occupancy-aware scheduler for :class:`CrossbarSwitch`.
 
-    Each slot is one call of a one-replica :class:`BatchLQFScheduler`
-    drawing from this scheduler's stream.  Sets ``needs_occupancy`` so the switch passes the cell counts per
-    VOQ instead of just the boolean request matrix.
+    The :class:`~repro.core.batch.ObjectScheduler` around a one-replica
+    :class:`BatchLQFScheduler` drawing its tie-breaks from this
+    scheduler's stream (``seed=None``: the ``"lqf"`` default seed).
+    ``needs_occupancy`` is set, so the switch passes the cell counts
+    per VOQ along with the boolean request matrix; without them it
+    degrades to boolean occupancy (plain maximal).
     """
 
-    name = "lqf"
-    needs_occupancy = True
-
     def __init__(self, seed: Optional[int] = None, rng=None):
-        # Deterministic seed=None fallback (repro.sim.rng default-seed
-        # policy); the token lets reset() rewind the stream.
-        self._rng, self._rng_token = resolve_generator(seed, rng, "lqf")
-        # The one-replica kernel on ``_rng``, built at the first slot
-        # (that fixes N) and again after reset() or a change of N.
-        self._kernel: Optional[BatchLQFScheduler] = None
-
-    def schedule(self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None) -> Matching:
-        """Return this slot's matching from the occupancy matrix."""
-        if occupancy is None:
-            # Degrade gracefully to boolean occupancy (plain maximal).
-            occupancy = as_request_matrix(requests).astype(np.int64)
-        matrix = np.asarray(occupancy)
-        if self._kernel is None or self._kernel.ports != len(matrix):
-            self._kernel = BatchLQFScheduler(1, len(matrix), rng=self._rng)
-        return _lqf_slot(self._kernel, matrix)
-
-    def reset(self) -> None:
-        """Rewind the tie-break RNG to its as-constructed state.
-
-        Regression note: this used to be a no-op on the grounds of "no
-        cross-slot state", but the tie-break stream *is* cross-slot
-        state -- it kept advancing across ``reset()``, so a rerun of
-        the same scheduler (``CrossbarSwitch.run`` resets at the top)
-        diverged from the first run, violating the reset/rerun
-        contract of PRs 4-5.
-        """
-        self._rng = replay_generator(self._rng, self._rng_token)
-        self._kernel = None
-
-    def __repr__(self) -> str:
-        return "LQFScheduler()"
+        super().__init__("lqf", seed=seed, rng=rng)
 
 
 class BatchLQFScheduler(BatchScheduler):
@@ -123,8 +81,7 @@ class BatchLQFScheduler(BatchScheduler):
     **Stream contract**: the tie-break uniforms are the keys at the
     edges of one *full* ``(B, N, N)`` cube per slot
     (:meth:`~repro.core.batch.BatchScheduler._cube_keys`).  At B = 1
-    the kernel is :func:`lqf_match`, which :class:`LQFScheduler` calls
-    each slot.
+    the kernel is :class:`LQFScheduler` (and :func:`lqf_match`).
 
     ``needs_occupancy``: the fast paths pass queue-depth counts along
     with the request mask; entries outside the mask get zero weight

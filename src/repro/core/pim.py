@@ -29,7 +29,8 @@ The module provides:
 - :class:`PIMScheduler` -- the stateful scheduler object plugged into
   :class:`repro.switch.switch.CrossbarSwitch`.
 
-The last two are B = 1 calls of the first: one implementation, so the
+The last two are B = 1 calls of the first (through
+:class:`repro.core.batch.ObjectScheduler`): one implementation, so the
 object and fast-path backends make the same matches from the same
 stream.
 """
@@ -43,12 +44,12 @@ import numpy as np
 
 from repro.core.batch import (
     BatchScheduler,
+    ObjectScheduler,
     line_winners,
     replay_generator,
     request_edges,
-    resolve_generator,
 )
-from repro.core.matching import Matching, as_request_matrix
+from repro.core.matching import Matching
 
 __all__ = [
     "PIMResult",
@@ -106,77 +107,30 @@ def pim_match(
     rng: np.random.Generator,
     iterations: Optional[int] = AN2_ITERATIONS,
     accept: AcceptPolicy = "random",
-    accept_pointers: Optional[np.ndarray] = None,
     output_capacity: int = 1,
 ) -> PIMResult:
     """Run parallel iterative matching on one request matrix.
 
-    The B = 1 call of :class:`BatchPIMScheduler`, so ``rng`` moves as
-    that kernel's stream does: one ``(1, N, N)`` cube per grant and per
-    random accept of every executed iteration.
-
-    Parameters
-    ----------
-    requests:
-        N x N boolean matrix; ``requests[i, j]`` means input i has at
-        least one queued cell for output j.
-    rng:
-        Random generator for the grant (and random-accept) choices; it
-        only needs a numpy-compatible ``random(shape)``.
-    iterations:
-        Iteration budget; ``None`` runs to completion (until maximal).
-        The AN2 prototype uses 4 (Section 3.2).
-    accept:
-        ``"random"`` or ``"round_robin"`` input accept policy.
-    accept_pointers:
-        Round-robin pointers (length N int array), mutated in place so a
-        stateful scheduler carries fairness across slots.  Ignored for
-        the random policy; allocated fresh when needed and absent.
-    output_capacity:
-        The k-grant generalization of Section 3.1 for fabrics that can
-        deliver k cells per output per slot: each output may grant (and
-        be matched) up to k times.  Inputs still accept at most one
-        grant per slot.  With k > 1 the result is a legal *b-matching*
-        on the output side and is returned as plain pairs rather than a
-        :class:`Matching`-validated object only when k == 1.
+    One slot of a fresh :class:`PIMScheduler` on ``rng`` (which only
+    needs a numpy-compatible ``random(shape)``), so ``rng`` moves as the
+    kernel's stream does: one ``(1, N, N)`` cube per grant and per
+    random accept of every executed iteration.  ``iterations=None``
+    runs to completion (the AN2 prototype uses 4, Section 3.2);
+    ``output_capacity`` k lets each output be matched up to k times
+    (the k-grant generalization of Section 3.1).
 
     Returns a :class:`PIMResult`.  With ``output_capacity == 1`` the
     matching is always legal, and maximal whenever ``completed``.  An
     empty request matrix runs zero iterations (``iterations == 0``)
     and reports the sentinel ``cumulative_sizes == (0,)``.
     """
-    matrix = as_request_matrix(requests)
-    n = matrix.shape[0]
-    if n == 0:  # no ports (the kernel needs N >= 1)
-        return PIMResult(Matching.empty(), (0,), True, 0)
-    kernel = BatchPIMScheduler(
-        1, n, iterations, accept, output_capacity=output_capacity, rng=rng
+    scheduler = PIMScheduler(
+        iterations, accept, output_capacity=output_capacity, rng=rng
     )
-    return _pim_slot(kernel, matrix, accept_pointers)
-
-
-def _pim_slot(
-    kernel: BatchPIMScheduler, matrix: np.ndarray, accept_pointers
-) -> PIMResult:
-    """One slot of a one-replica ``kernel`` on an N x N ``matrix``.
-
-    ``accept_pointers``, when given, replace the kernel's round-robin
-    pointers by a view, so the kernel advances them in place.
-    """
-    if accept_pointers is not None:
-        kernel._pointers = accept_pointers[None]
-    match = kernel.schedule(matrix[None])[0]
-    sizes = tuple(kernel.last_cumulative_sizes[0].tolist())
-    return PIMResult(
-        # k > 1 legitimately matches an output up to k times (a
-        # b-matching on the output side), which the default validator
-        # forbids.
-        Matching.from_match_array(match, kernel.output_capacity == 1),
-        sizes,
-        bool(kernel.last_completed[0]),
-        # One size per round; an empty matrix runs none and keeps (0,).
-        len(sizes) if matrix.any() else 0,
-    )
+    matching = scheduler.schedule(requests)
+    if not scheduler.ports:  # no ports, no kernel: nothing ran
+        return PIMResult(matching, (0,), True, 0)
+    return scheduler.last_result
 
 
 class BatchPIMScheduler(BatchScheduler):
@@ -188,7 +142,7 @@ class BatchPIMScheduler(BatchScheduler):
     round costs array work per request, not per cell of the cube.  This
     is the matching kernel of the fast-path simulator
     (:mod:`repro.sim.fastpath`), and at B = 1 the whole of
-    :func:`pim_match` and :class:`PIMScheduler`.  Its cross-slot state:
+    :class:`PIMScheduler` (and so of :func:`pim_match`).  Its cross-slot state:
 
     - an **iteration budget** per slot (AN2 uses 4; ``None`` runs each
       slot to maximality, which needs at most N rounds since every
@@ -219,9 +173,10 @@ class BatchPIMScheduler(BatchScheduler):
     output_capacity:
         Grants (and matches) each output may take per slot.
     track_sizes:
-        Record ``last_cumulative_sizes`` / ``last_completed``
-        diagnostics (Table 1 needs them; the fast-path inner loop
-        turns them off to save per-slot reductions).
+        Record ``last_cumulative_sizes`` / ``last_completed`` /
+        ``last_result`` diagnostics (Table 1 and the object scheduler
+        need them; the fast-path inner loop turns them off to save
+        per-slot reductions).
 
     Examples
     --------
@@ -350,11 +305,32 @@ class BatchPIMScheduler(BatchScheduler):
 
         if self._probe is not None:
             self._probe.slot_iterations(executed)
+        match = match.reshape(b, n)
         if self.track_sizes:
             sizes = cumulative or [np.zeros(b, dtype=np.int64)]  # no round ran
             self.last_cumulative_sizes = np.stack(sizes, axis=1)
             self.last_completed = np.bincount(edges[0] // (n * n), minlength=b) == 0
-        return match.reshape(b, n)
+            self._last_match = match
+        return match
+
+    @property
+    def last_result(self) -> Optional[PIMResult]:
+        """Replica 0's last slot as a :class:`PIMResult` (the object
+        :class:`PIMScheduler`'s view); None before the first slot, after
+        ``reset()`` and with ``track_sizes`` off."""
+        if self.last_completed is None:
+            return None
+        sizes = tuple(self.last_cumulative_sizes[0].tolist())
+        return PIMResult(
+            # k > 1 legitimately matches an output up to k times (a
+            # b-matching on the output side), which the default
+            # validator forbids.
+            Matching.from_match_array(self._last_match[0], self.output_capacity == 1),
+            sizes,
+            bool(self.last_completed[0]),
+            # Every round that runs matches a pair: (0,) means none ran.
+            len(sizes) if sizes[-1] else 0,
+        )
 
     def reset(self) -> None:
         """Restore all cross-slot state (pointers, RNG, diagnostics).
@@ -377,18 +353,21 @@ class BatchPIMScheduler(BatchScheduler):
         )
 
 
-class PIMScheduler:
+class PIMScheduler(ObjectScheduler):
     """Stateful PIM scheduler for the slot-clocked switch model.
 
-    Each slot is one call of a one-replica :class:`BatchPIMScheduler`
-    drawing from this scheduler's stream.  Iteration-count convention: ``last_result.iterations`` counts
+    The :class:`~repro.core.batch.ObjectScheduler` around a one-replica
+    :class:`BatchPIMScheduler`.  ``last_result`` is the kernel's
+    :class:`PIMResult` of the last slot; its ``iterations`` counts the
     request/grant/accept rounds actually executed, so a slot whose
     request matrix is empty reports ``iterations == 0`` (no round ran)
-    even though ``cumulative_sizes`` keeps its ``(0,)`` sentinel --
-    see :func:`pim_match`.  Per-slot delay/warm-up accounting is the
-    switch's job (:class:`repro.sim.stats.DelayStats`), not the
-    scheduler's: the scheduler is memoryless apart from round-robin
-    pointers and its RNG stream.
+    even though ``cumulative_sizes`` keeps its ``(0,)`` sentinel.
+    Per-slot delay/warm-up accounting is the switch's job
+    (:class:`repro.sim.stats.DelayStats`), not the scheduler's: the
+    scheduler is memoryless apart from round-robin pointers and its
+    RNG stream.  An attached probe gets one ``PimIteration`` event per
+    round on sampled slots (the Figure 2 anatomy) and every slot's
+    round count in the ``pim.iterations`` histogram.
 
     Parameters
     ----------
@@ -401,6 +380,10 @@ class PIMScheduler:
         Seed for this scheduler's private random stream.
     output_capacity:
         k-grant generalization for replicated fabrics.
+    rng:
+        A substitute randomness source, e.g. the Section 3.3 hardware
+        generator :func:`repro.hardware.random_select.lfsr_pim_rng`; it
+        only needs a numpy-compatible ``random(shape)``.
 
     Examples
     --------
@@ -411,8 +394,6 @@ class PIMScheduler:
     True
     """
 
-    name = "pim"
-
     def __init__(
         self,
         iterations: Optional[int] = AN2_ITERATIONS,
@@ -421,75 +402,11 @@ class PIMScheduler:
         output_capacity: int = 1,
         rng=None,
     ):
-        self.iterations = iterations
-        self.accept = accept
-        self.output_capacity = output_capacity
-        # ``rng`` lets callers substitute a hardware-grade randomness
-        # source (e.g. repro.hardware.random_select.lfsr_pim_rng) for
-        # the Section 3.3 randomness-approximation ablation; it only
-        # needs a numpy-compatible ``random(shape)``.  seed=None falls
-        # back to the repro.sim.rng default-seed policy.
-        self._rng, self._rng_token = resolve_generator(seed, rng, "pim")
-        self._pointers: Optional[np.ndarray] = None
-        # The one-replica kernel on ``_rng``, built at the first slot
-        # (that fixes N) and again after reset() or a change of N.
-        self._kernel: Optional[BatchPIMScheduler] = None
-        self.last_result: Optional[PIMResult] = None
-        self._probe = None
-
-    def attach_probe(self, probe) -> None:
-        """Attach a :class:`repro.obs.probe.Probe` for per-iteration
-        telemetry.
-
-        On slots the probe samples, the kernel emits one
-        ``PimIteration`` event per request/grant/accept round (the
-        Figure 2 anatomy); every slot additionally feeds the
-        ``pim.iterations`` histogram.  The iteration-count convention
-        is :func:`pim_match`'s: an empty request matrix runs zero
-        iterations, so it contributes 0 to the histogram and emits no
-        ``PimIteration`` events.  Pass ``None`` to detach.
-        """
-        self._probe = probe
-        if self._kernel is not None:
-            self._kernel.attach_probe(probe)
-
-    def schedule(self, requests: np.ndarray) -> Matching:
-        """Compute the matching for one slot from the request matrix."""
-        matrix = as_request_matrix(requests)
-        n = matrix.shape[0]
-        if self.accept == "round_robin":
-            if self._pointers is None or self._pointers.shape[0] != n:
-                self._pointers = np.zeros(n, dtype=np.int64)
-        if self._kernel is None or self._kernel.ports != n:
-            self._kernel = BatchPIMScheduler(
-                1,
-                n,
-                self.iterations,
-                self.accept,
-                output_capacity=self.output_capacity,
-                rng=self._rng,
-            )
-            self._kernel.attach_probe(self._probe)
-        self.last_result = _pim_slot(self._kernel, matrix, self._pointers)
-        return self.last_result.matching
-
-    def reset(self) -> None:
-        """Restore all cross-slot state (pointers and the RNG stream).
-
-        Regression note: ``reset()`` used to clear only the round-robin
-        pointers while the grant/accept stream kept advancing, so a
-        rerun of the same scheduler diverged from the first run --
-        violating the reset/rerun contract
-        :class:`repro.core.statistical.StatisticalMatcher` documents.
-        The stream now rewinds to its as-constructed state (injected
-        non-numpy sources, which cannot be snapshotted, are left
-        untouched; the caller owns replay for those).
-        """
-        self._pointers = None
-        self._rng = replay_generator(self._rng, self._rng_token)
-        self._kernel = None
-        self.last_result = None
-
-    def __repr__(self) -> str:
-        its = "inf" if self.iterations is None else self.iterations
-        return f"PIMScheduler(iterations={its}, accept={self.accept!r})"
+        super().__init__(
+            "pim",
+            iterations=iterations,
+            accept=accept,
+            seed=seed,
+            rng=rng,
+            output_capacity=output_capacity,
+        )

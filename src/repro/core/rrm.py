@@ -37,8 +37,8 @@ def rrm_match(
 ) -> Matching:
     """One slot of RRM; pointers advance unconditionally each slot.
 
-    Parameters mirror :func:`repro.core.islip.islip_match`; both
-    pointer arrays are mutated in place and validated the same way
+    Both pointer arrays (per output, per input) are mutated in place
+    and validated by :func:`repro.core.islip.validate_pointer_array`
     (int64, shape ``(N,)``, values in ``[0, N)``).
     """
     matrix = as_request_matrix(requests)

@@ -71,8 +71,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler
-from repro.core.matching import Matching, as_request_matrix
+from repro.core.batch import BatchScheduler, ObjectScheduler
+from repro.core.matching import Matching
 from repro.core.pim import AN2_ITERATIONS, BatchPIMScheduler
 
 __all__ = [
@@ -361,6 +361,7 @@ class BatchStatisticalMatcher(BatchScheduler):
         super().__init__(replicas, self.tables.ports)
         self.units = self.tables.units
         self.rounds = rounds
+        self.fill = fill
         # Imported lazily: repro.sim's package init pulls in the
         # fast-path simulators, which import this module back.
         from repro.sim.rng import default_seed, derive_seed
@@ -548,12 +549,13 @@ class BatchStatisticalMatcher(BatchScheduler):
         )
 
 
-class StatisticalMatcher:
+class StatisticalMatcher(ObjectScheduler):
     """Statistical matching over an integer allocation matrix.
 
-    The object scheduler is the B = 1 call of one
-    :class:`BatchStatisticalMatcher`: every draw, table and the fill's
-    derived stream are the kernel's.
+    The :class:`~repro.core.batch.ObjectScheduler` around a one-replica
+    :class:`BatchStatisticalMatcher`, built at construction (the
+    allocations fix N): every draw, table and the fill's derived stream
+    are the kernel's, and ``reset()`` rewinds both streams.
 
     Parameters
     ----------
@@ -587,10 +589,10 @@ class StatisticalMatcher:
     The matcher can be used standalone (:meth:`match`, no queue state
     needed -- useful for the Appendix C throughput bench) or as a
     switch scheduler (:meth:`schedule`, which drops statistical matches
-    that have no queued cell and then PIM-fills).
+    that have no queued cell and then PIM-fills).  While a probe is
+    attached, every slot emits one ``stat_round`` event per round --
+    the series the differential harness diffs against the fast path.
     """
-
-    name = "statistical"
 
     def __init__(
         self,
@@ -601,21 +603,15 @@ class StatisticalMatcher:
         fill: bool = False,
     ):
         self._alloc = np.array(allocations, dtype=np.int64)
-        self.units = units
-        self.rounds = rounds
-        self.fill = fill
-        self._kernel: Optional[BatchStatisticalMatcher] = None
-        if self._alloc.size:
-            self._kernel = BatchStatisticalMatcher(
-                self._alloc, units, rounds=rounds, seed=seed, fill=fill
-            )
-        else:  # no ports, nothing to draw (the kernel needs N >= 1)
+        if not len(self._alloc):  # no kernel to build: validate here
             compile_stat_tables(self._alloc, units)
-
-    @property
-    def ports(self) -> int:
-        """Switch size N."""
-        return self._alloc.shape[0]
+        super().__init__(
+            "statistical",
+            ports=len(self._alloc),
+            kernel=lambda ports: BatchStatisticalMatcher(
+                self._alloc, units, rounds, seed=seed, fill=fill
+            ),
+        )
 
     @property
     def allocations(self) -> np.ndarray:
@@ -647,49 +643,6 @@ class StatisticalMatcher:
         round-2 conflict with an *imaginary* match does not discard the
         round-2 pair (imaginary matches leave the port physically idle).
         """
-        if self._kernel is None:
+        if self._kernel is None:  # no ports, nothing to draw
             return Matching.empty()
         return Matching.from_match_array(self._kernel.match()[0])
-
-    def schedule(self, requests: np.ndarray) -> Matching:
-        """Switch-scheduler entry point.
-
-        Statistical matches lacking a queued cell are released (the
-        reserved slot is idle), and -- when ``fill`` is on -- idle
-        ports are handed to PIM over the remaining requests.
-        """
-        matrix = as_request_matrix(requests)
-        if matrix.shape[0] != self.ports:
-            raise ValueError(
-                f"request matrix is {matrix.shape[0]}x{matrix.shape[0]}, "
-                f"allocations are {self.ports}x{self.ports}"
-            )
-        if self._kernel is None:
-            return Matching.empty()
-        return Matching.from_match_array(self._kernel.schedule(matrix[None])[0])
-
-    def attach_probe(self, probe) -> None:
-        """Attach a :class:`repro.obs.probe.Probe` for per-round
-        telemetry.
-
-        While enabled, every slot emits one ``stat_round`` event per
-        grant/accept round (granted outputs, virtual-grant and decoy
-        totals, accepted and kept pairs) -- the series the differential
-        harness diffs against the fast-path backend.  Pass ``None`` to
-        detach.
-        """
-        if self._kernel is not None:
-            self._kernel.attach_probe(probe)
-
-    def reset(self) -> None:
-        """Restore both random streams to their as-constructed state, so
-        a rerun of the same matcher replays the first run draw for
-        draw (the contract ``PIMScheduler.reset()`` honors too)."""
-        if self._kernel is not None:
-            self._kernel.reset()
-
-    def __repr__(self) -> str:
-        return (
-            f"StatisticalMatcher(ports={self.ports}, units={self.units}, "
-            f"rounds={self.rounds}, fill={self.fill})"
-        )

@@ -18,79 +18,25 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.batch import BatchScheduler
-from repro.core.matching import Matching, as_request_matrix
+from repro.core.batch import BatchScheduler, ObjectScheduler
 
-__all__ = ["BatchWavefrontScheduler", "WavefrontScheduler", "wavefront_match"]
-
-
-def wavefront_match(requests: np.ndarray, start_diagonal: int = 0) -> Matching:
-    """Maximal matching by diagonal sweep.
-
-    Diagonal d holds pairs (i, j) with (i + j) mod N == d; diagonals are
-    processed in order starting from ``start_diagonal``.  The result is
-    always maximal: every request pair lies on some diagonal, and when
-    its diagonal is processed it is matched unless its row or column
-    was already taken.
-
-    Numeric request matrices must be non-negative (matching
-    :func:`repro.core.lqf.lqf_match`'s validation): a negative entry
-    would bool-cast to a *true* request, silently inventing traffic.
-    The B = 1 call of :class:`BatchWavefrontScheduler`.
-    """
-    raw = np.asarray(requests)
-    if raw.dtype != bool and np.issubdtype(raw.dtype, np.number) and (raw < 0).any():
-        raise ValueError("requests must be non-negative")
-    matrix = as_request_matrix(requests)
-    n = matrix.shape[0]
-    if n == 0:  # no ports (the kernel needs N >= 1)
-        return Matching.empty()
-    kernel = BatchWavefrontScheduler(1, n)
-    kernel._start = start_diagonal
-    return Matching.from_match_array(kernel.schedule(matrix[None])[0])
+__all__ = ["BatchWavefrontScheduler", "WavefrontScheduler"]
 
 
-class WavefrontScheduler:
+class WavefrontScheduler(ObjectScheduler):
     """Stateful wavefront scheduler; the start diagonal rotates per slot.
 
-    The rotating diagonal is sized by the first request matrix seen.  A
-    *different*-sized matrix later in the run raises ``ValueError``
-    (the same guard iSLIP and RRM carry): the old behaviour silently
-    wrapped ``_start`` modulo the new N, which skews the fairness
-    rotation invisibly.  Call :meth:`reset` first when a size change is
-    genuinely intended.
+    The :class:`~repro.core.batch.ObjectScheduler` around a one-replica
+    :class:`BatchWavefrontScheduler`.  The rotating diagonal is sized
+    by the first request matrix seen.  A *different*-sized matrix later
+    in the run raises ``ValueError`` (the same guard iSLIP and RRM
+    carry): the old behaviour silently wrapped the diagonal modulo the
+    new N, which skews the fairness rotation invisibly.  Call
+    :meth:`reset` first when a size change is genuinely intended.
     """
 
-    name = "wavefront"
-
     def __init__(self) -> None:
-        self._start = 0
-        self._ports: Optional[int] = None
-
-    def schedule(self, requests: np.ndarray) -> Matching:
-        """Return this slot's matching and rotate the priority diagonal."""
-        matrix = as_request_matrix(requests)
-        n = matrix.shape[0]
-        if self._ports is None:
-            self._ports = n
-        elif self._ports != n:
-            raise ValueError(
-                f"request matrix is {n}x{n} but the rotating diagonal was "
-                f"sized for {self._ports} ports; a mid-run size change "
-                f"would silently skew the fairness rotation -- call "
-                f"reset() first if the change is intended"
-            )
-        matching = wavefront_match(matrix, self._start)
-        self._start = (self._start + 1) % max(n, 1)
-        return matching
-
-    def reset(self) -> None:
-        """Reset the rotating diagonal (and forget the port count)."""
-        self._start = 0
-        self._ports = None
-
-    def __repr__(self) -> str:
-        return "WavefrontScheduler()"
+        super().__init__("wavefront")
 
 
 class BatchWavefrontScheduler(BatchScheduler):
@@ -101,9 +47,8 @@ class BatchWavefrontScheduler(BatchScheduler):
     so each of the N diagonal steps is a single vectorized
     take-if-row-and-column-free update across the whole batch; the
     rotating start diagonal is slot-driven (one rotation per
-    ``schedule`` call), hence a single scalar shared by every replica
-    -- the state :class:`WavefrontScheduler` keeps for the B = 1 call,
-    :func:`wavefront_match`.
+    ``schedule`` call), hence a single scalar shared by every replica.
+    At B = 1 it is :class:`WavefrontScheduler`.
     """
 
     name = "wavefront_batch"

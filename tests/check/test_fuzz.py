@@ -51,7 +51,7 @@ class TestRunCase:
         run_case(_switch(2, ports=4, scheduler="pim", pattern="uniform", slots=80))
 
     def test_unknown_scheduler_rejected(self):
-        with pytest.raises(ValueError, match="unknown scheduler"):
+        with pytest.raises(ValueError, match="unknown batch scheduler"):
             run_case(_switch(0, scheduler="bogus"))
 
     def test_unknown_pattern_rejected(self):

@@ -2,11 +2,12 @@
 
 The central contract (see :mod:`repro.core.batch`): at B=1, every
 batched kernel built with the same seed as its object scheduler must
-reproduce its matchings *slot for slot*.  The object PIM, iSLIP, LQF
-and wavefront schedulers are B = 1 calls of their kernels (QPS-r's
-shares its rounds), so ``TestB1Parity`` also holds all of them to the
-dense object loops they replaced (``_object_reference.py``), slot for
-slot, below N = 64.
+reproduce its matchings *slot for slot*.  Every object scheduler is
+the one ``ObjectScheduler`` adapter around its kernel's B = 1 call, so
+``TestB1Parity`` also holds them to the dense object loops they
+replaced (``_object_reference.py``), slot for slot, below N = 64, and
+``TestObjectSizeRule`` holds all of them to the adapter's one size
+rule.
 """
 
 import numpy as np
@@ -15,6 +16,7 @@ import pytest
 from repro.core.batch import (
     BATCH_SCHEDULERS,
     BatchScheduler,
+    ObjectScheduler,
     as_request_batch,
     build_batch_scheduler,
     build_object_scheduler,
@@ -22,6 +24,8 @@ from repro.core.batch import (
     occupancy_edges,
     request_edges,
 )
+
+from repro.core.wavefront import BatchWavefrontScheduler
 
 from . import _object_reference as loops
 
@@ -133,6 +137,35 @@ class TestB1Parity:
             "pim", ports, ports + 1, slots,
             iterations=iterations, accept=accept, output_capacity=output_capacity,
         )
+
+
+class TestObjectSizeRule:
+    """The first slot fixes an object scheduler's N until ``reset()``."""
+
+    @pytest.mark.parametrize("name", BATCH_SCHEDULERS)
+    def test_size_change_raises_until_reset(self, name):
+        rng = np.random.default_rng(1)
+        small, large = (rng.integers(0, 3, size=(n, n)) for n in (4, 6))
+        scheduler = build_object_scheduler(name, seed=5)
+        _object_match_vector(scheduler, small > 0, small)
+        with pytest.raises(ValueError, match="size change"):
+            _object_match_vector(scheduler, large > 0, large)
+        scheduler.reset()
+        fresh = build_object_scheduler(name, seed=5)
+        for _ in range(3):  # the same run as a scheduler that never saw N = 4
+            got = _object_match_vector(scheduler, large > 0, large)
+            assert (got == _object_match_vector(fresh, large > 0, large)).all()
+
+    def test_failed_first_slot_fixes_no_size(self):
+        def kernel(ports):
+            if ports == 4:
+                raise ValueError("no 4-port kernel")
+            return BatchWavefrontScheduler(1, ports)
+
+        scheduler = ObjectScheduler("wavefront", kernel=kernel)
+        with pytest.raises(ValueError, match="no 4-port kernel"):
+            scheduler.schedule(np.ones((4, 4), dtype=bool))
+        assert len(scheduler.schedule(np.ones((6, 6), dtype=bool))) == 6
 
 
 class TestBatchValidity:

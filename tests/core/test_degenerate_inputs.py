@@ -12,12 +12,12 @@ ran.
 import numpy as np
 import pytest
 
-from repro.core.islip import ISLIPScheduler, islip_match
+from repro.core.islip import ISLIPScheduler
 from repro.core.maximum import hopcroft_karp
 from repro.core.pim import PIMScheduler, pim_match
 from repro.core.rrm import RRMScheduler, rrm_match
 from repro.core.statistical import StatisticalMatcher
-from repro.core.wavefront import wavefront_match
+from repro.core.wavefront import WavefrontScheduler
 
 
 def empty_matrix(n):
@@ -34,9 +34,7 @@ class TestZeroPorts:
         assert result.iterations_run == 0
 
     def test_islip(self):
-        pointers = np.zeros(0, dtype=np.int64)
-        matching = islip_match(empty_matrix(0), pointers, pointers.copy())
-        assert len(matching) == 0
+        assert len(ISLIPScheduler().schedule(empty_matrix(0))) == 0
 
     def test_rrm(self):
         pointers = np.zeros(0, dtype=np.int64)
@@ -44,7 +42,7 @@ class TestZeroPorts:
         assert len(matching) == 0
 
     def test_wavefront(self):
-        assert len(wavefront_match(empty_matrix(0))) == 0
+        assert len(WavefrontScheduler().schedule(empty_matrix(0))) == 0
 
     def test_hopcroft_karp(self):
         assert len(hopcroft_karp(empty_matrix(0))) == 0
@@ -81,7 +79,7 @@ class TestAllZeroRequests:
         assert len(RRMScheduler().schedule(empty_matrix(self.N))) == 0
 
     def test_wavefront(self):
-        assert len(wavefront_match(empty_matrix(self.N))) == 0
+        assert len(WavefrontScheduler().schedule(empty_matrix(self.N))) == 0
 
     def test_hopcroft_karp(self):
         assert len(hopcroft_karp(empty_matrix(self.N))) == 0

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 
-from repro.core.islip import islip_match
+from repro.core.islip import ISLIPScheduler
+from repro.core.rrm import rrm_match
 
 
-def fresh_pointers(n=4):
-    return np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+def scheduler_and_pointers(n=4, iterations=1):
+    """A one-replica iSLIP scheduler and views of its (grant, accept)
+    pointer rows, which the kernel updates in place."""
+    scheduler = ISLIPScheduler(iterations=iterations, ports=n)
+    return scheduler, scheduler._grant_pointers[0], scheduler._accept_pointers[0]
 
 
 class TestIterationOnePointerRule:
@@ -24,11 +28,11 @@ class TestIterationOnePointerRule:
         grants input 1; accepted.  That match is second-iteration, so
         grant_pointers[1] must stay at 0 (not 2).
         """
-        grant_ptr, accept_ptr = fresh_pointers()
+        scheduler, grant_ptr, accept_ptr = scheduler_and_pointers(iterations=2)
         requests = np.zeros((4, 4), dtype=bool)
         requests[0, 0] = requests[0, 1] = True
         requests[1, 0] = requests[1, 1] = True
-        matching = islip_match(requests, grant_ptr, accept_ptr, iterations=2)
+        matching = scheduler.schedule(requests)
         assert set(matching.pairs) == {(0, 0), (1, 1)}
         # Iteration-1 accept: (0, 0) -> grant_ptr[0] = 1, accept_ptr[0] = 1.
         assert grant_ptr[0] == 1
@@ -38,51 +42,52 @@ class TestIterationOnePointerRule:
         assert accept_ptr[1] == 0
 
     def test_pointer_wraparound(self):
-        grant_ptr, accept_ptr = fresh_pointers()
+        scheduler, grant_ptr, accept_ptr = scheduler_and_pointers()
         grant_ptr[2] = 3
         requests = np.zeros((4, 4), dtype=bool)
         requests[3, 2] = True
         requests[0, 2] = True
-        matching = islip_match(requests, grant_ptr, accept_ptr)
+        matching = scheduler.schedule(requests)
         # Pointer at 3: input 3 is the first requester at/after it.
         assert (3, 2) in matching.pairs
         assert grant_ptr[2] == 0  # (3 + 1) % 4
 
     def test_pointers_give_priority_order(self):
-        grant_ptr, accept_ptr = fresh_pointers()
+        scheduler, grant_ptr, accept_ptr = scheduler_and_pointers()
         grant_ptr[0] = 2
         requests = np.zeros((4, 4), dtype=bool)
         requests[1, 0] = requests[3, 0] = True
-        matching = islip_match(requests, grant_ptr, accept_ptr)
+        matching = scheduler.schedule(requests)
         # From pointer 2, the first requester is input 3 (not 1).
         assert (3, 0) in matching.pairs
 
     def test_accept_pointer_prefers_lower_offset_output(self):
-        grant_ptr, accept_ptr = fresh_pointers()
+        scheduler, grant_ptr, accept_ptr = scheduler_and_pointers()
         accept_ptr[0] = 2
         requests = np.zeros((4, 4), dtype=bool)
         requests[0, 1] = requests[0, 3] = True
-        matching = islip_match(requests, grant_ptr, accept_ptr)
+        matching = scheduler.schedule(requests)
         # Both outputs grant input 0; from pointer 2, output 3 wins.
         assert (0, 3) in matching.pairs
 
 
 class TestPointerValidation:
-    """Regressions for the silent-mutation and silent-reset bugs."""
+    """Regressions for the silent-mutation and silent-reset bugs: the
+    caller-owned pointer arrays of ``rrm_match``."""
 
     def test_rejects_float_pointer_arrays(self):
         requests = np.ones((4, 4), dtype=bool)
         grant_ptr = np.zeros(4, dtype=np.float64)
         accept_ptr = np.zeros(4, dtype=np.int64)
         with pytest.raises(ValueError, match="int64"):
-            islip_match(requests, grant_ptr, accept_ptr)
+            rrm_match(requests, grant_ptr, accept_ptr)
         # The rejected array must not have been mutated.
         assert (grant_ptr == 0).all()
 
     def test_rejects_int32_pointer_arrays(self):
         requests = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError, match="int64"):
-            islip_match(
+            rrm_match(
                 requests,
                 np.zeros(4, dtype=np.int32),
                 np.zeros(4, dtype=np.int32),
@@ -91,12 +96,12 @@ class TestPointerValidation:
     def test_rejects_lists(self):
         requests = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError, match="numpy array"):
-            islip_match(requests, [0, 0, 0, 0], np.zeros(4, dtype=np.int64))
+            rrm_match(requests, [0, 0, 0, 0], np.zeros(4, dtype=np.int64))
 
     def test_rejects_wrong_shape(self):
         requests = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError, match="shape"):
-            islip_match(
+            rrm_match(
                 requests,
                 np.zeros(3, dtype=np.int64),
                 np.zeros(4, dtype=np.int64),
@@ -106,11 +111,9 @@ class TestPointerValidation:
         requests = np.ones((4, 4), dtype=bool)
         bad = np.array([0, 1, 7, 0], dtype=np.int64)
         with pytest.raises(ValueError, match=r"\[0, 4\)"):
-            islip_match(requests, np.zeros(4, dtype=np.int64), bad)
+            rrm_match(requests, np.zeros(4, dtype=np.int64), bad)
 
     def test_rrm_match_validates_too(self):
-        from repro.core.rrm import rrm_match
-
         requests = np.ones((4, 4), dtype=bool)
         with pytest.raises(ValueError, match="int64"):
             rrm_match(
@@ -122,8 +125,6 @@ class TestPointerValidation:
 
 class TestSchedulerSizeChange:
     def test_islip_scheduler_raises_on_size_change(self):
-        from repro.core.islip import ISLIPScheduler
-
         scheduler = ISLIPScheduler()
         scheduler.schedule(np.ones((4, 4), dtype=bool))
         before = scheduler._grant_pointers.copy()

@@ -98,14 +98,6 @@ class TestQPSScheduler:
         scheduler.reset()
         assert first == run()
 
-    def test_mid_run_size_change_rejected(self):
-        scheduler = QPSScheduler(seed=0)
-        scheduler.schedule(np.ones((4, 4), dtype=bool))
-        with pytest.raises(ValueError, match="size change"):
-            scheduler.schedule(np.ones((6, 6), dtype=bool))
-        scheduler.reset()
-        scheduler.schedule(np.ones((6, 6), dtype=bool))
-
     def test_degrades_without_occupancy(self, rng):
         scheduler = QPSScheduler(seed=0)
         requests = rng.random((4, 4)) < 0.5

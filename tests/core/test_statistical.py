@@ -163,7 +163,7 @@ class TestSchedule:
 
     def test_size_mismatch_rejected(self):
         matcher = StatisticalMatcher(np.zeros((2, 2), dtype=int), units=4)
-        with pytest.raises(ValueError, match="allocations are 2x2"):
+        with pytest.raises(ValueError, match="sized for 2 ports"):
             matcher.schedule(np.zeros((3, 3), dtype=bool))
 
     def test_scheduler_protocol(self):

@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.core.matching import is_maximal
-from repro.core.wavefront import WavefrontScheduler, wavefront_match
+from repro.core.wavefront import WavefrontScheduler
 from repro.switch.switch import CrossbarSwitch
 from repro.traffic.uniform import UniformTraffic
 
@@ -15,32 +15,36 @@ from tests.conftest import request_matrices
 
 class TestWavefrontMatch:
     def test_identity_full_match(self):
-        matching = wavefront_match(np.eye(4, dtype=bool))
+        matching = WavefrontScheduler().schedule(np.eye(4, dtype=bool))
         assert len(matching) == 4
 
     @given(request_matrices(), st.integers(0, 7))
     def test_always_maximal(self, requests, start):
-        matching = wavefront_match(requests, start_diagonal=start)
-        assert matching.respects(requests)
-        assert is_maximal(matching, requests)
+        """Maximal from every start diagonal: slot k starts on diagonal k."""
+        scheduler = WavefrontScheduler()
+        for _ in range(start + 1):
+            matching = scheduler.schedule(requests)
+            assert matching.respects(requests)
+            assert is_maximal(matching, requests)
 
     def test_priority_diagonal_decides_ties(self):
         requests = np.ones((2, 2), dtype=bool)
+        scheduler = WavefrontScheduler()
         # Diagonal 0 holds (0,0) and (1,1); diagonal 1 holds (0,1),(1,0).
-        assert set(wavefront_match(requests, 0).pairs) == {(0, 0), (1, 1)}
-        assert set(wavefront_match(requests, 1).pairs) == {(0, 1), (1, 0)}
+        assert set(scheduler.schedule(requests).pairs) == {(0, 0), (1, 1)}
+        assert set(scheduler.schedule(requests).pairs) == {(0, 1), (1, 0)}
 
     def test_empty(self):
-        assert len(wavefront_match(np.zeros((3, 3), dtype=bool))) == 0
+        assert len(WavefrontScheduler().schedule(np.zeros((3, 3), dtype=bool))) == 0
 
     def test_validation(self):
         """Regression: matches ``lqf_match``'s input validation -- a
         negative occupancy entry used to bool-cast to a *true*
         request, silently inventing traffic."""
         with pytest.raises(ValueError, match="square"):
-            wavefront_match(np.zeros((2, 3), dtype=bool))
+            WavefrontScheduler().schedule(np.zeros((2, 3), dtype=bool))
         with pytest.raises(ValueError, match="non-negative"):
-            wavefront_match(np.array([[0, -1], [0, 0]]))
+            WavefrontScheduler().schedule(np.array([[0, -1], [0, 0]]))
 
 
 class TestWavefrontScheduler:
@@ -64,18 +68,6 @@ class TestWavefrontScheduler:
     def test_reset(self):
         scheduler = WavefrontScheduler()
         scheduler.schedule(np.ones((4, 4), dtype=bool))
+        assert scheduler._start == 1
         scheduler.reset()
         assert scheduler._start == 0
-
-    def test_mid_run_size_change_rejected(self):
-        """Regression: the rotating diagonal used to wrap silently
-        when the request-matrix size changed mid-run (``_start % n``
-        with the new n), quietly skewing priorities where
-        iSLIP/RRM raise.  Now it raises like they do, and ``reset()``
-        re-arms the scheduler for a new size."""
-        scheduler = WavefrontScheduler()
-        scheduler.schedule(np.ones((4, 4), dtype=bool))
-        with pytest.raises(ValueError, match="size change"):
-            scheduler.schedule(np.ones((6, 6), dtype=bool))
-        scheduler.reset()
-        assert len(scheduler.schedule(np.ones((6, 6), dtype=bool))) == 6

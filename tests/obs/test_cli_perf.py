@@ -75,7 +75,8 @@ class TestDelayProfile:
 
     def test_profile_rejected_for_fifo(self, capsys):
         code = main([
-            "delay", "--scheduler", "fifo", "--slots", "100", "--profile",
+            "delay", "--scheduler", "fifo", "--slots", "100", "--warmup", "10",
+            "--profile",
         ])
         assert code == 2
         assert "profile" in capsys.readouterr().err

@@ -73,7 +73,7 @@ class TestDelayTracing:
     def test_fastpath_rejects_unsupported_scheduler(self, capsys):
         code = main([
             "delay", "--scheduler", "maximum", "--backend", "fastpath",
-            "--slots", "100",
+            "--slots", "100", "--warmup", "10",
         ])
         assert code == 2
         assert "fastpath" in capsys.readouterr().err
@@ -88,7 +88,7 @@ class TestDelayTracing:
 
     def test_trace_rejects_fifo(self, capsys, tmp_path):
         code = main([
-            "delay", "--scheduler", "fifo", "--slots", "100",
+            "delay", "--scheduler", "fifo", "--slots", "100", "--warmup", "10",
             "--trace", str(tmp_path / "x.jsonl"),
         ])
         assert code == 2

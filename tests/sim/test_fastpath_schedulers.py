@@ -51,11 +51,19 @@ class TestRunFastpath:
 
 
 class TestSlotExactParity:
-    @pytest.mark.parametrize("scheduler", SLOT_EXACT)
-    def test_backend_parity(self, scheduler):
+    @pytest.mark.parametrize(
+        "scheduler, ports, output_capacity",
+        [pytest.param(name, 6, 1, id=name) for name in SLOT_EXACT]
+        # The k-grant speedup (a replicated banyan, so N is a power of
+        # two, delivering two cells per output per slot): every object
+        # twin must take its kernel's k too.
+        + [pytest.param(name, 8, 2, id=f"{name}-cap2") for name in BATCH_SCHEDULERS],
+    )
+    def test_backend_parity(self, scheduler, ports, output_capacity):
         """Raises InvariantViolation on the first divergent slot."""
-        report = backend_parity(6, 0.6, 200, seed=3, iterations=2,
-                                scheduler=scheduler)
+        report = backend_parity(ports, 0.6, 200, seed=3, iterations=2,
+                                scheduler=scheduler,
+                                output_capacity=output_capacity)
         assert report.ok
 
     def test_pim_totals_parity(self):

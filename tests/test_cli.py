@@ -105,7 +105,7 @@ class TestCommands:
     def test_cbr_replicas_require_fastpath(self, capsys):
         assert main([
             "cbr", "--ports", "4", "--frame", "8", "--slots", "50",
-            "--replicas", "4",
+            "--warmup", "10", "--replicas", "4",
         ]) == 2
         assert "--backend fastpath" in capsys.readouterr().err
 
@@ -129,19 +129,16 @@ _STAT_HEADER = (
 
 #: Byte-exact stdout of seeded runs.  The ``statistical`` lines pin the
 #: lottery's draws through the backlog and the carried split; the
-#: ``delay`` lines pin each crossbar scheduler the CLI builds.  Without
-#: ``--warmup`` the default 1,000-slot warm-up swallows a 300-slot run,
-#: so those lines read 0.000 and only the backlog carries the draws.
+#: ``delay`` lines pin each crossbar scheduler the CLI builds.  Each
+#: passes a ``--warmup`` below ``--slots``: the default 1,000-slot
+#: warm-up would leave a 300-slot run nothing to measure, which
+#: ``TestWarmupOutsideTheRun`` pins as an error.
 GOLDEN_OUTPUT = {
     "fairness --slots 2000": (
         "Figure 8 with PIM: output 1 split ['0.295', '0.322', '0.325', "
         "'0.059'] jain=0.836\n"
         "With statistical matching:       ['0.271', '0.262', '0.254', "
         "'0.214'] jain=0.993\n"
-    ),
-    "statistical --backend object --slots 300": _STAT_HEADER.format("on") + (
-        "16x16 switch, 300 slots: offered 0.000, carried 0.000 per link, "
-        "mean delay 0.00 slots, backlog 44\n"
     ),
     "statistical --backend object --slots 300 --warmup 100": (
         _STAT_HEADER.format("on")
@@ -158,10 +155,6 @@ GOLDEN_OUTPUT = {
         + "16x16 fastpath x1 replicas, 300+0 slots: offered 0.797, carried "
         "0.796 per link, mean delay 3.55 slots, backlog 55, statistical 361 "
         "/ fill 2186 cells\n"
-    ),
-    "delay --scheduler pim --slots 300": (
-        "16x16 switch, 300 slots: offered 0.000, carried 0.000 per link, "
-        "mean delay 0.00 slots, backlog 125\n"
     ),
     "delay --scheduler pim --slots 300 --warmup 100": (
         "16x16 switch, 300 slots: offered 0.894, carried 0.882 per link, "
@@ -203,6 +196,33 @@ class TestGoldenOutput:
     def test_stdout_is_byte_exact(self, command, capsys):
         assert main(command.split()) == 0
         assert capsys.readouterr().out == GOLDEN_OUTPUT[command]
+
+
+class TestWarmupOutsideTheRun:
+    """A ``--warmup`` that leaves no slot to measure is a usage error:
+    exit 2 and one stderr line, before anything runs or prints."""
+
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "statistical --backend object --slots 300",
+            "statistical --backend fastpath --slots 300",
+            "delay --scheduler pim --slots 300",
+            "delay --slots 300 --warmup -1",
+            "sweep --loads 0.5 --ports 8 --slots 300",
+            "cbr --slots 300",
+            "network --slots 100",
+            "network --slots 100 --warmup 100",
+            "scenario run hotspot --slots 100 --warmup 100",
+            "scenario smoke --slots 100 --warmup 100",
+        ],
+    )
+    def test_exits_two_with_one_line(self, command, capsys):
+        assert main(command.split()) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: --warmup must be in [0, ")
+        assert err.count("\n") == 1
 
 
 class TestScenarioCommands:
