@@ -28,17 +28,24 @@ a registry name):
   kernels that weigh them (``needs_occupancy = True``: LQF, QPS-r; the
   attribute is what the object ``CrossbarSwitch`` dispatches on), and
   the rest ignore the argument.
-- **Request graph**: PIM, iSLIP, LQF and QPS-r carry a slot's
-  unresolved requests as one C-ordered edge list
-  (:func:`request_edges`) and resolve every per-port choice with
-  :func:`line_winners`; a kernel is a key function plus that helper's
-  tie rule (a line's equal keys go to its first edge).
+- **Request graph**: PIM, iSLIP, RRM, LQF and QPS-r run one round
+  loop, :meth:`BatchScheduler._rounds`.  It carries a slot's
+  unresolved requests as one C-ordered edge list (:func:`request_edges`,
+  or :func:`occupancy_edges` with a per-edge payload such as LQF's keys
+  or QPS-r's weights), and each round it asks the kernel's pick rule
+  for the pairs to match, commits them, hands them to the kernel's
+  commit hook and drops the edges of matched inputs and full outputs,
+  until no edge is left or the iteration budget is spent.  A kernel is
+  a pick rule plus a commit hook: the pick resolves every per-port
+  choice with :func:`line_winners` (a line's equal keys go to its
+  first edge), the hook moves the kernel's pointers and diagnostics.
+  Wavefront stays a dense sweep of the cube's diagonals.
 - **Stream contract**: how far a kernel advances its stream depends
   only on the batch shape and the rounds it runs, never on who
   requests -- by one whole ``(B, N, N)`` cube per PIM grant / random
   accept of an executed iteration and per LQF slot, by one ``(B, N)``
-  block per QPS-r round (proposers or not), not at all for iSLIP and
-  wavefront.  Of a cube the kernel reads only the keys at its edges
+  block per QPS-r round (proposers or not), not at all for iSLIP, RRM
+  and wavefront.  Of a cube the kernel reads only the keys at its edges
   (:meth:`BatchScheduler._cube_keys`): the numbers a dense
   ``random((B, N, N))`` would have put there.  On a PCG64
   ``Generator`` only a dense round generates the cube: a sparse one
@@ -83,11 +90,12 @@ a registry name):
   to the as-constructed state so a rerun replays the first run draw
   for draw -- the reset/rerun contract the object schedulers honor.
 - ``attach_probe(probe)`` accepts a :class:`repro.obs.probe.Probe`;
-  kernels with per-slot iteration structure feed the
-  ``pim.iterations`` histogram via ``probe.slot_iterations``.
+  the round loop feeds each slot's round count to the
+  ``pim.iterations`` histogram via ``probe.slot_iterations`` for the
+  kernels that ``feeds_iterations`` (all of its kernels but LQF).
 
 **B = 1 parity convention.**  Every object scheduler -- PIM, iSLIP,
-LQF, wavefront, QPS-r and the lottery -- is one :class:`ObjectScheduler`
+RRM, LQF, wavefront, QPS-r and the lottery -- is one :class:`ObjectScheduler`
 around its batched kernel called at ``B == 1``, so with a shared seed
 the two are draw-for-draw and pointer-for-pointer identical.  The
 adapter validates the N x N input, builds the one-replica kernel at
@@ -260,7 +268,7 @@ def line_winners(lines: np.ndarray, keys: np.ndarray, n_lines: int) -> np.ndarra
     the edges' **positive** keys.  Returns ascending positions into the
     list, one per line that has an edge.  A line's ties go to its first
     edge, as a dense ``argmax`` over the line would -- the tie rule every
-    kernel inherits (a kernel is a key function plus this rule).
+    pick rule of the round loop inherits.
     """
     best = np.zeros(n_lines, dtype=keys.dtype)
     np.maximum.at(best, lines, keys)
@@ -613,6 +621,11 @@ class BatchScheduler:
     #: QPS-r): they read the occupancy counts every fast path passes
     #: alongside the boolean request mask.
     needs_occupancy = False
+    #: Whether :meth:`_rounds` puts each slot's round count in the
+    #: probe's ``pim.iterations`` histogram.  LQF's rounds are steps of
+    #: its vectorized greedy scan, not iterations of its algorithm, so
+    #: it does not.
+    feeds_iterations = True
 
     def __init__(self, replicas: int, ports: int, output_capacity: int = 1):
         if replicas < 1:
@@ -730,6 +743,57 @@ class BatchScheduler:
             rng.bit_generator.advance(cube)
             return keys
         return rng.random(shape).take(cells)
+
+    def _rounds(self, requests, occupancy, pick, budget=None, commit=None, weigh=None):
+        """One slot of the round loop: the request graph, resolved round by round.
+
+        Builds the edge list of the validated batch -- with
+        :func:`occupancy_edges` for a kernel that ``needs_occupancy``,
+        whose edges carry the payload ``weigh(edges, weights)`` returns
+        (the weights by default) -- and then, while an edge is left and
+        fewer than ``budget`` rounds ran (``None``: no budget), a round
+
+        - asks ``pick(round, edges, payload)`` for ``(offers, accepts)``:
+          the first phase's winners (grants, QPS-r's proposals, LQF's
+          picks) and the pairs to match, at most one per port line;
+        - commits the accepts to ``match`` and the outputs' capacity;
+        - calls the kernel's hook ``commit(round, edges, offers,
+          accepts, match)`` (pointers, diagnostics);
+        - drops the edges, and their payload, of matched inputs and
+          full outputs.
+
+        Rounds count from 1, only while an edge is left.  A kernel that
+        ``feeds_iterations`` reports the count to ``probe.slot_iterations``.
+        Returns the ``(B, N)`` match array, the rounds run and the
+        edges left.
+        """
+        batch = self._validate_batch(requests)
+        b, n, _ = batch.shape
+        if self.needs_occupancy:
+            edges, payload = occupancy_edges(batch, occupancy)
+            if weigh is not None:
+                payload = weigh(edges, payload)
+        else:
+            edges, payload = request_edges(batch), None
+        match = np.full(b * n, -1, dtype=np.int64)
+        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
+        rounds = 0
+        while edges.shape[1] and rounds != budget:
+            rounds += 1
+            offers, accepts = pick(rounds, edges, payload)
+            # One accept per input line and per output line: no index repeats.
+            match[accepts[1]] = accepts[0] % n
+            slots[accepts[2]] -= 1
+            if commit is not None:
+                commit(rounds, edges, offers, accepts, match)
+            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]])
+            keep = unresolved.nonzero()[0]
+            edges = edges.take(keep, axis=1)
+            if payload is not None:
+                payload = payload.take(keep)
+        if self.feeds_iterations and self._probe is not None:
+            self._probe.slot_iterations(rounds)
+        return match.reshape(b, n), rounds, edges
 
     def schedule(
         self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None

@@ -12,10 +12,13 @@ Included here as the natural extension/ablation target: the
 ``benchmarks/test_ablation_arbiter_policies.py`` bench compares PIM,
 iSLIP, and wavefront arbitration on the paper's workloads.
 
-The batched kernel walks the request graph's edge list, not the
-``(B, N, N)`` cube (see :mod:`repro.core.batch`): grant and accept are
-both "largest ``N - offset past the pointer`` on the line".  It draws
-no randomness, so there is no stream to keep aligned.
+The batched kernel is a pick rule over the shared round loop of
+:mod:`repro.core.batch`, which walks the request graph's edge list,
+not the ``(B, N, N)`` cube: grant and accept are both "largest
+``N - offset past the pointer`` on the line", and its commit hook
+moves the pointers in round 1 only.  RRM (:mod:`repro.core.rrm`) is
+the same pick with RRM's pointer rule as the hook.  It draws no
+randomness, so there is no stream to keep aligned.
 """
 
 from __future__ import annotations
@@ -24,51 +27,9 @@ from typing import Optional
 
 import numpy as np
 
-from repro.core.batch import (
-    BatchScheduler,
-    ObjectScheduler,
-    line_winners,
-    request_edges,
-)
+from repro.core.batch import BatchScheduler, ObjectScheduler, line_winners
 
-__all__ = [
-    "BatchISLIPScheduler",
-    "ISLIPScheduler",
-    "validate_pointer_array",
-]
-
-
-def validate_pointer_array(pointers: np.ndarray, n: int, name: str) -> np.ndarray:
-    """Validate a round-robin pointer array that will be mutated in place.
-
-    The pointer-carrying matcher :func:`repro.core.rrm.rrm_match`
-    advances caller-provided arrays in place so a stateful scheduler
-    carries desynchronization state across slots.  Writing
-    ``(i + 1) % n`` into an array of the wrong dtype silently truncates
-    or rounds (float arrays accept the store but corrupt later modular
-    arithmetic on mixed types), so anything that is not an int64 array
-    of shape ``(n,)`` with values in ``[0, n)`` is rejected outright --
-    a silent copy-convert would break the in-place mutation contract
-    instead.
-
-    Returns the validated array unchanged.
-    """
-    array = np.asarray(pointers)
-    if array is not pointers:
-        raise ValueError(
-            f"{name} must be a numpy array (it is mutated in place), "
-            f"got {type(pointers).__name__}"
-        )
-    if array.dtype != np.int64:
-        raise ValueError(
-            f"{name} must have dtype int64 (in-place pointer updates), "
-            f"got {array.dtype}"
-        )
-    if array.shape != (n,):
-        raise ValueError(f"{name} must have shape ({n},), got {array.shape}")
-    if n and ((array < 0) | (array >= n)).any():
-        raise ValueError(f"{name} values must be in [0, {n}), got {array.tolist()}")
-    return array
+__all__ = ["BatchISLIPScheduler", "ISLIPScheduler"]
 
 
 class ISLIPScheduler(ObjectScheduler):
@@ -92,23 +53,17 @@ class ISLIPScheduler(ObjectScheduler):
 class BatchISLIPScheduler(BatchScheduler):
     """iSLIP vectorized over B independent switch replicas.
 
-    Implements the :class:`repro.core.batch.BatchScheduler` protocol
-    with per-(replica, port) grant and accept pointer arrays.  The
-    kernel is fully deterministic; at B = 1 it is
-    :class:`ISLIPScheduler`:
-
-    - **grant**: each output with capacity left picks the requesting
-      input with the smallest offset ``(i - grant_ptr) % N`` -- the
-      winner of its output line under the key ``N - offset`` over the
-      unresolved edges (:func:`repro.core.batch.line_winners`), the
-      first requester at/after the pointer;
-    - **accept**: each granted input symmetrically picks the smallest
-      ``(j - accept_ptr) % N`` among its grants (the same helper over
-      input lines);
-    - **pointer rule**: pointers advance one past the accepted port,
-      only for pairs accepted in the *first* iteration (the
-      desynchronization rule); grants never collide within an
-      iteration, so the order of the updates does not matter.
+    A pick rule and a commit hook over the round loop of
+    :class:`repro.core.batch.BatchScheduler`, with per-(replica, port)
+    grant and accept pointers; deterministic, and at B = 1 it is
+    :class:`ISLIPScheduler`.  The pick: each output with capacity left
+    grants its first requester at/after its pointer -- the winner of
+    its output line under the key ``N - (i - grant_ptr) % N``
+    (:func:`repro.core.batch.line_winners`) -- and each granted input
+    accepts the same way among its grants.  The hook: pointers advance
+    one past the accepted port, only for pairs accepted in the *first*
+    iteration (the desynchronization rule); grants never collide within
+    an iteration, so the order of the updates does not matter.
 
     Parameters
     ----------
@@ -148,34 +103,26 @@ class BatchISLIPScheduler(BatchScheduler):
         match array of the :class:`~repro.core.batch.BatchScheduler`
         contract.
         """
-        batch = self._validate_batch(requests)
-        b, n, _ = batch.shape
-        match = np.full(b * n, -1, dtype=np.int64)
-        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
-        grant_ptr = self._grant_pointers.reshape(-1)
-        accept_ptr = self._accept_pointers.reshape(-1)
-        edges = request_edges(batch)  # the unresolved requests
-        executed = 0
-        while edges.shape[1] and executed != self.iterations:  # None: no budget
-            executed += 1
-            # Grant: each output picks the requesting input with the
-            # smallest offset past its pointer (largest key; no ties).
-            keys = n - (edges[1] - grant_ptr[edges[2]]) % n
-            grants = edges.take(line_winners(edges[2], keys, b * n), axis=1)
-            # Accept: each input symmetrically picks among its grants.
-            keys = n - (grants[0] - accept_ptr[grants[1]]) % n
-            accepts = grants.take(line_winners(grants[1], keys, b * n), axis=1)
-            # One accept per input, one grant per output: no index repeats.
-            match[accepts[1]] = accepts[0] % n
-            slots[accepts[2]] -= 1
-            if executed == 1:
-                grant_ptr[accepts[2]] = (accepts[1] + 1) % n
-                accept_ptr[accepts[1]] = (accepts[0] + 1) % n
-            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]])
-            edges = edges.compress(unresolved, axis=1)
-        if self._probe is not None:
-            self._probe.slot_iterations(executed)
-        return match.reshape(b, n)
+        return self._rounds(
+            requests, occupancy, self._pick, self.iterations, self._commit
+        )[0]
+
+    def _pick(self, rounds, edges, payload):
+        n = self.ports
+        lines = self.replicas * n
+        # Grant: each output picks the requesting input with the
+        # smallest offset past its pointer (largest key; no ties).
+        keys = n - (edges[1] - self._grant_pointers.reshape(-1)[edges[2]]) % n
+        grants = edges.take(line_winners(edges[2], keys, lines), axis=1)
+        # Accept: each input symmetrically picks among its grants.
+        keys = n - (grants[0] - self._accept_pointers.reshape(-1)[grants[1]]) % n
+        return grants, grants.take(line_winners(grants[1], keys, lines), axis=1)
+
+    def _commit(self, rounds, edges, grants, accepts, match) -> None:
+        if rounds == 1:
+            n = self.ports
+            self._grant_pointers.reshape(-1)[accepts[2]] = (accepts[1] + 1) % n
+            self._accept_pointers.reshape(-1)[accepts[1]] = (accepts[0] + 1) % n
 
     def reset(self) -> None:
         """Return all pointers to zero (no RNG: iSLIP is deterministic)."""
@@ -185,6 +132,6 @@ class BatchISLIPScheduler(BatchScheduler):
     def __repr__(self) -> str:
         its = "inf" if self.iterations is None else self.iterations
         return (
-            f"BatchISLIPScheduler(replicas={self.replicas}, "
+            f"{type(self).__name__}(replicas={self.replicas}, "
             f"ports={self.ports}, iterations={its})"
         )

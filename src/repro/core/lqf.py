@@ -25,7 +25,6 @@ from repro.core.batch import (
     BatchScheduler,
     ObjectScheduler,
     line_winners,
-    occupancy_edges,
     replay_generator,
 )
 from repro.core.matching import Matching
@@ -65,8 +64,9 @@ class BatchLQFScheduler(BatchScheduler):
     """Longest-queue-first vectorized over B independent replicas.
 
     Implements the :class:`repro.core.batch.BatchScheduler` protocol
-    over the request graph's edge list.  Instead of a flat sort and a
-    sequential greedy scan, the kernel repeatedly selects every
+    as a pick rule over the shared round loop, with each edge's key as
+    its payload.  Instead of a flat sort and a sequential greedy scan,
+    the kernel repeatedly selects every
     **locally dominant** edge -- the winner of both its input line and
     its output line among the unresolved edges
     (:func:`repro.core.batch.line_winners`, key ``occupancy + jitter``)
@@ -91,6 +91,7 @@ class BatchLQFScheduler(BatchScheduler):
 
     name = "lqf_batch"
     needs_occupancy = True
+    feeds_iterations = False
 
     def __init__(
         self,
@@ -110,26 +111,21 @@ class BatchLQFScheduler(BatchScheduler):
         self, requests: np.ndarray, occupancy: Optional[np.ndarray] = None
     ) -> np.ndarray:
         """Compute one slot's matchings for all replicas."""
-        batch = self._validate_batch(requests)
-        b, n, _ = batch.shape
-        edges, weights = occupancy_edges(batch, occupancy)
+        return self._rounds(requests, occupancy, self._pick, weigh=self._keys)[0]
+
+    def _keys(self, edges, weights):
         # The stream moves by one whole cube per slot.
-        keys = weights + self._cube_keys(edges[0])
-        match = np.full(b * n, -1, dtype=np.int64)
-        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
-        while edges.shape[1]:
-            # Locally dominant: the winner of its input line *and* of its
-            # output line (at least each replica's largest key is one).
-            rows = np.zeros(edges.shape[1], dtype=bool)
-            rows[line_winners(edges[1], keys, b * n)] = True
-            cols = line_winners(edges[2], keys, b * n)
-            chosen = edges.take(cols.compress(rows.take(cols)), axis=1)
-            match[chosen[1]] = chosen[0] % n
-            slots[chosen[2]] -= 1
-            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]]).nonzero()[0]
-            edges = edges.take(unresolved, axis=1)
-            keys = keys.take(unresolved)
-        return match.reshape(b, n)
+        return weights + self._cube_keys(edges[0])
+
+    def _pick(self, rounds, edges, keys):
+        lines = self.replicas * self.ports
+        # Locally dominant: the winner of its input line *and* of its
+        # output line (at least each replica's largest key is one).
+        rows = np.zeros(edges.shape[1], dtype=bool)
+        rows[line_winners(edges[1], keys, lines)] = True
+        cols = line_winners(edges[2], keys, lines)
+        chosen = edges.take(cols.compress(rows.take(cols)), axis=1)
+        return chosen, chosen
 
     def reset(self) -> None:
         """Rewind the tie-break RNG to its as-constructed state."""

@@ -47,7 +47,6 @@ from repro.core.batch import (
     ObjectScheduler,
     line_winners,
     replay_generator,
-    request_edges,
 )
 from repro.core.matching import Matching
 
@@ -138,9 +137,12 @@ class BatchPIMScheduler(BatchScheduler):
 
     Runs the request/grant/accept rounds of Section 3.1 simultaneously
     on a ``(B, N, N)`` stack of request matrices -- one matrix per
-    replica -- carried as one edge list of unresolved requests, so a
-    round costs array work per request, not per cell of the cube.  This
-    is the matching kernel of the fast-path simulator
+    replica -- as a pick rule (random grant, random or round-robin
+    accept) and a commit hook over the shared round loop
+    (:meth:`~repro.core.batch.BatchScheduler._rounds`), which carries
+    the unresolved requests as one edge list, so a round costs array
+    work per request, not per cell of the cube.  This is the matching
+    kernel of the fast-path simulator
     (:mod:`repro.sim.fastpath`), and at B = 1 the whole of
     :class:`PIMScheduler` (and so of :func:`pim_match`).  Its cross-slot state:
 
@@ -157,7 +159,10 @@ class BatchPIMScheduler(BatchScheduler):
     counted only when at least one unresolved request exists, so an
     all-empty request batch executes zero rounds; diagnostics then
     report the ``(B, 1)`` zero-size sentinel in
-    ``last_cumulative_sizes`` with ``last_completed`` all True.
+    ``last_cumulative_sizes`` with ``last_completed`` all True.  An
+    attached probe gets one ``PimIteration`` event per round, pooled
+    over the B replicas, on the slots it samples, and every slot's
+    round count in the ``pim.iterations`` histogram.
 
     Parameters
     ----------
@@ -217,21 +222,6 @@ class BatchPIMScheduler(BatchScheduler):
         self.last_cumulative_sizes: Optional[np.ndarray] = None
         #: (B,) bool: which replicas reached a maximal match last slot.
         self.last_completed: Optional[np.ndarray] = None
-        self._probe = None
-
-    def attach_probe(self, probe) -> None:
-        """Attach a :class:`repro.obs.probe.Probe` for per-iteration
-        telemetry.
-
-        On slots the probe samples, each request/grant/accept round
-        emits one ``PimIteration`` event with counts pooled over all B
-        replicas (``replicas=B``); the per-slot iteration count feeds
-        the ``pim.iterations`` histogram.  Pass ``None`` to detach.
-        The iteration-count convention matches :func:`pim_match`: an
-        all-empty request batch runs zero rounds and emits no
-        ``PimIteration`` events.
-        """
-        self._probe = probe
 
     def cube_kernel(self) -> "BatchPIMScheduler":
         return self
@@ -241,77 +231,55 @@ class BatchPIMScheduler(BatchScheduler):
     ) -> np.ndarray:
         """Compute one slot's matchings for all replicas.
 
-        Parameters
-        ----------
-        requests:
-            (B, N, N) boolean request batch.
-        occupancy:
-            Ignored (PIM is occupancy-blind); accepted for
-            :class:`repro.core.batch.BatchScheduler` signature
-            uniformity.
-
-        Returns
-        -------
-        (B, N) int array ``match`` with ``match[b, i]`` the output
-        matched to input i of replica b, or -1 when unmatched.  Every
-        matched pair is backed by a request; no input exceeds one
-        match and no output exceeds ``output_capacity``.
+        ``occupancy`` is ignored (PIM is occupancy-blind).  Returns the
+        ``(B, N)`` match array of the
+        :class:`~repro.core.batch.BatchScheduler` contract.
         """
-        batch = self._validate_batch(requests)
-        b, n, _ = batch.shape
-        match = np.full(b * n, -1, dtype=np.int64)
-        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
-        pointers = self._pointers.reshape(-1)
-        edges = request_edges(batch)  # the unresolved requests
-        cumulative: List[np.ndarray] = []
-        executed = 0
-
-        while edges.shape[1] and executed != self.iterations:  # None: no budget
-            executed += 1
-            # Grant: each output with capacity left picks one requesting
-            # input uniformly at random (the largest of i.i.d. keys).  The
-            # stream moves by a whole cube per draw, not per edge; only
-            # the edges' keys are read.  ``+ 1.0`` makes the keys
-            # positive and rounds a uniform draw's last bit away, so ties
-            # are real (a line's first edge wins).
-            keys = self._cube_keys(edges[0]) + 1.0
-            grants = edges.take(line_winners(edges[2], keys, b * n), axis=1)
-            # Accept: each input picks one granting output.
-            if self.accept == "random":
-                keys = self._cube_keys(grants[0]) + 1.0
-            else:
-                # Round-robin: first granted output at/after the pointer.
-                keys = n - (grants[0] - pointers[grants[1]]) % n
-            accepts = grants.take(line_winners(grants[1], keys, b * n), axis=1)
-            out = accepts[0] % n
-            # One accept per input, one grant per output: no index repeats.
-            match[accepts[1]] = out
-            slots[accepts[2]] -= 1
-            if self.accept == "round_robin":
-                pointers[accepts[1]] = (out + 1) % n
-            if self.track_sizes:
-                cumulative.append((match.reshape(b, n) >= 0).sum(axis=1))
-            if self._probe is not None and self._probe.sampling:
-                self._probe.pim_iteration(
-                    executed,
-                    requests=edges.shape[1],
-                    grants=grants.shape[1],
-                    accepts=accepts.shape[1],
-                    matched=int(np.count_nonzero(match >= 0)),
-                    replicas=b,
-                )
-            unresolved = np.logical_and(match[edges[1]] < 0, slots[edges[2]])
-            edges = edges.compress(unresolved, axis=1)
-
-        if self._probe is not None:
-            self._probe.slot_iterations(executed)
-        match = match.reshape(b, n)
+        self._sizes: List[np.ndarray] = []
+        match, _, left = self._rounds(
+            requests, occupancy, self._pick, self.iterations, self._commit
+        )
         if self.track_sizes:
-            sizes = cumulative or [np.zeros(b, dtype=np.int64)]  # no round ran
+            b, n = match.shape
+            sizes = self._sizes or [np.zeros(b, dtype=np.int64)]  # no round ran
             self.last_cumulative_sizes = np.stack(sizes, axis=1)
-            self.last_completed = np.bincount(edges[0] // (n * n), minlength=b) == 0
+            self.last_completed = np.bincount(left[0] // (n * n), minlength=b) == 0
             self._last_match = match
         return match
+
+    def _pick(self, rounds, edges, payload):
+        n = self.ports
+        lines = self.replicas * n
+        # Grant: each output with capacity left picks one requesting
+        # input uniformly at random (the largest of i.i.d. keys).  The
+        # stream moves by a whole cube per draw, not per edge; only
+        # the edges' keys are read.  ``+ 1.0`` makes the keys
+        # positive and rounds a uniform draw's last bit away, so ties
+        # are real (a line's first edge wins).
+        keys = self._cube_keys(edges[0]) + 1.0
+        grants = edges.take(line_winners(edges[2], keys, lines), axis=1)
+        # Accept: each input picks one granting output.
+        if self.accept == "random":
+            keys = self._cube_keys(grants[0]) + 1.0
+        else:
+            # Round-robin: first granted output at/after the pointer.
+            keys = n - (grants[0] - self._pointers.reshape(-1)[grants[1]]) % n
+        return grants, grants.take(line_winners(grants[1], keys, lines), axis=1)
+
+    def _commit(self, rounds, edges, grants, accepts, match) -> None:
+        if self.accept == "round_robin":
+            self._pointers.reshape(-1)[accepts[1]] = (accepts[0] + 1) % self.ports
+        if self.track_sizes:
+            self._sizes.append((match.reshape(self.replicas, -1) >= 0).sum(axis=1))
+        if self._probe is not None and self._probe.sampling:
+            self._probe.pim_iteration(
+                rounds,
+                requests=edges.shape[1],
+                grants=grants.shape[1],
+                accepts=accepts.shape[1],
+                matched=int(np.count_nonzero(match >= 0)),
+                replicas=self.replicas,
+            )
 
     @property
     def last_result(self) -> Optional[PIMResult]:

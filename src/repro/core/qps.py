@@ -25,8 +25,9 @@ another free output goes idle), so
 maximality for it.
 
 One kernel, :class:`BatchQPSScheduler`, implements it; the object
-:class:`QPSScheduler` is its B = 1 call.  It walks the request graph's
-edge list (:mod:`repro.core.batch`), so a round is O(1) array work per
+:class:`QPSScheduler` is its B = 1 call.  It is a pick rule over the
+round loop of :mod:`repro.core.batch`, which walks the request graph's
+edge list with the weights alongside, so a round is O(1) array work per
 unresolved request: one running sum of the edge weights, one binary
 search per proposing input, one round-robin winner per output line.
 **Stream contract**: the sampling uniforms are drawn as one
@@ -46,7 +47,6 @@ from repro.core.batch import (
     BatchScheduler,
     ObjectScheduler,
     line_winners,
-    occupancy_edges,
     replay_generator,
 )
 from repro.core.matching import Matching
@@ -131,45 +131,42 @@ class BatchQPSScheduler(BatchScheduler):
         One ``(B, N)`` uniform block is drawn per round regardless of
         who can propose -- see the module docstring's stream contract.
         """
-        batch = self._validate_batch(requests)
-        b, n, _ = batch.shape
-        edges, weights = occupancy_edges(batch, occupancy)
+        budget = self.rounds if self.rounds is not None else self.ports
+        match, rounds, _ = self._rounds(
+            requests, occupancy, self._pick, budget, self._commit, self._arm
+        )
+        for _ in range(budget - rounds):  # the rounds after the edges ran out
+            self._rng.random((self.replicas, self.ports))
+        return match
+
+    def _arm(self, edges, weights):
         if self._bank is not None:
             self._bank.arm(edges[0])
-        match = np.full(b * n, -1, dtype=np.int64)
-        slots = np.full(b * n, self.output_capacity, dtype=np.int64)
-        pointers = self._pointers.reshape(-1)
-        proposal_rounds = 0
-        for _ in range(self.rounds if self.rounds is not None else n):
-            u = self._rng.random((b, n))
-            if not edges.shape[1]:
-                continue
-            proposal_rounds += 1
-            # C order keeps an input's edges contiguous, so one running sum
-            # of the weights holds every input's CDF: its segment ends at
-            # its last edge and starts where the previous proposer's ended.
-            cum = np.cumsum(weights)
-            lines = edges[1]
-            last = np.concatenate(((lines[1:] != lines[:-1]).nonzero()[0], [-1]))
-            end = cum.take(last)
-            start = np.concatenate(([0], end[:-1]))
-            # Inverse-CDF sample: the first edge whose cumulative weight
-            # exceeds u * total -- the sums are integers, so floor(u * total).
-            draws = u.reshape(-1).take(lines.take(last))
-            target = start + (draws * (end - start)).astype(np.int64)
-            proposals = edges.take(cum.searchsorted(target, side="right"), axis=1)
-            # Accept: first proposer at/after the output's pointer.
-            keys = n - (proposals[1] - pointers[proposals[2]]) % n
-            accepts = proposals.take(line_winners(proposals[2], keys, b * n), axis=1)
-            match[accepts[1]] = accepts[0] % n
-            slots[accepts[2]] -= 1
-            pointers[accepts[2]] = (accepts[1] + 1) % n
-            unresolved = np.logical_and(match[lines] < 0, slots[edges[2]]).nonzero()[0]
-            edges = edges.take(unresolved, axis=1)
-            weights = weights.take(unresolved)
-        if self._probe is not None:
-            self._probe.slot_iterations(proposal_rounds)
-        return match.reshape(b, n)
+        return weights
+
+    def _pick(self, rounds, edges, weights):
+        n = self.ports
+        u = self._rng.random((self.replicas, n))
+        # C order keeps an input's edges contiguous, so one running sum
+        # of the weights holds every input's CDF: its segment ends at
+        # its last edge and starts where the previous proposer's ended.
+        cum = np.cumsum(weights)
+        lines = edges[1]
+        last = np.concatenate(((lines[1:] != lines[:-1]).nonzero()[0], [-1]))
+        end = cum.take(last)
+        start = np.concatenate(([0], end[:-1]))
+        # Inverse-CDF sample: the first edge whose cumulative weight
+        # exceeds u * total -- the sums are integers, so floor(u * total).
+        draws = u.reshape(-1).take(lines.take(last))
+        target = start + (draws * (end - start)).astype(np.int64)
+        proposals = edges.take(cum.searchsorted(target, side="right"), axis=1)
+        # Accept: first proposer at/after the output's pointer.
+        keys = n - (proposals[1] - self._pointers.reshape(-1)[proposals[2]]) % n
+        winners = line_winners(proposals[2], keys, self.replicas * n)
+        return proposals, proposals.take(winners, axis=1)
+
+    def _commit(self, rounds, edges, proposals, accepts, match) -> None:
+        self._pointers.reshape(-1)[accepts[2]] = (accepts[1] + 1) % self.ports
 
     def reset(self) -> None:
         """Restore pointers and rewind the sampling stream."""

@@ -14,114 +14,58 @@ iSLIP (:mod:`repro.core.islip`) differs only in updating pointers when
 a grant is *accepted, in the first iteration*; the arbiter-policy
 ablation puts the three side by side, making the paper's "randomness
 de-synchronizes decisions made by a large number of agents" (Section
-1) quantitative.
+1) quantitative.  So the kernel here is iSLIP's pick over the shared
+round loop of :mod:`repro.core.batch` with RRM's pointer rule as its
+commit hook, and :class:`RRMScheduler` is its B = 1 call.  It draws
+nothing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from repro.core.islip import validate_pointer_array
-from repro.core.matching import Matching, as_request_matrix
+from repro.core.batch import ObjectScheduler
+from repro.core.islip import BatchISLIPScheduler
 
-__all__ = ["RRMScheduler", "rrm_match"]
+__all__ = ["BatchRRMScheduler", "RRMScheduler"]
 
 
-def rrm_match(
-    requests: np.ndarray,
-    grant_pointers: np.ndarray,
-    accept_pointers: np.ndarray,
-    iterations: int = 1,
-) -> Matching:
-    """One slot of RRM; pointers advance unconditionally each slot.
+class BatchRRMScheduler(BatchISLIPScheduler):
+    """RRM vectorized over B replicas: iSLIP's pick, RRM's pointers.
 
-    Both pointer arrays (per output, per input) are mutated in place
-    and validated by :func:`repro.core.islip.validate_pointer_array`
-    (int64, shape ``(N,)``, values in ``[0, N)``).
+    Each output's grant pointer moves one past the input it granted in
+    the first iteration, accepted or not; each input's accept pointer
+    moves one past every grant it accepts.  The moves past rejected
+    grants are what keep the grant pointers marching in lockstep under
+    symmetric load -- the synchronization bug iSLIP fixed.
+
+    The grant pointers move in round 1, not at the end of the slot,
+    and later rounds see the same grants either way: an output's
+    round-1 grantee is now matched, and no input between its old
+    pointer and that grantee requested it, so the first unmatched
+    requester at/after either pointer is the same input.
     """
-    matrix = as_request_matrix(requests)
-    n = matrix.shape[0]
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    validate_pointer_array(grant_pointers, n, "grant_pointers")
-    validate_pointer_array(accept_pointers, n, "accept_pointers")
-    input_matched = np.zeros(n, dtype=bool)
-    output_matched = np.zeros(n, dtype=bool)
-    pairs: List[Tuple[int, int]] = []
-    grant_choice: List[Optional[int]] = [None] * n
 
-    for iteration in range(iterations):
-        active = matrix & ~input_matched[:, None] & ~output_matched[None, :]
-        if not active.any():
-            break
-        grants_to: List[Optional[int]] = [None] * n
-        for j in range(n):
-            if output_matched[j]:
-                continue
-            requesters = np.nonzero(active[:, j])[0]
-            if requesters.size == 0:
-                continue
-            offsets = (requesters - grant_pointers[j]) % n
-            grants_to[j] = int(requesters[offsets.argmin()])
-            if iteration == 0:
-                grant_choice[j] = grants_to[j]
-        for i in range(n):
-            if input_matched[i]:
-                continue
-            granting = np.array([j for j in range(n) if grants_to[j] == i], dtype=np.int64)
-            if granting.size == 0:
-                continue
-            offsets = (granting - accept_pointers[i]) % n
-            j = int(granting[offsets.argmin()])
-            pairs.append((i, j))
-            input_matched[i] = True
-            output_matched[j] = True
+    name = "rrm_batch"
 
-    # The RRM rule: every pointer advances past its (first-iteration)
-    # choice whether or not the grant was accepted.  This is what
-    # keeps the grant pointers marching in lockstep under symmetric
-    # load -- the synchronization bug iSLIP fixed.
-    for j in range(n):
-        if grant_choice[j] is not None:
-            grant_pointers[j] = (grant_choice[j] + 1) % n
-    for i, j in pairs:
-        accept_pointers[i] = (j + 1) % n
-    return Matching.from_pairs(pairs)
+    def _commit(self, rounds, edges, grants, accepts, match) -> None:
+        n = self.ports
+        if rounds == 1:
+            self._grant_pointers.reshape(-1)[grants[2]] = (grants[1] + 1) % n
+        self._accept_pointers.reshape(-1)[accepts[1]] = (accepts[0] + 1) % n
 
 
-class RRMScheduler:
-    """Stateful RRM scheduler (the synchronization-prone strawman)."""
+class RRMScheduler(ObjectScheduler):
+    """Stateful RRM scheduler (the synchronization-prone strawman).
 
-    name = "rrm"
+    The :class:`~repro.core.batch.ObjectScheduler` around a one-replica
+    :class:`BatchRRMScheduler` with ``iterations`` rounds per slot
+    (``None``: to convergence), under the adapter's size rule.
+    """
 
-    def __init__(self, iterations: int = 1):
-        if iterations < 1:
-            raise ValueError(f"iterations must be >= 1, got {iterations}")
-        self.iterations = iterations
-        self._grant_pointers: Optional[np.ndarray] = None
-        self._accept_pointers: Optional[np.ndarray] = None
-
-    def schedule(self, requests: np.ndarray) -> Matching:
-        """Return this slot's matching and advance all pointers."""
-        matrix = as_request_matrix(requests)
-        n = matrix.shape[0]
-        if self._grant_pointers is None:
-            self._grant_pointers = np.zeros(n, dtype=np.int64)
-            self._accept_pointers = np.zeros(n, dtype=np.int64)
-        elif self._grant_pointers.shape[0] != n:
-            raise ValueError(
-                f"request matrix is {n}x{n} but pointers were sized for "
-                f"{self._grant_pointers.shape[0]} ports; call reset() "
-                f"before changing the switch size mid-run"
-            )
-        return rrm_match(matrix, self._grant_pointers, self._accept_pointers, self.iterations)
-
-    def reset(self) -> None:
-        """Return all pointers to zero."""
-        self._grant_pointers = None
-        self._accept_pointers = None
-
-    def __repr__(self) -> str:
-        return f"RRMScheduler(iterations={self.iterations})"
+    def __init__(self, iterations: Optional[int] = 1):
+        super().__init__(
+            "rrm", kernel=lambda ports: BatchRRMScheduler(1, ports, iterations)
+        )

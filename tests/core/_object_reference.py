@@ -1,27 +1,29 @@
-"""Test-only oracles: the dense object loops of PIM, iSLIP, LQF, wavefront
-and the statistical-matching lottery.
+"""Test-only oracles: the dense object loops of PIM, iSLIP, RRM, LQF,
+wavefront and the statistical-matching lottery.
 
 These are ``pim_match`` (with its grant and accept phases),
-``islip_match``, ``lqf_match``, ``wavefront_match`` and
-``StatisticalMatcher`` as they stood before the object schedulers
-became B = 1 calls of the batched kernels, kept verbatim apart from
-PIM's per-iteration trace option, which nothing reads any more, and the
-lottery's PIM fill, which calls the ``pim_match`` below.  Each resolves
+``islip_match``, ``lqf_match``, ``wavefront_match``,
+``StatisticalMatcher``, and ``rrm_match`` and ``RRMScheduler`` with the
+``validate_pointer_array`` they need, as they stood before the object
+schedulers became B = 1 calls of the batched kernels, kept verbatim
+apart from PIM's per-iteration trace option, which nothing reads any
+more, the lottery's PIM fill, which calls the ``pim_match`` below, and
+the docstring links between ``rrm_match`` and its validator.  Each resolves
 one N x N request matrix with whole-matrix masks and a Python loop over
 ports.  ``TestB1Parity`` in ``test_batch_schedulers.py`` pins the object
 schedulers and the B = 1 kernels to them slot for slot below N = 64,
 where PIM's draws are whole ``(N, N)`` matrices; from N = 64 up the
 loop below draws compact submatrices, which the kernels never did.
 ``test_statistical_oracle.py`` pins the object ``StatisticalMatcher``
-to the lottery here draw for draw.  Not a second production path:
-nothing under ``src/`` imports this module.
+to the lottery here draw for draw, and ``test_rrm_oracle.py`` the
+object ``RRMScheduler`` to the one here, pointers included.  Not a
+second production path: nothing under ``src/`` imports this module.
 """
 
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.core.islip import validate_pointer_array
 from repro.core.matching import Matching, as_request_matrix
 from repro.core.pim import AN2_ITERATIONS, AcceptPolicy, PIMResult
 from repro.core.statistical import (
@@ -223,6 +225,39 @@ def pim_match(
     # on the output side), which the default validator forbids.
     matching = Matching.from_pairs(pairs, validate_outputs=output_capacity == 1)
     return PIMResult(matching, tuple(sizes), completed, executed)
+
+
+def validate_pointer_array(pointers: np.ndarray, n: int, name: str) -> np.ndarray:
+    """Validate a round-robin pointer array that will be mutated in place.
+
+    The pointer-carrying matcher :func:`rrm_match`
+    advances caller-provided arrays in place so a stateful scheduler
+    carries desynchronization state across slots.  Writing
+    ``(i + 1) % n`` into an array of the wrong dtype silently truncates
+    or rounds (float arrays accept the store but corrupt later modular
+    arithmetic on mixed types), so anything that is not an int64 array
+    of shape ``(n,)`` with values in ``[0, n)`` is rejected outright --
+    a silent copy-convert would break the in-place mutation contract
+    instead.
+
+    Returns the validated array unchanged.
+    """
+    array = np.asarray(pointers)
+    if array is not pointers:
+        raise ValueError(
+            f"{name} must be a numpy array (it is mutated in place), "
+            f"got {type(pointers).__name__}"
+        )
+    if array.dtype != np.int64:
+        raise ValueError(
+            f"{name} must have dtype int64 (in-place pointer updates), "
+            f"got {array.dtype}"
+        )
+    if array.shape != (n,):
+        raise ValueError(f"{name} must have shape ({n},), got {array.shape}")
+    if n and ((array < 0) | (array >= n)).any():
+        raise ValueError(f"{name} values must be in [0, {n}), got {array.tolist()}")
+    return array
 
 
 def islip_match(
@@ -670,3 +705,101 @@ class StatisticalMatcher:
             f"StatisticalMatcher(ports={self.ports}, units={self.units}, "
             f"rounds={self.rounds}, fill={self.fill})"
         )
+
+
+def rrm_match(
+    requests: np.ndarray,
+    grant_pointers: np.ndarray,
+    accept_pointers: np.ndarray,
+    iterations: int = 1,
+) -> Matching:
+    """One slot of RRM; pointers advance unconditionally each slot.
+
+    Both pointer arrays (per output, per input) are mutated in place
+    and validated by :func:`validate_pointer_array`
+    (int64, shape ``(N,)``, values in ``[0, N)``).
+    """
+    matrix = as_request_matrix(requests)
+    n = matrix.shape[0]
+    if iterations < 1:
+        raise ValueError(f"iterations must be >= 1, got {iterations}")
+    validate_pointer_array(grant_pointers, n, "grant_pointers")
+    validate_pointer_array(accept_pointers, n, "accept_pointers")
+    input_matched = np.zeros(n, dtype=bool)
+    output_matched = np.zeros(n, dtype=bool)
+    pairs: List[Tuple[int, int]] = []
+    grant_choice: List[Optional[int]] = [None] * n
+
+    for iteration in range(iterations):
+        active = matrix & ~input_matched[:, None] & ~output_matched[None, :]
+        if not active.any():
+            break
+        grants_to: List[Optional[int]] = [None] * n
+        for j in range(n):
+            if output_matched[j]:
+                continue
+            requesters = np.nonzero(active[:, j])[0]
+            if requesters.size == 0:
+                continue
+            offsets = (requesters - grant_pointers[j]) % n
+            grants_to[j] = int(requesters[offsets.argmin()])
+            if iteration == 0:
+                grant_choice[j] = grants_to[j]
+        for i in range(n):
+            if input_matched[i]:
+                continue
+            granting = np.array([j for j in range(n) if grants_to[j] == i], dtype=np.int64)
+            if granting.size == 0:
+                continue
+            offsets = (granting - accept_pointers[i]) % n
+            j = int(granting[offsets.argmin()])
+            pairs.append((i, j))
+            input_matched[i] = True
+            output_matched[j] = True
+
+    # The RRM rule: every pointer advances past its (first-iteration)
+    # choice whether or not the grant was accepted.  This is what
+    # keeps the grant pointers marching in lockstep under symmetric
+    # load -- the synchronization bug iSLIP fixed.
+    for j in range(n):
+        if grant_choice[j] is not None:
+            grant_pointers[j] = (grant_choice[j] + 1) % n
+    for i, j in pairs:
+        accept_pointers[i] = (j + 1) % n
+    return Matching.from_pairs(pairs)
+
+
+class RRMScheduler:
+    """Stateful RRM scheduler (the synchronization-prone strawman)."""
+
+    name = "rrm"
+
+    def __init__(self, iterations: int = 1):
+        if iterations < 1:
+            raise ValueError(f"iterations must be >= 1, got {iterations}")
+        self.iterations = iterations
+        self._grant_pointers: Optional[np.ndarray] = None
+        self._accept_pointers: Optional[np.ndarray] = None
+
+    def schedule(self, requests: np.ndarray) -> Matching:
+        """Return this slot's matching and advance all pointers."""
+        matrix = as_request_matrix(requests)
+        n = matrix.shape[0]
+        if self._grant_pointers is None:
+            self._grant_pointers = np.zeros(n, dtype=np.int64)
+            self._accept_pointers = np.zeros(n, dtype=np.int64)
+        elif self._grant_pointers.shape[0] != n:
+            raise ValueError(
+                f"request matrix is {n}x{n} but pointers were sized for "
+                f"{self._grant_pointers.shape[0]} ports; call reset() "
+                f"before changing the switch size mid-run"
+            )
+        return rrm_match(matrix, self._grant_pointers, self._accept_pointers, self.iterations)
+
+    def reset(self) -> None:
+        """Return all pointers to zero."""
+        self._grant_pointers = None
+        self._accept_pointers = None
+
+    def __repr__(self) -> str:
+        return f"RRMScheduler(iterations={self.iterations})"

@@ -15,7 +15,7 @@ import pytest
 from repro.core.islip import ISLIPScheduler
 from repro.core.maximum import hopcroft_karp
 from repro.core.pim import PIMScheduler, pim_match
-from repro.core.rrm import RRMScheduler, rrm_match
+from repro.core.rrm import RRMScheduler
 from repro.core.statistical import StatisticalMatcher
 from repro.core.wavefront import WavefrontScheduler
 
@@ -37,9 +37,7 @@ class TestZeroPorts:
         assert len(ISLIPScheduler().schedule(empty_matrix(0))) == 0
 
     def test_rrm(self):
-        pointers = np.zeros(0, dtype=np.int64)
-        matching = rrm_match(empty_matrix(0), pointers, pointers.copy())
-        assert len(matching) == 0
+        assert len(RRMScheduler().schedule(empty_matrix(0))) == 0
 
     def test_wavefront(self):
         assert len(WavefrontScheduler().schedule(empty_matrix(0))) == 0

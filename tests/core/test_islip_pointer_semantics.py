@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from repro.core.islip import ISLIPScheduler
-from repro.core.rrm import rrm_match
 
 
 def scheduler_and_pointers(n=4, iterations=1):
@@ -69,58 +68,6 @@ class TestIterationOnePointerRule:
         matching = scheduler.schedule(requests)
         # Both outputs grant input 0; from pointer 2, output 3 wins.
         assert (0, 3) in matching.pairs
-
-
-class TestPointerValidation:
-    """Regressions for the silent-mutation and silent-reset bugs: the
-    caller-owned pointer arrays of ``rrm_match``."""
-
-    def test_rejects_float_pointer_arrays(self):
-        requests = np.ones((4, 4), dtype=bool)
-        grant_ptr = np.zeros(4, dtype=np.float64)
-        accept_ptr = np.zeros(4, dtype=np.int64)
-        with pytest.raises(ValueError, match="int64"):
-            rrm_match(requests, grant_ptr, accept_ptr)
-        # The rejected array must not have been mutated.
-        assert (grant_ptr == 0).all()
-
-    def test_rejects_int32_pointer_arrays(self):
-        requests = np.ones((4, 4), dtype=bool)
-        with pytest.raises(ValueError, match="int64"):
-            rrm_match(
-                requests,
-                np.zeros(4, dtype=np.int32),
-                np.zeros(4, dtype=np.int32),
-            )
-
-    def test_rejects_lists(self):
-        requests = np.ones((4, 4), dtype=bool)
-        with pytest.raises(ValueError, match="numpy array"):
-            rrm_match(requests, [0, 0, 0, 0], np.zeros(4, dtype=np.int64))
-
-    def test_rejects_wrong_shape(self):
-        requests = np.ones((4, 4), dtype=bool)
-        with pytest.raises(ValueError, match="shape"):
-            rrm_match(
-                requests,
-                np.zeros(3, dtype=np.int64),
-                np.zeros(4, dtype=np.int64),
-            )
-
-    def test_rejects_out_of_range_values(self):
-        requests = np.ones((4, 4), dtype=bool)
-        bad = np.array([0, 1, 7, 0], dtype=np.int64)
-        with pytest.raises(ValueError, match=r"\[0, 4\)"):
-            rrm_match(requests, np.zeros(4, dtype=np.int64), bad)
-
-    def test_rrm_match_validates_too(self):
-        requests = np.ones((4, 4), dtype=bool)
-        with pytest.raises(ValueError, match="int64"):
-            rrm_match(
-                requests,
-                np.zeros(4, dtype=np.float32),
-                np.zeros(4, dtype=np.int64),
-            )
 
 
 class TestSchedulerSizeChange:

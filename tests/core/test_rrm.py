@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.rrm import RRMScheduler, rrm_match
+from repro.core.rrm import RRMScheduler
 from repro.core.islip import ISLIPScheduler
 from repro.switch.switch import CrossbarSwitch
 from repro.traffic.trace import TraceRecorder
@@ -12,16 +12,14 @@ from repro.traffic.uniform import UniformTraffic
 
 class TestRrmMatch:
     def test_validation(self):
-        n = 2
-        with pytest.raises(ValueError, match="iterations"):
-            rrm_match(
-                np.ones((n, n), dtype=bool),
-                np.zeros(n, dtype=np.int64),
-                np.zeros(n, dtype=np.int64),
-                iterations=0,
-            )
         with pytest.raises(ValueError, match="iterations"):
             RRMScheduler(iterations=0)
+
+    def test_negative_entries_are_not_requests(self):
+        """A negative count must not cast to a request (it did: the
+        -1 cell was matched)."""
+        with pytest.raises(ValueError, match="non-negative"):
+            RRMScheduler().schedule(np.array([[-1, 1], [1, 0]]))
 
     def test_legal_matching(self, rng):
         scheduler = RRMScheduler()
@@ -33,11 +31,11 @@ class TestRrmMatch:
     def test_pointers_advance_even_unaccepted(self):
         """The RRM bug: a granted-but-rejected output still advances."""
         n = 4
-        grant_ptr = np.zeros(n, dtype=np.int64)
-        accept_ptr = np.zeros(n, dtype=np.int64)
+        scheduler = RRMScheduler()
         requests = np.zeros((n, n), dtype=bool)
         requests[0, 0] = requests[0, 1] = True
-        rrm_match(requests, grant_ptr, accept_ptr)
+        scheduler.schedule(requests)
+        grant_ptr = scheduler._grant_pointers[0]
         # Both outputs granted input 0; only one was accepted, but both
         # pointers moved to 1.
         assert grant_ptr[0] == 1 and grant_ptr[1] == 1
@@ -47,17 +45,13 @@ class TestRrmMatch:
         RRM-1 throughput sits near 1 - 1/e, not 1.0 -- the pathology
         iSLIP's update rule repairs."""
         n = 8
-        grant_ptr = np.zeros(n, dtype=np.int64)
-        accept_ptr = np.zeros(n, dtype=np.int64)
+        scheduler = RRMScheduler()
         requests = np.ones((n, n), dtype=bool)
-        sizes = [
-            len(rrm_match(requests, grant_ptr, accept_ptr))
-            for _ in range(200)
-        ]
+        sizes = [len(scheduler.schedule(requests)) for _ in range(200)]
         steady = np.mean(sizes[50:])
         assert steady < 0.8 * n  # far from the perfect matching
         # Grant pointers synchronized: all equal in steady state.
-        assert len(set(int(g) for g in grant_ptr)) == 1
+        assert len(set(scheduler._grant_pointers[0].tolist())) == 1
 
 
 class TestRrmVsIslip:
@@ -76,5 +70,7 @@ class TestRrmVsIslip:
     def test_reset(self):
         scheduler = RRMScheduler()
         scheduler.schedule(np.ones((4, 4), dtype=bool))
+        assert scheduler._grant_pointers.any()
         scheduler.reset()
-        assert scheduler._grant_pointers is None
+        assert not scheduler._grant_pointers.any()
+        assert not scheduler._accept_pointers.any()

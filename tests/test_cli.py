@@ -183,6 +183,104 @@ GOLDEN_OUTPUT = {
             ("qps", "0.653 per link, mean delay 48.75 slots, backlog 585"),
         ]
     },
+    # The probe feed: PIM, iSLIP and QPS-r put each slot's rounds in the
+    # ``pim.iterations`` histogram, LQF feeds nothing, on both backends.
+    "delay --scheduler pim --ports 8 --slots 300 --warmup 50 --metrics": (
+        "8x8 switch, 300 slots: offered 0.891, carried 0.875 per link, "
+        "mean delay 5.99 slots, backlog 62\n"
+        "\n"
+        "metrics:\n"
+        "backlog               61\n"
+        "cells.arrived         2142\n"
+        "cells.departed        2080\n"
+        "delay.slots           count=2080  mean=5.531  stddev=6.219  min=0  max=57\n"
+        "pim.iterations        count=300  mean=2.010  stddev=0.487  min=1  max=3\n"
+        "pim.iterations.total  603\n"
+        "slots                 300\n"
+    ),
+    "delay --scheduler islip --ports 8 --slots 300 --warmup 50 --metrics": (
+        "8x8 switch, 300 slots: offered 0.891, carried 0.874 per link, "
+        "mean delay 6.91 slots, backlog 68\n"
+        "\n"
+        "metrics:\n"
+        "backlog         68\n"
+        "cells.arrived   2142\n"
+        "cells.departed  2074\n"
+        "delay.slots     count=2074  mean=6.360  stddev=6.980  min=0  max=55\n"
+        "pim.iterations  count=300  mean=1.900  stddev=0.539  min=1  max=3\n"
+        "slots           300\n"
+    ),
+    "delay --scheduler lqf --ports 8 --slots 300 --warmup 50 --metrics": (
+        "8x8 switch, 300 slots: offered 0.891, carried 0.879 per link, "
+        "mean delay 5.32 slots, backlog 55\n"
+        "\n"
+        "metrics:\n"
+        "backlog         55\n"
+        "cells.arrived   2142\n"
+        "cells.departed  2087\n"
+        "delay.slots     count=2087  mean=5.006  stddev=5.570  min=0  max=47\n"
+        "slots           300\n"
+    ),
+    "delay --scheduler qps --ports 8 --slots 300 --warmup 50 --metrics": (
+        "8x8 switch, 300 slots: offered 0.891, carried 0.875 per link, "
+        "mean delay 6.09 slots, backlog 67\n"
+        "\n"
+        "metrics:\n"
+        "backlog         66\n"
+        "cells.arrived   2142\n"
+        "cells.departed  2075\n"
+        "delay.slots     count=2075  mean=5.706  stddev=5.521  min=0  max=36\n"
+        "pim.iterations  count=300  mean=2.093  stddev=0.528  min=1  max=3\n"
+        "slots           300\n"
+    ),
+    "delay --scheduler pim --ports 8 --slots 300 --warmup 50 --metrics "
+    "--backend fastpath": (
+        "8x8 fastpath x1 replicas, 300+0 slots: offered 0.891, carried 0.873 "
+        "per link, mean delay 7.44 slots, backlog 73\n"
+        "\n"
+        "metrics:\n"
+        "backlog               72\n"
+        "cells.arrived         2142\n"
+        "cells.departed        2069\n"
+        "pim.iterations        count=300  mean=2.033  stddev=0.541  min=1  max=4\n"
+        "pim.iterations.total  610\n"
+        "slots                 300\n"
+    ),
+    "delay --scheduler islip --ports 8 --slots 300 --warmup 50 --metrics "
+    "--backend fastpath": (
+        "8x8 fastpath x1 replicas, 300+0 slots: offered 0.891, carried 0.874 "
+        "per link, mean delay 7.33 slots, backlog 68\n"
+        "\n"
+        "metrics:\n"
+        "backlog         68\n"
+        "cells.arrived   2142\n"
+        "cells.departed  2074\n"
+        "pim.iterations  count=300  mean=1.900  stddev=0.539  min=1  max=3\n"
+        "slots           300\n"
+    ),
+    "delay --scheduler lqf --ports 8 --slots 300 --warmup 50 --metrics "
+    "--backend fastpath": (
+        "8x8 fastpath x1 replicas, 300+0 slots: offered 0.891, carried 0.880 "
+        "per link, mean delay 5.68 slots, backlog 53\n"
+        "\n"
+        "metrics:\n"
+        "backlog         53\n"
+        "cells.arrived   2142\n"
+        "cells.departed  2089\n"
+        "slots           300\n"
+    ),
+    "delay --scheduler qps --ports 8 --slots 300 --warmup 50 --metrics "
+    "--backend fastpath": (
+        "8x8 fastpath x1 replicas, 300+0 slots: offered 0.891, carried 0.875 "
+        "per link, mean delay 6.64 slots, backlog 66\n"
+        "\n"
+        "metrics:\n"
+        "backlog         65\n"
+        "cells.arrived   2142\n"
+        "cells.departed  2076\n"
+        "pim.iterations  count=300  mean=2.130  stddev=0.511  min=1  max=4\n"
+        "slots           300\n"
+    ),
     "sweep --loads 0.5 0.9 --ports 8 --slots 300 --warmup 50": (
         "  load                  fifo                   pim       output-queueing\n"
         "  0.50           2.08 (0.52)           0.79 (0.52)           0.50 (0.52)\n"
