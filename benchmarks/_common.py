@@ -25,11 +25,6 @@ from repro.traffic.trace import TraceRecorder
 #: Paper-scale statistics when REPRO_FULL=1.
 FULL = os.environ.get("REPRO_FULL", "") == "1"
 
-#: Simulation backend for the PIM sweeps: "object" replays the
-#: per-cell CrossbarSwitch model; "fastpath" uses the count-based
-#: vectorized simulator (repro.sim.fastpath) on seed-matched arrivals.
-BACKEND = os.environ.get("REPRO_BACKEND", "object")
-
 #: Simulation length per load point (slots).
 SLOTS = 60_000 if FULL else 12_000
 WARMUP = 6_000 if FULL else 1_500
@@ -88,43 +83,6 @@ def delay_vs_load(
             result = factory().run(traffic, slots=slots, warmup=warmup)
             curves[name].append((load, result.mean_delay, result.throughput))
     return curves
-
-
-def fastpath_pim_curve(
-    loads: Sequence[float],
-    ports: int = PORTS,
-    iterations: int = 4,
-    seed_base: int = 100,
-    slots: int = None,
-    warmup: int = None,
-    replicas: int = 1,
-) -> List[Tuple[float, float, float]]:
-    """PIM delay-vs-load curve from the fast-path backend.
-
-    Arrival seeds follow the object-backend convention
-    (``seed_base + load_index``) and the fast-path arrival streams
-    replicate UniformTraffic draw for draw, so the curve is computed
-    on the *same* offered traffic as the object sweep -- common random
-    numbers across backends, not just across algorithms.
-    """
-    from repro.sim.fastpath import run_fastpath
-
-    slots = slots if slots is not None else SLOTS
-    warmup = warmup if warmup is not None else WARMUP
-    curve = []
-    for index, load in enumerate(loads):
-        result = run_fastpath(
-            ports,
-            load,
-            slots,
-            replicas=replicas,
-            warmup=warmup,
-            iterations=iterations,
-            seed=seed_base + index,
-            arrival_seeds=[seed_base + index] * replicas if replicas == 1 else None,
-        )
-        curve.append((load, result.mean_delay, result.throughput))
-    return curve
 
 
 def standard_switches(ports: int = PORTS) -> Dict[str, Callable[[], object]]:

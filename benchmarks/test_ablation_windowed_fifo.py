@@ -15,7 +15,7 @@ paper's argument for random-access input buffers.
 
 import pytest
 
-from repro.analysis.hol import KAROL_LIMIT
+from repro.analysis.queueing import hol_saturation_limit
 from repro.core.pim import PIMScheduler
 from repro.core.windowed_fifo import WindowedFIFOScheduler, WindowedFIFOSwitch
 from repro.switch.switch import CrossbarSwitch
@@ -55,7 +55,7 @@ def test_windowed_fifo_ablation(benchmark):
     )
     throughputs = dict(rows)
     # w = 1 is plain FIFO: Karol's limit.
-    assert throughputs[1] == pytest.approx(KAROL_LIMIT, abs=0.05)
+    assert throughputs[1] == pytest.approx(hol_saturation_limit(), abs=0.05)
     # Throughput rises monotonically with the window...
     values = [throughputs[w] for w in WINDOWS]
     assert all(a <= b + 0.01 for a, b in zip(values, values[1:]))

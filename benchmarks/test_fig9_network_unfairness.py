@@ -15,8 +15,6 @@ report both the measured shares and the fair (1/4 each) allocation a
 Virtual-Clock output-queued switch would deliver.
 """
 
-import os
-
 import pytest
 
 from repro.fairness.metrics import jain_index, max_min_ratio
@@ -28,10 +26,6 @@ from _common import FULL, print_table
 
 SLOTS = 30_000 if FULL else 8_000
 WARMUP = 4_000 if FULL else 1_500
-#: Set REPRO_BACKEND=fastpath to regenerate through the batched
-#: whole-fabric simulator (same topology, flows, and seed) instead of
-#: the per-cell object network.
-BACKEND = os.environ.get("REPRO_BACKEND", "object")
 
 
 def parking_lot_topology():
@@ -55,14 +49,6 @@ def run_network():
         FlowSpec(flow_id, host, "sink", 1.0)
         for flow_id, host in [(1, "ha"), (2, "hb"), (3, "hc"), (4, "hd")]
     ]
-    if BACKEND == "fastpath":
-        from repro.sim.fastpath_network import run_fastpath_network
-
-        result = run_fastpath_network(
-            parking_lot_topology(), flows, SLOTS, replicas=4,
-            warmup=WARMUP, seed=42,
-        )
-        return {flow: result.throughput(flow) for flow in (1, 2, 3, 4)}
     sim = NetworkSimulator(parking_lot_topology(), seed=42)
     for flow in flows:
         sim.add_flow(flow)

@@ -21,7 +21,7 @@ from repro import (
     PIMScheduler,
     UniformTraffic,
 )
-from repro.analysis.hol import KAROL_LIMIT
+from repro.analysis.queueing import hol_saturation_limit
 from repro.switch.cell import Cell
 
 
@@ -52,7 +52,7 @@ def karol_limit_demo() -> None:
             UniformTraffic(ports, load=1.0, seed=1), slots=8000, warmup=1000
         )
         print(f"   {ports:2d} ports: carried {result.throughput:.3f} per link "
-              f"(asymptotic limit 2 - sqrt(2) = {KAROL_LIMIT:.3f})")
+              f"(asymptotic limit 2 - sqrt(2) = {hol_saturation_limit():.3f})")
     print()
 
 

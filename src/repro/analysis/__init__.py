@@ -5,8 +5,9 @@
   claims in ``tests/claims/test_appendix_a.py``),
 - :mod:`repro.analysis.statistical_theory` -- Appendix C: the 63% / 72%
   statistical-matching throughput fractions,
-- :mod:`repro.analysis.hol` -- Karol's 2 - sqrt(2) head-of-line
-  saturation limit for FIFO input queueing,
+- :mod:`repro.analysis.queueing` -- Karol et al.'s output-queueing
+  delay and head-of-line saturation limit for FIFO input queueing
+  (2 - sqrt(2) as N grows, their Table I at finite N),
 - :mod:`repro.analysis.maximal_bounds` -- Cogill-Lall style
   interference-drain delay bound for maximal-matching schedulers,
 - :mod:`repro.analysis.scheduler_study` -- cross-scheduler
@@ -22,8 +23,8 @@ from repro.analysis.statistical_theory import (
     SINGLE_ROUND_LIMIT,
     TWO_ROUND_LIMIT,
 )
-from repro.analysis.hol import KAROL_LIMIT, fifo_saturation_throughput
 from repro.analysis.queueing import (
+    fifo_saturation_throughput,
     hol_saturation_limit,
     output_queueing_delay,
     output_queueing_mean_queue,
@@ -75,6 +76,5 @@ __all__ = [
     "two_round_fraction",
     "SINGLE_ROUND_LIMIT",
     "TWO_ROUND_LIMIT",
-    "KAROL_LIMIT",
     "fifo_saturation_throughput",
 ]

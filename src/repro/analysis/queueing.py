@@ -7,13 +7,15 @@ Bernoulli arrivals; by Little's law the mean *waiting* time is
 
     W(N, rho) = (N - 1) / N * rho / (2 (1 - rho))
 
-cell slots.  These formulas give the Figure 3 benches an independent
-analytic check: our output-queueing curve must land on W, and every
+cell slots.  These formulas give the Figure 3 checks an independent
+analytic reference: our output-queueing curve must land on W, and every
 input-buffered scheduler must sit above it.
 
-Also provided: the saturated-HOL fixed-point (the 2 - sqrt(2) limit as
-N -> infinity) evaluated for finite N via the Karol recurrence, used
-to check the FIFO switch's measured saturation beyond the asymptote.
+Also here: the head-of-line saturation throughput of FIFO input
+queueing (Section 2.4), 2 - sqrt(2) ~ 58.6% as N -> infinity and Karol
+et al.'s Table I at finite N, and :func:`fifo_saturation_throughput`,
+which measures it by driving a FIFO switch at full load.  The tier-1
+claim ``tests/claims/test_fig3.py`` holds the measurement to the table.
 """
 
 from __future__ import annotations
@@ -25,6 +27,7 @@ __all__ = [
     "output_queueing_delay",
     "output_queueing_mean_queue",
     "hol_saturation_limit",
+    "fifo_saturation_throughput",
 ]
 
 
@@ -50,10 +53,11 @@ def output_queueing_mean_queue(load: float, ports: int) -> float:
 def hol_saturation_limit(ports: Optional[int] = None) -> float:
     """Saturation throughput of FIFO input queueing, uniform traffic.
 
-    With ``ports`` None, the asymptotic 2 - sqrt(2).  For finite N the
-    exact values (Karol et al., Table I) are tabulated; intermediate
-    sizes interpolate between neighbours, which is accurate to ~1e-3
-    and plenty for test tolerances.
+    With ``ports`` None, Karol's asymptotic 2 - sqrt(2).  For N <= 8
+    the exact values of Karol et al.'s Table I.  For N > 8 the value is
+    an interpolation between N = 8 and the asymptote, not a computed
+    limit; no claim uses it (the N = 16 claim is bounded by the N = 8
+    value and the asymptote).
     """
     if ports is None:
         return 2.0 - math.sqrt(2.0)
@@ -72,8 +76,31 @@ def hol_saturation_limit(ports: Optional[int] = None) -> float:
     }
     if ports in table:
         return table[ports]
-    if ports > 8:
-        # Between N=8 and the asymptote; geometric approach.
-        asymptote = 2.0 - math.sqrt(2.0)
-        return asymptote + (table[8] - asymptote) * (8.0 / ports)
-    raise AssertionError("unreachable")
+    # Between N=8 and the asymptote; geometric approach.
+    asymptote = 2.0 - math.sqrt(2.0)
+    return asymptote + (table[8] - asymptote) * (8.0 / ports)
+
+
+def fifo_saturation_throughput(
+    ports: int,
+    slots: int = 20_000,
+    warmup: int = 2_000,
+    seed: Optional[int] = None,
+) -> float:
+    """Measured per-link throughput of a saturated FIFO switch.
+
+    Drives a FIFO-input switch at offered load 1.0 with uniform
+    destinations and returns the carried load per link over slots
+    ``warmup .. slots - 1``.  The HOL contention picks a winner at
+    random (``seed``; the arrivals use ``seed + 1``), Karol's model, so
+    the result estimates :func:`hol_saturation_limit` at ``ports``.
+    """
+    # Imported here to keep the analysis layer import-light.
+    from repro.core.fifo import FIFOScheduler
+    from repro.switch.switch import FIFOSwitch
+    from repro.traffic.uniform import UniformTraffic
+
+    switch = FIFOSwitch(ports, FIFOScheduler(policy="random", seed=seed))
+    traffic = UniformTraffic(ports, load=1.0, seed=None if seed is None else seed + 1)
+    result = switch.run(traffic, slots=slots, warmup=warmup)
+    return result.throughput

@@ -70,10 +70,3 @@ class TestHOLSaturation:
     def test_validation(self):
         with pytest.raises(ValueError, match="ports"):
             hol_saturation_limit(0)
-
-    def test_finite_n_matches_simulation(self):
-        from repro.analysis.hol import fifo_saturation_throughput
-
-        for ports in (4, 8):
-            measured = fifo_saturation_throughput(ports, slots=12_000, warmup=2_000, seed=3)
-            assert measured == pytest.approx(hol_saturation_limit(ports), abs=0.035)

@@ -3,12 +3,12 @@
 These are scaled-down versions of the benchmark experiments: fewer
 slots and load points, asserting only the qualitative orderings the
 paper reports.  The full-resolution regenerations live in
-``benchmarks/``.
+``benchmarks/``; Figure 3's numbers are tier-1 claims in
+``tests/claims/test_fig3.py``.
 """
 
 import pytest
 
-from repro.analysis.hol import KAROL_LIMIT
 from repro.core.fifo import FIFOScheduler
 from repro.core.output_queueing import OutputQueuedSwitch
 from repro.core.pim import PIMScheduler
@@ -40,13 +40,6 @@ def run_three(traffic_factory, load):
 class TestFigure3Shape:
     """Delay ordering under uniform traffic: OQ <= PIM << FIFO at load."""
 
-    def test_low_load_all_similar(self):
-        fifo, pim, oq = run_three(
-            lambda load: UniformTraffic(16, load=load, seed=1), 0.2
-        )
-        assert abs(pim.mean_delay - oq.mean_delay) < 1.0
-        assert abs(fifo.mean_delay - oq.mean_delay) < 1.0
-
     def test_high_load_ordering(self):
         fifo, pim, oq = run_three(
             lambda load: UniformTraffic(16, load=load, seed=2), 0.9
@@ -57,12 +50,6 @@ class TestFigure3Shape:
         assert fifo.throughput < 0.9 * 0.75
         # PIM carries the offered load.
         assert pim.throughput == pytest.approx(pim.offered, rel=0.03)
-
-    def test_fifo_saturation_near_karol(self):
-        fifo, _, _ = run_three(
-            lambda load: UniformTraffic(16, load=load, seed=3), 1.0
-        )
-        assert fifo.throughput == pytest.approx(KAROL_LIMIT, abs=0.05)
 
 
 class TestFigure4Shape:
