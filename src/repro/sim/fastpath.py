@@ -60,6 +60,19 @@ __all__ = ["FastpathCrossbar", "FastpathResult", "run_fastpath"]
 
 #: Slots of arrivals pre-drawn per RNG call in the batched arrival mode.
 _ARRIVAL_CHUNK_CELLS = 1 << 16
+#: A :class:`PoolLedger` settles its queued slots once there are this
+#: many of them, or once they hold this many arrival cells plus
+#: departures, so a settle's temporaries stay near 8 KiB, far below
+#: glibc's 128 KiB mmap threshold (a temporary at the threshold is
+#: mapped and unmapped on every settle).  A batch costs about ten more
+#: NumPy calls than one slot and three more passes per element, so it
+#: pays only on many small slots: a slot of more than ``_WIDE_SLOT``
+#: cells plus departures is folded alone, with no weights, and a queue
+#: of fewer than ``_BATCH_MIN`` slots slot by slot.
+_SETTLE_SLOTS = 256
+_SETTLE_CELLS = 1 << 10
+_WIDE_SLOT = _SETTLE_CELLS // 8
+_BATCH_MIN = 4
 #: (slot, replica, input) triples compiled per refill in scenario mode.
 #: Sorting and indexing a chunk takes about ten int64 temporaries of
 #: its cell count, so the chunk bounds the run's peak memory: on 16
@@ -640,75 +653,241 @@ class PoolLedger:
     so the (B,) counters ``offered``, ``carried`` and
     ``backlog_integral`` (the Little's-law numerator) ignore the slots
     before it.  No counter reduces the pool: :meth:`mark` takes the
-    (B,) ``backlog`` once, at the start of slot ``warmup``, and every
-    update moves it by the slot's arrivals minus its departures.
-    ``warmup_mode="arrival"`` also keys delay on the *arrival* slot, as
-    :class:`repro.sim.stats.DelayStats` does: cells queued at the start
-    of slot ``warmup`` are snapshotted per VOQ as ``legacy`` (per-VOQ
-    FIFO order, exact when each connection carries one flow, makes them
-    depart before anything arriving later), their departures kept out of
-    ``delay_cells`` and their running (B,) total ``legacy_backlog`` out
-    of ``delay_integral`` (both None in slot mode).  ``by_port`` adds
-    the (B, N) ``arrivals_by_input`` / ``departures_by_output`` -- only
-    for results that expose them.
+    (B,) ``backlog`` once, at the start of slot ``warmup`` and before
+    any update, and every slot moves it by its arrivals minus its
+    departures.  ``warmup_mode="arrival"`` also keys delay on the
+    *arrival* slot, as :class:`repro.sim.stats.DelayStats` does: cells
+    queued at the start of slot ``warmup`` are snapshotted per VOQ as
+    ``legacy`` (per-VOQ FIFO order, exact when each connection carries
+    one flow, makes them depart before anything arriving later), their
+    departures kept out of ``delay_cells`` and their running (B,) total
+    ``legacy_backlog`` out of ``delay_integral`` (both None in slot
+    mode); once the last of them has departed the ledger stops looking.
+    ``by_port`` adds the (B, N) ``arrivals_by_input`` /
+    ``departures_by_output`` -- only for results that expose them.
+
+    :meth:`update` only queues its slot.  :meth:`settle` folds the queue
+    into running totals per *line* (per replica, or per replica and
+    port with ``by_port``): arrivals, departures, and arrivals less
+    departures summed over the end-of-slot samples, so the backlog
+    integral is the backlog at :meth:`mark` times the slots since plus
+    that held sum.  A settle runs at ``_SETTLE_SLOTS`` queued slots or
+    ``_SETTLE_CELLS`` queued cells plus departures, and at every counter
+    read, so a reader sees every slot updated so far; a wide slot is
+    folded at once, alone.
     """
 
     def __init__(self, pool: np.ndarray, warmup_mode: str, by_port: bool = False):
         replicas, ports, _ = pool.shape
         self.pool = pool
         self.warmup_mode = warmup_mode
-        self.offered = np.zeros(replicas, dtype=np.int64)
-        self.carried = np.zeros(replicas, dtype=np.int64)
-        self.backlog_integral = np.zeros(replicas, dtype=np.int64)
-        self.backlog = np.zeros(replicas, dtype=np.int64)
-        self.arrivals_by_input = self.departures_by_output = None
-        if by_port:
-            self.arrivals_by_input = np.zeros((replicas, ports), dtype=np.int64)
-            self.departures_by_output = np.zeros((replicas, ports), dtype=np.int64)
-        self.legacy: Optional[np.ndarray] = None
-        self.legacy_backlog: Optional[np.ndarray] = None
-        self.delay_cells = self.delay_integral = None
+        self.by_port = by_port
+        lines = replicas * ports if by_port else replicas
+        self._arrivals = np.zeros(lines, dtype=np.int64)
+        self._departures = np.zeros(lines, dtype=np.int64)
+        # Arrivals less departures, summed over the end-of-slot samples.
+        self._held = np.zeros(lines, dtype=np.int64)
+        # Slots settled since mark(), and the (B,) backlog at mark().
+        self._slots = 0
+        self._start = np.zeros(replicas, dtype=np.int64)
+        self._legacy: Optional[np.ndarray] = None
+        # Arrival mode: (B,) legacy departures so far, and the legacy
+        # backlog summed over the end-of-slot samples.
+        self._legacy_gone = self._legacy_integral = None
         if warmup_mode == "arrival":
-            self.delay_cells = np.zeros(replicas, dtype=np.int64)
-            self.delay_integral = np.zeros(replicas, dtype=np.int64)
+            self._legacy_gone = np.zeros(replicas, dtype=np.int64)
+            self._legacy_integral = np.zeros(replicas, dtype=np.int64)
+        # True while a legacy cell is still queued.
+        self._tracking = False
+        # The queued slots, and the arrival cells plus departures they hold.
+        self._cells: List[np.ndarray] = []
+        self._departed: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        self._queued = 0
+
+    def _per_replica(self, lines: np.ndarray) -> np.ndarray:
+        return lines.reshape(self.pool.shape[0], -1).sum(axis=1)
+
+    @property
+    def offered(self) -> np.ndarray:
+        self.settle()
+        return self._per_replica(self._arrivals)
+
+    @property
+    def carried(self) -> np.ndarray:
+        self.settle()
+        return self._per_replica(self._departures)
+
+    @property
+    def backlog(self) -> np.ndarray:
+        return self._start + self.offered - self.carried
+
+    @property
+    def backlog_integral(self) -> np.ndarray:
+        self.settle()
+        return self._slots * self._start + self._per_replica(self._held)
+
+    @property
+    def arrivals_by_input(self) -> Optional[np.ndarray]:
+        self.settle()
+        return self._arrivals.reshape(self.pool.shape[:2]) if self.by_port else None
+
+    @property
+    def departures_by_output(self) -> Optional[np.ndarray]:
+        self.settle()
+        return self._departures.reshape(self.pool.shape[:2]) if self.by_port else None
+
+    @property
+    def legacy(self) -> Optional[np.ndarray]:
+        self.settle()
+        return self._legacy
+
+    @property
+    def legacy_backlog(self) -> Optional[np.ndarray]:
+        self.settle()
+        return None if self._legacy is None else self._start - self._legacy_gone
+
+    @property
+    def delay_cells(self) -> Optional[np.ndarray]:
+        if self._legacy_gone is None:
+            return None
+        return self.carried - self._legacy_gone
+
+    @property
+    def delay_integral(self) -> Optional[np.ndarray]:
+        if self._legacy_integral is None:
+            return None
+        return self.backlog_integral - self._legacy_integral
 
     def mark(self) -> None:
         """Start of slot ``warmup``: snapshot the cells that predate it."""
-        self.backlog = self.pool.sum(axis=(1, 2))
-        if self.delay_cells is not None:
-            self.legacy = self.pool.copy()
-            self.legacy_backlog = self.backlog.copy()
+        if self._slots or self._cells:
+            raise RuntimeError("mark() must come before the first update()")
+        self._start = self.pool.sum(axis=(1, 2))
+        if self._legacy_gone is not None:
+            self._legacy = self.pool.copy()
+            self._tracking = bool(self._start.any())
 
     def update(self, cells: np.ndarray, departed) -> None:
-        """Account one in-window slot: its arrivals, departures, backlog."""
-        bb, ii, jj = departed
-        replicas, ports, _ = self.pool.shape
-        if self.arrivals_by_input is None:
-            offered = np.bincount(cells // (ports * ports), minlength=replicas)
+        """Queue one in-window slot's arrivals and departures; a wide
+        slot is folded at once, alone."""
+        size = cells.size + departed[0].size
+        if size > _WIDE_SLOT:
+            if self._cells:
+                self.settle()
+            self._fold_slot(cells, departed)
+            return
+        self._cells.append(cells)
+        self._departed.append(departed)
+        self._queued += size
+        if self._queued >= _SETTLE_CELLS or len(self._cells) == _SETTLE_SLOTS:
+            self.settle()
+
+    def settle(self) -> None:
+        """Fold the queued slots into the running totals, one vectorized
+        pass per array.
+
+        Queued slot t of S adds to a line's totals, and the addition
+        stays in the S - t end-of-slot samples from t on, so over the
+        queue a line's held sum gains S times its arrivals less its
+        departures before the queue, plus each queued arrival weighted
+        by S - t, less each departure weighted so: one weighted
+        ``bincount`` (float64, exact: its sums stay far below 2**53).
+        A queue too short to pay for that is folded slot by slot.
+        """
+        slots = len(self._cells)
+        if slots < _BATCH_MIN:
+            for cells, departed in zip(self._cells, self._departed):
+                self._fold_slot(cells, departed)
         else:
-            per_input = np.bincount(cells // ports, minlength=replicas * ports)
-            per_input = per_input.reshape(replicas, ports)
-            self.arrivals_by_input += per_input
-            offered = per_input.sum(axis=1)
-        self.offered += offered
-        carried = np.bincount(bb, minlength=replicas)
-        self.carried += carried
-        if self.departures_by_output is not None:
-            self.departures_by_output += np.bincount(
-                bb * ports + jj, minlength=replicas * ports
-            ).reshape(replicas, ports)
-        self.backlog += offered - carried
-        self.backlog_integral += self.backlog
-        if self.legacy is not None:
-            # At most one departure per (replica, input) of a pool per
-            # slot, so the (bb, ii, jj) triples are unique and
-            # fancy-indexed decrements are safe.
-            was_legacy = self.legacy[bb, ii, jj] > 0
-            self.legacy[bb[was_legacy], ii[was_legacy], jj[was_legacy]] -= 1
-            gone = np.bincount(bb[was_legacy], minlength=replicas)
-            self.legacy_backlog -= gone
-            self.delay_cells += carried - gone
-            self.delay_integral += self.backlog - self.legacy_backlog
+            departed = self._departed
+            cells = np.concatenate(self._cells)
+            bb = np.concatenate([d[0] for d in departed])
+            jj = np.concatenate([d[2] for d in departed])
+            line, key = self._line_keys(cells, bb, jj)
+            lines = self._arrivals.size
+            weight = np.arange(slots, 0, -1, dtype=np.float64)
+            weight = np.repeat(
+                np.concatenate((weight, -weight)),
+                [c.size for c in self._cells] + [d[0].size for d in departed],
+            )
+            weighted = np.bincount(
+                np.concatenate((line, key)), weights=weight, minlength=lines
+            )
+            self._held += slots * (self._arrivals - self._departures)
+            # Exact integers in float64: the cast truncates nothing.
+            np.add(self._held, weighted, out=self._held, casting="unsafe")
+            self._arrivals += np.bincount(line, minlength=lines)
+            self._departures += np.bincount(key, minlength=lines)
+            self._slots += slots
+            if self._tracking:
+                ii = np.concatenate([d[1] for d in departed])
+                self._strike_legacy(slots, bb, ii, jj, -weight[cells.size:])
+        self._cells = []
+        self._departed = []
+        self._queued = 0
+
+    def _fold_slot(self, cells: np.ndarray, departed) -> None:
+        """Fold one slot: its held sum needs no weights."""
+        bb, ii, jj = departed
+        line, key = self._line_keys(cells, bb, jj)
+        arrivals, departures = self._arrivals, self._departures
+        arrivals += np.bincount(line, minlength=arrivals.size)
+        departures += np.bincount(key, minlength=arrivals.size)
+        self._held += arrivals - departures
+        self._slots += 1
+        if self._tracking:
+            self._strike_legacy(1, bb, ii, jj, None)
+
+    def _line_keys(self, cells, bb, jj):
+        """The line of each arrival cell and of each departure."""
+        ports = self.pool.shape[1]
+        if self.by_port:
+            return cells // ports, bb * ports + jj
+        return cells // (ports * ports), bb
+
+    def _strike_legacy(self, slots: int, bb, ii, jj, weight) -> None:
+        """Strike the legacy cells among ``slots`` slots' departures from
+        ``legacy``, given each departure's S - t ``weight`` (None for a
+        single slot), and account the legacy backlog over those slots:
+        its start S times, less each legacy departure weighted so.
+
+        A VOQ's first ``legacy[VOQ]`` departures in time order are its
+        legacy cells.  One slot departs a VOQ at most once, but a queue
+        of slots may depart it more often than it has legacy cells left:
+        the decrement overdraws such a VOQ, and its departures past the
+        first ``legacy[VOQ]`` are not legacy.
+        """
+        replicas, ports, _ = self.pool.shape
+        left = self._legacy.reshape(-1)
+        voq = (bb * ports + ii) * ports + jj
+        ahead = left[voq]
+        legacy = ahead > 0
+        hit = voq[legacy]
+        np.subtract.at(left, hit, 1)
+        if weight is not None:
+            overdrawn = left[hit] < 0
+            if overdrawn.any():
+                where = legacy.nonzero()[0][overdrawn]
+                where = where[np.argsort(voq[where], kind="stable")]
+                same = voq[where][1:] == voq[where][:-1]
+                index = np.arange(where.size)
+                first = np.maximum.accumulate(
+                    np.where(np.concatenate(([False], same)), 0, index)
+                )
+                # Rank in time order among the VOQ's departures.
+                legacy[where[index - first >= ahead[where]]] = False
+                left[voq[where]] = 0
+        gone = np.bincount(bb[legacy], minlength=replicas)
+        if weight is None:
+            weighted = gone
+        else:
+            weighted = np.bincount(
+                bb[legacy], weights=weight[legacy], minlength=replicas
+            ).astype(np.int64)
+        self._legacy_integral += slots * (self._start - self._legacy_gone)
+        self._legacy_integral -= weighted
+        self._legacy_gone += gone
+        self._tracking = bool((self._legacy_gone < self._start).any())
 
     @staticmethod
     def pooled_delay(backlog_integral, carried, delay_integral, delay_cells) -> float:
@@ -758,9 +937,11 @@ def run_slots(
     departure triple per pool; ``observer(slot, departed)`` sees every
     slot, warm-up included; ``switch.trace(probe, slot, departed)``
     emits the switch's own events; from slot ``warmup`` on each ledger
-    accounts its pool.  ``sources[k]`` feeds, and ``ledgers[k]``
-    accounts, the k-th pool in the order ``advance`` takes and returns
-    them.  The loop runs under :func:`repro.core.batch.read_ahead`: in
+    queues its pool's slot, settling the queue in one vectorized pass
+    at its slot cap or cell budget, and once more after the last slot,
+    all inside the ``update`` phase.  ``sources[k]`` feeds, and
+    ``ledgers[k]`` accounts, the k-th pool in the order ``advance``
+    takes and returns them.  The loop runs under :func:`repro.core.batch.read_ahead`: in
     its window a thread draws the kernel's key cubes ahead, and it is
     joined before this returns or raises.  Returns the run's
     ``(replica-slots, carried cells)``, the totals its
@@ -799,6 +980,9 @@ def run_slots(
             with timer.phase("update"):
                 for ledger, cells, served in zip(ledgers, arrivals, departed):
                     ledger.update(cells, served)
+        with timer.phase("update"):
+            for ledger in ledgers:
+                ledger.settle()
     if traced:
         switch.scheduler.attach_probe(None)
     return (

@@ -186,7 +186,8 @@ def match_counts(
     Runs ``ceil(trials / replicas)`` batched slots and counts how often
     each (input, output) pair was matched -- the fast-path equivalent
     of looping ``StatisticalMatcher.match()`` ``trials`` times, which
-    is what the Appendix C throughput and Figure 8 fairness benches
+    is what the Appendix C throughput and Figure 8 fairness claims
+    (``tests/claims/test_appendix_c.py``, ``tests/claims/test_fig8.py``)
     measure.  Returns ``(counts, samples)`` where ``counts`` is the
     (N, N) tally and ``samples >= trials`` is the number of lotteries
     actually drawn (always a multiple of ``replicas``).

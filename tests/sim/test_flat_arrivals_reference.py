@@ -2,14 +2,16 @@
 
 Arrivals travel as a flat int64 array of VOQ cells (``cube_cells``):
 sources yield them, the pools land them with one ``np.add.at`` and the
-ledgers count them with ``bincount``, keeping running (B,) backlogs
-instead of reducing the pool.  ``_cube_arrivals_reference`` keeps the
-cube code verbatim.  Built from twin generators the two must agree per
-slot: ``bincount(cells)`` is the old cube and the generators end where
-the old draws left them; every ledger counter is byte-equal in either
-warm-up mode, with and without per-port counters, from slot 0 or
-mid-run, through drain slots; and the integrated switch's
-``peak_cbr_buffer`` and ``CBRBufferOverflow`` are unchanged.
+ledgers queue them and count them with ``bincount`` a batch of slots at
+a time, keeping running totals instead of reducing the pool.
+``_cube_arrivals_reference`` keeps the cube code verbatim.  Built from
+twin generators the two must agree per slot: ``bincount(cells)`` is the
+old cube and the generators end where the old draws left them; every
+ledger counter is byte-equal in either warm-up mode, with and without
+per-port counters, from slot 0 or mid-run, through drain slots, read
+after every slot or only at random ones (multi-slot settles); and the
+integrated switch's ``peak_cbr_buffer`` and ``CBRBufferOverflow`` are
+unchanged.
 """
 
 import inspect
@@ -201,12 +203,15 @@ _COUNTERS = (
 
 
 def assert_same_ledgers(
-    ledger_class, warmup_mode, by_port, warmup, slots=30, drain=12, seed=0
+    ledger_class, warmup_mode, by_port, warmup, slots=30, drain=12, seed=0,
+    reads=None,
 ):
     """``ledger_class`` and the cube ledger over one random run: cells
     land on one pool and counts on another, up to one departure per
-    (replica, input) leaves both, and every counter matches per slot.
-    The slot order is ``run_slots``': mark, land, depart, update."""
+    (replica, input) leaves both, and every counter matches at each slot
+    in ``reads`` (every slot when None) and at the end.  The slot order
+    is ``run_slots``': mark, land, depart, update.  Reading settles the
+    queued slots, so sparse reads make multi-slot settles."""
     shape = (6, 5, 5)
     rng = np.random.default_rng(seed)
     pools = [np.zeros(shape, dtype=np.int64) for _ in range(2)]
@@ -229,13 +234,30 @@ def assert_same_ledgers(
         for pool in pools:
             pool[bb, ii, jj] -= 1
         _same(pools[0], pools[1], (slot, "pool"))
-        if slot < warmup:
-            continue
-        new.update(cells, (bb, ii, jj))
-        old.update(counts, (bb, ii, jj))
-        for name in _COUNTERS:
-            _same(getattr(new, name), getattr(old, name), (slot, name))
+        if slot >= warmup:
+            new.update(cells, (bb, ii, jj))
+            old.update(counts, (bb, ii, jj))
+        if reads is None or slot in reads:
+            for name in _COUNTERS:
+                _same(getattr(new, name), getattr(old, name), (slot, name))
+    for name in _COUNTERS:
+        _same(getattr(new, name), getattr(old, name), ("end", name))
     assert int(new.carried.sum()) > 0
+    return new
+
+
+#: Drain slots that empty the grid's pools, legacy cells included.
+_DRAIN = 40
+
+
+def random_reads(warmup, total=30 + _DRAIN, seed=0):
+    """About one slot in four, none in the two slots from ``warmup`` on:
+    the first settle after :meth:`~PoolLedger.mark` takes the marked
+    slot and the ones after it together."""
+    rng = np.random.default_rng(seed + 100)
+    return {
+        slot for slot in range(total) if rng.random() < 0.25
+    } - {warmup, warmup + 1}
 
 
 @pytest.mark.parametrize("warmup", [0, 9])
@@ -245,21 +267,120 @@ def test_ledger(warmup_mode, by_port, warmup):
     assert_same_ledgers(PoolLedger, warmup_mode, by_port, warmup)
 
 
-def _mutant(old, new):
-    """``PoolLedger`` with one edit to its ``update`` source."""
-    source = textwrap.dedent(inspect.getsource(PoolLedger.update))
-    assert source.count(old) == 1, f"update no longer spells {old!r}"
-    namespace = dict(vars(fastpath))
-    exec(source.replace(old, new), namespace)
-    return type("Mutant", (PoolLedger,), {"update": namespace["update"]})
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("warmup", [0, 9])
+@pytest.mark.parametrize("by_port", [True, False])
+@pytest.mark.parametrize("warmup_mode", ["slot", "arrival"])
+def test_ledger_read_at_random_slots(warmup_mode, by_port, warmup, seed):
+    reads = random_reads(warmup, seed=seed)
+    assert any(b - a > 1 for a, b in zip(sorted(reads), sorted(reads)[1:]))
+    ledger = assert_same_ledgers(
+        PoolLedger, warmup_mode, by_port, warmup, drain=_DRAIN, seed=seed,
+        reads=reads,
+    )
+    if warmup_mode == "arrival":
+        # The legacy cells drained, and the ledger stopped looking.
+        assert not ledger.legacy.any() and not ledger._tracking
+
+
+@pytest.mark.parametrize("warmup_mode", ["slot", "arrival"])
+def test_ledger_with_wide_and_narrow_slots(monkeypatch, warmup_mode):
+    """With the wide-slot bound at 50 cells plus departures, about half
+    the grid's slots are wide: each is folded alone, after the narrow
+    slots queued before it."""
+    monkeypatch.setattr(fastpath, "_WIDE_SLOT", 50)
+    folds = []
+    fold = PoolLedger._fold_slot
+
+    def counted(ledger, cells, departed):
+        folds.append(cells.size + departed[0].size > 50)
+        fold(ledger, cells, departed)
+
+    monkeypatch.setattr(PoolLedger, "_fold_slot", counted)
+    for seed in range(3):
+        assert_same_ledgers(
+            PoolLedger, warmup_mode, True, 9, drain=_DRAIN, seed=seed,
+            reads=random_reads(9, seed=seed),
+        )
+    assert 0.25 < np.mean(folds) < 0.75
+
+
+def test_legacy_departures_of_one_voq_inside_one_settle():
+    """VOQ (0, 0, 1) holds three legacy cells at the mark and departs in
+    four straight slots, a fresh cell joining it in the second: one
+    settle sees its three legacy departures and then a fourth that is
+    not legacy.  Read once at the end, or after every slot, the
+    counters are the cube ledger's."""
+    assert fastpath._BATCH_MIN <= 4  # the four slots settle as one batch
+    for reads in (set(), None):
+        pools = [np.zeros((2, 2, 2), dtype=np.int64) for _ in range(2)]
+        for pool in pools:
+            pool[0, 0, 1] = 3
+            pool[1, 1, 0] = 1
+        new = PoolLedger(pools[0], "arrival", by_port=True)
+        old = cube.PoolLedger(pools[1], "arrival", by_port=True)
+        new.mark()
+        old.mark()
+        fresh = np.zeros((2, 2, 2), dtype=np.int64)
+        fresh[0, 0, 1] = 1
+        departed = (np.array([0]), np.array([0]), np.array([1]))
+        for slot in range(4):
+            counts = fresh if slot == 1 else np.zeros_like(fresh)
+            for pool in pools:
+                pool += counts
+                pool[0, 0, 1] -= 1
+            new.update(cube_cells(counts), departed)
+            old.update(counts, departed)
+            if reads is None:
+                for name in _COUNTERS:
+                    _same(getattr(new, name), getattr(old, name), (slot, name))
+        for name in _COUNTERS:
+            _same(getattr(new, name), getattr(old, name), ("end", name))
+        assert new.delay_cells.tolist() == [1, 0]
+        assert new.legacy_backlog.tolist() == [0, 1]
+
+
+def _mutant(**edits):
+    """``PoolLedger`` with its methods edited: ``name=(old, new)``
+    replaces every ``old`` in method ``name``'s source."""
+    members = {}
+    for name, (old, new) in edits.items():
+        source = textwrap.dedent(inspect.getsource(getattr(PoolLedger, name)))
+        assert old in source, f"{name} no longer spells {old!r}"
+        namespace = dict(vars(fastpath))
+        exec(source.replace(old, new), namespace)
+        members[name] = namespace[name]
+    return type("Mutant", (PoolLedger,), members)
 
 
 def test_the_grid_catches_a_backlog_without_departures():
-    old = "self.backlog += offered - carried"
+    """The held sum of a slot folded alone, and of a batch, ignores the
+    departures."""
+    edits = {
+        "_fold_slot": ("arrivals - departures", "arrivals"),
+        "settle": ("self._arrivals - self._departures", "self._arrivals"),
+    }
+    mutant = _mutant(**edits)
     with pytest.raises(AssertionError):
-        assert_same_ledgers(_mutant(old, "self.backlog += offered"), "slot", False, 9)
+        assert_same_ledgers(mutant, "slot", False, 9)
+    with pytest.raises(AssertionError):
+        assert_same_ledgers(mutant, "slot", False, 9, reads=random_reads(9))
     # The untouched source, rebuilt the same way, still passes.
-    assert_same_ledgers(_mutant(old, old), "slot", False, 9)
+    untouched = {name: (old, old) for name, (old, _) in edits.items()}
+    assert_same_ledgers(_mutant(**untouched), "slot", False, 9)
+
+
+def test_the_grid_catches_legacy_tracking_that_ends_a_departure_early():
+    old = "self._legacy_gone < self._start"
+    mutant = _mutant(_strike_legacy=(old, "self._legacy_gone + 1 < self._start"))
+    with pytest.raises(AssertionError):
+        assert_same_ledgers(mutant, "arrival", True, 9, drain=_DRAIN)
+    with pytest.raises(AssertionError):
+        assert_same_ledgers(
+            mutant, "arrival", True, 9, drain=_DRAIN, reads=random_reads(9)
+        )
+    untouched = _mutant(_strike_legacy=(old, old))
+    assert_same_ledgers(untouched, "arrival", True, 9, drain=_DRAIN)
 
 
 # -- switches ----------------------------------------------------------------
