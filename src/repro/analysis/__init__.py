@@ -16,65 +16,31 @@
   named-scenario runs.
 """
 
-from repro.analysis.iterations import expected_iterations_bound
-from repro.analysis.statistical_theory import (
-    single_round_fraction,
-    two_round_fraction,
-    SINGLE_ROUND_LIMIT,
-    TWO_ROUND_LIMIT,
-)
-from repro.analysis.queueing import (
-    fifo_saturation_throughput,
-    hol_saturation_limit,
-    output_queueing_delay,
-    output_queueing_mean_queue,
-)
-from repro.analysis.pim_theory import (
-    one_iteration_match_fraction,
-    pim1_saturation_throughput,
-    saturated_first_iteration_fraction,
-)
-from repro.analysis.ascii_plot import bar_chart, line_chart
-from repro.analysis.maximal_bounds import (
-    MAXIMAL_SCHEDULERS,
-    interference_drain_bound,
-    mean_interference_uniform,
-)
-from repro.analysis.scheduler_study import (
-    StudyRow,
-    format_table,
-    rows_for_record,
-    run_study,
-)
-from repro.analysis.fct_tables import (
-    FctRow,
-    fct_row,
-    format_fct_table,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "MAXIMAL_SCHEDULERS",
-    "interference_drain_bound",
-    "mean_interference_uniform",
-    "StudyRow",
-    "format_table",
-    "rows_for_record",
-    "run_study",
-    "FctRow",
-    "fct_row",
-    "format_fct_table",
-    "hol_saturation_limit",
-    "output_queueing_delay",
-    "output_queueing_mean_queue",
-    "one_iteration_match_fraction",
-    "pim1_saturation_throughput",
-    "saturated_first_iteration_fraction",
-    "bar_chart",
-    "line_chart",
-    "expected_iterations_bound",
-    "single_round_fraction",
-    "two_round_fraction",
-    "SINGLE_ROUND_LIMIT",
-    "TWO_ROUND_LIMIT",
-    "fifo_saturation_throughput",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "MAXIMAL_SCHEDULERS": "maximal_bounds",
+    "interference_drain_bound": "maximal_bounds",
+    "mean_interference_uniform": "maximal_bounds",
+    "StudyRow": "scheduler_study",
+    "format_table": "scheduler_study",
+    "rows_for_record": "scheduler_study",
+    "run_study": "scheduler_study",
+    "FctRow": "fct_tables",
+    "fct_row": "fct_tables",
+    "format_fct_table": "fct_tables",
+    "hol_saturation_limit": "queueing",
+    "output_queueing_delay": "queueing",
+    "output_queueing_mean_queue": "queueing",
+    "one_iteration_match_fraction": "pim_theory",
+    "pim1_saturation_throughput": "pim_theory",
+    "saturated_first_iteration_fraction": "pim_theory",
+    "bar_chart": "ascii_plot",
+    "line_chart": "ascii_plot",
+    "expected_iterations_bound": "iterations",
+    "single_round_fraction": "statistical_theory",
+    "two_round_fraction": "statistical_theory",
+    "SINGLE_ROUND_LIMIT": "statistical_theory",
+    "TWO_ROUND_LIMIT": "statistical_theory",
+    "fifo_saturation_throughput": "queueing",
+})

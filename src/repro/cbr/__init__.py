@@ -20,28 +20,17 @@ Modules:
   PIM fills slots the frame schedule leaves idle.
 """
 
-from repro.cbr.frame import FrameSchedule
-from repro.cbr.slepian_duguid import SlepianDuguidScheduler
-from repro.cbr.reservations import ReservationTable
-from repro.cbr.clock import (
-    ClockModel,
-    cbr_latency_bound,
-    cbr_buffer_bound,
-    controller_frame_slots,
-    simulate_cbr_chain,
-)
-from repro.cbr.integrated import IntegratedSwitch
-from repro.cbr.subframes import HierarchicalFrameScheduler
+from repro import _lazy_namespace
 
-__all__ = [
-    "HierarchicalFrameScheduler",
-    "FrameSchedule",
-    "SlepianDuguidScheduler",
-    "ReservationTable",
-    "ClockModel",
-    "cbr_latency_bound",
-    "cbr_buffer_bound",
-    "controller_frame_slots",
-    "simulate_cbr_chain",
-    "IntegratedSwitch",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "HierarchicalFrameScheduler": "subframes",
+    "FrameSchedule": "frame",
+    "SlepianDuguidScheduler": "slepian_duguid",
+    "ReservationTable": "reservations",
+    "ClockModel": "clock",
+    "cbr_latency_bound": "clock",
+    "cbr_buffer_bound": "clock",
+    "controller_frame_slots": "clock",
+    "simulate_cbr_chain": "clock",
+    "IntegratedSwitch": "integrated",
+})

@@ -22,47 +22,28 @@ sweeps; ``make check`` and the CI smoke stage bound them by seed count
 and wall-clock budget.
 """
 
-from repro.check.differential import (
-    DifferentialReport,
-    ScenarioParityReport,
-    backend_parity,
-    diff_series,
-    fabric_parity,
-    integrated_parity,
-    metamorphic_pim_iterations,
-    metamorphic_statistical_fill,
-    network_parity,
-    scenario_parity,
-    statistical_parity,
-)
-from repro.check.fuzz import Case, FuzzReport, fuzz, load_case, run_case, shrink
-from repro.check.invariants import (
-    CheckingScheduler,
-    InvariantSink,
-    InvariantViolation,
-    check_conservation,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "Case",
-    "CheckingScheduler",
-    "DifferentialReport",
-    "FuzzReport",
-    "InvariantSink",
-    "InvariantViolation",
-    "ScenarioParityReport",
-    "backend_parity",
-    "check_conservation",
-    "diff_series",
-    "fabric_parity",
-    "fuzz",
-    "integrated_parity",
-    "load_case",
-    "metamorphic_pim_iterations",
-    "metamorphic_statistical_fill",
-    "network_parity",
-    "run_case",
-    "scenario_parity",
-    "shrink",
-    "statistical_parity",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "Case": "fuzz",
+    "CheckingScheduler": "invariants",
+    "DifferentialReport": "differential",
+    "FuzzReport": "fuzz",
+    "InvariantSink": "invariants",
+    "InvariantViolation": "invariants",
+    "ScenarioParityReport": "differential",
+    "backend_parity": "differential",
+    "check_conservation": "invariants",
+    "diff_series": "differential",
+    "fabric_parity": "differential",
+    "fuzz": "fuzz",
+    "integrated_parity": "differential",
+    "load_case": "fuzz",
+    "metamorphic_pim_iterations": "differential",
+    "metamorphic_statistical_fill": "differential",
+    "network_parity": "differential",
+    "run_case": "fuzz",
+    "scenario_parity": "differential",
+    "shrink": "fuzz",
+    "statistical_parity": "differential",
+})

@@ -8,15 +8,13 @@ Clock (:mod:`repro.fairness.virtual_clock`), the output-queued
 fair-allocation baseline the paper compares against.
 """
 
-from repro.fairness.allocator import allocations_for_switch, max_min_allocation
-from repro.fairness.metrics import jain_index, max_min_ratio, throughput_shares
-from repro.fairness.virtual_clock import VirtualClockLink
+from repro import _lazy_namespace
 
-__all__ = [
-    "jain_index",
-    "max_min_ratio",
-    "throughput_shares",
-    "VirtualClockLink",
-    "max_min_allocation",
-    "allocations_for_switch",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "jain_index": "metrics",
+    "max_min_ratio": "metrics",
+    "throughput_shares": "metrics",
+    "VirtualClockLink": "virtual_clock",
+    "max_min_allocation": "allocator",
+    "allocations_for_switch": "allocator",
+})

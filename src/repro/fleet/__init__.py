@@ -11,41 +11,24 @@ gating checks a sweep against its recorded trajectory with
 ``repro-an2 fleet run|status|report|gate``.
 """
 
-from repro.fleet.report import aggregate_cells, render_report, sweep_status
-from repro.fleet.runner import (
-    SweepOutcome,
-    record_sweep,
-    run_cell,
-    run_sweep,
-    sweep_entry,
-)
-from repro.fleet.spec import (
-    KINDS,
-    Cell,
-    FleetSpec,
-    cell_key,
-    expand_cells,
-    load_spec,
-    parse_spec,
-)
-from repro.fleet.store import SweepStore, cell_record
+from repro import _lazy_namespace
 
-__all__ = [
-    "KINDS",
-    "Cell",
-    "FleetSpec",
-    "SweepOutcome",
-    "SweepStore",
-    "aggregate_cells",
-    "cell_key",
-    "cell_record",
-    "expand_cells",
-    "load_spec",
-    "parse_spec",
-    "record_sweep",
-    "render_report",
-    "run_cell",
-    "run_sweep",
-    "sweep_entry",
-    "sweep_status",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "KINDS": "spec",
+    "Cell": "spec",
+    "FleetSpec": "spec",
+    "SweepOutcome": "runner",
+    "SweepStore": "store",
+    "aggregate_cells": "report",
+    "cell_key": "spec",
+    "cell_record": "store",
+    "expand_cells": "spec",
+    "load_spec": "spec",
+    "parse_spec": "spec",
+    "record_sweep": "runner",
+    "render_report": "report",
+    "run_cell": "runner",
+    "run_sweep": "runner",
+    "sweep_entry": "runner",
+    "sweep_status": "report",
+})

@@ -96,10 +96,7 @@ def _check_choice(cell: Cell, name: str, value: Any, choices: Tuple[str, ...]) -
 
 def _run_delay_cell(cell: Cell) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
     """Uniform-traffic delay point on the fastpath or the object backend."""
-    from repro.core.batch import BATCH_SCHEDULERS, build_object_scheduler
-    from repro.sim.fastpath import run_fastpath
-    from repro.switch.switch import CrossbarSwitch
-    from repro.traffic.uniform import UniformTraffic
+    from repro.core.batch import BATCH_SCHEDULERS
 
     p = _params(cell, {
         "scheduler": "pim", "ports": 16, "load": 0.8, "slots": 300,
@@ -111,6 +108,8 @@ def _run_delay_cell(cell: Cell) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[st
     _check_choice(cell, "scheduler", p["scheduler"], tuple(BATCH_SCHEDULERS))
 
     if p["backend"] == "fastpath":
+        from repro.sim.fastpath import run_fastpath
+
         replicas = p["replicas"]
         start = time.perf_counter()
         result = run_fastpath(
@@ -119,6 +118,10 @@ def _run_delay_cell(cell: Cell) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[st
             scheduler=p["scheduler"], seed=cell.seed,
         )
     else:
+        from repro.core.batch import build_object_scheduler
+        from repro.switch.switch import CrossbarSwitch
+        from repro.traffic.uniform import UniformTraffic
+
         replicas = 1
         scheduler = build_object_scheduler(
             p["scheduler"], iterations=p["iterations"],
@@ -148,10 +151,7 @@ def _run_scenario_cell(
     cell: Cell,
 ) -> Tuple[Dict[str, Any], Dict[str, Any], Dict[str, Any]]:
     """One named flow-level scenario with per-flow FCT metrics."""
-    from repro.core.batch import BATCH_SCHEDULERS, build_object_scheduler
-    from repro.sim.fastpath import run_fastpath
-    from repro.switch.switch import CrossbarSwitch
-    from repro.traffic.flows import WindowedSource
+    from repro.core.batch import BATCH_SCHEDULERS
     from repro.traffic.scenarios import get_scenario
 
     p = _params(cell, {
@@ -179,6 +179,8 @@ def _run_scenario_cell(
         )
 
     if p["backend"] == "fastpath":
+        from repro.sim.fastpath import run_fastpath
+
         replicas = p["replicas"]
         sources = [build_source(b) for b in range(replicas)]
         start = time.perf_counter()
@@ -189,6 +191,10 @@ def _run_scenario_cell(
             drain_slots=p["drain"], warmup_mode="arrival",
         )
     else:
+        from repro.core.batch import build_object_scheduler
+        from repro.switch.switch import CrossbarSwitch
+        from repro.traffic.flows import WindowedSource
+
         replicas = 1
         scheduler = build_object_scheduler(
             p["scheduler"], iterations=p["iterations"],

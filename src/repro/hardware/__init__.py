@@ -6,26 +6,17 @@ numbers: 37 million scheduled cells per second and ~2.2 microsecond
 uncontended cell latency for a 16x16 switch with 1 Gb/s links.
 """
 
-from repro.hardware.cost import (
-    SwitchCostModel,
-    PROTOTYPE_MODEL,
-    PRODUCTION_MODEL,
-    cell_rate,
-    schedule_time_budget,
-    slots_to_seconds,
-    uncontended_latency,
-)
-from repro.hardware.random_select import LFSRGenerator, TableSelector, lfsr_pim_rng
+from repro import _lazy_namespace
 
-__all__ = [
-    "SwitchCostModel",
-    "PROTOTYPE_MODEL",
-    "PRODUCTION_MODEL",
-    "cell_rate",
-    "schedule_time_budget",
-    "slots_to_seconds",
-    "uncontended_latency",
-    "LFSRGenerator",
-    "TableSelector",
-    "lfsr_pim_rng",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "SwitchCostModel": "cost",
+    "PROTOTYPE_MODEL": "cost",
+    "PRODUCTION_MODEL": "cost",
+    "cell_rate": "cost",
+    "schedule_time_budget": "cost",
+    "slots_to_seconds": "cost",
+    "uncontended_latency": "cost",
+    "LFSRGenerator": "random_select",
+    "TableSelector": "random_select",
+    "lfsr_pim_rng": "random_select",
+})

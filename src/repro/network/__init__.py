@@ -12,27 +12,19 @@ configuration time, fixes the output port for every flow.
   latency checks),
 - :mod:`repro.network.admission` -- network-level CBR admission
   control: find a path with uncommitted capacity and reserve it at
-  every switch (Section 4).
+  every switch (Section 4),
+- :mod:`repro.network.topologies` -- prebuilt topology factories
+  (``from repro.network import topologies`` imports the submodule).
 """
 
-from repro.network.topology import Topology
-from repro.network.routing import Router
-from repro.network.netsim import (
-    NetworkSimulator,
-    NetworkSlotRecord,
-    HostSource,
-    FlowSpec,
-)
-from repro.network.admission import NetworkAdmission
-from repro.network import topologies
+from repro import _lazy_namespace
 
-__all__ = [
-    "Topology",
-    "Router",
-    "NetworkSimulator",
-    "NetworkSlotRecord",
-    "HostSource",
-    "FlowSpec",
-    "NetworkAdmission",
-    "topologies",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "Topology": "topology",
+    "Router": "routing",
+    "NetworkSimulator": "netsim",
+    "NetworkSlotRecord": "netsim",
+    "HostSource": "netsim",
+    "FlowSpec": "netsim",
+    "NetworkAdmission": "admission",
+})

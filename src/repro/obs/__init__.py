@@ -37,64 +37,35 @@ object-vs-fastpath parity oracles, which diff two backends' traces slot
 by slot, live in :mod:`repro.check.differential`.
 """
 
-from repro.obs.events import (
-    CbrSlot,
-    CellDeparture,
-    CrossbarTransfer,
-    PhaseProfile,
-    PimIteration,
-    RunManifestRecord,
-    SlotBegin,
-    StatRound,
-    TraceEvent,
-    VoqSnapshot,
-    event_from_record,
-)
-from repro.obs.metrics import Counter, Gauge, Histogram, MetricsRegistry
-from repro.obs.perf import (
-    NULL_PHASE_TIMER,
-    PhaseReport,
-    PhaseStat,
-    PhaseTimer,
-    RunManifest,
-    hash_config,
-)
-from repro.obs.probe import NULL_PROBE, Probe
-from repro.obs.sinks import (
-    InMemorySink,
-    JSONLSink,
-    NullSink,
-    read_events,
-    write_csv_summary,
-)
+from repro import _lazy_namespace
 
-__all__ = [
-    "TraceEvent",
-    "SlotBegin",
-    "PimIteration",
-    "CrossbarTransfer",
-    "CellDeparture",
-    "VoqSnapshot",
-    "CbrSlot",
-    "StatRound",
-    "PhaseProfile",
-    "RunManifestRecord",
-    "event_from_record",
-    "PhaseTimer",
-    "NULL_PHASE_TIMER",
-    "PhaseReport",
-    "PhaseStat",
-    "RunManifest",
-    "hash_config",
-    "Counter",
-    "Gauge",
-    "Histogram",
-    "MetricsRegistry",
-    "NullSink",
-    "InMemorySink",
-    "JSONLSink",
-    "read_events",
-    "write_csv_summary",
-    "Probe",
-    "NULL_PROBE",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "TraceEvent": "events",
+    "SlotBegin": "events",
+    "PimIteration": "events",
+    "CrossbarTransfer": "events",
+    "CellDeparture": "events",
+    "VoqSnapshot": "events",
+    "CbrSlot": "events",
+    "StatRound": "events",
+    "PhaseProfile": "events",
+    "RunManifestRecord": "events",
+    "event_from_record": "events",
+    "PhaseTimer": "perf",
+    "NULL_PHASE_TIMER": "perf",
+    "PhaseReport": "perf",
+    "PhaseStat": "perf",
+    "RunManifest": "perf",
+    "hash_config": "perf",
+    "Counter": "metrics",
+    "Gauge": "metrics",
+    "Histogram": "metrics",
+    "MetricsRegistry": "metrics",
+    "NullSink": "sinks",
+    "InMemorySink": "sinks",
+    "JSONLSink": "sinks",
+    "read_events": "sinks",
+    "write_csv_summary": "sinks",
+    "Probe": "probe",
+    "NULL_PROBE": "probe",
+})

@@ -22,39 +22,25 @@ reproduction:
   :mod:`repro.sim.fastpath_network` keeps its own per-flow loop.
 """
 
-from repro.sim.fastpath import FastpathCrossbar, FastpathResult, run_fastpath
-from repro.sim.fastpath_cbr import CbrFastpathResult, IntegratedFastpath, run_fastpath_cbr
-from repro.sim.fastpath_network import (
-    NetworkFastpath,
-    NetworkFastpathResult,
-    NetworkSeries,
-    run_fastpath_network,
-)
-from repro.sim.fastpath_statistical import (
-    BatchStatisticalMatcher,
-    StatFastpathResult,
-    run_fastpath_statistical,
-)
-from repro.sim.rng import RandomStreams
-from repro.sim.stats import DelayStats, RunningMeanVar, ThroughputCounter, batch_means_ci
+from repro import _lazy_namespace
 
-__all__ = [
-    "FastpathCrossbar",
-    "FastpathResult",
-    "run_fastpath",
-    "CbrFastpathResult",
-    "IntegratedFastpath",
-    "run_fastpath_cbr",
-    "NetworkFastpath",
-    "NetworkFastpathResult",
-    "NetworkSeries",
-    "run_fastpath_network",
-    "BatchStatisticalMatcher",
-    "StatFastpathResult",
-    "run_fastpath_statistical",
-    "RandomStreams",
-    "DelayStats",
-    "RunningMeanVar",
-    "ThroughputCounter",
-    "batch_means_ci",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "FastpathCrossbar": "fastpath",
+    "FastpathResult": "fastpath",
+    "run_fastpath": "fastpath",
+    "CbrFastpathResult": "fastpath_cbr",
+    "IntegratedFastpath": "fastpath_cbr",
+    "run_fastpath_cbr": "fastpath_cbr",
+    "NetworkFastpath": "fastpath_network",
+    "NetworkFastpathResult": "fastpath_network",
+    "NetworkSeries": "fastpath_network",
+    "run_fastpath_network": "fastpath_network",
+    "BatchStatisticalMatcher": "fastpath_statistical",
+    "StatFastpathResult": "fastpath_statistical",
+    "run_fastpath_statistical": "fastpath_statistical",
+    "RandomStreams": "rng",
+    "DelayStats": "stats",
+    "RunningMeanVar": "stats",
+    "ThroughputCounter": "stats",
+    "batch_means_ci": "stats",
+})

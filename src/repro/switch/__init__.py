@@ -19,37 +19,25 @@ Modules:
 - :mod:`repro.switch.switch` -- the slot-clocked switch model.
 """
 
-from repro.switch.cell import Cell, ServiceClass
-from repro.switch.flow import Flow
-from repro.switch.buffers import (
-    FIFOInputBuffer,
-    OutputQueue,
-    VOQBuffer,
-)
-from repro.switch.concentrator import Concentrator
-from repro.switch.crossbar import Crossbar
-from repro.switch.multicast import MulticastCell, MulticastPIMScheduler, MulticastSwitch
-from repro.switch.packets import Packet, Reassembler, Segmenter
-from repro.switch.replicated import ReplicatedOutputSwitch
-from repro.switch.switch import CrossbarSwitch, FIFOSwitch, SwitchResult
+from repro import _lazy_namespace
 
-__all__ = [
-    "Cell",
-    "ServiceClass",
-    "Flow",
-    "VOQBuffer",
-    "FIFOInputBuffer",
-    "OutputQueue",
-    "Concentrator",
-    "Crossbar",
-    "MulticastCell",
-    "MulticastPIMScheduler",
-    "MulticastSwitch",
-    "Packet",
-    "Segmenter",
-    "Reassembler",
-    "ReplicatedOutputSwitch",
-    "CrossbarSwitch",
-    "FIFOSwitch",
-    "SwitchResult",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "Cell": "cell",
+    "ServiceClass": "cell",
+    "Flow": "flow",
+    "VOQBuffer": "buffers",
+    "FIFOInputBuffer": "buffers",
+    "OutputQueue": "buffers",
+    "Concentrator": "concentrator",
+    "Crossbar": "crossbar",
+    "MulticastCell": "multicast",
+    "MulticastPIMScheduler": "multicast",
+    "MulticastSwitch": "multicast",
+    "Packet": "packets",
+    "Segmenter": "packets",
+    "Reassembler": "packets",
+    "ReplicatedOutputSwitch": "replicated",
+    "CrossbarSwitch": "switch",
+    "FIFOSwitch": "switch",
+    "SwitchResult": "results",
+})

@@ -26,29 +26,22 @@ Every generator with cross-slot state also implements ``reset()``
 runs with the same object replay identical arrival traces.
 """
 
-from repro.traffic.uniform import UniformTraffic
-from repro.traffic.clientserver import ClientServerTraffic
-from repro.traffic.periodic import PeriodicTraffic
-from repro.traffic.bursty import BurstyTraffic
-from repro.traffic.cbr_source import CBRSource
-from repro.traffic.flows import FlowRecord, FlowTraffic, SizeDist, WindowedSource
-from repro.traffic.scenarios import SCENARIOS, Scenario, get_scenario, list_scenarios
-from repro.traffic.trace import TraceRecorder, TraceTraffic
+from repro import _lazy_namespace
 
-__all__ = [
-    "UniformTraffic",
-    "ClientServerTraffic",
-    "PeriodicTraffic",
-    "BurstyTraffic",
-    "CBRSource",
-    "FlowRecord",
-    "FlowTraffic",
-    "SizeDist",
-    "WindowedSource",
-    "Scenario",
-    "SCENARIOS",
-    "get_scenario",
-    "list_scenarios",
-    "TraceRecorder",
-    "TraceTraffic",
-]
+__getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
+    "UniformTraffic": "uniform",
+    "ClientServerTraffic": "clientserver",
+    "PeriodicTraffic": "periodic",
+    "BurstyTraffic": "bursty",
+    "CBRSource": "cbr_source",
+    "FlowRecord": "flows",
+    "FlowTraffic": "flows",
+    "SizeDist": "flows",
+    "WindowedSource": "flows",
+    "Scenario": "scenarios",
+    "SCENARIOS": "scenarios",
+    "get_scenario": "scenarios",
+    "list_scenarios": "scenarios",
+    "TraceRecorder": "trace",
+    "TraceTraffic": "trace",
+})
