@@ -1,6 +1,6 @@
 # Convenience targets for the AN2 reproduction.
 
-.PHONY: install test claims check check-full bench bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke bench-full perf-report trace-demo examples lint clean
+.PHONY: install test claims check check-full bench-suite bench-suite-compare sched-study scenario-smoke fleet-smoke perf-report trace-demo examples lint clean
 
 install:
 	pip install -e . --no-build-isolation || python setup.py develop
@@ -8,10 +8,11 @@ install:
 test:
 	pytest tests/ -q
 
-# The paper's quantitative claims as statistical tests on the fast path
-# (part of tier-1 too; this runs them alone).
+# The paper's quantitative claims as statistical and exact tests, on the
+# fast path where a batched kernel exists (part of tier-1 too; this runs
+# them alone and lists the slowest against their 60 s budget).
 claims:
-	PYTHONPATH=src python -m pytest tests/claims -q
+	PYTHONPATH=src python -m pytest tests/claims -q --durations=15
 
 # Bounded randomized invariant/differential sweeps, one line per fuzz
 # family (CI's smoke stage runs this target): switch, integrated
@@ -29,9 +30,6 @@ check:
 check-full:
 	PYTHONPATH=src python -m repro.cli check --suite all --seeds 200 --budget 10m
 	PYTHONPATH=src python -m pytest -q tests/check tests/sim -m slow
-
-bench:
-	pytest benchmarks/ --benchmark-only -q
 
 # The repo's benchmark (BENCHMARK.json): eight workloads in absolute
 # units, verified, untraced then traced; results.json + trace.json land
@@ -69,9 +67,6 @@ fleet-smoke:
 		--results $(FLEET_SMOKE_STORE) --metric throughput --tolerance 0
 	PYTHONPATH=src python -m repro.cli fleet report $(FLEET_SMOKE_SPEC) \
 		--results $(FLEET_SMOKE_STORE) --out fleet-report.txt
-
-bench-full:
-	REPRO_FULL=1 pytest benchmarks/ --benchmark-only -q
 
 # Live per-phase wall-time breakdown of the headline fast-path config.
 perf-report:

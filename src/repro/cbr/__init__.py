@@ -23,7 +23,6 @@ Modules:
 from repro import _lazy_namespace
 
 __getattr__, __dir__, __all__ = _lazy_namespace(__name__, {
-    "HierarchicalFrameScheduler": "subframes",
     "FrameSchedule": "frame",
     "SlepianDuguidScheduler": "slepian_duguid",
     "ReservationTable": "reservations",

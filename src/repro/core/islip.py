@@ -8,9 +8,9 @@ advance *only when a grant is accepted in the first iteration*; the
 pointers desynchronize under load and deliver near-100% throughput on
 uniform traffic with one iteration's less work.
 
-Included here as the natural extension/ablation target: the
-``benchmarks/test_ablation_arbiter_policies.py`` bench compares PIM,
-iSLIP, and wavefront arbitration on the paper's workloads.
+Included here as the natural extension target; the scheduler zoo
+(``repro-an2 sched-study``) compares it with PIM, LQF, QPS-r and
+wavefront arbitration on the paper's workloads.
 
 The batched kernel is a pick rule over the shared round loop of
 :mod:`repro.core.batch`, which walks the request graph's edge list,

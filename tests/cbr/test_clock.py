@@ -175,3 +175,56 @@ class TestChainSimulation:
         )
         bound = 2 * 3 * (clock.switch_frame_max + 0.5)
         assert result.max_adjusted_latency() <= bound
+
+
+class TestAppendixBAtLanScale:
+    """1000-slot frames, 100 ppm clocks, 10-slot links, 1-8 hops."""
+
+    TOLERANCE = 1e-4
+    LINK = 10.0
+
+    def clock(self, switch_slots=1000):
+        return ClockModel(
+            slot_time=1.0,
+            switch_frame_slots=switch_slots,
+            controller_frame_slots=controller_frame_slots(
+                switch_slots, self.TOLERANCE, margin_slots=5
+            ),
+            tolerance=self.TOLERANCE,
+        )
+
+    def test_bounds_hold_under_adversarial_and_random_drift(self):
+        """Both bounds hold on every drift pattern; the latency bound
+        is not vacuous (the worst case reaches past 0.3 of it) and the
+        buffer bound stays at 'four or five frames'."""
+        tol = self.TOLERANCE
+        clock = self.clock()
+        rng = np.random.default_rng(0)
+        worst_ratio = 0.0
+        for hops in (1, 2, 4, 8):
+            latency_bound = cbr_latency_bound(hops, clock, self.LINK)
+            buffer_bound = cbr_buffer_bound(hops, clock, self.LINK)
+            assert buffer_bound <= 5.5
+            patterns = [
+                [-tol] + [tol] * hops,
+                [tol] + [-tol] * hops,
+                [tol] + [tol if n % 2 == 0 else -tol for n in range(hops)],
+            ] + [list(rng.uniform(-tol, tol, size=hops + 1)) for _ in range(3)]
+            for seed, errors in enumerate(patterns):
+                result = simulate_cbr_chain(
+                    clock, hops=hops, link_latency=self.LINK, cells=400,
+                    rate_errors=errors, seed=seed,
+                )
+                assert result.max_adjusted_latency() <= latency_bound
+                assert max(result.max_buffer_occupancy) <= buffer_bound
+                worst_ratio = max(
+                    worst_ratio, result.max_adjusted_latency() / latency_bound
+                )
+        assert worst_ratio > 0.3
+
+    def test_smaller_frames_bound_latency_lower(self):
+        """Section 4's trade-off: a smaller frame lowers the latency
+        bound, at a coarser allocation granularity (1 / frame)."""
+        frames = (125, 250, 500, 1000, 2000)
+        bounds = [cbr_latency_bound(4, self.clock(f), self.LINK) for f in frames]
+        assert bounds == sorted(bounds) and len(set(bounds)) == len(bounds)

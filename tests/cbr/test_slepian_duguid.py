@@ -77,6 +77,29 @@ class TestFigure6And7:
             scheduler.schedule.reservation_matrix(), expected
         )
 
+    def test_figure7_swaps_on_the_figure6_slot_assignment(self):
+        """On Figure 6's own slot assignment every slot has input 1 or
+        output 3 (0-indexed) busy, so the insert must swap pairings
+        between slots; every connection keeps its per-frame count."""
+        slots = [
+            [(0, 0), (1, 1), (2, 3), (3, 2)],
+            [(0, 0), (2, 3)],
+            [(0, 1), (1, 2), (2, 0)],
+        ]
+        scheduler = SlepianDuguidScheduler.from_slot_assignment(4, slots)
+        np.testing.assert_array_equal(scheduler.reservations, figure6_reservations())
+        schedule = scheduler.schedule
+        assert not any(
+            schedule.input_free(s, 1) and schedule.output_free(s, 3) for s in range(3)
+        )
+        scheduler.add_reservation(1, 3, 1)
+        schedule.validate()
+        expected = figure6_reservations()
+        expected[1, 3] += 1
+        for i in range(4):
+            for j in range(4):
+                assert len(schedule.slots_for(i, j)) == expected[i, j]
+
 
 class TestRemoval:
     def test_remove_frees_capacity(self):
@@ -138,6 +161,17 @@ class TestSlepianDuguidProperties:
             for i in range(n):
                 matrix[i, perm[i]] += 1
         scheduler = SlepianDuguidScheduler.from_matrix(matrix, frame)
+        assert scheduler.schedule.utilization() == 1.0
+
+    def test_saturated_an2_scale_frame(self, rng):
+        """16 ports and a 200-slot frame, every row and column full:
+        3,200 pairings, one flow cell at a time."""
+        n, frame = 16, 200
+        matrix = np.zeros((n, n), dtype=np.int64)
+        for _ in range(frame):
+            matrix[np.arange(n), rng.permutation(n)] += 1
+        scheduler = SlepianDuguidScheduler.from_matrix(matrix, frame)
+        scheduler.schedule.validate()
         assert scheduler.schedule.utilization() == 1.0
 
     def test_from_matrix_validation(self):

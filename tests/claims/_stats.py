@@ -21,6 +21,8 @@ T_QUANTILES = {
     (0.9995, 63): 3.4518,
     (0.999, 2047): 3.0943,
     (0.9995, 31): 3.6335,
+    (0.999, 31): 3.3749,
+    (0.999, 15): 3.7329,
 }
 
 

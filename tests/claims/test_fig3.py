@@ -88,6 +88,8 @@ inside (-0.5, 0.5).  At the fixed seeds the mean delays are 0.147
 interval reaches beyond 0.037.
 """
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -168,6 +170,7 @@ def test_pim4_carries_every_fig3_load(load, pim4_at_95):
     assert 0.99 < mean - half and mean + half < 1.01, (load, mean, half)
 
 
+@functools.lru_cache(maxsize=None)
 def fifo_saturation(ports: int) -> np.ndarray:
     """Per run, the carried load per link of a FIFO switch at load 1.0."""
     return np.array([

@@ -1,10 +1,8 @@
 """Fast integration checks of the paper's figure shapes.
 
-These are scaled-down versions of the benchmark experiments: fewer
-slots and load points, asserting only the qualitative orderings the
-paper reports.  The full-resolution regenerations live in
-``benchmarks/``; Figure 3's numbers are tier-1 claims in
-``tests/claims/test_fig3.py``.
+Small runs asserting qualitative orderings of the paper's figures that
+no claim in ``tests/claims/`` states; the figures' numbers are claims
+there (``test_fig1.py`` to ``test_fig5.py``).
 """
 
 import pytest
@@ -60,18 +58,17 @@ class TestFigure4Shape:
             lambda load: ClientServerTraffic(16, load=load, seed=4), 0.9
         )
         assert oq.mean_delay <= pim.mean_delay
-        assert pim.throughput == pytest.approx(pim.offered, rel=0.03)
         assert fifo.mean_delay > pim.mean_delay
 
 
 class TestFigure5Shape:
-    """More PIM iterations help, with diminishing returns by 4."""
+    """More PIM iterations help."""
 
     def test_iteration_ordering(self):
         recorder = TraceRecorder(UniformTraffic(16, load=0.9, seed=5))
         delays = {}
         first = True
-        for iterations in (1, 2, 4, None):
+        for iterations in (1, 2, 4):
             traffic = recorder if first else recorder.replay()
             first = False
             result = CrossbarSwitch(
@@ -79,36 +76,16 @@ class TestFigure5Shape:
             ).run(traffic, slots=SLOTS, warmup=WARMUP)
             delays[iterations] = result.mean_delay
         assert delays[1] > delays[2] > delays[4] * 0.99
-        # Four iterations within a few percent of run-to-completion
-        # (the paper reports within 0.5% at matching sample sizes).
-        assert delays[4] == pytest.approx(delays[None], rel=0.15)
-
-    def test_even_one_iteration_beats_fifo(self):
-        recorder = TraceRecorder(UniformTraffic(16, load=0.85, seed=6))
-        pim1 = CrossbarSwitch(16, PIMScheduler(iterations=1, seed=0)).run(
-            recorder, slots=SLOTS, warmup=WARMUP
-        )
-        fifo = FIFOSwitch(16, FIFOScheduler(policy="random", seed=0)).run(
-            recorder.replay(), slots=SLOTS, warmup=WARMUP
-        )
-        assert pim1.mean_delay < fifo.mean_delay
 
 
 class TestFigure1Shape:
-    """Stationary blocking: FIFO collapses on periodic traffic; VOQ+PIM
-    keeps every link busy."""
+    """Stationary blocking: FIFO stays far below capacity on periodic
+    traffic; VOQ+PIM keeps every link busy.  (The one-cell-per-slot
+    window itself is ``tests/claims/test_fig1.py``.)"""
 
     def test_fifo_collapse_and_pim_recovery(self):
         ports = 8
         burst = 2 * ports
-        # Synchronized window: one cell per slot crosses the FIFO switch.
-        switch = FIFOSwitch(ports, FIFOScheduler(policy="rotating"))
-        traffic = PeriodicTraffic(ports, load=1.0, burst=burst)
-        window = ports * burst // 2
-        departed = sum(
-            len(switch.step(slot, traffic.arrivals(slot))) for slot in range(window)
-        )
-        assert departed / window == pytest.approx(1.0, abs=0.15)
         # PIM with VOQs on the same workload: near the full 8 links.
         pim = CrossbarSwitch(ports, PIMScheduler(iterations=4, seed=0)).run(
             PeriodicTraffic(ports, load=1.0, burst=burst),

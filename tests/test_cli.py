@@ -286,6 +286,40 @@ GOLDEN_OUTPUT = {
         "  0.50           2.08 (0.52)           0.79 (0.52)           0.50 (0.52)\n"
         "  0.90          52.81 (0.64)           7.34 (0.89)           3.63 (0.90)\n"
     ),
+    # The commands EXPERIMENTS.md names for regenerating Table 2, Fig. 4,
+    # Fig. 5's PIM-1 row and Appendix B (their numbers are claims in
+    # tests/claims/ or tests/cbr/); small sizes, so the documented
+    # commands cannot drift silently.
+    "info": (
+        "AN2 switch (16 ports, 1 Gb/s links, 53-byte ATM cells)\n"
+        "  scheduling budget per slot : 424 ns\n"
+        "  aggregate cell rate        : 37.7 M cells/s\n"
+        "  uncontended latency        : 2.2 us\n"
+        "\n"
+        "Component cost shares (Table 2):\n"
+        "  unit               prototype  production\n"
+        "  optoelectronics          48%         63%\n"
+        "  crossbar                  4%          5%\n"
+        "  buffer                   21%         19%\n"
+        "  scheduling               10%          3%\n"
+        "  control                  17%         10%\n"
+    ),
+    "sweep --workload clientserver --loads 0.5 0.9 --ports 8 --slots 300 "
+    "--warmup 50": (
+        "  load                  fifo                   pim       output-queueing\n"
+        "  0.50           0.78 (0.40)           0.48 (0.40)           0.32 (0.40)\n"
+        "  0.90          32.46 (0.59)           4.29 (0.72)           2.24 (0.73)\n"
+    ),
+    "sweep --iterations 1 --loads 0.5 0.9 --ports 8 --slots 300 --warmup 50": (
+        "  load                  fifo                   pim       output-queueing\n"
+        "  0.50           2.08 (0.52)           1.62 (0.52)           0.50 (0.52)\n"
+        "  0.90          52.81 (0.64)          43.03 (0.66)           3.63 (0.90)\n"
+    ),
+    "cbr-bounds --cells 50": (
+        "4 hops, frame 1000 slots, tolerance 0.0001\n"
+        "  max adjusted latency :     6538.2 slots (bound 8080.8)\n"
+        "  max buffer occupancy :          2 cells (bound 4.4 per unit reservation)\n"
+    ),
 }
 
 
